@@ -13,6 +13,7 @@ from .errors import (
     ArityError,
     DomainError,
     GradingError,
+    IdentityViolation,
     LemmaViolation,
     NonFiniteSample,
     OddzetaError,
@@ -25,7 +26,7 @@ from .exactnum import (
     euler_polynomial,
     harmonic,
 )
-from .expansion import CscSeries, alpha_tail, alpha_term, csc_series, p_poly, u_coeff, w_coeff
+from .expansion import alpha_term, p_poly, u_coeff, w_coeff
 from .gammaderiv import (
     GammaDerivExact,
     bell_complete,
@@ -39,9 +40,7 @@ from .pipoly import (
     TrigPoly,
     integrate_against_sin,
     laurent_eval,
-    poly_add,
     poly_eval,
-    poly_mul,
     poly_scale,
     sin_moment,
 )
@@ -65,19 +64,16 @@ from .zetarep import (
     zeta_even_closed,
     zeta_even_value,
     zeta_odd,
-    zeta_odd_ck,
-    zeta_odd_corollary,
-    zeta_odd_theorem,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityError",
-    "CscSeries",
     "DomainError",
     "GammaDerivExact",
     "GradingError",
+    "IdentityViolation",
     "LemmaViolation",
     "NonFiniteSample",
     "OddzetaError",
@@ -89,13 +85,11 @@ __all__ = [
     "Representation",
     "TrigPoly",
     "ZetaComputation",
-    "alpha_tail",
     "alpha_term",
     "bell_complete",
     "bernoulli_number",
     "bernoulli_polynomial",
     "context",
-    "csc_series",
     "digamma_mikolas",
     "digamma_ref",
     "dl_series_check",
@@ -113,9 +107,7 @@ __all__ = [
     "lemma_check",
     "p_poly",
     "pole_cancellation_check",
-    "poly_add",
     "poly_eval",
-    "poly_mul",
     "poly_scale",
     "sin_moment",
     "u_coeff",
@@ -125,9 +117,6 @@ __all__ = [
     "zeta_even_closed",
     "zeta_even_value",
     "zeta_odd",
-    "zeta_odd_ck",
-    "zeta_odd_corollary",
-    "zeta_odd_theorem",
     "zeta_ref",
     "__version__",
 ]

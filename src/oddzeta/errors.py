@@ -29,5 +29,14 @@ class LemmaViolation(OddzetaError, ArithmeticError):
     """
 
 
+class IdentityViolation(OddzetaError, ArithmeticError):
+    """An exact polynomial identity that the construction guarantees failed.
+
+    Raised when the closed form of P_2p disagrees with the Cauchy product, or
+    when a polynomial factor does not vanish at t = 1 to cancel the
+    tan(pi t/2) pole; either signals corrupted exact data upstream.
+    """
+
+
 class ArityError(OddzetaError, ValueError):
     """An argument list does not have the declared length."""

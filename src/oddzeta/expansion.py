@@ -5,7 +5,7 @@ Everything here is exact.  With z the expansion variable about 0:
 * ``u_coeff(k)``    Taylor coefficient of sin(pi t (1-z)).  Differentiating
   k times gives (-pi t)^k sin(pi t + k pi/2), so the coefficient is a pure
   sine or cosine multiple of (pi t)^k / k! with a four-step sign rotation.
-* ``csc_series``    Laurent coefficients of 1/sin(pi(1-z)) = 1/sin(pi z):
+* ``csc_coefficient``  Laurent coefficients of 1/sin(pi(1-z)) = 1/sin(pi z):
   1/(pi z) + pi z/6 + 7 pi^3 z^3/360 + ..., odd orders only, built from
   even-index Bernoulli numbers.
 * ``w_coeff(p)``    Cauchy product of the two, so w_p = sum_j v_j u_{p-j}
@@ -16,29 +16,24 @@ Everything here is exact.  With z the expansion variable about 0:
   ``reference.pole_cancellation_check``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
   built independently from the closed form (odd-n Bernoulli sum plus three
-  alpha tail terms) and asserted equal to the Cauchy-product coefficient.
+  alpha tail terms) and checked equal to the Cauchy-product coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping
 
 from . import exactnum
-from .errors import DomainError
+from .errors import DomainError, IdentityViolation
 from .pipoly import PiLaurent, PiPoly, TrigPoly, poly_scale
 
 __all__ = [
-    "CscSeries",
     "csc_coefficient",
-    "csc_series",
     "u_coeff",
     "w_coeff",
     "alpha_term",
-    "alpha_tail",
     "p_poly",
     "clear_caches",
 ]
@@ -81,33 +76,6 @@ def csc_coefficient(k: int) -> PiLaurent:
     return PiLaurent.monomial(k, value / factorial(2 * m))
 
 
-@dataclass(frozen=True)
-class CscSeries:
-    """Truncated Laurent expansion of 1/sin(pi z) about z = 0.
-
-    ``coeffs`` maps z-exponents in [-1, order] to pi-Laurent monomials; the
-    k = -1 entry is exactly pi^{-1} and even entries are absent (zero).
-    """
-
-    order: int
-    coeffs: Mapping[int, PiLaurent]
-
-    def coefficient(self, k: int) -> PiLaurent:
-        return self.coeffs.get(k, PiLaurent.zero())
-
-
-@lru_cache(maxsize=None)
-def csc_series(order: int) -> CscSeries:
-    if order < -1:
-        raise DomainError("order must be >= -1")
-    coeffs = {}
-    for k in [-1] + list(range(1, order + 1, 2)):
-        value = csc_coefficient(k)
-        if not value.is_zero():
-            coeffs[k] = value
-    return CscSeries(order=order, coeffs=coeffs)
-
-
 @lru_cache(maxsize=None)
 def w_coeff(p: int) -> TrigPoly:
     """Coefficient of z^p in sin(pi t (1-z)) / sin(pi (1-z)), exactly.
@@ -141,31 +109,6 @@ def alpha_term(index: int) -> PiPoly:
     return PiPoly.monomial(index + 1, index, Fraction(sign, factorial(index + 1)))
 
 
-def alpha_tail(p: int) -> PiPoly:
-    """Combined tail alpha_{2p} + pi^2/6 alpha_{2p-2} + 7 pi^4/360 alpha_{2p-4}.
-
-    Single closed form, valid once 2p - 3 >= 1:
-
-        (-1)^p pi^{2p} t^{2p-3} [60 t^2 (2p(2p+1) - 6 t^2)(2p-3)! - 7 (2p+1)!]
-        / (360 (2p-3)! (2p+1)!)
-
-    For p < 2 the term-by-term sum (with negative-index alphas dropped) is the
-    only sensible reading, so this function refuses those inputs.
-    """
-    if p < 2:
-        raise DomainError("combined tail needs p >= 2; sum alpha_term directly below that")
-    sign = -1 if p % 2 else 1
-    f_low = factorial(2 * p - 3)
-    f_high = factorial(2 * p + 1)
-    denom = 360 * f_low * f_high
-    terms = {
-        (2 * p - 1, 2 * p): Fraction(sign * 60 * 2 * p * (2 * p + 1) * f_low, denom),
-        (2 * p + 1, 2 * p): Fraction(sign * -360 * f_low, denom),
-        (2 * p - 3, 2 * p): Fraction(sign * -7 * f_high, denom),
-    }
-    return PiPoly(terms)
-
-
 def _alpha_sum(p: int) -> PiPoly:
     scaled_2 = poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6)))
     scaled_4 = poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360)))
@@ -178,9 +121,10 @@ def p_poly(p: int) -> PiPoly:
 
     Closed form: odd-n sum of (-1)^{(n+1)/2} (pi t)^n / n! times the csc
     coefficient of order 2p - n, for n = 1, 3, ..., 2p - 5 (empty when
-    2p - 5 < 1), plus the three alpha tail terms.  The result is asserted
+    2p - 5 < 1), plus the three alpha tail terms.  The result is checked
     equal, term map against term map, to the independently computed Cauchy
-    product coefficient w_{2p}; any mismatch means corrupted inputs.
+    product coefficient w_{2p}; any mismatch means corrupted inputs and
+    raises IdentityViolation.
     """
     if p <= 0:
         raise DomainError("p must be >= 1")
@@ -191,9 +135,9 @@ def p_poly(p: int) -> PiPoly:
         total = total + poly_scale(mono, csc_coefficient(2 * p - n))
     product = w_coeff(2 * p)
     if not product.sin_part.is_zero():
-        raise AssertionError(f"w_{2 * p} has a sine component; expansion is corrupted")
+        raise IdentityViolation(f"w_{2 * p} has a sine component; expansion is corrupted")
     if product.cos_part != total:
-        raise AssertionError(
+        raise IdentityViolation(
             f"closed form for P_{2 * p} disagrees with the Cauchy product"
         )
     return total
@@ -203,6 +147,5 @@ def clear_caches() -> None:
     """Drop memoized series data (test hook; use after monkeypatching exactnum)."""
     u_coeff.cache_clear()
     csc_coefficient.cache_clear()
-    csc_series.cache_clear()
     w_coeff.cache_clear()
     p_poly.cache_clear()

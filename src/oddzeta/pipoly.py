@@ -37,8 +37,6 @@ __all__ = [
     "PiPoly",
     "PiLaurent",
     "TrigPoly",
-    "poly_add",
-    "poly_mul",
     "poly_scale",
     "poly_eval",
     "poly_evaluator",
@@ -89,11 +87,6 @@ class PiLaurent:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise DomainError("zero PiLaurent has no exponents")
-        return min(self._terms)
 
     def shifted(self, dpi: int) -> "PiLaurent":
         return PiLaurent({e + dpi: c for e, c in self._terms.items()})
@@ -293,16 +286,8 @@ class TrigPoly:
 
 
 # ---------------------------------------------------------------------------
-# ring operations (function spellings of the operators above)
+# scaling by pi-Laurent scalars
 # ---------------------------------------------------------------------------
-
-def poly_add(a: PiPoly, b: PiPoly) -> PiPoly:
-    return a + b
-
-
-def poly_mul(a: PiPoly, b: PiPoly) -> PiPoly:
-    return a * b
-
 
 def poly_scale(a: PiPoly, scalar: PiLaurent, *, allow_pole: bool = False) -> PiPoly:
     """Multiply a polynomial by a pi-Laurent scalar.

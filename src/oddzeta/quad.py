@@ -1,6 +1,10 @@
 """Arbitrary-precision double-exponential quadrature.
 
-Two transforms, both with level doubling and deterministic summation order:
+One level driver serves two transforms.  The driver doubles the level (the
+step h = 2^-level halves and every previous abscissa is reused, as in
+Takahasi & Mori 1974), keeps the running sums and the per-level deltas,
+estimates the error, stops, and rounds the result back to the requested
+precision.  A transform contributes only the node sum of one level:
 
 * tanh-sinh on (0,1):   t(u) = 1 / (1 + exp(-pi sinh u)), so the abscissas
   cluster at both endpoints without ever touching them.  The complementary
@@ -9,8 +13,7 @@ Two transforms, both with level doubling and deterministic summation order:
 * exp-sinh on (0,inf):  x(u) = exp(pi/2 sinh u), for integrands with
   exponential decay at infinity and at worst logarithmic-power growth at 0.
 
-Levels halve the step h = 2^-level and reuse all previous abscissas.  The
-error estimate follows the usual double-exponential heuristic: with
+The error estimate follows the usual double-exponential heuristic: with
 d1 = |S_m - S_{m-1}| and d2 = |S_m - S_{m-2}| the estimated exponent is
 max(log(d1)^2 / log(d2), 2 log(d1)), floored at the working epsilon.
 
@@ -69,11 +72,6 @@ class QuadResult:
     deltas: tuple = field(default=(), repr=False)
 
 
-def _check_finite(value, where) -> None:
-    if not mp.isfinite(value):
-        raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(where, 8)}")
-
-
 def _estimate_error(sums: list, wp: int):
     """Heuristic error estimate from the last three level sums."""
     d1 = abs(sums[-1] - sums[-2])
@@ -90,6 +88,58 @@ def _estimate_error(sums: list, wp: int):
     exponent = max(log_d1**2 / log_d2, 2 * log_d1, floor_exp)
     exponent = min(mp.mpf(0), exponent)
     return mp.mpf(10) ** exponent
+
+
+def _integrate(level_sum: Callable, f: Callable, tol, precision: int, max_level: int) -> QuadResult:
+    """The level loop shared by both transforms.
+
+    ``level_sum(sample, wp, level, h)`` returns the weighted sum of the
+    samples that are new at ``level`` (step ``h``), calling ``sample`` in
+    place of ``f``; ``sample`` counts the evaluation and rejects a non-finite
+    value.  Level 0 is the trapezoid sum h * partial; every later level
+    halves the previous sum and adds its own.
+    """
+    if precision < 16:
+        raise DomainError("precision must be at least 16 bits")
+    wp = working_precision(precision)
+    evaluations = 0
+
+    def sample(x):
+        nonlocal evaluations
+        value = f(x)
+        if not mp.isfinite(value):
+            raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(x, 8)}")
+        evaluations += 1
+        return value
+
+    with mp.workprec(wp):
+        tolerance = mp.mpf(tol)
+        sums: list = []
+        deltas: list = []
+        estimate = mp.inf
+        converged = False
+        for level in range(max_level + 1):
+            h = mp.ldexp(1, -level)
+            partial = level_sum(sample, wp, level, h)
+            sums.append(partial * h if level == 0 else sums[-1] / 2 + partial * h)
+            if level >= 1:
+                deltas.append(abs(sums[-1] - sums[-2]))
+                estimate = _estimate_error(sums, wp)
+                if level >= 2 and estimate <= tolerance:
+                    converged = True
+                    break
+        with mp.workprec(precision):
+            value = +sums[-1]
+            estimate = +estimate
+            deltas = tuple(+d for d in deltas)
+    return QuadResult(
+        value=value,
+        error_estimate=estimate,
+        evaluations=evaluations,
+        levels=level,
+        converged=converged,
+        deltas=deltas,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +173,15 @@ def _unit_nodes(wp: int, level: int):
         return tuple(nodes)
 
 
+def _tanh_sinh_level(sample, wp, level, h):
+    partial = mp.mpf(0)
+    for t_hi, t_lo, weight in _unit_nodes(wp, level):
+        partial += weight * sample(t_hi)
+        if t_lo is not None:
+            partial += weight * sample(t_lo)
+    return partial
+
+
 def integrate_01(
     f: Callable,
     tol,
@@ -136,51 +195,33 @@ def integrate_01(
     least two refinements) or ``max_level`` is hit, in which case the best
     value is returned with ``converged=False``.
     """
-    if precision < 16:
-        raise DomainError("precision must be at least 16 bits")
-    wp = working_precision(precision)
-    evaluations = 0
-    with mp.workprec(wp):
-        tolerance = mp.mpf(tol)
-        sums: list = []
-        deltas: list = []
-        estimate = mp.inf
-        converged = False
-        level = 0
-        for level in range(max_level + 1):
-            h = mp.ldexp(1, -level)
-            partial = mp.mpf(0)
-            for t_hi, t_lo, weight in _unit_nodes(wp, level):
-                value = f(t_hi)
-                _check_finite(value, t_hi)
-                partial += weight * value
-                evaluations += 1
-                if t_lo is not None:
-                    value = f(t_lo)
-                    _check_finite(value, t_lo)
-                    partial += weight * value
-                    evaluations += 1
-            total = partial * h if level == 0 else sums[-1] / 2 + partial * h
-            sums.append(total)
-            if level >= 1:
-                deltas.append(abs(sums[-1] - sums[-2]))
-                estimate = _estimate_error(sums, wp)
-                if level >= 2 and estimate <= tolerance:
-                    converged = True
+    return _integrate(_tanh_sinh_level, f, tol, precision, max_level)
+
+
+def _exp_sinh_level(sample, wp, level, h):
+    eps = mp.ldexp(1, -wp)
+    half_pi = mp.pi / 2
+    cap = int(mp.floor(mp.asinh(8 * wp * mp.log(2) / mp.pi) / h))
+    partial = mp.mpf(0)
+    for direction in (1, -1):
+        if level == 0:
+            indices = range(0, cap + 1) if direction == 1 else range(1, cap + 1)
+        else:
+            indices = range(1, cap + 1, 2)
+        small_run = 0
+        for j in indices:
+            u = direction * j * h
+            x = mp.exp(half_pi * mp.sinh(u))
+            weight = half_pi * mp.cosh(u) * x
+            term = weight * sample(x)
+            partial += term
+            if abs(term) <= eps * (1 + abs(partial)):
+                small_run += 1
+                if small_run >= 3:
                     break
-        value = sums[-1]
-        with mp.workprec(precision):
-            value = +value
-            estimate = +estimate
-            deltas = tuple(+d for d in deltas)
-    return QuadResult(
-        value=value,
-        error_estimate=estimate,
-        evaluations=evaluations,
-        levels=level,
-        converged=converged,
-        deltas=deltas,
-    )
+            else:
+                small_run = 0
+    return partial
 
 
 def integrate_semi_inf(
@@ -197,66 +238,4 @@ def integrate_semi_inf(
     hard cap on the transform variable; truncation is therefore adaptive but
     still deterministic for identical inputs.
     """
-    if precision < 16:
-        raise DomainError("precision must be at least 16 bits")
-    wp = working_precision(precision)
-    evaluations = 0
-    with mp.workprec(wp):
-        tolerance = mp.mpf(tol)
-        eps = mp.ldexp(1, -wp)
-        u_cap = mp.asinh(8 * wp * mp.log(2) / mp.pi)
-        half_pi = mp.pi / 2
-
-        def sample(u):
-            x = mp.exp(half_pi * mp.sinh(u))
-            weight = half_pi * mp.cosh(u) * x
-            value = f(x)
-            _check_finite(value, x)
-            return weight * value
-
-        sums: list = []
-        deltas: list = []
-        estimate = mp.inf
-        converged = False
-        level = 0
-        for level in range(max_level + 1):
-            h = mp.ldexp(1, -level)
-            cap = int(mp.floor(u_cap / h))
-            partial = mp.mpf(0)
-            for direction in (1, -1):
-                if level == 0:
-                    indices = range(0, cap + 1) if direction == 1 else range(1, cap + 1)
-                else:
-                    indices = range(1, cap + 1, 2)
-                small_run = 0
-                for j in indices:
-                    term = sample(direction * j * h)
-                    evaluations += 1
-                    partial += term
-                    if abs(term) <= eps * (1 + abs(partial)):
-                        small_run += 1
-                        if small_run >= 3:
-                            break
-                    else:
-                        small_run = 0
-            total = partial * h if level == 0 else sums[-1] / 2 + partial * h
-            sums.append(total)
-            if level >= 1:
-                deltas.append(abs(sums[-1] - sums[-2]))
-                estimate = _estimate_error(sums, wp)
-                if level >= 2 and estimate <= tolerance:
-                    converged = True
-                    break
-        value = sums[-1]
-        with mp.workprec(precision):
-            value = +value
-            estimate = +estimate
-            deltas = tuple(+d for d in deltas)
-    return QuadResult(
-        value=value,
-        error_estimate=estimate,
-        evaluations=evaluations,
-        levels=level,
-        converged=converged,
-        deltas=deltas,
-    )
+    return _integrate(_exp_sinh_level, f, tol, precision, max_level)

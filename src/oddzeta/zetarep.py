@@ -1,7 +1,9 @@
 """Integral representations of zeta at odd integers, plus exact side checks.
 
-Four numeric routes to zeta(2p+1), all reduced to tanh-sinh quadrature over
-(0,1) with exact polynomial data:
+Four numeric routes to zeta(2p+1), all one integral shape over (0,1): an
+exact polynomial times tan(pi t/2), for ``theorem`` also times cos(pi t),
+scaled by an exact rational multiple of a power of pi.  ``zeta_odd`` runs
+each of them through tanh-sinh quadrature:
 
 * ``theorem``       1/2 + pi/2 * integral tan(pi t/2) cos(pi t) P_{2p}(t) dt
 * ``corollary``     -pi/2 * integral tan(pi t/2) P_{2p}(t) dt
@@ -13,7 +15,8 @@ the zero-tolerance moment identity integral_0^1 P_{2p}(t) sin(pi t) dt = -1/pi.
 
 Every tan(pi t/2) pole at t = 1 is cancelled by a zero of the polynomial
 factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
-bounded and the quadrature contract applies directly.  Computed values are
+bounded and the quadrature contract applies directly.  ``zeta_odd`` checks
+that zero exactly before integrating.  Computed values are
 always reported next to a freshly computed oracle value, never a stored one.
 """
 
@@ -27,16 +30,13 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import exactnum, expansion, pipoly, quad, reference
-from .errors import DomainError, LemmaViolation
+from .errors import DomainError, IdentityViolation, LemmaViolation
 from .pipoly import PiLaurent, PiPoly
 
 __all__ = [
     "Representation",
     "ZetaComputation",
     "zeta_odd",
-    "zeta_odd_theorem",
-    "zeta_odd_corollary",
-    "zeta_odd_ck",
     "zeta_even_closed",
     "zeta_even_value",
     "lemma_check",
@@ -68,33 +68,23 @@ class ZetaComputation:
             return abs(self.value - self.reference)
 
 
-# Shared per-working-precision caches of tan(pi t / 2) and cos(pi t); the
-# quadrature abscissas are identical across p and representation, so the trig
-# cost is paid once per precision.
-_tan_half_cache: dict = {}
-_cos_cache: dict = {}
+# tan(pi t/2) and cos(pi t) at the quadrature abscissas.  The abscissas are
+# shared by every p and representation, so each trig value is paid once per
+# precision.  The memo holds one working precision only: a new one replaces it.
+_trig_memo: dict = {}
 
 
-def _tan_half(wp: int):
-    cache = _tan_half_cache.setdefault(wp, {})
-
-    def value(t):
-        v = cache.get(t)
-        if v is None:
-            v = mp.tan(mp.pi * t / 2)
-            cache[t] = v
-        return v
-
-    return value
-
-
-def _cos_pi(wp: int):
-    cache = _cos_cache.setdefault(wp, {})
+def _trig(name: str, wp: int):
+    """Memoized ``tan_half`` = tan(pi t/2) or ``cos_pi`` = cos(pi t) at ``wp`` bits."""
+    if _trig_memo.get("wp") != wp:
+        _trig_memo.clear()
+        _trig_memo.update(wp=wp, tan_half={}, cos_pi={})
+    cache = _trig_memo[name]
 
     def value(t):
         v = cache.get(t)
         if v is None:
-            v = mp.cos(mp.pi * t)
+            v = mp.tan(mp.pi * t / 2) if name == "tan_half" else mp.cos(mp.pi * t)
             cache[t] = v
         return v
 
@@ -102,8 +92,7 @@ def _cos_pi(wp: int):
 
 
 def clear_caches() -> None:
-    _tan_half_cache.clear()
-    _cos_cache.clear()
+    _trig_memo.clear()
     reference.zeta_ref.cache_clear()
 
 
@@ -112,94 +101,85 @@ def _require_p(p: int) -> None:
         raise DomainError("p must be >= 1")
 
 
-def _finish(p, representation, raw_value, result, precision) -> ZetaComputation:
+@dataclass(frozen=True)
+class _Route:
+    """zeta(2p+1) = shift + prefactor * pi^pi_exp * integral_0^1 w(t) poly(t) dt.
+
+    The weight w is tan(pi t/2), times cos(pi t) when ``with_cos`` is set.
+    """
+
+    poly: PiPoly
+    with_cos: bool
+    prefactor: Fraction
+    pi_exp: int
+    shift: Fraction = Fraction(0)
+
+
+def _route(p: int, rep: Representation) -> _Route:
+    if rep is Representation.THEOREM:
+        return _Route(expansion.p_poly(p), True, Fraction(1, 2), 1, shift=Fraction(1, 2))
+    if rep is Representation.COROLLARY:
+        return _Route(expansion.p_poly(p), False, Fraction(-1, 2), 1)
+    if rep is Representation.CK_EULER:
+        # (-1)^p 2^{2p-1} pi^{2p+1} / ((2^{2p+1}-1)(2p)!) * integral E_{2p}(t) tan(pi t/2) dt
+        prefactor = Fraction(
+            (-1) ** p * (1 << (2 * p - 1)), ((1 << (2 * p + 1)) - 1) * math.factorial(2 * p)
+        )
+        poly = exactnum.euler_polynomial(2 * p)
+    else:
+        # (-1)^p 2^{2p} pi^{2p+1} / (2p+1)! * integral B_{2p+1}(t) tan(pi t/2) dt
+        prefactor = Fraction((-1) ** p * (1 << (2 * p)), math.factorial(2 * p + 1))
+        poly = exactnum.bernoulli_polynomial(2 * p + 1)
+    return _Route(PiPoly.from_rational_poly(poly), False, prefactor, 2 * p + 1)
+
+
+def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
+    """zeta(2p+1) by one :class:`Representation` (or its string value).
+
+    The polynomial factor must vanish exactly at t = 1, where it cancels the
+    tan(pi t/2) pole; this is checked in rational arithmetic before any
+    integrand is evaluated, and a nonzero residue raises IdentityViolation.
+    """
+    _require_p(p)
+    try:
+        rep = Representation(representation)
+    except ValueError:
+        raise DomainError(f"unknown representation {representation!r}") from None
+    route = _route(p, rep)
+    residue = route.poly.at_rational(1)
+    if not residue.is_zero():
+        raise IdentityViolation(
+            f"p={p}, {rep.value}: the polynomial factor is {residue!r} at t = 1, not 0, "
+            "so the tan(pi t/2) pole there is not cancelled"
+        )
+    wp = quad.working_precision(precision)
+    poly_fn = pipoly.poly_evaluator(route.poly, wp)
+    tan_half = _trig("tan_half", wp)
+    if route.with_cos:
+        cos_pi = _trig("cos_pi", wp)
+
+        def integrand(t):
+            return tan_half(t) * cos_pi(t) * poly_fn(t)
+
+    else:
+
+        def integrand(t):
+            return tan_half(t) * poly_fn(t)
+
+    result = quad.integrate_01(integrand, reference.quad_tolerance(precision), precision)
+    with mp.workprec(wp):
+        prefactor = route.prefactor
+        scale = mp.mpf(prefactor.numerator) / prefactor.denominator * mp.pi**route.pi_exp
+        raw = mp.mpf(route.shift.numerator) / route.shift.denominator + scale * result.value
     with mp.workprec(precision):
-        value = +raw_value
+        value = +raw
     return ZetaComputation(
         p=p,
-        representation=representation,
+        representation=rep,
         value=value,
         quad=result,
         reference=reference.zeta_ref(2 * p + 1, precision),
     )
-
-
-def zeta_odd_theorem(p: int, precision: int) -> ZetaComputation:
-    """zeta(2p+1) = 1/2 + pi/2 * integral_0^1 tan(pi t/2) cos(pi t) P_{2p}(t) dt."""
-    _require_p(p)
-    wp = quad.working_precision(precision)
-    poly_fn = pipoly.poly_evaluator(expansion.p_poly(p), wp)
-    tan_half = _tan_half(wp)
-    cos_pi = _cos_pi(wp)
-
-    def integrand(t):
-        return tan_half(t) * cos_pi(t) * poly_fn(t)
-
-    result = quad.integrate_01(integrand, reference.quad_tolerance(precision), precision)
-    with mp.workprec(wp):
-        raw = mp.mpf(1) / 2 + mp.pi / 2 * result.value
-    return _finish(p, Representation.THEOREM, raw, result, precision)
-
-
-def zeta_odd_corollary(p: int, precision: int) -> ZetaComputation:
-    """zeta(2p+1) = -pi/2 * integral_0^1 tan(pi t/2) P_{2p}(t) dt."""
-    _require_p(p)
-    wp = quad.working_precision(precision)
-    poly_fn = pipoly.poly_evaluator(expansion.p_poly(p), wp)
-    tan_half = _tan_half(wp)
-
-    def integrand(t):
-        return tan_half(t) * poly_fn(t)
-
-    result = quad.integrate_01(integrand, reference.quad_tolerance(precision), precision)
-    with mp.workprec(wp):
-        raw = -mp.pi / 2 * result.value
-    return _finish(p, Representation.COROLLARY, raw, result, precision)
-
-
-def zeta_odd_ck(p: int, variant: str, precision: int) -> ZetaComputation:
-    """zeta(2p+1) in the Cvijovic-Klinowski polynomial forms.
-
-    variant "euler":      (-1)^p 2^{2p-1} pi^{2p+1} / ((2^{2p+1}-1)(2p)!)
-                          * integral_0^1 E_{2p}(t) tan(pi t/2) dt
-    variant "bernoulli":  (-1)^p 2^{2p} pi^{2p+1} / (2p+1)!
-                          * integral_0^1 B_{2p+1}(t) tan(pi t/2) dt
-    """
-    _require_p(p)
-    if variant == "euler" or variant == Representation.CK_EULER:
-        poly = exactnum.euler_polynomial(2 * p)
-        prefactor = Fraction(
-            (-1) ** p * (1 << (2 * p - 1)), ((1 << (2 * p + 1)) - 1) * math.factorial(2 * p)
-        )
-        representation = Representation.CK_EULER
-    elif variant == "bernoulli" or variant == Representation.CK_BERNOULLI:
-        poly = exactnum.bernoulli_polynomial(2 * p + 1)
-        prefactor = Fraction((-1) ** p * (1 << (2 * p)), math.factorial(2 * p + 1))
-        representation = Representation.CK_BERNOULLI
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    wp = quad.working_precision(precision)
-    poly_fn = pipoly.poly_evaluator(PiPoly.from_rational_poly(poly), wp)
-    tan_half = _tan_half(wp)
-
-    def integrand(t):
-        return tan_half(t) * poly_fn(t)
-
-    result = quad.integrate_01(integrand, reference.quad_tolerance(precision), precision)
-    with mp.workprec(wp):
-        scale = mp.mpf(prefactor.numerator) / prefactor.denominator * mp.pi ** (2 * p + 1)
-        raw = scale * result.value
-    return _finish(p, representation, raw, result, precision)
-
-
-def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
-    """Dispatch on a :class:`Representation` (or its string value)."""
-    rep = Representation(representation)
-    if rep is Representation.THEOREM:
-        return zeta_odd_theorem(p, precision)
-    if rep is Representation.COROLLARY:
-        return zeta_odd_corollary(p, precision)
-    return zeta_odd_ck(p, "euler" if rep is Representation.CK_EULER else "bernoulli", precision)
 
 
 def zeta_even_closed(p: int) -> PiLaurent:

@@ -117,6 +117,29 @@ class TestPoly:
         payload = json.loads(target.read_text())
         assert payload["inputs"] == {"p": 1}
 
+    def test_corrupted_bernoulli_is_a_clean_error(self, capsys, monkeypatch):
+        # B_2 feeds the Cauchy product but not the closed form's fixed pi^2/6
+        # tail coefficient, so p_poly's exact cross-check must fail with a
+        # typed error and the CLI must report it instead of a traceback
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return Fraction(1, 7) if n == 2 else real(n)  # true value is 1/6
+
+        exactnum.clear_caches()
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        expansion.clear_caches()
+        try:
+            code, out, err = run(["poly", "--p", "2"], capsys)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: ")
+            assert "Cauchy product" in err
+        finally:
+            monkeypatch.undo()
+            exactnum.clear_caches()
+            expansion.clear_caches()
+
 
 class TestDigamma:
     def test_half(self, capsys):

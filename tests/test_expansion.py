@@ -7,16 +7,8 @@ import mpmath as mp
 import pytest
 
 from oddzeta.errors import DomainError
-from oddzeta.expansion import (
-    alpha_tail,
-    alpha_term,
-    csc_coefficient,
-    csc_series,
-    p_poly,
-    u_coeff,
-    w_coeff,
-)
-from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, trig_evaluator
+from oddzeta.expansion import alpha_term, csc_coefficient, p_poly, u_coeff, w_coeff
+from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale, trig_evaluator
 
 
 def sine_series_coefficient(m: int) -> PiLaurent:
@@ -25,6 +17,32 @@ def sine_series_coefficient(m: int) -> PiLaurent:
         return PiLaurent.zero()
     sign = -1 if ((m - 1) // 2) % 2 else 1
     return PiLaurent.monomial(m, Fraction(sign, factorial(m)))
+
+
+def alpha_tail(p: int) -> PiPoly:
+    """Closed form of alpha_{2p} + pi^2/6 alpha_{2p-2} + 7 pi^4/360 alpha_{2p-4}.
+
+    Valid once 2p - 3 >= 1:
+
+        (-1)^p pi^{2p} t^{2p-3} [60 t^2 (2p(2p+1) - 6 t^2)(2p-3)! - 7 (2p+1)!]
+        / (360 (2p-3)! (2p+1)!)
+
+    An oracle independent of the term-by-term sum that ``p_poly`` builds.
+    For p < 2 only the term-by-term sum (with negative-index alphas dropped)
+    has a sensible reading, so this form refuses those inputs.
+    """
+    if p < 2:
+        raise DomainError("combined tail needs p >= 2; sum alpha_term directly below that")
+    sign = -1 if p % 2 else 1
+    f_low = factorial(2 * p - 3)
+    f_high = factorial(2 * p + 1)
+    denom = 360 * f_low * f_high
+    terms = {
+        (2 * p - 1, 2 * p): Fraction(sign * 60 * 2 * p * (2 * p + 1) * f_low, denom),
+        (2 * p + 1, 2 * p): Fraction(sign * -360 * f_low, denom),
+        (2 * p - 3, 2 * p): Fraction(sign * -7 * f_high, denom),
+    }
+    return PiPoly(terms)
 
 
 EXPECTED_P = {
@@ -78,20 +96,19 @@ class TestSeriesCoefficients:
         assert all(csc_coefficient(k).is_zero() for k in range(0, 21, 2))
 
     def test_csc_series_structure(self):
-        series = csc_series(9)
-        assert series.coefficient(-1) == PiLaurent.monomial(-1, 1)
-        assert series.coefficient(4).is_zero()
-        assert set(series.coeffs) == {-1, 1, 3, 5, 7, 9}
+        assert csc_coefficient(-1) == PiLaurent.monomial(-1, 1)
+        assert csc_coefficient(4).is_zero()
+        nonzero = {k for k in range(-1, 10) if not csc_coefficient(k).is_zero()}
+        assert nonzero == {-1, 1, 3, 5, 7, 9}
 
     def test_product_identity(self):
         # sin(pi z) * (1/sin(pi z)) = 1 + O(z^{N+1}), coefficient by coefficient
         order = 20
-        series = csc_series(order)
         for target in range(0, order + 1):
             total = PiLaurent.zero()
             for m in range(1, target + 2, 2):
                 j = target - m
-                total = total + sine_series_coefficient(m) * series.coefficient(j)
+                total = total + sine_series_coefficient(m) * csc_coefficient(j)
             expected = PiLaurent.monomial(0, 1) if target == 0 else PiLaurent.zero()
             assert total == expected, target
 
@@ -156,8 +173,6 @@ class TestAlphaTail:
         assert alpha_tail(2) == p_poly(2)
 
     def test_matches_term_by_term(self):
-        from oddzeta.pipoly import poly_scale
-
         for p in range(2, 9):
             expected = (
                 alpha_term(2 * p)

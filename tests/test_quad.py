@@ -85,20 +85,6 @@ class TestUnitInterval:
         second = integrate_01(zeta3_integrand(96), mp.mpf(10) ** -20, 96)
         assert first == second
 
-    def test_non_finite_sample(self):
-        with pytest.raises(NonFiniteSample):
-            integrate_01(lambda t: mp.inf, TOL30, 64)
-
-    def test_nan_sample(self):
-        with pytest.raises(NonFiniteSample):
-            integrate_01(lambda t: mp.nan, TOL30, 64)
-
-    def test_no_convergence_reports_honestly(self):
-        result = integrate_01(zeta3_integrand(256), mp.mpf(10) ** -70, 256, max_level=3)
-        assert not result.converged
-        assert result.error_estimate > mp.mpf(10) ** -70
-        assert result.levels == 3
-
 
 class TestSemiInfinite:
     def test_gamma_one(self):
@@ -125,3 +111,35 @@ class TestSemiInfinite:
         first = integrate_semi_inf(lambda x: mp.exp(-x) * mp.log(x) ** 2, TOL30, 128)
         second = integrate_semi_inf(lambda x: mp.exp(-x) * mp.log(x) ** 2, TOL30, 128)
         assert first == second
+
+
+# Both transforms run through one level driver; its error modes hold for each.
+BOTH = pytest.mark.parametrize(
+    "integrate", [integrate_01, integrate_semi_inf], ids=lambda f: f.__name__
+)
+
+
+class TestSharedDriver:
+    @BOTH
+    def test_non_finite_sample(self, integrate):
+        with pytest.raises(NonFiniteSample):
+            integrate(lambda t: mp.inf, TOL30, 64)
+
+    @BOTH
+    def test_nan_sample(self, integrate):
+        with pytest.raises(NonFiniteSample):
+            integrate(lambda t: mp.nan, TOL30, 64)
+
+    @pytest.mark.parametrize(
+        "integrate,f",
+        [
+            (integrate_01, zeta3_integrand(256)),
+            (integrate_semi_inf, lambda x: mp.exp(-x) * mp.log(x)),
+        ],
+        ids=["integrate_01", "integrate_semi_inf"],
+    )
+    def test_no_convergence_reports_honestly(self, integrate, f):
+        result = integrate(f, mp.mpf(10) ** -70, 256, max_level=3)
+        assert not result.converged
+        assert result.error_estimate > mp.mpf(10) ** -70
+        assert result.levels == 3

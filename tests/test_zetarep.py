@@ -5,8 +5,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import expansion
-from oddzeta.errors import DomainError, LemmaViolation
+from oddzeta import exactnum, expansion, quad, zetarep
+from oddzeta.errors import DomainError, IdentityViolation, LemmaViolation
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.quad import integrate_01, working_precision
 from oddzeta.reference import zeta_ref
@@ -16,9 +16,6 @@ from oddzeta.zetarep import (
     zeta_even_closed,
     zeta_even_value,
     zeta_odd,
-    zeta_odd_ck,
-    zeta_odd_corollary,
-    zeta_odd_theorem,
 )
 
 ZETA3 = "1.202056903159594285399738161511449990765"
@@ -31,7 +28,7 @@ class TestTheoremForm:
         "p,anchor", [(1, ZETA3), (2, ZETA5), (3, ZETA7)]
     )
     def test_against_anchors(self, p, anchor):
-        comp = zeta_odd_theorem(p, 192)
+        comp = zeta_odd(p, "theorem", 192)
         assert comp.quad.converged
         with mp.workprec(208):
             assert abs(comp.value - mp.mpf(anchor)) < mp.mpf(10) ** -35
@@ -39,7 +36,7 @@ class TestTheoremForm:
 
     def test_rejects_p_zero(self):
         with pytest.raises(DomainError):
-            zeta_odd_theorem(0, 96)
+            zeta_odd(0, "theorem", 96)
 
 
 class TestCorollaryForm:
@@ -47,7 +44,7 @@ class TestCorollaryForm:
         # pi^3/12 * integral t (1 - t^2) tan(pi t/2) dt must equal the
         # corollary value computed through the expanded polynomial
         precision = 160
-        comp = zeta_odd_corollary(1, precision)
+        comp = zeta_odd(1, "corollary", precision)
         result = integrate_01(
             lambda t: t * (1 - t * t) * mp.tan(mp.pi * t / 2),
             mp.mpf(10) ** -40,
@@ -58,14 +55,14 @@ class TestCorollaryForm:
             assert abs(direct - comp.value) < mp.mpf(10) ** -38
 
     def test_zeta5(self):
-        comp = zeta_odd_corollary(2, 192)
+        comp = zeta_odd(2, "corollary", 192)
         with mp.workprec(208):
             assert abs(comp.value - mp.mpf(ZETA5)) < mp.mpf(10) ** -35
 
     def test_zeta11_printed_factored_integrand(self):
         # t (1-t^2)(t^2-5)(3t^6-37t^4+225t^2-511) with prefactor pi^11/239500800
         precision = 160
-        comp = zeta_odd_corollary(5, precision)
+        comp = zeta_odd(5, "corollary", precision)
 
         def integrand(t):
             t2 = t * t
@@ -87,18 +84,18 @@ class TestCorollaryForm:
 class TestCKForms:
     @pytest.mark.parametrize("variant", ["euler", "bernoulli"])
     def test_zeta3(self, variant):
-        comp = zeta_odd_ck(1, variant, 192)
+        comp = zeta_odd(1, f"ck_{variant}", 192)
         with mp.workprec(208):
             assert abs(comp.value - mp.mpf(ZETA3)) < mp.mpf(10) ** -35
 
     @pytest.mark.parametrize("variant", ["euler", "bernoulli"])
     def test_zeta9(self, variant):
-        comp = zeta_odd_ck(4, variant, 192)
+        comp = zeta_odd(4, f"ck_{variant}", 192)
         assert comp.abs_error_vs_reference < mp.mpf(10) ** -40
 
     def test_unknown_variant(self):
         with pytest.raises(DomainError):
-            zeta_odd_ck(1, "chebyshev", 96)
+            zeta_odd(1, "chebyshev", 96)
 
 
 class TestCrossAgreement:
@@ -129,6 +126,37 @@ class TestCrossAgreement:
     def test_dispatch_accepts_strings(self):
         comp = zeta_odd(1, "corollary", 96)
         assert comp.representation is Representation.COROLLARY
+
+
+class TestPolePrecondition:
+    @pytest.mark.parametrize("rep", ["theorem", "corollary", "ck_bernoulli"])
+    def test_corrupted_bernoulli_raises_before_integrating(self, rep, monkeypatch):
+        # B_6 = 1/43 instead of 1/42 leaves P_6 and B_7 nonzero at t = 1, so
+        # the tan(pi t/2) pole is not cancelled; no integrand may be evaluated
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return Fraction(1, 43) if n == 6 else real(n)
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated despite a nonzero residue at t = 1")
+
+        exactnum.clear_caches()
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        monkeypatch.setattr(quad, "integrate_01", no_integration)
+        expansion.clear_caches()
+        try:
+            with pytest.raises(IdentityViolation) as excinfo:
+                zeta_odd(3, rep, 64)
+            message = str(excinfo.value)
+            assert "p=3" in message and rep in message
+            if rep != "ck_bernoulli":
+                assert "31/650160*pi^6" in message
+        finally:
+            monkeypatch.undo()
+            exactnum.clear_caches()
+            expansion.clear_caches()
+            zetarep.clear_caches()
 
 
 class TestEvenClosedForm:
@@ -165,7 +193,7 @@ class TestLemmaCheck:
 
 class TestComputationRecord:
     def test_error_is_recomputed_property(self):
-        comp = zeta_odd_corollary(1, 96)
+        comp = zeta_odd(1, "corollary", 96)
         first = comp.abs_error_vs_reference
         second = comp.abs_error_vs_reference
         assert first == second
