@@ -46,8 +46,6 @@ from .pipoly import (
 )
 from .quad import QuadResult, integrate_01, integrate_semi_inf
 from .reference import (
-    PrecisionContext,
-    context,
     digamma_mikolas,
     digamma_ref,
     dl_series_check,
@@ -79,7 +77,6 @@ __all__ = [
     "OddzetaError",
     "PiLaurent",
     "PiPoly",
-    "PrecisionContext",
     "QuadResult",
     "RationalPoly",
     "Representation",
@@ -89,7 +86,6 @@ __all__ = [
     "bell_complete",
     "bernoulli_number",
     "bernoulli_polynomial",
-    "context",
     "digamma_mikolas",
     "digamma_ref",
     "dl_series_check",

@@ -20,7 +20,7 @@ import mpmath as mp
 
 from . import expansion, gammaderiv, pipoly, reference, zetarep
 from .errors import OddzetaError
-from .pipoly import PiPoly
+from .pipoly import PiLaurent, PiPoly
 from .zetarep import Representation
 
 EXIT_OK = 0
@@ -94,49 +94,17 @@ def _factored_text(p: int) -> str | None:
     if rebuilt != expansion.p_poly(p):
         raise OddzetaError(f"stored factorization for p={p} does not match the expansion")
 
+    def atom(e, mag):
+        coeff = "" if mag == 1 and e > 0 else str(mag)
+        return coeff + ("" if e == 0 else "t" if e == 1 else f"t^{e}")
+
     def poly_txt(factor):
-        bits = []
-        for e in sorted(factor, reverse=True):
-            c = factor[e]
-            mag = abs(c)
-            coeff = "" if mag == 1 and e > 0 else str(mag)
-            var = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            piece = f"{coeff}{var}" or "1"
-            if not bits:
-                bits.append(piece if c > 0 else f"-{piece}")
-            else:
-                bits.append(f" + {piece}" if c > 0 else f" - {piece}")
-        return "".join(bits)
+        return pipoly.join_terms(sorted(factor.items(), reverse=True), atom)
 
     sign = "-" if prefactor < 0 else ""
     mag = abs(prefactor)
     parts = [f"({poly_txt(f)})" if len(f) > 1 else poly_txt(f) for f in factors]
     return f"{sign}(pi^{pi_exp}/{mag.denominator})*" + "*".join(parts)
-
-
-def _expanded_text(poly: PiPoly) -> str:
-    terms = poly.as_dict()
-    if not terms:
-        return "0"
-    bits = []
-    for (i, j) in sorted(terms, key=lambda k: (-k[0], k[1])):
-        c = terms[(i, j)]
-        mag = abs(c)
-        coeff = f"{mag.numerator}/{mag.denominator}" if mag.denominator != 1 else f"{mag.numerator}"
-        atom = "*".join(
-            x
-            for x in (
-                coeff if mag != 1 else "",
-                f"pi^{j}" if j else "",
-                (f"t^{i}" if i > 1 else "t") if i else "",
-            )
-            if x
-        ) or "1"
-        if not bits:
-            bits.append(atom if c > 0 else f"-{atom}")
-        else:
-            bits.append(f" + {atom}" if c > 0 else f" - {atom}")
-    return "".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +167,7 @@ def cmd_poly(args) -> int:
     if args.format == "latex":
         _emit(pipoly.to_latex(poly) + "\n", args.out)
         return EXIT_OK
-    lines = [f"P_{2 * args.p}(t) = {_expanded_text(poly)}"]
+    lines = [f"P_{2 * args.p}(t) = {pipoly.to_text(poly)}"]
     factored = _factored_text(args.p)
     if factored:
         lines.append(f"factored     = {factored}")
@@ -218,11 +186,18 @@ def _verify_checks(max_p: int, digits: int):
         return f"exact -1/pi sine moment, p <= {max_p}"
 
     def check_product():
+        # p_poly raises unless its closed form equals the Cauchy product, but both
+        # read csc_coefficient; csc(pi z) sin(pi z) = 1 needs only those
+        # coefficients and factorials, so it catches a corrupted Bernoulli number
         for p in range(1, max_p + 1):
-            closed = expansion.p_poly(p)
-            product = expansion.w_coeff(2 * p)
-            if not product.sin_part.is_zero() or product.cos_part != closed:
-                raise OddzetaError(f"closed form != Cauchy product at p={p}")
+            expansion.p_poly(p)
+            coeff = PiLaurent.zero()
+            for k in range(-1, 2 * p, 2):
+                j = 2 * p - k  # odd order of the sine series
+                sine = PiLaurent.monomial(j, Fraction((-1) ** (j // 2), math.factorial(j)))
+                coeff = coeff + expansion.csc_coefficient(k) * sine
+            if not coeff.is_zero():
+                raise OddzetaError(f"csc(pi z) sin(pi z) has z^{2 * p} coefficient {coeff!r}, not 0")
         return f"closed form == Cauchy product, p <= {max_p}"
 
     def check_representations():

@@ -173,12 +173,14 @@ def harmonic(m: int) -> Fraction:
     return _harmonic_values[m]
 
 
+# the cached functions as defined, so clearing still works after a test has
+# replaced one of the module attributes
+_CACHED = (_entringer_row, bernoulli_number, euler_number, bernoulli_polynomial, euler_polynomial)
+
+
 def clear_caches() -> None:
     """Drop all memoized values (test hook)."""
-    _entringer_row.cache_clear()
-    bernoulli_number.cache_clear()
-    euler_number.cache_clear()
-    bernoulli_polynomial.cache_clear()
-    euler_polynomial.cache_clear()
+    for cached in _CACHED:
+        cached.cache_clear()
     with _harmonic_lock:
         del _harmonic_values[1:]

@@ -143,9 +143,12 @@ def p_poly(p: int) -> PiPoly:
     return total
 
 
+# the cached functions as defined, so clearing still works after a test has
+# replaced one of the module attributes
+_CACHED = (u_coeff, csc_coefficient, w_coeff, p_poly)
+
+
 def clear_caches() -> None:
     """Drop memoized series data (test hook; use after monkeypatching exactnum)."""
-    u_coeff.cache_clear()
-    csc_coefficient.cache_clear()
-    w_coeff.cache_clear()
-    p_poly.cache_clear()
+    for cached in _CACHED:
+        cached.cache_clear()

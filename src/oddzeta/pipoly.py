@@ -3,16 +3,21 @@
 A :class:`PiPoly` is a polynomial in t whose coefficients are rational
 multiples of nonnegative powers of pi, stored as a term map
 ``(t_exp, pi_exp) -> Fraction``.  A :class:`PiLaurent` is a scalar: a finite
-rational combination of integer (possibly negative) powers of pi.  Powers of
-pi stay symbolic through every algebraic operation; nothing is rounded until
-an explicit numeric evaluation at a stated bit precision.
+rational combination of integer (possibly negative) powers of pi, keyed by
+pi_exp.  Both are one canonical term map (no zero coefficients) with one
+shared accumulator and one shared set of ring operators; the subclasses add
+only key validation and how two keys combine in a product.  Powers of pi stay
+symbolic through every algebraic operation; nothing is rounded until an
+explicit numeric evaluation at a stated bit precision.
 
 The module also provides the exact sine moments
 
     I_k = integral_0^1 t^k sin(pi t) dt
 
 as pi-Laurent values, which is what makes zero-tolerance verification of the
--1/pi moment identity possible in pure rational arithmetic.
+-1/pi moment identity possible in pure rational arithmetic.  Every text form
+of a polynomial (:func:`to_text`, :func:`to_latex`, the CLI's factored form)
+is one signed-term walk, :func:`join_terms`.
 
 Negative pi-exponents are confined to :class:`PiLaurent`.  The single place
 the polynomial side may carry one is the Laurent boundary term of the product
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 import mpmath as mp
@@ -47,6 +52,8 @@ __all__ = [
     "to_json_terms",
     "from_json_terms",
     "to_latex",
+    "to_text",
+    "join_terms",
 ]
 
 CoeffLike = Union[Fraction, int]
@@ -57,75 +64,99 @@ def _rounded(value, precision: int):
         return +value
 
 
-class PiLaurent:
-    """Finite rational combination of integer powers of pi (scalar)."""
+def _accumulate(pairs: Iterable[tuple]) -> dict:
+    """Sum coefficients by key and drop the zeros: the one canonicalizing step."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+class _TermMap:
+    """Exact term map ``key -> nonzero Fraction`` shared by PiPoly and PiLaurent.
+
+    Values are canonical (no zero coefficients), so two values are equal
+    exactly when their term maps are equal.  A subclass supplies ``_key``
+    (validates one key of outside input) and ``_combine`` (the key of a
+    product of two terms).
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[int, CoeffLike], Iterable[tuple[int, CoeffLike]], None] = None):
-        data: dict[int, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for exp, coeff in items:
-                c = data.get(exp, Fraction(0)) + Fraction(coeff)
-                if c:
-                    data[int(exp)] = c
-                else:
-                    data.pop(exp, None)
-        self._terms = data
+    def __init__(self, terms: Union[Mapping, Iterable[tuple], None] = None):
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._terms = _accumulate((self._key(key), Fraction(c)) for key, c in items)
 
     @classmethod
-    def zero(cls) -> "PiLaurent":
-        return cls()
+    def _wrap(cls, data: dict):
+        # fast path: data is already canonical and its keys valid
+        value = cls.__new__(cls)
+        value._terms = data
+        return value
 
     @classmethod
-    def monomial(cls, pi_exp: int, coeff: CoeffLike = 1) -> "PiLaurent":
-        return cls({pi_exp: Fraction(coeff)})
+    def zero(cls):
+        return cls._wrap({})
 
-    def as_dict(self) -> dict[int, Fraction]:
+    def as_dict(self) -> dict:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def shifted(self, dpi: int) -> "PiLaurent":
-        return PiLaurent({e + dpi: c for e, c in self._terms.items()})
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._wrap(_accumulate([*self._terms.items(), *other._terms.items()]))
 
-    def __add__(self, other: "PiLaurent") -> "PiLaurent":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return PiLaurent(out)
+    def __sub__(self, other):
+        return self + -other
 
-    def __sub__(self, other: "PiLaurent") -> "PiLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "PiLaurent":
-        return PiLaurent({e: -c for e, c in self._terms.items()})
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, PiLaurent):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    s = out.get(e1 + e2, Fraction(0)) + c1 * c2
-                    if s:
-                        out[e1 + e2] = s
-                    else:
-                        out.pop(e1 + e2, None)
-            return PiLaurent(out)
         if isinstance(other, (int, Fraction)):
-            return PiLaurent({e: c * other for e, c in self._terms.items()})
-        return NotImplemented
+            if not other:
+                return self.zero()
+            return self._wrap({key: c * other for key, c in self._terms.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        combine = self._combine
+        return self._wrap(
+            _accumulate(
+                (combine(k1, k2), c1 * c2)
+                for k1, c1 in self._terms.items()
+                for k2, c2 in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PiLaurent) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
+
+
+class PiLaurent(_TermMap):
+    """Finite rational combination of integer powers of pi (scalar), keyed by pi_exp."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(pi_exp) -> int:
+        return int(pi_exp)
+
+    @staticmethod
+    def _combine(e1: int, e2: int) -> int:
+        return e1 + e2
+
+    @classmethod
+    def monomial(cls, pi_exp: int, coeff: CoeffLike = 1) -> "PiLaurent":
+        return cls({pi_exp: coeff})
+
+    def shifted(self, dpi: int) -> "PiLaurent":
+        # a shift is one-to-one on keys, so the result is canonical as built
+        return PiLaurent._wrap({e + dpi: c for e, c in self._terms.items()})
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -134,62 +165,43 @@ class PiLaurent:
         return f"PiLaurent({' + '.join(bits)})"
 
 
-class PiPoly:
+def _descending(terms: Mapping[tuple[int, int], Fraction]) -> list:
+    """(key, coeff) pairs by descending t-degree, then ascending pi-exponent."""
+    return sorted(terms.items(), key=lambda kc: (-kc[0][0], kc[0][1]))
+
+
+class PiPoly(_TermMap):
     """Polynomial in t with rational-multiple-of-pi^j coefficients.
 
-    Terms map ``(t_exp, pi_exp) -> Fraction`` with no zero coefficients;
-    two values are equal exactly when their term maps are equal.  Both
-    exponents must be nonnegative (see the module docstring for the one
-    sanctioned exception).
+    Terms map ``(t_exp, pi_exp) -> Fraction``.  Both exponents must be
+    nonnegative (see the module docstring for the one sanctioned exception).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        terms: Union[Mapping[tuple[int, int], CoeffLike], Iterable[tuple[tuple[int, int], CoeffLike]], None] = None,
-        *,
-        _allow_pole: bool = False,
-    ):
-        data: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, coeff in items:
-                t_exp, pi_exp = int(key[0]), int(key[1])
-                if t_exp < 0:
-                    raise DomainError(f"negative t-exponent {t_exp}")
-                if pi_exp < 0 and not _allow_pole:
-                    raise GradingError(f"negative pi-exponent {pi_exp} in PiPoly")
-                c = data.get((t_exp, pi_exp), Fraction(0)) + Fraction(coeff)
-                if c:
-                    data[(t_exp, pi_exp)] = c
-                else:
-                    data.pop((t_exp, pi_exp), None)
-        self._terms = data
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        t_exp, pi_exp = int(key[0]), int(key[1])
+        if t_exp < 0:
+            raise DomainError(f"negative t-exponent {t_exp}")
+        if pi_exp < 0:
+            raise GradingError(f"negative pi-exponent {pi_exp} in PiPoly")
+        return t_exp, pi_exp
 
-    @classmethod
-    def zero(cls) -> "PiPoly":
-        return cls()
+    @staticmethod
+    def _combine(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
+        return k1[0] + k2[0], k1[1] + k2[1]
 
     @classmethod
     def monomial(cls, t_exp: int, pi_exp: int = 0, coeff: CoeffLike = 1) -> "PiPoly":
-        return cls({(t_exp, pi_exp): Fraction(coeff)})
+        return cls({(t_exp, pi_exp): coeff})
 
     @classmethod
     def from_rational_poly(cls, poly: RationalPoly, pi_exp: int = 0) -> "PiPoly":
         return cls({(e, pi_exp): c for e, c in poly.coeffs})
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._terms)
-
     def coefficient(self, t_exp: int, pi_exp: int) -> Fraction:
         return self._terms.get((t_exp, pi_exp), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def t_degree(self) -> int:
-        return max((i for i, _ in self._terms), default=-1)
 
     def pi_exponents(self) -> set[int]:
         return {j for _, j in self._terms}
@@ -197,71 +209,16 @@ class PiPoly:
     def t_exponents(self) -> set[int]:
         return {i for i, _ in self._terms}
 
-    def __add__(self, other: "PiPoly") -> "PiPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return self._wrap(out)
-
-    def __sub__(self, other: "PiPoly") -> "PiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "PiPoly":
-        return self._wrap({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, PiPoly):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    key = (i1 + i2, j1 + j2)
-                    s = out.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return self._wrap(out)
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return PiPoly.zero()
-            return self._wrap({k: c * other for k, c in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PiPoly) and self._terms == other._terms
-
     def __repr__(self) -> str:
         if not self._terms:
             return "PiPoly(0)"
-        keys = sorted(self._terms, key=lambda k: (-k[0], k[1]))
-        bits = [f"{self._terms[k]}*pi^{k[1]}*t^{k[0]}" for k in keys]
+        bits = [f"{c}*pi^{j}*t^{i}" for (i, j), c in _descending(self._terms)]
         return f"PiPoly({' + '.join(bits)})"
-
-    @staticmethod
-    def _wrap(data: dict[tuple[int, int], Fraction]) -> "PiPoly":
-        # internal fast path: data is already canonical (no zeros); grading
-        # is preserved by ring operations on valid inputs
-        p = PiPoly.__new__(PiPoly)
-        p._terms = data
-        return p
 
     def at_rational(self, t: Fraction) -> PiLaurent:
         """Exact value at a rational point, as a pi-Laurent scalar."""
         t = Fraction(t)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self._terms.items():
-            s = out.get(j, Fraction(0)) + c * t**i
-            if s:
-                out[j] = s
-            else:
-                out.pop(j, None)
-        return PiLaurent(out)
+        return PiLaurent._wrap(_accumulate((j, c * t**i) for (i, j), c in self._terms.items()))
 
 
 @dataclass(frozen=True)
@@ -297,22 +254,16 @@ def poly_scale(a: PiPoly, scalar: PiLaurent, *, allow_pole: bool = False) -> PiP
     ``allow_pole=True`` lifts that check for the one Laurent boundary term of
     the product expansion.
     """
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in a.as_dict().items():
-        for e, s in scalar.as_dict().items():
-            key = (i, j + e)
-            v = out.get(key, Fraction(0)) + c * s
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+    out = _accumulate(
+        ((i, j + e), c * s) for (i, j), c in a._terms.items() for e, s in scalar._terms.items()
+    )
     if not allow_pole:
         bad = [k for k in out if k[1] < 0]
         if bad:
             raise GradingError(
                 f"scaling by {scalar!r} would produce negative pi-exponents {sorted(bad)}"
             )
-    return PiPoly(out, _allow_pole=allow_pole)
+    return PiPoly._wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +362,14 @@ def sin_moment(k: int) -> PiLaurent:
     if k < 0:
         raise DomainError("sine moment index must be >= 0")
     if k == 0:
-        return PiLaurent({-1: Fraction(2)})
+        return PiLaurent.monomial(-1, 2)
+    inv_pi = PiLaurent.monomial(-1)
     if k == 1:
-        return PiLaurent({-1: Fraction(1)})
+        return inv_pi
     # iterative to keep the recursion depth flat for large k
     prev = sin_moment(k % 2)
     for m in range(k % 2 + 2, k + 1, 2):
-        prev = PiLaurent({-1: Fraction(1)}) + prev.shifted(-2) * Fraction(-m * (m - 1))
+        prev = inv_pi + prev.shifted(-2) * Fraction(-m * (m - 1))
     return prev
 
 
@@ -442,11 +394,40 @@ def to_json_terms(a: PiPoly) -> list[dict]:
 
 
 def from_json_terms(records: Iterable[Mapping]) -> PiPoly:
-    terms = {}
-    for rec in records:
-        key = (int(rec["t_exp"]), int(rec["pi_exp"]))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(int(rec["num"]), int(rec["den"]))
-    return PiPoly(terms)
+    return PiPoly(
+        ((rec["t_exp"], rec["pi_exp"]), Fraction(int(rec["num"]), int(rec["den"])))
+        for rec in records
+    )
+
+
+def join_terms(terms: Iterable[tuple], atom: Callable) -> str:
+    """Signed sum ``a - b + c`` of ``atom(key, |c|)`` over ``(key, c)`` pairs, in order.
+
+    The one term walk behind every text form of a polynomial; each caller
+    supplies only how one term's magnitude prints.
+    """
+    out = ""
+    for key, c in terms:
+        text = atom(key, abs(c))
+        if out:
+            out += f" + {text}" if c > 0 else f" - {text}"
+        else:
+            out = text if c > 0 else f"-{text}"
+    return out
+
+
+def to_text(a: PiPoly) -> str:
+    """Plain-text expanded form by descending t-degree, e.g. ``1/6*pi^2*t^3 - 1/6*pi^2*t``."""
+    if a.is_zero():
+        return "0"
+
+    def atom(key, mag):
+        i, j = key
+        tpow = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+        parts = ("" if mag == 1 else str(mag), f"pi^{j}" if j else "", tpow)
+        return "*".join(x for x in parts if x) or "1"
+
+    return join_terms(_descending(a._terms), atom)
 
 
 def _latex_power(base: str, exp: int) -> str:
@@ -469,44 +450,31 @@ def to_latex(a: PiPoly) -> str:
     if not terms:
         return "0"
     pi_exp = min(j for _, j in terms)
-    num_gcd = 0
-    den_lcm = 1
-    for c in terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
+    content = Fraction(
+        gcd(*(c.numerator for c in terms.values())), lcm(*(c.denominator for c in terms.values()))
+    )
     lead_key = max(terms, key=lambda k: k[0])
     if terms[lead_key] < 0:
         content = -content
 
     reduced = {key: c / content for key, c in terms.items()}
-    body = []
-    for (i, j) in sorted(reduced, key=lambda k: (-k[0], k[1])):
-        c = reduced[(i, j)]
-        mag = abs(c)
-        piece = _latex_power("\\pi", j - pi_exp)
-        tpow = _latex_power("t", i)
-        coeff_txt = "" if mag == 1 and (piece or tpow) else str(mag.numerator)
-        if mag.denominator != 1:  # only if the content extraction left a fraction
-            coeff_txt = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+
+    def atom(key, mag):
+        # mag is an integer: the content holds every denominator
+        piece = _latex_power("\\pi", key[1] - pi_exp)
+        tpow = _latex_power("t", key[0])
+        coeff_txt = "" if mag == 1 and (piece or tpow) else str(mag)
         atoms = [x for x in (coeff_txt, piece, tpow) if x]
-        text = " ".join(atoms) if len(atoms) > 1 and coeff_txt else "".join(atoms) or "1"
-        if not body:
-            body.append(text if c > 0 else f"-{text}")
-        else:
-            body.append(f" + {text}" if c > 0 else f" - {text}")
-    inner = "".join(body)
+        return " ".join(atoms) if len(atoms) > 1 and coeff_txt else "".join(atoms) or "1"
+
+    inner = join_terms(_descending(reduced), atom)
 
     pi_txt = _latex_power("\\pi", pi_exp)
     mag = abs(content)
-    if mag.denominator == 1:
-        coeff = "" if mag == 1 else str(mag.numerator)
-        prefix = f"{coeff}{pi_txt}"
-    else:
-        numerator = pi_txt if mag.numerator == 1 else f"{mag.numerator}{pi_txt}"
-        prefix = f"\\frac{{{numerator or mag.numerator}}}{{{mag.denominator}}}"
+    numerator = ("" if mag.numerator == 1 else str(mag.numerator)) + pi_txt
+    prefix = numerator if mag.denominator == 1 else f"\\frac{{{numerator or 1}}}{{{mag.denominator}}}"
     sign = "-" if content < 0 else ""
-    if len(reduced) == 1 and inner in ("1",):
+    if len(reduced) == 1 and inner == "1":
         return f"{sign}{prefix}" if prefix else f"{sign}1"
     if not prefix:
         return f"{sign}{inner}" if len(reduced) == 1 else f"{sign}\\left({inner}\\right)"

@@ -32,8 +32,6 @@ from .exactnum import bernoulli_number
 from .pipoly import trig_evaluator
 
 __all__ = [
-    "PrecisionContext",
-    "context",
     "zeta_ref",
     "zeta_euler_maclaurin",
     "zeta_borwein",
@@ -59,33 +57,6 @@ def quad_tolerance(precision: int):
     """Quadrature tolerance policy: 10^-(digits - 8) for the equivalent digits."""
     digits = int(precision * math.log10(2))
     return mp.mpf(10) ** (-(digits - 8))
-
-
-class PrecisionContext:
-    """Constants pi, gamma and log 2 pinned at a fixed bit precision.
-
-    A context is immutable; asking for more bits means building a new context,
-    which recomputes the constants from scratch rather than extending old ones.
-    """
-
-    __slots__ = ("bits", "pi", "gamma", "log2")
-
-    def __init__(self, bits: int):
-        if bits < 16:
-            raise DomainError("precision must be at least 16 bits")
-        self.bits = bits
-        with mp.workprec(bits):
-            self.pi = +mp.pi
-            self.log2 = mp.log(2)
-        self.gamma = euler_gamma(bits)
-
-    def __repr__(self) -> str:
-        return f"PrecisionContext(bits={self.bits})"
-
-
-@lru_cache(maxsize=None)
-def context(bits: int) -> PrecisionContext:
-    return PrecisionContext(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +227,6 @@ def digamma_mikolas(z, precision: int):
     tanh-sinh integration applies.
     """
     wp = quad.working_precision(precision)
-    ctx = context(wp)
     with mp.workprec(wp):
         zv = _as_mpf(z)
         if not (0 < zv < 1):
@@ -268,7 +238,7 @@ def digamma_mikolas(z, precision: int):
 
         result = quad.integrate_01(bracket, quad_tolerance(precision), precision)
         value = -(
-            ctx.gamma
+            euler_gamma(wp)
             + 1 / (2 * zv)
             + mp.pi / 2 * mp.cot(mp.pi * zv)
             + mp.pi / 2 * result.value
@@ -290,12 +260,11 @@ def dl_series_check(z, terms: int, precision: int):
     if terms < 2:
         raise DomainError("need at least the k = 2 term")
     wp = quad.working_precision(precision)
-    ctx = context(wp)
     with mp.workprec(wp):
         zv = _as_mpf(z)
         if not (0 < zv < 1):
             raise DomainError("series comparison needs 0 < z < 1")
-        left = -digamma_ref(1 - zv, wp) - ctx.gamma
+        left = -digamma_ref(1 - zv, wp) - euler_gamma(wp)
         partial = mp.mpf(0)
         for k in range(2, terms + 1):
             partial += zeta_ref(k, wp) * zv ** (k - 1)

@@ -4,10 +4,37 @@ import json
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 from oddzeta import cli, exactnum, expansion, zetarep
 from oddzeta.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
 
 ZETA3_30 = "1.20205690315959428539973816151"
+
+# `poly --p p` text output, expanded and factored lines, frozen byte for byte
+POLY_TEXT = {
+    1: (
+        "P_2(t) = 1/6*pi^2*t^3 - 1/6*pi^2*t",
+        "factored     = (pi^2/6)*t*(t^2 - 1)",
+    ),
+    2: (
+        "P_4(t) = -1/120*pi^4*t^5 + 1/36*pi^4*t^3 - 7/360*pi^4*t",
+        "factored     = -(pi^4/360)*t*(t^2 - 1)*(3t^2 - 7)",
+    ),
+    3: (
+        "P_6(t) = 1/5040*pi^6*t^7 - 1/720*pi^6*t^5 + 7/2160*pi^6*t^3 - 31/15120*pi^6*t",
+        "factored     = (pi^6/15120)*t*(t^2 - 1)*(3t^4 - 18t^2 + 31)",
+    ),
+    4: (
+        "P_8(t) = -1/362880*pi^8*t^9 + 1/30240*pi^8*t^7 - 7/43200*pi^8*t^5"
+        " + 31/90720*pi^8*t^3 - 127/604800*pi^8*t",
+        "factored     = -(pi^8/1814400)*t*(t^2 - 1)*(5t^6 - 55t^4 + 239t^2 - 381)",
+    ),
+    5: (
+        "P_10(t) = 1/39916800*pi^10*t^11 - 1/2177280*pi^10*t^9 + 1/259200*pi^10*t^7"
+        " - 31/1814400*pi^10*t^5 + 127/3628800*pi^10*t^3 - 73/3421440*pi^10*t",
+        "factored     = (pi^10/119750400)*t*(t^2 - 1)*(t^2 - 5)*(3t^6 - 37t^4 + 225t^2 - 511)",
+    ),
+}
 
 
 def run(argv, capsys):
@@ -100,6 +127,13 @@ class TestPoly:
         assert code == EXIT_OK
         assert "factored" in out
         assert "machine-verified" in out
+
+    @pytest.mark.parametrize("p", sorted(POLY_TEXT))
+    def test_text_golden(self, p, capsys):
+        code, out, _ = run(["poly", "--p", str(p)], capsys)
+        assert code == EXIT_OK
+        expanded, factored = POLY_TEXT[p]
+        assert out == f"{expanded}\n{factored}\n(factored form machine-verified against the expansion)\n"
 
     def test_text_out_of_catalogue(self, capsys):
         code, out, _ = run(["poly", "--p", "13", "--format", "text"], capsys)
@@ -206,6 +240,30 @@ class TestVerify:
             assert "FAIL" in out
         finally:
             monkeypatch.undo()
+            expansion.clear_caches()
+            zetarep.clear_caches()
+
+    def test_fault_injection_fails_series_product(self, capsys, monkeypatch):
+        # B_6 enters the closed form and the Cauchy product alike, so only the
+        # independent csc(pi z) sin(pi z) = 1 identity can flag it
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return Fraction(1, 43) if n == 6 else real(n)  # true value is 1/42
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        exactnum.clear_caches()
+        expansion.clear_caches()
+        zetarep.clear_caches()
+        try:
+            code, out, _ = run(["verify", "--max-p", "3", "--digits", "12"], capsys)
+            assert code == EXIT_VERIFY_FAILED
+            line = next(line for line in out.splitlines() if "series-product" in line)
+            assert line.startswith("FAIL  series-product")
+            assert "z^6" in line
+        finally:
+            monkeypatch.undo()
+            exactnum.clear_caches()
             expansion.clear_caches()
             zetarep.clear_caches()
 

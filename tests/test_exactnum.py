@@ -52,6 +52,14 @@ class TestBernoulliNumbers:
         with pytest.raises(DomainError):
             bernoulli_number(-1)
 
+    def test_clear_caches_after_patch(self, monkeypatch):
+        cached = (bernoulli_number, euler_number, bernoulli_polynomial, euler_polynomial)
+        for fn in cached:
+            fn(6)
+        monkeypatch.setattr(exactnum, "bernoulli_number", lambda n: Fraction(1, 43))
+        exactnum.clear_caches()
+        assert all(fn.cache_info().currsize == 0 for fn in cached)
+
     def test_concurrent_reads_consistent(self):
         exactnum.clear_caches()
         with ThreadPoolExecutor(max_workers=8) as pool:

@@ -6,6 +6,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
+from oddzeta import expansion
 from oddzeta.errors import DomainError
 from oddzeta.expansion import alpha_term, csc_coefficient, p_poly, u_coeff, w_coeff
 from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale, trig_evaluator
@@ -165,6 +166,14 @@ class TestClosedForm:
     def test_exact_sine_moment(self):
         for p in range(1, 13):
             assert integrate_against_sin(p_poly(p)) == PiLaurent.monomial(-1, -1), p
+
+
+def test_clear_caches_after_patch(monkeypatch):
+    cached = (u_coeff, csc_coefficient, w_coeff, p_poly)
+    p_poly(2)
+    monkeypatch.setattr(expansion, "p_poly", lambda p: PiPoly.zero())
+    expansion.clear_caches()
+    assert all(fn.cache_info().currsize == 0 for fn in cached)
 
 
 class TestAlphaTail:

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from oddzeta.errors import GradingError
+from oddzeta.expansion import p_poly
 from oddzeta.pipoly import (
     PiLaurent,
     PiPoly,
@@ -23,12 +24,25 @@ from oddzeta.quad import integrate_01
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
 
-def random_poly(rng, max_terms=4, max_exp=4):
+def random_poly(rng, max_terms=4, max_exp=4, max_coeff=9):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         key = (rng.randint(0, max_exp), rng.randint(0, max_exp))
-        terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        terms[key] = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff))
     return PiPoly(terms)
+
+
+def random_laurent(rng, max_terms=4, max_exp=4, max_coeff=9):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        terms[rng.randint(-max_exp, max_exp)] = Fraction(
+            rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)
+        )
+    return PiLaurent(terms)
+
+
+def assert_canonical(value):
+    assert all(value.as_dict().values()), value.as_dict()
 
 
 class TestRingOperations:
@@ -66,6 +80,41 @@ class TestRingOperations:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+    def test_laurent_ring_laws_random(self, rng):
+        for _ in range(25):
+            a, b, c = (random_laurent(rng) for _ in range(3))
+            assert a + b == b + a
+            assert a * b == b * a
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a - a == PiLaurent.zero()
+            assert (a - b) + b == a
+
+    def test_no_zero_coefficient_survives(self, rng):
+        # coefficients in [-2, 2] over few keys make exact cancellation common
+        points = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+        scalars = (0, Fraction(0), 2, Fraction(-1, 3))
+        for _ in range(60):
+            a, b = (random_poly(rng, max_terms=5, max_exp=2, max_coeff=2) for _ in range(2))
+            x, y = (random_laurent(rng, max_terms=5, max_exp=2, max_coeff=2) for _ in range(2))
+            s = random_laurent(rng, max_terms=3, max_exp=2, max_coeff=2)
+            for value in (a, b, a + b, a - b, a - a, -a, a * b, (a + b) * (a - b)):
+                assert_canonical(value)
+            for value in (x, y, x + y, x - y, x - x, -x, x * y, (x + y) * (x - y)):
+                assert_canonical(value)
+            for k in scalars:
+                assert_canonical(a * k)
+                assert_canonical(x * k)
+            assert_canonical(poly_scale(a, s, allow_pole=True))
+            assert_canonical(poly_scale(a - b, s + x, allow_pole=True))
+            for t in points:
+                assert_canonical(a.at_rational(t))
+                assert_canonical((a - b).at_rational(t))
+            for shift in (-2, 0, 3):
+                assert_canonical(x.shifted(shift))
+                assert_canonical((x - y).shifted(shift))
 
 
 class TestEvaluation:
@@ -139,7 +188,22 @@ class TestSineMoments:
             assert combined == split
 
 
+# to_latex(p_poly(p)), frozen byte for byte
+P_LATEX = {
+    1: "\\frac{\\pi^2}{6}\\left(t^3 - t\\right)",
+    2: "-\\frac{\\pi^4}{360}\\left(3 t^5 - 10 t^3 + 7 t\\right)",
+    3: "\\frac{\\pi^6}{15120}\\left(3 t^7 - 21 t^5 + 49 t^3 - 31 t\\right)",
+    4: "-\\frac{\\pi^8}{1814400}\\left(5 t^9 - 60 t^7 + 294 t^5 - 620 t^3 + 381 t\\right)",
+    5: "\\frac{\\pi^{10}}{119750400}"
+    "\\left(3 t^{11} - 55 t^9 + 462 t^7 - 2046 t^5 + 4191 t^3 - 2555 t\\right)",
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("p", sorted(P_LATEX))
+    def test_latex_golden(self, p):
+        assert to_latex(p_poly(p)) == P_LATEX[p]
+
     def test_json_round_trip(self):
         records = to_json_terms(P2)
         assert records == [
