@@ -19,7 +19,6 @@ from .errors import (
     OddzetaError,
 )
 from .exactnum import (
-    RationalPoly,
     bernoulli_number,
     bernoulli_polynomial,
     euler_number,
@@ -78,7 +77,6 @@ __all__ = [
     "PiLaurent",
     "PiPoly",
     "QuadResult",
-    "RationalPoly",
     "Representation",
     "TrigPoly",
     "ZetaComputation",

@@ -1,7 +1,8 @@
 """Exact integer and rational combinatorics.
 
-Bernoulli numbers (convention B_1 = -1/2), Euler numbers, Bernoulli and Euler
-polynomials, and harmonic numbers, all as exact ``fractions.Fraction`` values.
+Bernoulli numbers (convention B_1 = -1/2), Euler numbers and harmonic numbers
+as exact ``fractions.Fraction`` values; Bernoulli and Euler polynomials as
+:class:`~oddzeta.pipoly.PiPoly` values at pi^0.
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
 
@@ -20,15 +21,14 @@ an independent check (see the test suite).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import DomainError
+from .pipoly import PiPoly
 
 __all__ = [
-    "RationalPoly",
     "bernoulli_number",
     "bernoulli_polynomial",
     "euler_number",
@@ -36,39 +36,6 @@ __all__ = [
     "harmonic",
     "clear_caches",
 ]
-
-
-@dataclass(frozen=True)
-class RationalPoly:
-    """Polynomial in one variable with exact rational coefficients.
-
-    ``coeffs`` holds (exponent, coefficient) pairs with strictly increasing
-    nonnegative exponents and no zero coefficients, so equality of two
-    polynomials is plain tuple equality.
-    """
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, data: dict[int, Fraction]) -> "RationalPoly":
-        items = []
-        for exp in sorted(data):
-            coeff = Fraction(data[exp])
-            if exp < 0:
-                raise DomainError(f"negative exponent {exp} in RationalPoly")
-            if coeff:
-                items.append((exp, coeff))
-        return cls(tuple(items))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return self.coeffs[-1][0] if self.coeffs else -1
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return sum((c * x**e for e, c in self.coeffs), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -123,20 +90,15 @@ def euler_number(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def bernoulli_polynomial(n: int) -> RationalPoly:
+def bernoulli_polynomial(n: int) -> PiPoly:
     """Bernoulli polynomial B_n(t) = sum_k C(n,k) B_{n-k} t^k."""
     if n < 0:
         raise DomainError("Bernoulli polynomial index must be >= 0")
-    out: dict[int, Fraction] = {}
-    for k in range(n + 1):
-        b = bernoulli_number(n - k)
-        if b:
-            out[k] = comb(n, k) * b
-    return RationalPoly.from_dict(out)
+    return PiPoly(((k, 0), comb(n, k) * bernoulli_number(n - k)) for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
-def euler_polynomial(n: int) -> RationalPoly:
+def euler_polynomial(n: int) -> PiPoly:
     """Euler polynomial E_n(t), built from the midpoint values E_k / 2^k.
 
     Uses E_n(t) = sum_k C(n,k) (E_k / 2^k) (t - 1/2)^{n-k}, then expands the
@@ -144,17 +106,15 @@ def euler_polynomial(n: int) -> RationalPoly:
     """
     if n < 0:
         raise DomainError("Euler polynomial index must be >= 0")
-    out: dict[int, Fraction] = {}
-    for k in range(0, n + 1, 2):
-        ek = euler_number(k)
-        if not ek:
-            continue
-        c = Fraction(comb(n, k) * ek, 1 << k)
-        m = n - k
-        for i in range(m + 1):  # (t - 1/2)^m expanded
-            term = c * comb(m, i) * Fraction(-1, 2) ** (m - i)
-            out[i] = out.get(i, Fraction(0)) + term
-    return RationalPoly.from_dict({e: c for e, c in out.items() if c})
+
+    def terms():
+        for k in range(0, n + 1, 2):
+            c = Fraction(comb(n, k) * euler_number(k), 1 << k)
+            m = n - k
+            for i in range(m + 1):  # (t - 1/2)^m expanded
+                yield (i, 0), c * comb(m, i) * Fraction(-1, 2) ** (m - i)
+
+    return PiPoly(terms())
 
 
 _harmonic_values: list[Fraction] = [Fraction(0)]

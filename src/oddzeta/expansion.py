@@ -8,12 +8,12 @@ Everything here is exact.  With z the expansion variable about 0:
 * ``csc_coefficient``  Laurent coefficients of 1/sin(pi(1-z)) = 1/sin(pi z):
   1/(pi z) + pi z/6 + 7 pi^3 z^3/360 + ..., odd orders only, built from
   even-index Bernoulli numbers.
-* ``w_coeff(p)``    Cauchy product of the two, so w_p = sum_j v_j u_{p-j}
-  over j in {-1, 1, 3, ...}.  Even indices give pure-cosine values, odd give
-  pure-sine ones.  The product genuinely has a p = -1 term, pi^{-1} sin(pi t),
-  which needs relaxed grading; it never enters the closed form but does
-  cancel the cotangent pole in the digamma bookkeeping (see
-  ``reference.pole_cancellation_check``).
+* ``w_coeff(p)``    Cauchy product of the two for p >= 0, so
+  w_p = sum_j v_j u_{p-j} over j in {-1, 1, 3, ...}.  Even indices give
+  pure-cosine values, odd give pure-sine ones.  The product also has a
+  p = -1 term, v_{-1} u_0 = pi^{-1} sin(pi t); it is a pi-Laurent scalar times
+  a trig polynomial, not a PiPoly, never enters the closed form, and is built
+  where it cancels the cotangent pole (``reference.pole_cancellation_check``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
   built independently from the closed form (odd-n Bernoulli sum plus three
   alpha tail terms) and checked equal to the Cauchy-product coefficient.
@@ -78,23 +78,17 @@ def csc_coefficient(k: int) -> PiLaurent:
 
 @lru_cache(maxsize=None)
 def w_coeff(p: int) -> TrigPoly:
-    """Coefficient of z^p in sin(pi t (1-z)) / sin(pi (1-z)), exactly.
+    """Coefficient of z^p in sin(pi t (1-z)) / sin(pi (1-z)), exactly, for p >= 0.
 
-    Cauchy product over the odd csc indices (plus the pole index -1):
-    w_p = sum v_j u_{p-j}.  For p >= 0 every term has nonnegative pi-grading
-    because v_j carries pi^j and u_{p-j} carries pi^{p-j}; the single p = -1
-    value is pi^{-1} sin(pi t) and is built with relaxed grading.
+    Cauchy product over the pole index -1 and the odd csc indices j <= p:
+    w_p = sum v_j u_{p-j}.  Every term has pi-grading p, since v_j carries
+    pi^j and u_{p-j} carries pi^{p-j}.
     """
-    if p < -1:
-        raise DomainError("product-series index must be >= -1")
+    if p < 0:
+        raise DomainError("product-series index must be >= 0")
     total = TrigPoly.zero()
-    for j in [-1] + list(range(1, p + 2, 2)):
-        if j > p:
-            break
-        scalar = csc_coefficient(j)
-        if scalar.is_zero():
-            continue
-        total = total + u_coeff(p - j).scale(scalar, allow_pole=(p < 0))
+    for j in [-1, *range(1, p + 1, 2)]:
+        total = total + u_coeff(p - j).scale(csc_coefficient(j))
     return total
 
 

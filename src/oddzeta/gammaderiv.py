@@ -119,7 +119,7 @@ def gamma_nth_derivative_numeric(n: int, z, precision: int):
             return value
 
         result = quad.integrate_semi_inf(
-            integrand, reference.quad_tolerance(precision), precision
+            integrand, quad.quad_tolerance(precision), precision
         )
     with mp.workprec(precision):
         return +result.value

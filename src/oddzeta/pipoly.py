@@ -19,10 +19,10 @@ as pi-Laurent values, which is what makes zero-tolerance verification of the
 of a polynomial (:func:`to_text`, :func:`to_latex`, the CLI's factored form)
 is one signed-term walk, :func:`join_terms`.
 
-Negative pi-exponents are confined to :class:`PiLaurent`.  The single place
-the polynomial side may carry one is the Laurent boundary term of the product
-expansion (see :func:`poly_scale` with ``allow_pole=True``); ordinary
-construction and arithmetic reject them with :class:`~oddzeta.errors.GradingError`.
+Negative pi-exponents are confined to :class:`PiLaurent`: every way of
+building a :class:`PiPoly` rejects them with
+:class:`~oddzeta.errors.GradingError`.  A polynomial with rational
+coefficients (a Bernoulli or Euler polynomial) is a PiPoly at pi^0.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Mapping, Union
 
 import mpmath as mp
 
+from . import quad
 from .errors import DomainError, GradingError
-from .exactnum import RationalPoly
 
 __all__ = [
     "PiPoly",
@@ -174,7 +174,7 @@ class PiPoly(_TermMap):
     """Polynomial in t with rational-multiple-of-pi^j coefficients.
 
     Terms map ``(t_exp, pi_exp) -> Fraction``.  Both exponents must be
-    nonnegative (see the module docstring for the one sanctioned exception).
+    nonnegative.
     """
 
     __slots__ = ()
@@ -195,10 +195,6 @@ class PiPoly(_TermMap):
     @classmethod
     def monomial(cls, t_exp: int, pi_exp: int = 0, coeff: CoeffLike = 1) -> "PiPoly":
         return cls({(t_exp, pi_exp): coeff})
-
-    @classmethod
-    def from_rational_poly(cls, poly: RationalPoly, pi_exp: int = 0) -> "PiPoly":
-        return cls({(e, pi_exp): c for e, c in poly.coeffs})
 
     def coefficient(self, t_exp: int, pi_exp: int) -> Fraction:
         return self._terms.get((t_exp, pi_exp), Fraction(0))
@@ -235,35 +231,25 @@ class TrigPoly:
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         return TrigPoly(self.sin_part + other.sin_part, self.cos_part + other.cos_part)
 
-    def scale(self, scalar: PiLaurent, *, allow_pole: bool = False) -> "TrigPoly":
-        return TrigPoly(
-            poly_scale(self.sin_part, scalar, allow_pole=allow_pole),
-            poly_scale(self.cos_part, scalar, allow_pole=allow_pole),
-        )
+    def scale(self, scalar: PiLaurent) -> "TrigPoly":
+        return TrigPoly(poly_scale(self.sin_part, scalar), poly_scale(self.cos_part, scalar))
 
 
 # ---------------------------------------------------------------------------
 # scaling by pi-Laurent scalars
 # ---------------------------------------------------------------------------
 
-def poly_scale(a: PiPoly, scalar: PiLaurent, *, allow_pole: bool = False) -> PiPoly:
+def poly_scale(a: PiPoly, scalar: PiLaurent) -> PiPoly:
     """Multiply a polynomial by a pi-Laurent scalar.
 
     The scalar may carry negative pi-exponents as long as every term of the
-    product still has nonnegative grading; otherwise a GradingError is raised.
-    ``allow_pole=True`` lifts that check for the one Laurent boundary term of
-    the product expansion.
+    product still has nonnegative grading; otherwise the PiPoly grading rule
+    raises GradingError.  (The lowest pi-exponent at each t-degree comes from
+    one product of nonzero terms, so a negative one can never cancel.)
     """
-    out = _accumulate(
+    return PiPoly(
         ((i, j + e), c * s) for (i, j), c in a._terms.items() for e, s in scalar._terms.items()
     )
-    if not allow_pole:
-        bad = [k for k in out if k[1] < 0]
-        if bad:
-            raise GradingError(
-                f"scaling by {scalar!r} would produce negative pi-exponents {sorted(bad)}"
-            )
-    return PiPoly._wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +289,12 @@ def poly_evaluator(a: PiPoly, precision: int) -> Callable:
 def poly_eval(a: PiPoly, t, precision: int):
     """Numeric value of a polynomial at t, correct to ~precision bits.
 
-    A guard of max(16, precision // 10) bits absorbs the rounding of the
+    The guard bits of :func:`quad.guard_bits` absorb the rounding of the
     folded pi-powers and the Horner recurrence.
     """
-    guard = max(16, precision // 10)
-    with mp.workprec(precision + guard):
-        value = poly_evaluator(a, precision + guard)(mp.mpf(t))
+    wp = quad.working_precision(precision)
+    with mp.workprec(wp):
+        value = poly_evaluator(a, wp)(mp.mpf(t))
     return _rounded(value, precision)
 
 
@@ -331,7 +317,7 @@ def laurent_eval(a: PiLaurent, precision: int):
     grows with the bit size of the largest term; cancellation can never
     exceed that.
     """
-    guard = max(16, precision // 10)
+    guard = quad.guard_bits(precision)
     for e, c in a.as_dict().items():
         term_bits = c.numerator.bit_length() - c.denominator.bit_length() + 2 * abs(e) + 8
         guard = max(guard, term_bits)
@@ -446,38 +432,34 @@ def to_latex(a: PiPoly) -> str:
     The remaining integer-coefficient polynomial is printed expanded, ordered
     by descending t-degree, e.g. ``\\frac{\\pi^2}{6}\\left(t^3 - t\\right)``.
     """
-    terms = a.as_dict()
+    terms = _descending(a.as_dict())
     if not terms:
         return "0"
-    pi_exp = min(j for _, j in terms)
+    pi_exp = min(j for (_, j), _ in terms)
     content = Fraction(
-        gcd(*(c.numerator for c in terms.values())), lcm(*(c.denominator for c in terms.values()))
+        gcd(*(c.numerator for _, c in terms)), lcm(*(c.denominator for _, c in terms))
     )
-    lead_key = max(terms, key=lambda k: k[0])
-    if terms[lead_key] < 0:
+    if terms[0][1] < 0:
         content = -content
-
-    reduced = {key: c / content for key, c in terms.items()}
 
     def atom(key, mag):
         # mag is an integer: the content holds every denominator
         piece = _latex_power("\\pi", key[1] - pi_exp)
         tpow = _latex_power("t", key[0])
         coeff_txt = "" if mag == 1 and (piece or tpow) else str(mag)
-        atoms = [x for x in (coeff_txt, piece, tpow) if x]
-        return " ".join(atoms) if len(atoms) > 1 and coeff_txt else "".join(atoms) or "1"
+        return " ".join(x for x in (coeff_txt, piece, tpow) if x) or "1"
 
-    inner = join_terms(_descending(reduced), atom)
+    inner = join_terms(((key, c / content) for key, c in terms), atom)
 
     pi_txt = _latex_power("\\pi", pi_exp)
     mag = abs(content)
     numerator = ("" if mag.numerator == 1 else str(mag.numerator)) + pi_txt
     prefix = numerator if mag.denominator == 1 else f"\\frac{{{numerator or 1}}}{{{mag.denominator}}}"
     sign = "-" if content < 0 else ""
-    if len(reduced) == 1 and inner == "1":
+    if len(terms) == 1 and inner == "1":
         return f"{sign}{prefix}" if prefix else f"{sign}1"
     if not prefix:
-        return f"{sign}{inner}" if len(reduced) == 1 else f"{sign}\\left({inner}\\right)"
+        return f"{sign}{inner}" if len(terms) == 1 else f"{sign}\\left({inner}\\right)"
     return f"{sign}{prefix}\\left({inner}\\right)"
 
 

@@ -19,12 +19,15 @@ max(log(d1)^2 / log(d2), 2 log(d1)), floored at the working epsilon.
 
 Numbers are mpmath ``mpf`` values; every routine takes the target precision
 in bits and computes internally with guard bits (max of 16 and 10% extra).
-Identical inputs produce bit-identical results: abscissas, weights, and the
-summation order are all fixed.
+The guard bits and the tolerance the library integrates to are decided here
+(:func:`guard_bits`, :func:`quad_tolerance`) and nowhere else.  Identical
+inputs produce bit-identical results: abscissas, weights, and the summation
+order are all fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -39,6 +42,7 @@ __all__ = [
     "integrate_semi_inf",
     "guard_bits",
     "working_precision",
+    "quad_tolerance",
     "DEFAULT_MAX_LEVEL",
 ]
 
@@ -52,6 +56,12 @@ def guard_bits(precision: int) -> int:
 def working_precision(precision: int) -> int:
     """Bits actually used internally for a requested precision."""
     return precision + guard_bits(precision)
+
+
+def quad_tolerance(precision: int):
+    """Quadrature tolerance policy: 10^-(digits - 8) for the equivalent digits."""
+    digits = int(precision * math.log10(2))
+    return mp.mpf(10) ** (-(digits - 8))
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ def _integrate(level_sum: Callable, f: Callable, tol, precision: int, max_level:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4 * (DEFAULT_MAX_LEVEL + 1))  # every level at four working precisions
 def _unit_nodes(wp: int, level: int):
     """New (t, 1-t, weight) triples for this level at wp bits.
 

@@ -29,7 +29,7 @@ import mpmath as mp
 from . import expansion, quad
 from .errors import DomainError
 from .exactnum import bernoulli_number
-from .pipoly import trig_evaluator
+from .pipoly import laurent_eval, trig_evaluator
 
 __all__ = [
     "zeta_ref",
@@ -51,12 +51,6 @@ def _as_mpf(x):
     if isinstance(x, Fraction):
         return _fraction_to_mpf(x)
     return mp.mpf(x)
-
-
-def quad_tolerance(precision: int):
-    """Quadrature tolerance policy: 10^-(digits - 8) for the equivalent digits."""
-    digits = int(precision * math.log10(2))
-    return mp.mpf(10) ** (-(digits - 8))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ def zeta_borwein(s: int, precision: int):
         return +result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def zeta_ref(s: int, precision: int):
     """Reference zeta(s) for integer s >= 2 (Euler-Maclaurin route).
 
@@ -149,7 +143,7 @@ def zeta_ref(s: int, precision: int):
 # gamma constant and digamma
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def euler_gamma(precision: int):
     """Euler-Mascheroni constant by the Brent-McMillan Bessel-ratio scheme.
 
@@ -236,7 +230,7 @@ def digamma_mikolas(z, precision: int):
         def bracket(t):
             return mp.tan(mp.pi * t / 2) * (mp.sin(mp.pi * zv * t) / sin_z - t)
 
-        result = quad.integrate_01(bracket, quad_tolerance(precision), precision)
+        result = quad.integrate_01(bracket, quad.quad_tolerance(precision), precision)
         value = -(
             euler_gamma(wp)
             + 1 / (2 * zv)
@@ -277,7 +271,8 @@ def pole_cancellation_check(z, precision: int):
     """Bounded combination of the cotangent pole and the omitted Laurent term.
 
     The z-expansion of the integral representation hides a 1/z term coming
-    from w_{-1}(t) = pi^{-1} sin(pi t).  The function
+    from w_{-1}(t) = v_{-1} u_0(t) = pi^{-1} sin(pi t), the csc pole
+    coefficient times the first sine-series coefficient.  The function
 
         (pi/2) cot(pi (1-z)) + (pi/2) (integral_0^1 tan(pi t/2) w_{-1}(t) dt) / z
 
@@ -285,17 +280,17 @@ def pole_cancellation_check(z, precision: int):
     small z confirms the bookkeeping numerically.
     """
     wp = quad.working_precision(precision)
-    boundary = expansion.w_coeff(-1)
     with mp.workprec(wp):
         zv = _as_mpf(z)
         if not (0 < zv < 1):
             raise DomainError("pole check needs 0 < z < 1")
-        integrand_poly = trig_evaluator(boundary, wp)
+        v_pole = laurent_eval(expansion.csc_coefficient(-1), wp)
+        u_0 = trig_evaluator(expansion.u_coeff(0), wp)
 
         def integrand(t):
-            return mp.tan(mp.pi * t / 2) * integrand_poly(t)
+            return mp.tan(mp.pi * t / 2) * (v_pole * u_0(t))
 
-        result = quad.integrate_01(integrand, quad_tolerance(precision), precision)
+        result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
         value = mp.pi / 2 * mp.cot(mp.pi * (1 - zv)) + mp.pi / 2 * result.value / zv
     with mp.workprec(precision):
         return +value

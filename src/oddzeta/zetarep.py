@@ -26,6 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -68,18 +69,19 @@ class ZetaComputation:
             return abs(self.value - self.reference)
 
 
-# tan(pi t/2) and cos(pi t) at the quadrature abscissas.  The abscissas are
-# shared by every p and representation, so each trig value is paid once per
-# precision.  The memo holds one working precision only: a new one replaces it.
-_trig_memo: dict = {}
+@lru_cache(maxsize=1)
+def _trig_memo(wp: int) -> dict:
+    """tan(pi t/2) and cos(pi t) by abscissa, at ``wp`` bits.
+
+    The abscissas are shared by every p and representation, so each trig value
+    is paid once per precision; a new working precision replaces the memo.
+    """
+    return {"tan_half": {}, "cos_pi": {}}
 
 
 def _trig(name: str, wp: int):
     """Memoized ``tan_half`` = tan(pi t/2) or ``cos_pi`` = cos(pi t) at ``wp`` bits."""
-    if _trig_memo.get("wp") != wp:
-        _trig_memo.clear()
-        _trig_memo.update(wp=wp, tan_half={}, cos_pi={})
-    cache = _trig_memo[name]
+    cache = _trig_memo(wp)[name]
 
     def value(t):
         v = cache.get(t)
@@ -91,9 +93,14 @@ def _trig(name: str, wp: int):
     return value
 
 
+# the cached functions as defined, so clearing still works after a test has
+# replaced one of the module attributes
+_CACHED = (_trig_memo, reference.zeta_ref)
+
+
 def clear_caches() -> None:
-    _trig_memo.clear()
-    reference.zeta_ref.cache_clear()
+    for cached in _CACHED:
+        cached.cache_clear()
 
 
 def _require_p(p: int) -> None:
@@ -130,7 +137,7 @@ def _route(p: int, rep: Representation) -> _Route:
         # (-1)^p 2^{2p} pi^{2p+1} / (2p+1)! * integral B_{2p+1}(t) tan(pi t/2) dt
         prefactor = Fraction((-1) ** p * (1 << (2 * p)), math.factorial(2 * p + 1))
         poly = exactnum.bernoulli_polynomial(2 * p + 1)
-    return _Route(PiPoly.from_rational_poly(poly), False, prefactor, 2 * p + 1)
+    return _Route(poly, False, prefactor, 2 * p + 1)
 
 
 def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
@@ -166,7 +173,7 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
         def integrand(t):
             return tan_half(t) * poly_fn(t)
 
-    result = quad.integrate_01(integrand, reference.quad_tolerance(precision), precision)
+    result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
     with mp.workprec(wp):
         prefactor = route.prefactor
         scale = mp.mpf(prefactor.numerator) / prefactor.denominator * mp.pi**route.pi_exp

@@ -165,20 +165,20 @@ def test_criterion_9_property_suites():
 
     for n in range(1, 21):
         bp = exactnum.bernoulli_polynomial(n).as_dict()
-        shifted: dict[int, Fraction] = {}
-        for e, c in bp.items():
+        shifted: dict[tuple[int, int], Fraction] = {}
+        for (e, j), c in bp.items():
             for i in range(e + 1):
-                shifted[i] = shifted.get(i, Fraction(0)) + c * comb(e, i)
+                shifted[i, j] = shifted.get((i, j), Fraction(0)) + c * comb(e, i)
         diff = {e: shifted.get(e, Fraction(0)) - bp.get(e, Fraction(0)) for e in set(shifted) | set(bp)}
-        assert {e: c for e, c in diff.items() if c} == {n - 1: Fraction(n)}, n
+        assert {e: c for e, c in diff.items() if c} == {(n - 1, 0): Fraction(n)}, n
     for n in range(0, 21):
         ep = exactnum.euler_polynomial(n).as_dict()
         shifted = {}
-        for e, c in ep.items():
+        for (e, j), c in ep.items():
             for i in range(e + 1):
-                shifted[i] = shifted.get(i, Fraction(0)) + c * comb(e, i)
+                shifted[i, j] = shifted.get((i, j), Fraction(0)) + c * comb(e, i)
         total = {e: shifted.get(e, Fraction(0)) + ep.get(e, Fraction(0)) for e in set(shifted) | set(ep)}
-        assert {e: c for e, c in total.items() if c} == {n: Fraction(2)}, n
+        assert {e: c for e, c in total.items() if c} == {(n, 0): Fraction(2)}, n
 
     # quadrature determinism and precision scaling on the zeta(3) integrand
     def integrand(t):

@@ -8,8 +8,8 @@ import pytest
 
 from oddzeta import exactnum
 from oddzeta.errors import DomainError
+from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.exactnum import (
-    RationalPoly,
     bernoulli_number,
     bernoulli_polynomial,
     euler_number,
@@ -18,13 +18,13 @@ from oddzeta.exactnum import (
 )
 
 
-def poly_shift(poly: RationalPoly, offset: Fraction) -> dict:
+def poly_shift(poly: PiPoly, offset: Fraction) -> dict:
     """Independent oracle: coefficients of p(t + offset) by binomial expansion."""
-    out: dict[int, Fraction] = {}
-    for e, c in poly.coeffs:
+    out: dict[tuple[int, int], Fraction] = {}
+    for (e, j), c in poly.as_dict().items():
         for i in range(e + 1):
-            out[i] = out.get(i, Fraction(0)) + c * comb(e, i) * offset ** (e - i)
-    return {e: c for e, c in out.items() if c}
+            out[i, j] = out.get((i, j), Fraction(0)) + c * comb(e, i) * offset ** (e - i)
+    return {key: c for key, c in out.items() if c}
 
 
 class TestBernoulliNumbers:
@@ -82,17 +82,18 @@ class TestEulerNumbers:
 
 class TestBernoulliPolynomials:
     def test_small_cases(self):
-        assert bernoulli_polynomial(0) == RationalPoly.from_dict({0: Fraction(1)})
-        assert bernoulli_polynomial(1) == RationalPoly.from_dict(
-            {1: Fraction(1), 0: Fraction(-1, 2)}
+        assert bernoulli_polynomial(0) == PiPoly({(0, 0): Fraction(1)})
+        assert bernoulli_polynomial(1) == PiPoly(
+            {(1, 0): Fraction(1), (0, 0): Fraction(-1, 2)}
         )
-        assert bernoulli_polynomial(3) == RationalPoly.from_dict(
-            {3: Fraction(1), 2: Fraction(-3, 2), 1: Fraction(1, 2)}
+        assert bernoulli_polynomial(3) == PiPoly(
+            {(3, 0): Fraction(1), (2, 0): Fraction(-3, 2), (1, 0): Fraction(1, 2)}
         )
 
     def test_value_at_zero_is_bernoulli_number(self):
         for n in range(0, 21):
-            assert bernoulli_polynomial(n)(Fraction(0)) == bernoulli_number(n), n
+            value = bernoulli_polynomial(n).at_rational(Fraction(0))
+            assert value == PiLaurent.monomial(0, bernoulli_number(n)), n
 
     def test_difference_equation(self):
         # B_n(t+1) - B_n(t) = n t^{n-1} as exact polynomials
@@ -105,17 +106,17 @@ class TestBernoulliPolynomials:
                 for e in set(shifted) | set(base)
             }
             diff = {e: c for e, c in diff.items() if c}
-            assert diff == {n - 1: Fraction(n)}, n
+            assert diff == {(n - 1, 0): Fraction(n)}, n
 
 
 class TestEulerPolynomials:
     def test_small_cases(self):
-        assert euler_polynomial(0) == RationalPoly.from_dict({0: Fraction(1)})
-        assert euler_polynomial(1) == RationalPoly.from_dict(
-            {1: Fraction(1), 0: Fraction(-1, 2)}
+        assert euler_polynomial(0) == PiPoly({(0, 0): Fraction(1)})
+        assert euler_polynomial(1) == PiPoly(
+            {(1, 0): Fraction(1), (0, 0): Fraction(-1, 2)}
         )
-        assert euler_polynomial(2) == RationalPoly.from_dict(
-            {2: Fraction(1), 1: Fraction(-1)}
+        assert euler_polynomial(2) == PiPoly(
+            {(2, 0): Fraction(1), (1, 0): Fraction(-1)}
         )
 
     def test_difference_equation(self):
@@ -129,15 +130,15 @@ class TestEulerPolynomials:
                 for e in set(shifted) | set(base)
             }
             total = {e: c for e, c in total.items() if c}
-            assert total == {n: Fraction(2)}, n
+            assert total == {(n, 0): Fraction(2)}, n
 
     def test_even_index_boundary_roots(self):
         # E_{2p}(0) = E_{2p}(1) = 0 for p >= 1; this is what cancels the
         # tangent pole in the Euler-polynomial zeta representation
         for p in range(1, 8):
             poly = euler_polynomial(2 * p)
-            assert poly(Fraction(0)) == 0
-            assert poly(Fraction(1)) == 0
+            assert poly.at_rational(Fraction(0)).is_zero()
+            assert poly.at_rational(Fraction(1)).is_zero()
 
 
 class TestHarmonic:

@@ -116,9 +116,9 @@ class TestSeriesCoefficients:
 
 class TestProductCoefficients:
     def test_boundary_term(self):
-        w = w_coeff(-1)
-        assert w.sin_part.as_dict() == {(0, -1): Fraction(1)}
-        assert w.cos_part.is_zero()
+        # w_{-1} = pi^-1 sin(pi t) has negative pi-grading, so it is no PiPoly
+        with pytest.raises(DomainError):
+            w_coeff(-1)
 
     def test_even_index_examples(self):
         assert w_coeff(2).cos_part == PiPoly(EXPECTED_P[1])

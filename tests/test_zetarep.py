@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import exactnum, expansion, quad, zetarep
+from oddzeta import exactnum, expansion, quad, reference, zetarep
 from oddzeta.errors import DomainError, IdentityViolation, LemmaViolation
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.quad import integrate_01, working_precision
@@ -198,3 +198,21 @@ class TestComputationRecord:
         second = comp.abs_error_vs_reference
         assert first == second
         assert first == abs(comp.value - comp.reference)
+
+
+def test_clear_caches_after_patch(monkeypatch):
+    zeta_odd(1, "theorem", 96)
+    cached = reference.zeta_ref
+    monkeypatch.setattr(reference, "zeta_ref", lambda s, precision: mp.mpf(0))
+    zetarep.clear_caches()
+    assert cached.cache_info().currsize == 0
+    assert zetarep._trig_memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [quad._unit_nodes, reference.zeta_ref, reference.euler_gamma, zetarep._trig_memo],
+    ids=["unit_nodes", "zeta_ref", "euler_gamma", "trig_memo"],
+)
+def test_per_precision_caches_are_bounded(cached):
+    assert cached.cache_info().maxsize is not None
