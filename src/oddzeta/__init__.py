@@ -39,7 +39,6 @@ from .pipoly import (
     TrigPoly,
     integrate_against_sin,
     laurent_eval,
-    poly_eval,
     poly_scale,
     sin_moment,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "lemma_check",
     "p_poly",
     "pole_cancellation_check",
-    "poly_eval",
     "poly_scale",
     "sin_moment",
     "u_coeff",

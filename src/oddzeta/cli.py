@@ -3,6 +3,9 @@
 Subcommands: compute | poly | verify | digamma | gammaderiv | table.
 Exit codes: 0 success, 1 usage or domain error, 2 quadrature non-convergence,
 3 verification failure.
+Inputs are checked by the library's typed errors; ``main`` reports one, or an
+``OSError`` from ``--out``, as one ``error:`` line.  A command builds one
+payload and :func:`_respond` renders it as text or JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import expansion, gammaderiv, pipoly, reference, zetarep
-from .errors import OddzetaError
+from .errors import DomainError, OddzetaError
 from .pipoly import PiLaurent, PiPoly
 from .zetarep import Representation
 
@@ -52,6 +55,8 @@ _FACTORED_FORMS = {
 
 
 def bits_for_digits(digits: int) -> int:
+    if not 10 <= digits <= 10000:
+        raise DomainError("digits must be between 10 and 10000")
     return int(math.ceil(digits * math.log2(10))) + 64
 
 
@@ -68,19 +73,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _respond(args, payload, lines) -> None:
+    """Write the payload as JSON under ``--format json``, else the text lines."""
+    _emit(render_json(payload) if args.format == "json" else "\n".join(lines) + "\n", args.out)
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _check_digits(digits: int):
-    if not 10 <= digits <= 10000:
-        return "digits must be between 10 and 10000"
-    return None
-
-
-def _decimal(value, digits: int) -> str:
-    return mp.nstr(value, digits)
 
 
 def _factored_text(p: int) -> str | None:
@@ -112,49 +112,38 @@ def _factored_text(p: int) -> str | None:
 # ---------------------------------------------------------------------------
 
 def cmd_compute(args) -> int:
-    if args.p < 1:
-        return _usage_error("p must be >= 1")
-    problem = _check_digits(args.digits)
-    if problem:
-        return _usage_error(problem)
     rep = _REP_FLAGS[args.rep]
     precision = bits_for_digits(args.digits)
     computation = zetarep.zeta_odd(args.p, rep, precision)
-    digits = args.digits
     payload = {
         "command": "compute",
-        "inputs": {"p": args.p, "representation": rep.value, "digits": digits},
-        "value": _decimal(computation.value, digits),
-        "error_estimate": _decimal(computation.quad.error_estimate, 8),
-        "reference": _decimal(computation.reference, digits),
+        "inputs": {"p": args.p, "representation": rep.value, "digits": args.digits},
+        "value": mp.nstr(computation.value, args.digits),
+        "error_estimate": mp.nstr(computation.quad.error_estimate, 8),
+        "reference": mp.nstr(computation.reference, args.digits),
         "diagnostics": {
-            "abs_error_vs_reference": _decimal(computation.abs_error_vs_reference, 8),
+            "abs_error_vs_reference": mp.nstr(computation.abs_error_vs_reference, 8),
             "evaluations": computation.quad.evaluations,
             "levels": computation.quad.levels,
             "converged": computation.quad.converged,
             "precision_bits": precision,
         },
     }
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        lines = [
-            f"zeta({2 * args.p + 1})  [{rep.value}]",
-            f"  value     = {payload['value']}",
-            f"  reference = {payload['reference']}",
-            f"  abs error = {payload['diagnostics']['abs_error_vs_reference']}",
-            f"  quadrature: {computation.quad.evaluations} evaluations, "
-            f"{computation.quad.levels} levels, "
-            f"error estimate {payload['error_estimate']}, "
-            f"converged={computation.quad.converged}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"zeta({2 * args.p + 1})  [{rep.value}]",
+        f"  value     = {payload['value']}",
+        f"  reference = {payload['reference']}",
+        f"  abs error = {payload['diagnostics']['abs_error_vs_reference']}",
+        f"  quadrature: {computation.quad.evaluations} evaluations, "
+        f"{computation.quad.levels} levels, "
+        f"error estimate {payload['error_estimate']}, "
+        f"converged={computation.quad.converged}",
+    ]
+    _respond(args, payload, lines)
     return EXIT_OK if computation.quad.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_poly(args) -> int:
-    if args.p < 1:
-        return _usage_error("p must be >= 1")
     poly = expansion.p_poly(args.p)
     if args.format == "json":
         payload = {
@@ -251,9 +240,6 @@ def _verify_checks(max_p: int, digits: int):
 def cmd_verify(args) -> int:
     if args.max_p < 1:
         return _usage_error("max-p must be >= 1")
-    problem = _check_digits(args.digits)
-    if problem:
-        return _usage_error(problem)
     failures = 0
     rows = []
     for name, check in _verify_checks(args.max_p, args.digits):
@@ -273,77 +259,48 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
+def _compare(args, title, labels, inputs, value, ref, precision) -> int:
+    """Respond with ``value`` beside an independent ``ref``; ``labels`` name both and their gap."""
+    with mp.workprec(precision):
+        diff = abs(value - ref)
+    payload = {
+        "command": args.command,
+        "inputs": {**inputs, "digits": args.digits},
+        "value": mp.nstr(value, args.digits),
+        "error_estimate": mp.nstr(diff, 8),
+        "reference": mp.nstr(ref, args.digits),
+        "diagnostics": {"precision_bits": precision},
+    }
+    fields = zip(labels, (payload["value"], payload["reference"], payload["error_estimate"]))
+    _respond(args, payload, [title] + [f"  {label} = {text}" for label, text in fields])
+    return EXIT_OK
+
+
 def cmd_digamma(args) -> int:
-    problem = _check_digits(args.digits)
-    if problem:
-        return _usage_error(problem)
     precision = bits_for_digits(args.digits)
     try:
         with mp.workprec(precision):
             z = mp.mpf(args.z)
     except (ValueError, TypeError):
         return _usage_error(f"cannot parse z = {args.z!r}")
-    if not 0 < z < 1:
-        return _usage_error("z must satisfy 0 < z < 1")
     mikolas = reference.digamma_mikolas(z, precision)
     oracle = reference.digamma_ref(z, precision)
-    with mp.workprec(precision):
-        diff = abs(mikolas - oracle)
-    payload = {
-        "command": "digamma",
-        "inputs": {"z": str(args.z), "digits": args.digits},
-        "value": _decimal(mikolas, args.digits),
-        "error_estimate": _decimal(diff, 8),
-        "reference": _decimal(oracle, args.digits),
-        "diagnostics": {"precision_bits": precision},
-    }
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        _emit(
-            f"psi({mp.nstr(z, 8)})\n  integral form = {payload['value']}\n"
-            f"  reference     = {payload['reference']}\n  |difference|  = {payload['error_estimate']}\n",
-            args.out,
-        )
-    return EXIT_OK
+    title = f"psi({mp.nstr(z, 8)})"
+    labels = ("integral form", "reference    ", "|difference| ")
+    return _compare(args, title, labels, {"z": str(args.z)}, mikolas, oracle, precision)
 
 
 def cmd_gammaderiv(args) -> int:
-    if args.n < 0:
-        return _usage_error("n must be >= 0")
-    problem = _check_digits(args.digits)
-    if problem:
-        return _usage_error(problem)
     precision = bits_for_digits(args.digits)
     exact = gammaderiv.gamma_nth_derivative_at_1(args.n, precision)
     numeric = gammaderiv.gamma_nth_derivative_numeric(args.n, 1, precision)
-    with mp.workprec(precision):
-        diff = abs(exact - numeric)
-    payload = {
-        "command": "gammaderiv",
-        "inputs": {"n": args.n, "digits": args.digits},
-        "value": _decimal(exact, args.digits),
-        "error_estimate": _decimal(diff, 8),
-        "reference": _decimal(numeric, args.digits),
-        "diagnostics": {"precision_bits": precision},
-    }
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        _emit(
-            f"Gamma^({args.n})(1)\n  Bell form = {payload['value']}\n"
-            f"  integral  = {payload['reference']}\n  |difference| = {payload['error_estimate']}\n",
-            args.out,
-        )
-    return EXIT_OK
+    labels = ("Bell form", "integral ", "|difference|")
+    return _compare(args, f"Gamma^({args.n})(1)", labels, {"n": args.n}, exact, numeric, precision)
 
 
 def cmd_table(args) -> int:
     if args.max_p < 1:
         return _usage_error("max-p must be >= 1")
-    problem = _check_digits(args.digits)
-    if problem:
-        return _usage_error(problem)
     precision = bits_for_digits(args.digits)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -358,8 +315,8 @@ def cmd_table(args) -> int:
                 [
                     p,
                     rep.value,
-                    _decimal(comp.value, args.digits),
-                    _decimal(comp.abs_error_vs_reference, 8),
+                    mp.nstr(comp.value, args.digits),
+                    mp.nstr(comp.abs_error_vs_reference, 8),
                     comp.quad.evaluations,
                 ]
             )
@@ -379,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_choices=("text", "json")):
+    def common(p):
         p.add_argument("--digits", type=int, default=50, help="output digits (10..10000)")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_compute = sub.add_parser("compute", help="compute zeta(2p+1) by one representation")
@@ -428,7 +385,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except OddzetaError as exc:
+    except (OddzetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

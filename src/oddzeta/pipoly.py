@@ -43,7 +43,6 @@ __all__ = [
     "PiLaurent",
     "TrigPoly",
     "poly_scale",
-    "poly_eval",
     "poly_evaluator",
     "trig_evaluator",
     "laurent_eval",
@@ -57,11 +56,6 @@ __all__ = [
 ]
 
 CoeffLike = Union[Fraction, int]
-
-
-def _rounded(value, precision: int):
-    with mp.workprec(precision):
-        return +value
 
 
 def _accumulate(pairs: Iterable[tuple]) -> dict:
@@ -196,15 +190,6 @@ class PiPoly(_TermMap):
     def monomial(cls, t_exp: int, pi_exp: int = 0, coeff: CoeffLike = 1) -> "PiPoly":
         return cls({(t_exp, pi_exp): coeff})
 
-    def coefficient(self, t_exp: int, pi_exp: int) -> Fraction:
-        return self._terms.get((t_exp, pi_exp), Fraction(0))
-
-    def pi_exponents(self) -> set[int]:
-        return {j for _, j in self._terms}
-
-    def t_exponents(self) -> set[int]:
-        return {i for i, _ in self._terms}
-
     def __repr__(self) -> str:
         if not self._terms:
             return "PiPoly(0)"
@@ -286,18 +271,6 @@ def poly_evaluator(a: PiPoly, precision: int) -> Callable:
     return evaluate
 
 
-def poly_eval(a: PiPoly, t, precision: int):
-    """Numeric value of a polynomial at t, correct to ~precision bits.
-
-    The guard bits of :func:`quad.guard_bits` absorb the rounding of the
-    folded pi-powers and the Horner recurrence.
-    """
-    wp = quad.working_precision(precision)
-    with mp.workprec(wp):
-        value = poly_evaluator(a, wp)(mp.mpf(t))
-    return _rounded(value, precision)
-
-
 def trig_evaluator(tp: TrigPoly, precision: int) -> Callable:
     """Evaluator for sin_part(t) sin(pi t) + cos_part(t) cos(pi t)."""
     s_eval = poly_evaluator(tp.sin_part, precision)
@@ -326,7 +299,8 @@ def laurent_eval(a: PiLaurent, precision: int):
         acc = mp.mpf(0)
         for e, c in sorted(a.as_dict().items()):
             acc += mp.mpf(c.numerator) / c.denominator * pi**e
-    return _rounded(acc, precision)
+    with mp.workprec(precision):
+        return +acc
 
 
 # ---------------------------------------------------------------------------

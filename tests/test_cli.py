@@ -37,6 +37,31 @@ POLY_TEXT = {
 }
 
 
+# `digamma --z 0.5` and `gammaderiv --n 2` at 25 digits, text form, frozen byte for byte
+DIGAMMA_TEXT = (
+    "psi(0.5)\n"
+    "  integral form = -1.963510026021423479440976\n"
+    "  reference     = -1.963510026021423479440976\n"
+    "  |difference|  = 0.0\n"
+)
+GAMMADERIV_TEXT = (
+    "Gamma^(2)(1)\n"
+    "  Bell form = 1.978111990655945110790791\n"
+    "  integral  = 1.978111990655945110790791\n"
+    "  |difference| = 0.0\n"
+)
+COMPARISON_KEYS = {"command", "inputs", "value", "error_estimate", "reference", "diagnostics"}
+
+# one valid command line per subcommand that takes --digits
+DIGITS_COMMANDS = {
+    "compute": ["compute", "--p", "1"],
+    "verify": ["verify", "--max-p", "1"],
+    "digamma": ["digamma", "--z", "0.5"],
+    "gammaderiv": ["gammaderiv", "--n", "2"],
+    "table": ["table", "--max-p", "1"],
+}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -73,10 +98,13 @@ class TestCompute:
         assert code == EXIT_USAGE
         assert "p must be >= 1" in err
 
-    def test_digits_bounds(self, capsys):
-        code, _, err = run(["compute", "--p", "1", "--digits", "5"], capsys)
-        assert code == EXIT_USAGE
-        assert "digits" in err
+    @pytest.mark.parametrize("command", sorted(DIGITS_COMMANDS))
+    def test_digits_bounds(self, command, capsys):
+        for digits in ("5", "10001"):
+            code, out, err = run([*DIGITS_COMMANDS[command], "--digits", digits], capsys)
+            assert code == EXIT_USAGE, digits
+            assert out == ""
+            assert err == "error: digits must be between 10 and 10000\n"
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
@@ -182,6 +210,21 @@ class TestDigamma:
         # psi(1/2) = -gamma - 2 log 2
         assert "-1.96351002602142" in out
 
+    def test_text_golden(self, capsys):
+        code, out, _ = run(["digamma", "--z", "0.5", "--digits", "25"], capsys)
+        assert code == EXIT_OK
+        assert out == DIGAMMA_TEXT
+
+    def test_json_keys(self, capsys):
+        code, out, _ = run(["digamma", "--z", "0.5", "--digits", "25", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert set(payload) == COMPARISON_KEYS
+        assert payload["command"] == "digamma"
+        assert payload["inputs"] == {"z": "0.5", "digits": 25}
+        assert set(payload["diagnostics"]) == {"precision_bits"}
+        assert cli.render_json(payload) == out
+
     def test_out_of_domain(self, capsys):
         code, _, err = run(["digamma", "--z", "1.5", "--digits", "20"], capsys)
         assert code == EXIT_USAGE
@@ -199,9 +242,26 @@ class TestGammaDeriv:
         assert abs(value - mp.mpf("1.97811199065594511079")) < mp.mpf(10) ** -18
         assert mp.mpf(payload["error_estimate"]) < mp.mpf(10) ** -18
 
+    def test_text_golden(self, capsys):
+        code, out, _ = run(["gammaderiv", "--n", "2", "--digits", "25"], capsys)
+        assert code == EXIT_OK
+        assert out == GAMMADERIV_TEXT
+
+    def test_json_keys(self, capsys):
+        code, out, _ = run(["gammaderiv", "--n", "2", "--digits", "25", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert set(payload) == COMPARISON_KEYS
+        assert payload["command"] == "gammaderiv"
+        assert payload["inputs"] == {"n": 2, "digits": 25}
+        assert set(payload["diagnostics"]) == {"precision_bits"}
+        assert cli.render_json(payload) == out
+
     def test_negative_n(self, capsys):
         code, _, err = run(["gammaderiv", "--n", "-1", "--digits", "20"], capsys)
         assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert "derivative order" in err
 
 
 class TestTable:
@@ -212,6 +272,18 @@ class TestTable:
         assert lines[0] == "p,rep,value,abs_error,evaluations"
         assert len(lines) == 5  # four representations for p = 1
         assert all(line.startswith("1,") for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", ["compute", "table"])
+def test_out_into_missing_directory(command, capsys, tmp_path):
+    # the file cannot be opened; that is one error line and exit 1, not a traceback
+    target = tmp_path / "missing" / "x"
+    code, out, err = run([*DIGITS_COMMANDS[command], "--digits", "15", "--out", str(target)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
 
 
 class TestVerify:
