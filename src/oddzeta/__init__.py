@@ -15,6 +15,7 @@ from .errors import (
     GradingError,
     IdentityViolation,
     LemmaViolation,
+    NoConvergence,
     NonFiniteSample,
     OddzetaError,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "GradingError",
     "IdentityViolation",
     "LemmaViolation",
+    "NoConvergence",
     "NonFiniteSample",
     "OddzetaError",
     "PiLaurent",

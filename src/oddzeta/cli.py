@@ -4,13 +4,15 @@ Subcommands: compute | poly | verify | digamma | gammaderiv | table.
 Exit codes: 0 success, 1 usage or domain error, 2 quadrature non-convergence,
 3 verification failure.
 Inputs are checked by the library's typed errors; ``main`` reports one, or an
-``OSError`` from ``--out``, as one ``error:`` line.  A command builds one
-payload and :func:`_respond` renders it as text or JSON.
+``OSError`` from ``--out``, as one ``error:`` line (exit 2 for a
+``NoConvergence``).  ``main`` opens ``--out`` before the command computes; a
+command builds one payload and :func:`_respond` writes it as text or JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -22,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import expansion, gammaderiv, pipoly, reference, zetarep
-from .errors import DomainError, OddzetaError
+from .errors import DomainError, NoConvergence, OddzetaError
 from .pipoly import PiLaurent, PiPoly
 from .zetarep import Representation
 
@@ -65,17 +67,9 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _respond(args, payload, lines) -> None:
     """Write the payload as JSON under ``--format json``, else the text lines."""
-    _emit(render_json(payload) if args.format == "json" else "\n".join(lines) + "\n", args.out)
+    args.stream.write(render_json(payload) if args.format == "json" else "\n".join(lines) + "\n")
 
 
 def _usage_error(message: str) -> int:
@@ -151,17 +145,17 @@ def cmd_poly(args) -> int:
             "inputs": {"p": args.p},
             "terms": pipoly.to_json_terms(poly),
         }
-        _emit(render_json(payload), args.out)
+        args.stream.write(render_json(payload))
         return EXIT_OK
     if args.format == "latex":
-        _emit(pipoly.to_latex(poly) + "\n", args.out)
+        args.stream.write(pipoly.to_latex(poly) + "\n")
         return EXIT_OK
     lines = [f"P_{2 * args.p}(t) = {pipoly.to_text(poly)}"]
     factored = _factored_text(args.p)
     if factored:
         lines.append(f"factored     = {factored}")
         lines.append("(factored form machine-verified against the expansion)")
-    _emit("\n".join(lines) + "\n", args.out)
+    args.stream.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -320,7 +314,7 @@ def cmd_table(args) -> int:
                     comp.quad.evaluations,
                 ]
             )
-    _emit(buffer.getvalue(), args.out)
+    args.stream.write(buffer.getvalue())
     return exit_code
 
 
@@ -383,8 +377,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        # --out is opened before anything is computed, so a bad path fails at once
+        target = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+        with target as args.stream:
+            return args.func(args)
+    except NoConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (OddzetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

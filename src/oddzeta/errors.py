@@ -21,6 +21,14 @@ class NonFiniteSample(OddzetaError, ArithmeticError):
     """An integrand returned inf or nan, which indicates a bug in the integrand."""
 
 
+class NoConvergence(OddzetaError, ArithmeticError):
+    """An integral missed its tolerance on a route that returns a bare value.
+
+    The message names the route, its argument, the final error estimate and
+    the last level.
+    """
+
+
 class LemmaViolation(OddzetaError, ArithmeticError):
     """An exact sine-moment integral failed to collapse to -1/pi.
 

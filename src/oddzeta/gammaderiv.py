@@ -100,7 +100,10 @@ def gamma_nth_derivative_at_1(n: int, precision: int):
 
 
 def gamma_nth_derivative_numeric(n: int, z, precision: int):
-    """Gamma^(n)(z) = integral_0^inf t^{z-1} e^{-t} (log t)^n dt for z > 0."""
+    """Gamma^(n)(z) = integral_0^inf t^{z-1} e^{-t} (log t)^n dt for z > 0.
+
+    Raises NoConvergence when the integral misses its tolerance.
+    """
     if n < 0:
         raise DomainError("derivative order must be >= 0")
     wp = quad.working_precision(precision)
@@ -121,5 +124,6 @@ def gamma_nth_derivative_numeric(n: int, z, precision: int):
         result = quad.integrate_semi_inf(
             integrand, quad.quad_tolerance(precision), precision
         )
+    result.require_converged(f"Gamma^({n})({mp.nstr(zv, 8)}) integral")
     with mp.workprec(precision):
         return +result.value

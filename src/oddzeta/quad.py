@@ -13,6 +13,15 @@ precision.  A transform contributes only the node sum of one level:
 * exp-sinh on (0,inf):  x(u) = exp(pi/2 sinh u), for integrands with
   exponential decay at infinity and at worst logarithmic-power growth at 0.
 
+Both transforms step exp(u) along u = j h by a fixed factor and take sinh u
+and cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does, so a node
+costs one exp, the transform's own; the stepping carries 16 + log2(steps)
+extra bits.  The tanh-sinh nodes are cached per working precision together
+with tan(pi t/2) at every abscissa (:func:`tan_half`), the factor all the
+library's tanh-sinh integrands carry: one tan per node pair, tan(pi t_lo/2)
+and its reciprocal for t_hi = 1 - t_lo, so the ill-conditioned tan next to
+t = 1 is never formed.
+
 The error estimate follows the usual double-exponential heuristic: with
 d1 = |S_m - S_{m-1}| and d2 = |S_m - S_{m-2}| the estimated exponent is
 max(log(d1)^2 / log(d2), 2 log(d1)), floored at the working epsilon.
@@ -34,12 +43,13 @@ from typing import Callable
 
 import mpmath as mp
 
-from .errors import DomainError, NonFiniteSample
+from .errors import DomainError, NoConvergence, NonFiniteSample
 
 __all__ = [
     "QuadResult",
     "integrate_01",
     "integrate_semi_inf",
+    "tan_half",
     "guard_bits",
     "working_precision",
     "quad_tolerance",
@@ -80,6 +90,14 @@ class QuadResult:
     levels: int
     converged: bool
     deltas: tuple = field(default=(), repr=False)
+
+    def require_converged(self, what: str) -> None:
+        """Raise NoConvergence, naming ``what``, unless the tolerance was met."""
+        if not self.converged:
+            raise NoConvergence(
+                f"{what} did not converge: error estimate "
+                f"{mp.nstr(self.error_estimate, 5)} after level {self.levels}"
+            )
 
 
 def _estimate_error(sums: list, wp: int):
@@ -152,7 +170,40 @@ def _integrate(level_sum: Callable, f: Callable, tol, precision: int, max_level:
     )
 
 
-@lru_cache(maxsize=4 * (DEFAULT_MAX_LEVEL + 1))  # every level at four working precisions
+def _exp_steps(h, stride: int, count: int):
+    """(sinh u, cosh u) for u = h, (1 + stride) h, (1 + 2 stride) h, ... (count values).
+
+    exp(u) is stepped by the factor exp(h)^stride, so a whole run costs one
+    exp.  Callers run it at wp + :func:`_step_bits` bits: the stepping loses
+    about log2(count) bits and sinh u = (e - 1/e)/2 about log2(1/h).
+    """
+    e = mp.exp(h)
+    step = e**stride
+    for _ in range(count):
+        inverse = 1 / e
+        yield (e - inverse) / 2, (e + inverse) / 2
+        e *= step
+
+
+def _step_bits(count: int) -> int:
+    return 16 + count.bit_length()
+
+
+@lru_cache(maxsize=4)  # four working precisions
+def _tables(wp: int):
+    """Per-precision store: tanh-sinh nodes by level, tan(pi t/2) by abscissa."""
+    return {}, {}
+
+
+def tan_half(wp: int) -> dict:
+    """tan(pi t/2) keyed by every tanh-sinh abscissa built so far at ``wp`` bits.
+
+    :func:`integrate_01` builds the abscissas of a level before sampling any
+    of them, so an integrand called by it at ``wp`` finds its t here.
+    """
+    return _tables(wp)[1]
+
+
 def _unit_nodes(wp: int, level: int):
     """New (t, 1-t, weight) triples for this level at wp bits.
 
@@ -160,27 +211,41 @@ def _unit_nodes(wp: int, level: int):
     centre t = 1/2, marked by a None partner); higher levels hold the odd
     multiples of their step only.  The u-range is capped so that 1 - t stays
     representable at wp bits; weights beyond the cap are below 2^-wp anyway.
+    Building a level also enters its abscissas in :func:`tan_half`, at one
+    tan per pair: tan(pi t/2) tan(pi (1-t)/2) = 1, and tan(pi/4) = 1.
     """
+    levels, tangents = _tables(wp)
+    if level in levels:
+        return levels[level]
     with mp.workprec(wp):
         u_max = mp.asinh((wp - 2) * mp.log(2) / mp.pi)
         h = mp.ldexp(1, -level)
         count = int(mp.floor(u_max / h))
-        indices = range(0, count + 1) if level == 0 else range(1, count + 1, 2)
-        nodes = []
-        for j in indices:
-            u = j * h
-            if j == 0:
-                nodes.append((mp.mpf(1) / 2, None, mp.pi / 4))
-                continue
-            y = mp.pi / 2 * mp.sinh(u)
-            decay = mp.exp(-2 * y)
+    stride = 1 if level == 0 else 2
+    runs = (count + stride - 1) // stride
+    with mp.workprec(wp + _step_bits(runs)):
+        raw = []
+        for sinh_u, cosh_u in _exp_steps(h, stride, runs):
+            decay = mp.exp(-mp.pi * sinh_u)
             t_hi = 1 / (1 + decay)           # in (1/2, 1)
-            t_lo = decay / (1 + decay)       # = 1 - t_hi, computed stably
+            t_lo = decay * t_hi              # = 1 - t_hi, computed stably
+            raw.append((t_hi, t_lo, mp.pi * cosh_u * t_hi * t_lo))
+    with mp.workprec(wp):
+        nodes = []
+        if level == 0:
+            centre = mp.mpf(1) / 2
+            nodes.append((centre, None, mp.pi / 4))
+            tangents[centre] = mp.mpf(1)
+        for t_hi, t_lo, weight in raw:
+            t_hi, t_lo, weight = +t_hi, +t_lo, +weight
             if t_hi == 1 or t_lo == 0:
                 break  # would round onto an endpoint; contribution < 2^-wp
-            weight = mp.pi * mp.cosh(u) * t_hi * t_lo
+            tan_lo = mp.tan(mp.pi * t_lo / 2)
+            tangents[t_lo] = tan_lo
+            tangents[t_hi] = 1 / tan_lo
             nodes.append((t_hi, t_lo, weight))
-        return tuple(nodes)
+    levels[level] = nodes = tuple(nodes)
+    return nodes
 
 
 def _tanh_sinh_level(sample, wp, level, h):
@@ -208,21 +273,40 @@ def integrate_01(
     return _integrate(_tanh_sinh_level, f, tol, precision, max_level)
 
 
+def _exp_sinh_nodes(wp: int, level: int, h, direction: int):
+    """(x, weight) at wp bits for one direction of one exp-sinh level, outwards.
+
+    x = exp(direction pi/2 sinh u) and weight = pi/2 cosh(u) x for u = j h up
+    to a cap on u; level 0 holds j = 0 once, later levels odd j only.  The
+    caller may stop early.
+    """
+    with mp.workprec(wp):
+        cap = int(mp.floor(mp.asinh(8 * wp * mp.log(2) / mp.pi) / h))
+        centre = mp.mpf(1), mp.pi / 2  # u = 0
+    if level == 0 and direction == 1:
+        yield centre
+    stride = 1 if level == 0 else 2
+    runs = (cap + stride - 1) // stride
+    ewp = wp + _step_bits(runs)
+    with mp.workprec(ewp):
+        half_pi = mp.pi / 2
+    steps = _exp_steps(h, stride, runs)
+    for _ in range(runs):
+        with mp.workprec(ewp):
+            sinh_u, cosh_u = next(steps)
+            x = mp.exp(direction * half_pi * sinh_u)
+            weight = half_pi * cosh_u * x
+        with mp.workprec(wp):
+            node = +x, +weight
+        yield node
+
+
 def _exp_sinh_level(sample, wp, level, h):
     eps = mp.ldexp(1, -wp)
-    half_pi = mp.pi / 2
-    cap = int(mp.floor(mp.asinh(8 * wp * mp.log(2) / mp.pi) / h))
     partial = mp.mpf(0)
     for direction in (1, -1):
-        if level == 0:
-            indices = range(0, cap + 1) if direction == 1 else range(1, cap + 1)
-        else:
-            indices = range(1, cap + 1, 2)
         small_run = 0
-        for j in indices:
-            u = direction * j * h
-            x = mp.exp(half_pi * mp.sinh(u))
-            weight = half_pi * mp.cosh(u) * x
+        for x, weight in _exp_sinh_nodes(wp, level, h, direction):
             term = weight * sample(x)
             partial += term
             if abs(term) <= eps * (1 + abs(partial)):

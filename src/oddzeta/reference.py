@@ -15,7 +15,8 @@ the self-tests:
 * ``digamma_ref``           upward recurrence past a precision-dependent
   threshold, then the Bernoulli asymptotic series.
 * ``digamma_mikolas``       the cotangent-plus-integral representation of
-  Mikolas (1957), evaluated by tanh-sinh quadrature.
+  Mikolas (1957), evaluated by tanh-sinh quadrature; tan(pi t/2) is read
+  from the node tables' tangent map (:func:`quad.tan_half`).
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def digamma_mikolas(z, precision: int):
               + pi/2 * integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt].
 
     The bracket vanishes at t = 1, cancelling the tangent pole, so plain
-    tanh-sinh integration applies.
+    tanh-sinh integration applies.  Raises NoConvergence when the integral
+    misses its tolerance.
     """
     wp = quad.working_precision(precision)
     with mp.workprec(wp):
@@ -226,11 +228,13 @@ def digamma_mikolas(z, precision: int):
         if not (0 < zv < 1):
             raise DomainError("Mikolas representation needs 0 < z < 1")
         sin_z = mp.sin(mp.pi * zv)
+        tan_half = quad.tan_half(wp)
 
         def bracket(t):
-            return mp.tan(mp.pi * t / 2) * (mp.sin(mp.pi * zv * t) / sin_z - t)
+            return tan_half[t] * (mp.sin(mp.pi * zv * t) / sin_z - t)
 
         result = quad.integrate_01(bracket, quad.quad_tolerance(precision), precision)
+        result.require_converged(f"Mikolas digamma integral at z = {mp.nstr(zv, 8)}")
         value = -(
             euler_gamma(wp)
             + 1 / (2 * zv)
@@ -286,9 +290,10 @@ def pole_cancellation_check(z, precision: int):
             raise DomainError("pole check needs 0 < z < 1")
         v_pole = laurent_eval(expansion.csc_coefficient(-1), wp)
         u_0 = trig_evaluator(expansion.u_coeff(0), wp)
+        tan_half = quad.tan_half(wp)
 
         def integrand(t):
-            return mp.tan(mp.pi * t / 2) * (v_pole * u_0(t))
+            return tan_half[t] * (v_pole * u_0(t))
 
         result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
         value = mp.pi / 2 * mp.cot(mp.pi * (1 - zv)) + mp.pi / 2 * result.value / zv

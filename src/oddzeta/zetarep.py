@@ -16,7 +16,10 @@ the zero-tolerance moment identity integral_0^1 P_{2p}(t) sin(pi t) dt = -1/pi.
 Every tan(pi t/2) pole at t = 1 is cancelled by a zero of the polynomial
 factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
 bounded and the quadrature contract applies directly.  ``zeta_odd`` checks
-that zero exactly before integrating.  Computed values are
+that zero exactly before integrating.  The integrands read tau = tan(pi t/2)
+from the node tables' tangent map (:func:`quad.tan_half`), and ``theorem``
+takes cos(pi t) = (1 - tau^2)/(1 + tau^2) from the same tau, so this module
+keeps no trig cache of its own.  Computed values are
 always reported next to a freshly computed oracle value, never a stored one.
 """
 
@@ -26,7 +29,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -69,33 +71,9 @@ class ZetaComputation:
             return abs(self.value - self.reference)
 
 
-@lru_cache(maxsize=1)
-def _trig_memo(wp: int) -> dict:
-    """tan(pi t/2) and cos(pi t) by abscissa, at ``wp`` bits.
-
-    The abscissas are shared by every p and representation, so each trig value
-    is paid once per precision; a new working precision replaces the memo.
-    """
-    return {"tan_half": {}, "cos_pi": {}}
-
-
-def _trig(name: str, wp: int):
-    """Memoized ``tan_half`` = tan(pi t/2) or ``cos_pi`` = cos(pi t) at ``wp`` bits."""
-    cache = _trig_memo(wp)[name]
-
-    def value(t):
-        v = cache.get(t)
-        if v is None:
-            v = mp.tan(mp.pi * t / 2) if name == "tan_half" else mp.cos(mp.pi * t)
-            cache[t] = v
-        return v
-
-    return value
-
-
 # the cached functions as defined, so clearing still works after a test has
 # replaced one of the module attributes
-_CACHED = (_trig_memo, reference.zeta_ref)
+_CACHED = (quad._tables, reference.zeta_ref)
 
 
 def clear_caches() -> None:
@@ -161,17 +139,18 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
         )
     wp = quad.working_precision(precision)
     poly_fn = pipoly.poly_evaluator(route.poly, wp)
-    tan_half = _trig("tan_half", wp)
+    tan_half = quad.tan_half(wp)
     if route.with_cos:
-        cos_pi = _trig("cos_pi", wp)
 
         def integrand(t):
-            return tan_half(t) * cos_pi(t) * poly_fn(t)
+            tau = tan_half[t]
+            square = tau * tau
+            return tau * (1 - square) / (1 + square) * poly_fn(t)  # cos(pi t) from tau
 
     else:
 
         def integrand(t):
-            return tan_half(t) * poly_fn(t)
+            return tan_half[t] * poly_fn(t)
 
     result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
     with mp.workprec(wp):

@@ -264,6 +264,39 @@ class TestGammaDeriv:
         assert "derivative order" in err
 
 
+class TestNoConvergence:
+    # each integral stops after level 1: a bare-valued route must not exit 0
+    @pytest.mark.parametrize(
+        "argv,integrator,what",
+        [
+            (["digamma", "--z", "0.3"], "integrate_01", "Mikolas digamma integral at z = 0.3"),
+            (["gammaderiv", "--n", "4"], "integrate_semi_inf", "Gamma^(4)(1.0) integral"),
+        ],
+        ids=["digamma", "gammaderiv"],
+    )
+    def test_exit_2_with_one_error_line(self, argv, integrator, what, capsys, cap_levels):
+        cap_levels(integrator)
+        code, out, err = run([*argv, "--digits", "20"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err.startswith(f"error: {what} did not converge: error estimate ")
+        assert err.endswith(" after level 1\n") and err.count("\n") == 1
+
+    def test_verify_names_the_integral(self, capsys, cap_levels):
+        cap_levels("integrate_01")
+        cap_levels("integrate_semi_inf")
+        code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        rows = {}
+        for line in out.splitlines()[:-1]:
+            status, name, detail = line.split(None, 2)
+            rows[name] = f"{status} {detail}"
+        assert rows["digamma-grid"].startswith(
+            "FAIL Mikolas digamma integral at z = 0.0625 did not converge"
+        )
+        assert rows["gamma-derivatives"].startswith("FAIL Gamma^(0)(1.0) integral did not converge")
+
+
 class TestTable:
     def test_csv_header_and_rows(self, capsys):
         code, out, _ = run(["table", "--max-p", "1", "--digits", "15"], capsys)
@@ -275,8 +308,13 @@ class TestTable:
 
 
 @pytest.mark.parametrize("command", ["compute", "table"])
-def test_out_into_missing_directory(command, capsys, tmp_path):
-    # the file cannot be opened; that is one error line and exit 1, not a traceback
+def test_out_into_missing_directory(command, capsys, tmp_path, monkeypatch):
+    # the file cannot be opened; that is one error line and exit 1, not a
+    # traceback, and it is found before anything is computed
+    def no_computing(*args, **kwargs):
+        raise AssertionError("computed before opening --out")
+
+    monkeypatch.setattr(zetarep, "zeta_odd", no_computing)
     target = tmp_path / "missing" / "x"
     code, out, err = run([*DIGITS_COMMANDS[command], "--digits", "15", "--out", str(target)], capsys)
     assert code == EXIT_USAGE

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta.errors import ArityError, DomainError
+from oddzeta.errors import ArityError, DomainError, NoConvergence
 from oddzeta.gammaderiv import (
     bell_complete,
     gamma_first_derivative,
@@ -112,6 +112,14 @@ class TestNumericIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_nth_derivative_numeric(1, 0, 96)
+
+    def test_no_convergence_raises(self, cap_levels):
+        cap_levels("integrate_semi_inf")
+        with pytest.raises(NoConvergence) as excinfo:
+            gamma_nth_derivative_numeric(4, 1, 96)
+        message = str(excinfo.value)
+        assert "Gamma^(4)(1.0) integral did not converge" in message
+        assert "error estimate" in message and message.endswith("after level 1")
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_exact_vs_numeric(self, n):

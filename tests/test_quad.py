@@ -3,6 +3,7 @@
 import mpmath as mp
 import pytest
 
+from oddzeta import quad
 from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
 from oddzeta.pipoly import poly_evaluator
@@ -143,3 +144,112 @@ class TestSharedDriver:
         assert not result.converged
         assert result.error_estimate > mp.mpf(10) ** -70
         assert result.levels == 3
+
+
+# The stepped nodes against the closed-form transform: sinh, cosh and exp of
+# every u = j h recomputed independently at 64 extra bits.
+NODE_PRECISIONS = pytest.mark.parametrize("wp", [80, 400, 2629])
+LEVELS = range(9)
+
+
+def closed_form_unit_nodes(wp, level):
+    with mp.workprec(wp):
+        u_max = mp.asinh((wp - 2) * mp.log(2) / mp.pi)
+        h = mp.ldexp(1, -level)
+        count = int(mp.floor(u_max / h))
+    indices = range(0, count + 1) if level == 0 else range(1, count + 1, 2)
+    nodes = []
+    with mp.workprec(wp + 64):
+        for j in indices:
+            u = j * h
+            decay = mp.exp(-mp.pi * mp.sinh(u))
+            t_hi, t_lo = 1 / (1 + decay), decay / (1 + decay)
+            nodes.append((t_hi, t_lo, mp.pi * mp.cosh(u) * t_hi * t_lo))
+    return nodes
+
+
+def closed_form_exp_sinh_nodes(wp, level, direction):
+    h = mp.ldexp(1, -level)
+    with mp.workprec(wp):
+        cap = int(mp.floor(mp.asinh(8 * wp * mp.log(2) / mp.pi) / h))
+    first = 0 if level == 0 and direction == 1 else 1
+    nodes = []
+    with mp.workprec(wp + 64):
+        for j in range(first, cap + 1, 1 if level == 0 else 2):
+            u = direction * j * h
+            x = mp.exp(mp.pi / 2 * mp.sinh(u))
+            nodes.append((x, mp.pi / 2 * mp.cosh(u) * x))
+    return nodes
+
+
+def assert_nodes_close(got, want, wp):
+    assert len(got) == len(want)
+    with mp.workprec(wp + 64):
+        bound = mp.ldexp(1, -(wp - 8))
+        for got_node, want_node in zip(got, want):
+            for a, b in zip(got_node, want_node):
+                if a is not None:  # the centre t = 1/2 has no partner
+                    assert abs(a - b) <= bound * abs(b), (a, b)
+
+
+class TestSteppedNodes:
+    @NODE_PRECISIONS
+    def test_unit_nodes_match_closed_form(self, wp):
+        for level in LEVELS:
+            got = quad._unit_nodes(wp, level)
+            assert_nodes_close(got, closed_form_unit_nodes(wp, level), wp)
+
+    # at 2629 bits a full exp-sinh level runs to u = 9.1, so levels 0-4 there
+    @pytest.mark.parametrize("wp,levels", [(80, LEVELS), (400, LEVELS), (2629, range(5))])
+    def test_exp_sinh_nodes_match_closed_form(self, wp, levels):
+        for level in levels:
+            h = mp.ldexp(1, -level)
+            for direction in (1, -1):
+                got = list(quad._exp_sinh_nodes(wp, level, h, direction))
+                assert_nodes_close(got, closed_form_exp_sinh_nodes(wp, level, direction), wp)
+
+    def test_build_restores_precision(self):
+        before = mp.mp.prec
+        quad._tables.cache_clear()
+        quad._unit_nodes(96, 3)
+        list(quad._exp_sinh_nodes(96, 2, mp.mpf(1) / 4, -1))
+        assert mp.mp.prec == before
+
+
+def ulp(x, wp):
+    return mp.ldexp(1, mp.mag(x) - wp)
+
+
+class TestTangentMap:
+    # the map stores tan(pi t_lo/2) and its reciprocal for t_hi; t_hi itself
+    # is 1 - t_lo rounded to wp bits, a relative change in 1 - t_hi that is
+    # large next to t = 1, so tan[t_hi] is measured against tan(pi (1 - t_lo)/2)
+    @pytest.mark.parametrize("wp,levels", [(80, LEVELS), (400, LEVELS), (2629, range(4))])
+    def test_every_abscissa_has_its_tangent(self, wp, levels):
+        tan = quad.tan_half(wp)
+        for level in levels:
+            for t_hi, t_lo, _ in quad._unit_nodes(wp, level):
+                if t_lo is None:
+                    assert t_hi == mp.mpf(1) / 2 and tan[t_hi] == 1
+                    continue
+                with mp.workprec(2 * wp):
+                    assert abs(tan[t_hi] * tan[t_lo] - 1) <= 2 * mp.ldexp(1, -wp)
+                    # pi t_lo/2 and the tangent are each rounded at wp bits
+                    assert abs(tan[t_lo] - mp.tan(mp.pi * t_lo / 2)) <= 2 * ulp(tan[t_lo], wp)
+                    want = mp.tan(mp.pi * (1 - t_lo) / 2)
+                    assert abs(tan[t_hi] - want) <= 4 * ulp(want, wp)
+                    assert abs(t_hi - (1 - t_lo)) <= ulp(t_hi, wp)
+
+    def test_map_is_filled_before_sampling(self):
+        quad._tables.cache_clear()
+        precision = 96
+        tan = quad.tan_half(working_precision(precision))
+        missing = []
+
+        def probe(t):
+            if t not in tan:
+                missing.append(t)
+            return mp.mpf(1)
+
+        integrate_01(probe, mp.mpf(10) ** -20, precision)
+        assert tan and not missing

@@ -1,9 +1,11 @@
 """Oracle self-consistency: two routes per constant, no trusted decimals."""
 
+import inspect
+
 import mpmath as mp
 import pytest
 
-from oddzeta.errors import DomainError
+from oddzeta.errors import DomainError, NoConvergence
 from oddzeta.reference import (
     digamma_mikolas,
     digamma_ref,
@@ -139,6 +141,20 @@ class TestMikolasIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             digamma_mikolas(mp.mpf("1.5"), 96)
+
+    def test_no_convergence_raises(self, cap_levels):
+        cap_levels("integrate_01")
+        with pytest.raises(NoConvergence) as excinfo:
+            digamma_mikolas(mp.mpf(3) / 10, 96)
+        message = str(excinfo.value)
+        assert "Mikolas digamma integral at z = 0.3 did not converge" in message
+        assert "error estimate" in message and message.endswith("after level 1")
+
+    def test_integrand_takes_one_positional_argument(self, handed_integrands):
+        digamma_mikolas(mp.mpf(3) / 10, 96)
+        (integrand,) = handed_integrands
+        (param,) = inspect.signature(integrand).parameters.values()
+        assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
 
 
 class TestSeriesBookkeeping:

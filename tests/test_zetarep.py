@@ -1,5 +1,6 @@
 """The four zeta representations, the even closed form, and the moment identity."""
 
+import inspect
 from fractions import Fraction
 
 import mpmath as mp
@@ -206,13 +207,22 @@ def test_clear_caches_after_patch(monkeypatch):
     monkeypatch.setattr(reference, "zeta_ref", lambda s, precision: mp.mpf(0))
     zetarep.clear_caches()
     assert cached.cache_info().currsize == 0
-    assert zetarep._trig_memo.cache_info().currsize == 0
+    assert quad._tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
     "cached",
-    [quad._unit_nodes, reference.zeta_ref, reference.euler_gamma, zetarep._trig_memo],
-    ids=["unit_nodes", "zeta_ref", "euler_gamma", "trig_memo"],
+    [quad._tables, reference.zeta_ref, reference.euler_gamma],
+    ids=["node_tables", "zeta_ref", "euler_gamma"],
 )
 def test_per_precision_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda rep: rep.value)
+def test_integrand_takes_one_positional_argument(rep, handed_integrands):
+    # tracing wraps the integrand that zeta_odd hands to integrate_01 as integrand(t)
+    zeta_odd(2, rep, 96)
+    (integrand,) = handed_integrands
+    (param,) = inspect.signature(integrand).parameters.values()
+    assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
