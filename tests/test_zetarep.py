@@ -210,10 +210,11 @@ def test_clear_caches_after_patch(monkeypatch):
     assert quad._tables.cache_info().currsize == 0
 
 
+# the tanh-sinh node levels and the tan(pi t/2) map share one store, quad._tables
 @pytest.mark.parametrize(
     "cached",
-    [quad._tables, reference.zeta_ref, reference.euler_gamma],
-    ids=["node_tables", "zeta_ref", "euler_gamma"],
+    [quad._tables, reference.zeta_ref, reference.euler_gamma, quad._tables],
+    ids=["unit_nodes", "zeta_ref", "euler_gamma", "trig_memo"],
 )
 def test_per_precision_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
