@@ -43,7 +43,7 @@ from .pipoly import (
     poly_scale,
     sin_moment,
 )
-from .quad import QuadResult, integrate_01, integrate_semi_inf
+from .quad import QuadResult, integrate_01
 from .reference import (
     digamma_mikolas,
     digamma_ref,
@@ -97,7 +97,6 @@ __all__ = [
     "harmonic",
     "integrate_01",
     "integrate_against_sin",
-    "integrate_semi_inf",
     "laurent_eval",
     "lemma_check",
     "p_poly",

@@ -1,24 +1,21 @@
-"""Arbitrary-precision double-exponential quadrature.
+"""Arbitrary-precision tanh-sinh quadrature on (0, 1).
 
-One level driver serves two transforms.  The driver doubles the level (the
-step h = 2^-level halves and every previous abscissa is reused, as in
-Takahasi & Mori 1974), keeps the running sums and the per-level deltas,
-estimates the error, stops, and rounds the result back to the requested
-precision.  A transform contributes only the node sum of one level:
+t(u) = 1 / (1 + exp(-pi sinh u)) clusters the abscissas at both endpoints
+without ever touching them, so an integrable logarithmic endpoint
+singularity needs no special treatment.  The complementary node 1 - t
+is produced in the same stable form, and the weight is pi cosh(u) t (1 - t),
+which avoids all cancellation.  Each level halves the step h = 2^-level and
+reuses every previous abscissa (Takahasi & Mori 1974); :func:`integrate_01`
+keeps the running sums and the per-level deltas, estimates the error, stops,
+and rounds the result back to the requested precision.  An integral over
+(0, inf) reaches (0, 1) by a change of variable in its caller.
 
-* tanh-sinh on (0,1):   t(u) = 1 / (1 + exp(-pi sinh u)), so the abscissas
-  cluster at both endpoints without ever touching them.  The complementary
-  node 1 - t is produced in the same stable form, and the weight is
-  pi cosh(u) t (1 - t), which avoids all cancellation.
-* exp-sinh on (0,inf):  x(u) = exp(pi/2 sinh u), for integrands with
-  exponential decay at infinity and at worst logarithmic-power growth at 0.
-
-Both transforms step exp(u) along u = j h by a fixed factor and take sinh u
-and cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does, so a node
+The nodes step exp(u) along u = j h by a fixed factor and take sinh u and
+cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does, so a node
 costs one exp, the transform's own; the stepping carries 16 + log2(steps)
-extra bits.  The tanh-sinh nodes are cached per working precision together
-with tan(pi t/2) at every abscissa (:func:`tan_half`), the factor all the
-library's tanh-sinh integrands carry: one tan per node pair, tan(pi t_lo/2)
+extra bits.  The nodes are cached per working precision together with
+tan(pi t/2) at every abscissa (:func:`tan_half`), the factor the library's
+zeta and digamma integrands carry: one tan per node pair, tan(pi t_lo/2)
 and its reciprocal for t_hi = 1 - t_lo, so the ill-conditioned tan next to
 t = 1 is never formed.
 
@@ -48,7 +45,6 @@ from .errors import DomainError, NoConvergence, NonFiniteSample
 __all__ = [
     "QuadResult",
     "integrate_01",
-    "integrate_semi_inf",
     "tan_half",
     "guard_bits",
     "working_precision",
@@ -118,77 +114,6 @@ def _estimate_error(sums: list, wp: int):
     return mp.mpf(10) ** exponent
 
 
-def _integrate(level_sum: Callable, f: Callable, tol, precision: int, max_level: int) -> QuadResult:
-    """The level loop shared by both transforms.
-
-    ``level_sum(sample, wp, level, h)`` returns the weighted sum of the
-    samples that are new at ``level`` (step ``h``), calling ``sample`` in
-    place of ``f``; ``sample`` counts the evaluation and rejects a non-finite
-    value.  Level 0 is the trapezoid sum h * partial; every later level
-    halves the previous sum and adds its own.
-    """
-    if precision < 16:
-        raise DomainError("precision must be at least 16 bits")
-    wp = working_precision(precision)
-    evaluations = 0
-
-    def sample(x):
-        nonlocal evaluations
-        value = f(x)
-        if not mp.isfinite(value):
-            raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(x, 8)}")
-        evaluations += 1
-        return value
-
-    with mp.workprec(wp):
-        tolerance = mp.mpf(tol)
-        sums: list = []
-        deltas: list = []
-        estimate = mp.inf
-        converged = False
-        for level in range(max_level + 1):
-            h = mp.ldexp(1, -level)
-            partial = level_sum(sample, wp, level, h)
-            sums.append(partial * h if level == 0 else sums[-1] / 2 + partial * h)
-            if level >= 1:
-                deltas.append(abs(sums[-1] - sums[-2]))
-                estimate = _estimate_error(sums, wp)
-                if level >= 2 and estimate <= tolerance:
-                    converged = True
-                    break
-        with mp.workprec(precision):
-            value = +sums[-1]
-            estimate = +estimate
-            deltas = tuple(+d for d in deltas)
-    return QuadResult(
-        value=value,
-        error_estimate=estimate,
-        evaluations=evaluations,
-        levels=level,
-        converged=converged,
-        deltas=deltas,
-    )
-
-
-def _exp_steps(h, stride: int, count: int):
-    """(sinh u, cosh u) for u = h, (1 + stride) h, (1 + 2 stride) h, ... (count values).
-
-    exp(u) is stepped by the factor exp(h)^stride, so a whole run costs one
-    exp.  Callers run it at wp + :func:`_step_bits` bits: the stepping loses
-    about log2(count) bits and sinh u = (e - 1/e)/2 about log2(1/h).
-    """
-    e = mp.exp(h)
-    step = e**stride
-    for _ in range(count):
-        inverse = 1 / e
-        yield (e - inverse) / 2, (e + inverse) / 2
-        e *= step
-
-
-def _step_bits(count: int) -> int:
-    return 16 + count.bit_length()
-
-
 @lru_cache(maxsize=4)  # four working precisions
 def _tables(wp: int):
     """Per-precision store: tanh-sinh nodes by level, tan(pi t/2) by abscissa."""
@@ -223,13 +148,21 @@ def _unit_nodes(wp: int, level: int):
         count = int(mp.floor(u_max / h))
     stride = 1 if level == 0 else 2
     runs = (count + stride - 1) // stride
-    with mp.workprec(wp + _step_bits(runs)):
+    # exp(u) is stepped by the factor exp(h)^stride, so the level costs one exp
+    # besides each node's own; the stepping loses about log2(runs) bits and
+    # sinh u = (e - 1/e)/2 about log2(1/h)
+    with mp.workprec(wp + 16 + runs.bit_length()):
+        e = mp.exp(h)
+        step = e**stride
         raw = []
-        for sinh_u, cosh_u in _exp_steps(h, stride, runs):
+        for _ in range(runs):
+            inverse = 1 / e
+            sinh_u, cosh_u = (e - inverse) / 2, (e + inverse) / 2
             decay = mp.exp(-mp.pi * sinh_u)
             t_hi = 1 / (1 + decay)           # in (1/2, 1)
             t_lo = decay * t_hi              # = 1 - t_hi, computed stably
             raw.append((t_hi, t_lo, mp.pi * cosh_u * t_hi * t_lo))
+            e *= step
     with mp.workprec(wp):
         nodes = []
         if level == 0:
@@ -248,13 +181,6 @@ def _unit_nodes(wp: int, level: int):
     return nodes
 
 
-def _tanh_sinh_level(sample, wp, level, h):
-    partial = mp.mpf(0)
-    for t_hi, t_lo, weight in _unit_nodes(wp, level):
-        partial += weight * sample(t_hi)
-        if t_lo is not None:
-            partial += weight * sample(t_lo)
-    return partial
 
 
 def integrate_01(
@@ -265,71 +191,59 @@ def integrate_01(
 ) -> QuadResult:
     """Tanh-sinh integration of f over the open interval (0, 1).
 
-    ``f`` must be bounded on (0,1) and is never called at the endpoints.
-    Levels double until the error estimate drops below ``tol`` (requires at
-    least two refinements) or ``max_level`` is hit, in which case the best
-    value is returned with ``converged=False``.
+    ``f`` is never called at the endpoints; it must be finite on (0,1) and
+    may have an integrable logarithmic singularity at an endpoint.  No
+    abscissa lies within about 2^-wp of an endpoint (wp the working
+    precision), so the integral over that stretch must be negligible at
+    ``tol``.  Level 0 is the trapezoid sum over its nodes; every later level
+    halves the previous sum and adds its own new nodes.  Levels double until
+    the error estimate drops below ``tol`` (requires at least two
+    refinements) or ``max_level`` is hit, in which case the best value is
+    returned with ``converged=False``.  A non-finite sample raises
+    NonFiniteSample.
     """
-    return _integrate(_tanh_sinh_level, f, tol, precision, max_level)
+    if precision < 16:
+        raise DomainError("precision must be at least 16 bits")
+    wp = working_precision(precision)
+    evaluations = 0
 
+    def sample(t):
+        nonlocal evaluations
+        value = f(t)
+        if not mp.isfinite(value):
+            raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
+        evaluations += 1
+        return value
 
-def _exp_sinh_nodes(wp: int, level: int, h, direction: int):
-    """(x, weight) at wp bits for one direction of one exp-sinh level, outwards.
-
-    x = exp(direction pi/2 sinh u) and weight = pi/2 cosh(u) x for u = j h up
-    to a cap on u; level 0 holds j = 0 once, later levels odd j only.  The
-    caller may stop early.
-    """
     with mp.workprec(wp):
-        cap = int(mp.floor(mp.asinh(8 * wp * mp.log(2) / mp.pi) / h))
-        centre = mp.mpf(1), mp.pi / 2  # u = 0
-    if level == 0 and direction == 1:
-        yield centre
-    stride = 1 if level == 0 else 2
-    runs = (cap + stride - 1) // stride
-    ewp = wp + _step_bits(runs)
-    with mp.workprec(ewp):
-        half_pi = mp.pi / 2
-    steps = _exp_steps(h, stride, runs)
-    for _ in range(runs):
-        with mp.workprec(ewp):
-            sinh_u, cosh_u = next(steps)
-            x = mp.exp(direction * half_pi * sinh_u)
-            weight = half_pi * cosh_u * x
-        with mp.workprec(wp):
-            node = +x, +weight
-        yield node
-
-
-def _exp_sinh_level(sample, wp, level, h):
-    eps = mp.ldexp(1, -wp)
-    partial = mp.mpf(0)
-    for direction in (1, -1):
-        small_run = 0
-        for x, weight in _exp_sinh_nodes(wp, level, h, direction):
-            term = weight * sample(x)
-            partial += term
-            if abs(term) <= eps * (1 + abs(partial)):
-                small_run += 1
-                if small_run >= 3:
+        tolerance = mp.mpf(tol)
+        sums: list = []
+        deltas: list = []
+        estimate = mp.inf
+        converged = False
+        for level in range(max_level + 1):
+            h = mp.ldexp(1, -level)
+            partial = mp.mpf(0)
+            for t_hi, t_lo, weight in _unit_nodes(wp, level):
+                partial += weight * sample(t_hi)
+                if t_lo is not None:
+                    partial += weight * sample(t_lo)
+            sums.append(partial * h if level == 0 else sums[-1] / 2 + partial * h)
+            if level >= 1:
+                deltas.append(abs(sums[-1] - sums[-2]))
+                estimate = _estimate_error(sums, wp)
+                if level >= 2 and estimate <= tolerance:
+                    converged = True
                     break
-            else:
-                small_run = 0
-    return partial
-
-
-def integrate_semi_inf(
-    f: Callable,
-    tol,
-    precision: int,
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> QuadResult:
-    """Exp-sinh integration of f over (0, inf).
-
-    Requires exponential decay at infinity and at worst an integrable
-    logarithmic-power blowup at 0.  Each direction of each level extends
-    until several consecutive terms fall below the working epsilon, with a
-    hard cap on the transform variable; truncation is therefore adaptive but
-    still deterministic for identical inputs.
-    """
-    return _integrate(_exp_sinh_level, f, tol, precision, max_level)
+        with mp.workprec(precision):
+            value = +sums[-1]
+            estimate = +estimate
+            deltas = tuple(+d for d in deltas)
+    return QuadResult(
+        value=value,
+        error_estimate=estimate,
+        evaluations=evaluations,
+        levels=level,
+        converged=converged,
+        deltas=deltas,
+    )

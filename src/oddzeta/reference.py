@@ -281,7 +281,8 @@ def pole_cancellation_check(z, precision: int):
         (pi/2) cot(pi (1-z)) + (pi/2) (integral_0^1 tan(pi t/2) w_{-1}(t) dt) / z
 
     must stay bounded as z -> 0 because the two poles cancel; evaluating it at
-    small z confirms the bookkeeping numerically.
+    small z confirms the bookkeeping numerically.  Raises NoConvergence when
+    the integral misses its tolerance.
     """
     wp = quad.working_precision(precision)
     with mp.workprec(wp):
@@ -296,6 +297,7 @@ def pole_cancellation_check(z, precision: int):
             return tan_half[t] * (v_pole * u_0(t))
 
         result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
+        result.require_converged(f"pole cancellation integral at z = {mp.nstr(zv, 8)}")
         value = mp.pi / 2 * mp.cot(mp.pi * (1 - zv)) + mp.pi / 2 * result.value / zv
     with mp.workprec(precision):
         return +value

@@ -19,17 +19,13 @@ def rng():
 
 @pytest.fixture
 def cap_levels(monkeypatch):
-    """Make ``quad.<name>`` stop after level 1, so no integral through it converges."""
+    """Make ``quad.integrate_01`` stop after level 1, so no integral converges."""
+    real = quad.integrate_01
 
-    def cap(name):
-        real = getattr(quad, name)
+    def capped(f, tol, precision, max_level=quad.DEFAULT_MAX_LEVEL):
+        return real(f, tol, precision, max_level=1)
 
-        def capped(f, tol, precision, max_level=quad.DEFAULT_MAX_LEVEL):
-            return real(f, tol, precision, max_level=1)
-
-        monkeypatch.setattr(quad, name, capped)
-
-    return cap
+    monkeypatch.setattr(quad, "integrate_01", capped)
 
 
 @pytest.fixture

@@ -267,24 +267,23 @@ class TestGammaDeriv:
 class TestNoConvergence:
     # each integral stops after level 1: a bare-valued route must not exit 0
     @pytest.mark.parametrize(
-        "argv,integrator,what",
+        "argv,what",
         [
-            (["digamma", "--z", "0.3"], "integrate_01", "Mikolas digamma integral at z = 0.3"),
-            (["gammaderiv", "--n", "4"], "integrate_semi_inf", "Gamma^(4)(1.0) integral"),
+            (["digamma", "--z", "0.3"], "Mikolas digamma integral at z = 0.3"),
+            (["gammaderiv", "--n", "4"], "Gamma^(4)(1.0) integral"),
         ],
         ids=["digamma", "gammaderiv"],
     )
-    def test_exit_2_with_one_error_line(self, argv, integrator, what, capsys, cap_levels):
-        cap_levels(integrator)
+    @pytest.mark.usefixtures("cap_levels")
+    def test_exit_2_with_one_error_line(self, argv, what, capsys):
         code, out, err = run([*argv, "--digits", "20"], capsys)
         assert code == EXIT_NO_CONVERGENCE
         assert out == ""
         assert err.startswith(f"error: {what} did not converge: error estimate ")
         assert err.endswith(" after level 1\n") and err.count("\n") == 1
 
-    def test_verify_names_the_integral(self, capsys, cap_levels):
-        cap_levels("integrate_01")
-        cap_levels("integrate_semi_inf")
+    @pytest.mark.usefixtures("cap_levels")
+    def test_verify_names_the_integral(self, capsys):
         code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)
         assert code == EXIT_VERIFY_FAILED
         rows = {}

@@ -12,6 +12,7 @@ from oddzeta.gammaderiv import (
     gamma_nth_derivative_at_1,
     gamma_nth_derivative_numeric,
 )
+from oddzeta.quad import quad_tolerance
 from oddzeta.reference import euler_gamma, zeta_ref
 
 # independently computed anchors (Bell recurrence by hand for the structure,
@@ -112,9 +113,12 @@ class TestNumericIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_nth_derivative_numeric(1, 0, 96)
+        # the s^(z-1) end of the mapped integral would lose about half the digits
+        with pytest.raises(DomainError, match="z >= 1"):
+            gamma_nth_derivative_numeric(1, mp.mpf(1) / 2, 96)
 
-    def test_no_convergence_raises(self, cap_levels):
-        cap_levels("integrate_semi_inf")
+    @pytest.mark.usefixtures("cap_levels")
+    def test_no_convergence_raises(self):
         with pytest.raises(NoConvergence) as excinfo:
             gamma_nth_derivative_numeric(4, 1, 96)
         message = str(excinfo.value)
@@ -128,3 +132,12 @@ class TestNumericIntegral:
         numeric = gamma_nth_derivative_numeric(n, 1, precision)
         with mp.workprec(precision + 16):
             assert abs(exact - numeric) < mp.mpf(10) ** -20
+
+    def test_high_order_at_the_log_singular_end(self):
+        # (log t)^12 peaks at the t = 0 end; the part of it below the smallest
+        # abscissa must stay inside verify's Bell-comparison bound
+        precision = 231  # 50 digits, as the CLI sets it
+        exact = gamma_nth_derivative_at_1(12, precision)
+        numeric = gamma_nth_derivative_numeric(12, 1, precision)
+        with mp.workprec(precision):
+            assert abs(exact - numeric) <= 10 * quad_tolerance(precision) * abs(exact)

@@ -7,7 +7,7 @@ from oddzeta import quad
 from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
 from oddzeta.pipoly import poly_evaluator
-from oddzeta.quad import integrate_01, integrate_semi_inf, working_precision
+from oddzeta.quad import integrate_01, working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
 
 TOL30 = mp.mpf(10) ** -30
@@ -87,60 +87,51 @@ class TestUnitInterval:
         assert first == second
 
 
+# Integrals over (0, inf) reach (0, 1) by a change of variable; the mapped
+# integrands keep an integrable logarithmic singularity at s = 1, or decay
+# like exp(-1/(1 - s)) there.
+def log_map(g):
+    """g(x) e^{-x} dx with e^{-x} = 1 - s, so x = -log(1 - s) and ds = e^{-x} dx."""
+    return lambda s: g(-mp.log1p(-s))
+
+
 class TestSemiInfinite:
     def test_gamma_one(self):
-        result = integrate_semi_inf(lambda x: mp.exp(-x), TOL30, 128)
+        # x = s / (1 - s), dx = ds / (1 - s)^2
+        result = integrate_01(lambda s: mp.exp(-s / (1 - s)) / (1 - s) ** 2, TOL30, 128)
         assert result.converged
         assert abs(result.value - 1) < 10 * TOL30
 
     def test_gamma_two(self):
-        result = integrate_semi_inf(lambda x: x * mp.exp(-x), TOL30, 128)
+        result = integrate_01(log_map(lambda x: x), TOL30, 128)
         assert result.converged
         assert abs(result.value - 1) < 10 * TOL30
 
     def test_log_weight_gives_euler_gamma(self):
         precision = 128
-        result = integrate_semi_inf(
-            lambda x: mp.exp(-x) * mp.log(x), mp.mpf(10) ** -25, precision
-        )
+        result = integrate_01(log_map(mp.log), mp.mpf(10) ** -25, precision)
         gamma = euler_gamma(precision)
         with mp.workprec(precision + 16):
             assert result.converged
             assert abs(result.value + gamma) < mp.mpf(10) ** -25
 
     def test_determinism(self):
-        first = integrate_semi_inf(lambda x: mp.exp(-x) * mp.log(x) ** 2, TOL30, 128)
-        second = integrate_semi_inf(lambda x: mp.exp(-x) * mp.log(x) ** 2, TOL30, 128)
+        first = integrate_01(log_map(lambda x: mp.log(x) ** 2), TOL30, 128)
+        second = integrate_01(log_map(lambda x: mp.log(x) ** 2), TOL30, 128)
         assert first == second
 
 
-# Both transforms run through one level driver; its error modes hold for each.
-BOTH = pytest.mark.parametrize(
-    "integrate", [integrate_01, integrate_semi_inf], ids=lambda f: f.__name__
-)
-
-
-class TestSharedDriver:
-    @BOTH
-    def test_non_finite_sample(self, integrate):
+class TestErrorModes:
+    def test_non_finite_sample(self):
         with pytest.raises(NonFiniteSample):
-            integrate(lambda t: mp.inf, TOL30, 64)
+            integrate_01(lambda t: mp.inf, TOL30, 64)
 
-    @BOTH
-    def test_nan_sample(self, integrate):
+    def test_nan_sample(self):
         with pytest.raises(NonFiniteSample):
-            integrate(lambda t: mp.nan, TOL30, 64)
+            integrate_01(lambda t: mp.nan, TOL30, 64)
 
-    @pytest.mark.parametrize(
-        "integrate,f",
-        [
-            (integrate_01, zeta3_integrand(256)),
-            (integrate_semi_inf, lambda x: mp.exp(-x) * mp.log(x)),
-        ],
-        ids=["integrate_01", "integrate_semi_inf"],
-    )
-    def test_no_convergence_reports_honestly(self, integrate, f):
-        result = integrate(f, mp.mpf(10) ** -70, 256, max_level=3)
+    def test_no_convergence_reports_honestly(self):
+        result = integrate_01(zeta3_integrand(256), mp.mpf(10) ** -70, 256, max_level=3)
         assert not result.converged
         assert result.error_estimate > mp.mpf(10) ** -70
         assert result.levels == 3
@@ -168,20 +159,6 @@ def closed_form_unit_nodes(wp, level):
     return nodes
 
 
-def closed_form_exp_sinh_nodes(wp, level, direction):
-    h = mp.ldexp(1, -level)
-    with mp.workprec(wp):
-        cap = int(mp.floor(mp.asinh(8 * wp * mp.log(2) / mp.pi) / h))
-    first = 0 if level == 0 and direction == 1 else 1
-    nodes = []
-    with mp.workprec(wp + 64):
-        for j in range(first, cap + 1, 1 if level == 0 else 2):
-            u = direction * j * h
-            x = mp.exp(mp.pi / 2 * mp.sinh(u))
-            nodes.append((x, mp.pi / 2 * mp.cosh(u) * x))
-    return nodes
-
-
 def assert_nodes_close(got, want, wp):
     assert len(got) == len(want)
     with mp.workprec(wp + 64):
@@ -199,20 +176,10 @@ class TestSteppedNodes:
             got = quad._unit_nodes(wp, level)
             assert_nodes_close(got, closed_form_unit_nodes(wp, level), wp)
 
-    # at 2629 bits a full exp-sinh level runs to u = 9.1, so levels 0-4 there
-    @pytest.mark.parametrize("wp,levels", [(80, LEVELS), (400, LEVELS), (2629, range(5))])
-    def test_exp_sinh_nodes_match_closed_form(self, wp, levels):
-        for level in levels:
-            h = mp.ldexp(1, -level)
-            for direction in (1, -1):
-                got = list(quad._exp_sinh_nodes(wp, level, h, direction))
-                assert_nodes_close(got, closed_form_exp_sinh_nodes(wp, level, direction), wp)
-
     def test_build_restores_precision(self):
         before = mp.mp.prec
         quad._tables.cache_clear()
         quad._unit_nodes(96, 3)
-        list(quad._exp_sinh_nodes(96, 2, mp.mpf(1) / 4, -1))
         assert mp.mp.prec == before
 
 

@@ -142,8 +142,8 @@ class TestMikolasIntegral:
         with pytest.raises(DomainError):
             digamma_mikolas(mp.mpf("1.5"), 96)
 
-    def test_no_convergence_raises(self, cap_levels):
-        cap_levels("integrate_01")
+    @pytest.mark.usefixtures("cap_levels")
+    def test_no_convergence_raises(self):
         with pytest.raises(NoConvergence) as excinfo:
             digamma_mikolas(mp.mpf(3) / 10, 96)
         message = str(excinfo.value)
@@ -177,6 +177,14 @@ class TestSeriesBookkeeping:
         assert abs(v1) < mp.mpf("0.05")
         assert abs(v2) < mp.mpf("0.005")
         assert abs(v2) < abs(v1) / 5
+
+    @pytest.mark.usefixtures("cap_levels")
+    def test_pole_cancellation_no_convergence_raises(self):
+        with pytest.raises(NoConvergence) as excinfo:
+            pole_cancellation_check(mp.mpf("0.01"), 96)
+        message = str(excinfo.value)
+        assert "pole cancellation integral at z = 0.01 did not converge" in message
+        assert message.endswith("after level 1")
 
 
 class TestPrecisionContext:

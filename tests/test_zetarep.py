@@ -1,5 +1,6 @@
 """The four zeta representations, the even closed form, and the moment identity."""
 
+import functools
 import inspect
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from oddzeta import exactnum, expansion, quad, reference, zetarep
 from oddzeta.errors import DomainError, IdentityViolation, LemmaViolation
+from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.quad import integrate_01, working_precision
 from oddzeta.reference import zeta_ref
@@ -220,10 +222,14 @@ def test_per_precision_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("rep", list(Representation), ids=lambda rep: rep.value)
-def test_integrand_takes_one_positional_argument(rep, handed_integrands):
-    # tracing wraps the integrand that zeta_odd hands to integrate_01 as integrand(t)
-    zeta_odd(2, rep, 96)
+ROUTES = {rep.value: functools.partial(zeta_odd, 2, rep, 96) for rep in Representation}
+ROUTES["gammaderiv"] = functools.partial(gamma_nth_derivative_numeric, 2, 1, 96)
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=list(ROUTES))
+def test_integrand_takes_one_positional_argument(route, handed_integrands):
+    # tracing wraps the integrand that each route hands to integrate_01 as integrand(t)
+    route()
     (integrand,) = handed_integrands
     (param,) = inspect.signature(integrand).parameters.values()
     assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
