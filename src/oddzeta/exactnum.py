@@ -1,7 +1,7 @@
 """Exact integer and rational combinatorics.
 
-Bernoulli numbers (convention B_1 = -1/2), Euler numbers and harmonic numbers
-as exact ``fractions.Fraction`` values; Bernoulli and Euler polynomials as
+Bernoulli numbers (convention B_1 = -1/2) and Euler numbers as exact
+``fractions.Fraction`` and integer values; Bernoulli and Euler polynomials as
 :class:`~oddzeta.pipoly.PiPoly` values at pi^0.
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
@@ -20,7 +20,6 @@ an independent check (see the test suite).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -33,7 +32,6 @@ __all__ = [
     "bernoulli_polynomial",
     "euler_number",
     "euler_polynomial",
-    "harmonic",
     "clear_caches",
 ]
 
@@ -117,22 +115,6 @@ def euler_polynomial(n: int) -> PiPoly:
     return PiPoly(terms())
 
 
-_harmonic_values: list[Fraction] = [Fraction(0)]
-_harmonic_lock = threading.Lock()
-
-
-def harmonic(m: int) -> Fraction:
-    """Harmonic number H_m = 1 + 1/2 + ... + 1/m as an exact rational; H_0 = 0."""
-    if m < 0:
-        raise DomainError("harmonic index must be >= 0")
-    if m >= len(_harmonic_values):
-        with _harmonic_lock:
-            while len(_harmonic_values) <= m:
-                k = len(_harmonic_values)
-                _harmonic_values.append(_harmonic_values[-1] + Fraction(1, k))
-    return _harmonic_values[m]
-
-
 # the cached functions as defined, so clearing still works after a test has
 # replaced one of the module attributes
 _CACHED = (_entringer_row, bernoulli_number, euler_number, bernoulli_polynomial, euler_polynomial)
@@ -142,5 +124,3 @@ def clear_caches() -> None:
     """Drop all memoized values (test hook)."""
     for cached in _CACHED:
         cached.cache_clear()
-    with _harmonic_lock:
-        del _harmonic_values[1:]

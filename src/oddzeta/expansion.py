@@ -12,8 +12,9 @@ Everything here is exact.  With z the expansion variable about 0:
   w_p = sum_j v_j u_{p-j} over j in {-1, 1, 3, ...}.  Even indices give
   pure-cosine values, odd give pure-sine ones.  The product also has a
   p = -1 term, v_{-1} u_0 = pi^{-1} sin(pi t); it is a pi-Laurent scalar times
-  a trig polynomial, not a PiPoly, never enters the closed form, and is built
-  where it cancels the cotangent pole (``reference.pole_cancellation_check``).
+  a trig polynomial, not a PiPoly, and never enters the closed form; the
+  check that it cancels the cotangent pole lives with the tests
+  (``tests/oracles.py``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
   built independently from the closed form (odd-n Bernoulli sum plus three
   alpha tail terms) and checked equal to the Cauchy-product coefficient.

@@ -1,21 +1,21 @@
 """Derivatives of the Gamma function at integer points.
 
-Three routes that must agree:
+Two routes that must agree:
 
-* exact:    Gamma'(m+1) = m! (H_m - gamma), held as the rational pair
-            (m! H_m, -m!) so gamma stays symbolic until realization;
 * Bell:     Gamma^(n)(1) = (-1)^n B_n(gamma, 1! zeta(2), ..., (n-1)! zeta(n))
             with B_n the complete exponential Bell polynomial;
 * integral: Gamma^(n)(z) = integral_0^inf t^{z-1} e^{-t} (log t)^n dt
             for z >= 1, mapped onto (0,1) by e^{-t} = 1 - r^2 and evaluated
             by the library's tanh-sinh rule, which takes the integrable
             log(log) singularity left at r = 1 without splitting.
+
+The exact first derivative Gamma'(m+1) = m! (H_m - gamma), a third check on
+the integral route, has no production caller and lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
@@ -23,44 +23,12 @@ import mpmath as mp
 
 from . import quad, reference
 from .errors import ArityError, DomainError
-from .exactnum import harmonic
 
 __all__ = [
-    "GammaDerivExact",
-    "gamma_first_derivative",
     "bell_complete",
     "gamma_nth_derivative_at_1",
     "gamma_nth_derivative_numeric",
 ]
-
-
-@dataclass(frozen=True)
-class GammaDerivExact:
-    """Gamma'(m+1) as rational_part + gamma_coefficient * gamma."""
-
-    m: int
-    rational_part: Fraction
-    gamma_coefficient: Fraction
-
-    def value(self, precision: int):
-        """Numeric realization at ``precision`` bits."""
-        gamma = reference.euler_gamma(precision)
-        with mp.workprec(precision):
-            rational = mp.mpf(self.rational_part.numerator) / self.rational_part.denominator
-            coeff = mp.mpf(self.gamma_coefficient.numerator) / self.gamma_coefficient.denominator
-            return rational + coeff * gamma
-
-
-def gamma_first_derivative(m: int) -> GammaDerivExact:
-    """Exact Gamma'(m+1) = m! H_m - m! gamma."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    fact = factorial(m)
-    return GammaDerivExact(
-        m=m,
-        rational_part=fact * harmonic(m),
-        gamma_coefficient=Fraction(-fact),
-    )
 
 
 def bell_complete(n: int, x: Sequence):

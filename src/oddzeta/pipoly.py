@@ -10,14 +10,12 @@ only key validation and how two keys combine in a product.  Powers of pi stay
 symbolic through every algebraic operation; nothing is rounded until an
 explicit numeric evaluation at a stated bit precision.
 
-The module also provides the exact sine moments
-
-    I_k = integral_0^1 t^k sin(pi t) dt
-
-as pi-Laurent values, which is what makes zero-tolerance verification of the
--1/pi moment identity possible in pure rational arithmetic.  Every text form
-of a polynomial (:func:`to_text`, :func:`to_latex`, the CLI's factored form)
-is one signed-term walk, :func:`join_terms`.
+The module also integrates a PiPoly against sin(pi t) over (0,1) exactly, as
+a finite sum of end-point derivatives (:func:`integrate_against_sin`), which
+is what makes zero-tolerance verification of the -1/pi moment identity
+possible in pure rational arithmetic.  Every text form of a polynomial
+(:func:`to_text`, :func:`to_latex`, the CLI's factored form) is one
+signed-term walk, :func:`join_terms`.
 
 Negative pi-exponents are confined to :class:`PiLaurent`: every way of
 building a :class:`PiPoly` rejects them with
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
@@ -44,9 +41,7 @@ __all__ = [
     "TrigPoly",
     "poly_scale",
     "poly_evaluator",
-    "trig_evaluator",
     "laurent_eval",
-    "sin_moment",
     "integrate_against_sin",
     "to_json_terms",
     "from_json_terms",
@@ -271,17 +266,6 @@ def poly_evaluator(a: PiPoly, precision: int) -> Callable:
     return evaluate
 
 
-def trig_evaluator(tp: TrigPoly, precision: int) -> Callable:
-    """Evaluator for sin_part(t) sin(pi t) + cos_part(t) cos(pi t)."""
-    s_eval = poly_evaluator(tp.sin_part, precision)
-    c_eval = poly_evaluator(tp.cos_part, precision)
-
-    def evaluate(t):
-        return s_eval(t) * mp.sin(mp.pi * t) + c_eval(t) * mp.cos(mp.pi * t)
-
-    return evaluate
-
-
 def laurent_eval(a: PiLaurent, precision: int):
     """Numeric value of a pi-Laurent scalar at ``precision`` bits.
 
@@ -304,41 +288,30 @@ def laurent_eval(a: PiLaurent, precision: int):
 
 
 # ---------------------------------------------------------------------------
-# exact sine moments
+# the sine lemma by parts
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def sin_moment(k: int) -> PiLaurent:
-    """Exact I_k = integral_0^1 t^k sin(pi t) dt as a pi-Laurent value.
-
-    Two integrations by parts give the recurrence
-
-        I_0 = 2/pi,  I_1 = 1/pi,  I_k = 1/pi - k(k-1)/pi^2 * I_{k-2},
-
-    using sin(0) = sin(pi) = 0 for the boundary terms.  The recurrence is
-    validated against adaptive quadrature in the test suite before anything
-    downstream relies on it.
-    """
-    if k < 0:
-        raise DomainError("sine moment index must be >= 0")
-    if k == 0:
-        return PiLaurent.monomial(-1, 2)
-    inv_pi = PiLaurent.monomial(-1)
-    if k == 1:
-        return inv_pi
-    # iterative to keep the recursion depth flat for large k
-    prev = sin_moment(k % 2)
-    for m in range(k % 2 + 2, k + 1, 2):
-        prev = inv_pi + prev.shifted(-2) * Fraction(-m * (m - 1))
-    return prev
-
-
 def integrate_against_sin(a: PiPoly) -> PiLaurent:
-    """Exact integral_0^1 a(t) sin(pi t) dt via the sine moments."""
-    total = PiLaurent.zero()
-    for (i, j), c in sorted(a.as_dict().items()):
-        total = total + sin_moment(i).shifted(j) * c
-    return total
+    """Exact integral_0^1 a(t) sin(pi t) dt, integrating by parts twice per step.
+
+    sin(pi t) vanishes at both ends and cos(pi t) is 1 at t = 0 and -1 at
+    t = 1, so the integral is the finite end-point sum
+
+        sum_k (-1)^k [a^(2k)(0) + a^(2k)(1)] / pi^(2k+1).
+
+    For a term c t^i pi^j, a^(2k)(1) = c i(i-1)...(i-2k+1) pi^j; a^(2k)(0) is
+    the same number when 2k = i and zero otherwise, so that term counts twice.
+    The sums run over integer numerators on the common denominator of a.
+    """
+    den = lcm(*(c.denominator for c in a._terms.values()))
+    sums: dict[int, int] = {}
+    for (i, j), c in a._terms.items():
+        f = c.numerator * (den // c.denominator)
+        for k in range(i // 2 + 1):
+            e = j - 2 * k - 1
+            sums[e] = sums.get(e, 0) + (f if 2 * k < i else 2 * f)
+            f = -f * (i - 2 * k) * (i - 2 * k - 1)
+    return PiLaurent({e: Fraction(n, den) for e, n in sums.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Independent high-precision oracles: zeta, gamma constant, digamma.
 
 Nothing in here trusts a stored decimal literal.  Every constant is computed
-at the requested bit precision by a documented algorithm, and each of the
-headline quantities has a second, algorithmically independent route used by
-the self-tests:
+at the requested bit precision by a documented algorithm, and each headline
+quantity is checked against a second, algorithmically independent route.
+Where that second route has no production caller it lives with the tests
+(``tests/oracles.py``), not here:
 
-* ``zeta_euler_maclaurin``  partial sum plus tail integral plus Bernoulli
-  corrections; the production path behind :func:`zeta_ref`.
-* ``zeta_borwein``          alternating (eta) series accelerated with the
-  Chebyshev-weight integers d_k of Borwein's algorithm.
-* ``euler_gamma``           Brent-McMillan Bessel ratio, gamma =
+* ``zeta_ref``         partial sum plus tail integral plus Bernoulli
+  corrections (Euler-Maclaurin); the tests hold it to Borwein's accelerated
+  eta series for s up to 25.
+* ``euler_gamma``      Brent-McMillan Bessel ratio, gamma =
   S(n)/V(n) - log n with error O(e^{-4n}); cross-checked against the
   harmonic-shift route -digamma_ref(1).
-* ``digamma_ref``           upward recurrence past a precision-dependent
+* ``digamma_ref``      upward recurrence past a precision-dependent
   threshold, then the Bernoulli asymptotic series.
-* ``digamma_mikolas``       the cotangent-plus-integral representation of
+* ``digamma_mikolas``  the cotangent-plus-integral representation of
   Mikolas (1957), evaluated by tanh-sinh quadrature; tan(pi t/2) is read
   from the node tables' tangent map (:func:`quad.tan_half`).
 """
@@ -27,20 +27,15 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from . import expansion, quad
+from . import quad
 from .errors import DomainError
 from .exactnum import bernoulli_number
-from .pipoly import laurent_eval, trig_evaluator
 
 __all__ = [
     "zeta_ref",
-    "zeta_euler_maclaurin",
-    "zeta_borwein",
     "euler_gamma",
     "digamma_ref",
     "digamma_mikolas",
-    "dl_series_check",
-    "pole_cancellation_check",
 ]
 
 
@@ -58,14 +53,17 @@ def _as_mpf(x):
 # zeta
 # ---------------------------------------------------------------------------
 
-def zeta_euler_maclaurin(s: int, precision: int):
-    """zeta(s) for integer s >= 2 by Euler-Maclaurin summation.
+@lru_cache(maxsize=64)
+def zeta_ref(s: int, precision: int):
+    """Reference zeta(s) for integer s >= 2 by Euler-Maclaurin summation.
 
     sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
         + sum_j B_{2j}/(2j)! (s)_{2j-1} N^{-s-2j+1},
 
     with N about 0.7 times the working precision in bits and correction terms
-    added until they fall below the working epsilon.
+    added until they fall below the working epsilon.  The test suite's
+    Borwein route must agree to full precision for s up to 25, so no decimal
+    value is ever taken on faith.
     """
     if s < 2:
         raise DomainError("zeta oracle needs integer s >= 2")
@@ -96,48 +94,6 @@ def zeta_euler_maclaurin(s: int, precision: int):
         result = acc
     with mp.workprec(precision):
         return +result
-
-
-def zeta_borwein(s: int, precision: int):
-    """zeta(s) via the eta function and Borwein's alternating-series weights.
-
-    eta(s) is summed with the exact integer weights
-        d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!),
-    giving error about (3 + sqrt 8)^-n, then zeta = eta / (1 - 2^{1-s}).
-    """
-    if s < 2:
-        raise DomainError("zeta oracle needs integer s >= 2")
-    wp = quad.working_precision(precision)
-    with mp.workprec(wp):
-        n = int(wp * math.log(2) / math.log(3 + math.sqrt(8))) + 8
-        term = Fraction(1, n)  # (n-1)!/n!
-        partial = Fraction(0)
-        d = []
-        for i in range(n + 1):
-            if i:
-                term *= Fraction(4 * (n + i - 1) * (n - i + 1), 2 * i * (2 * i - 1))
-            partial += term
-            d.append(n * partial)
-        d_last = d[n]
-        total = mp.mpf(0)
-        for k in range(n):
-            weight = d[k] - d_last
-            value = _fraction_to_mpf(weight) / mp.mpf(k + 1) ** s
-            total += value if k % 2 == 0 else -value
-        eta = -total / _fraction_to_mpf(d_last)
-        result = eta / (1 - mp.ldexp(1, 1 - s))
-    with mp.workprec(precision):
-        return +result
-
-
-@lru_cache(maxsize=64)
-def zeta_ref(s: int, precision: int):
-    """Reference zeta(s) for integer s >= 2 (Euler-Maclaurin route).
-
-    The Borwein route must agree to full precision; the test suite enforces
-    that for s up to 25 so no decimal value is ever taken on faith.
-    """
-    return zeta_euler_maclaurin(s, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -241,63 +197,5 @@ def digamma_mikolas(z, precision: int):
             + mp.pi / 2 * mp.cot(mp.pi * zv)
             + mp.pi / 2 * result.value
         )
-    with mp.workprec(precision):
-        return +value
-
-
-# ---------------------------------------------------------------------------
-# series bookkeeping checks
-# ---------------------------------------------------------------------------
-
-def dl_series_check(z, terms: int, precision: int):
-    """Residual of -psi(1-z) - gamma against sum_{k=2}^{terms} zeta(k) z^{k-1}.
-
-    The residual is the omitted tail sum_{k>terms} zeta(k) z^{k-1}, so it must
-    shrink like z^terms; callers exercise that at several (z, terms) pairs.
-    """
-    if terms < 2:
-        raise DomainError("need at least the k = 2 term")
-    wp = quad.working_precision(precision)
-    with mp.workprec(wp):
-        zv = _as_mpf(z)
-        if not (0 < zv < 1):
-            raise DomainError("series comparison needs 0 < z < 1")
-        left = -digamma_ref(1 - zv, wp) - euler_gamma(wp)
-        partial = mp.mpf(0)
-        for k in range(2, terms + 1):
-            partial += zeta_ref(k, wp) * zv ** (k - 1)
-        residual = left - partial
-    with mp.workprec(precision):
-        return +residual
-
-
-def pole_cancellation_check(z, precision: int):
-    """Bounded combination of the cotangent pole and the omitted Laurent term.
-
-    The z-expansion of the integral representation hides a 1/z term coming
-    from w_{-1}(t) = v_{-1} u_0(t) = pi^{-1} sin(pi t), the csc pole
-    coefficient times the first sine-series coefficient.  The function
-
-        (pi/2) cot(pi (1-z)) + (pi/2) (integral_0^1 tan(pi t/2) w_{-1}(t) dt) / z
-
-    must stay bounded as z -> 0 because the two poles cancel; evaluating it at
-    small z confirms the bookkeeping numerically.  Raises NoConvergence when
-    the integral misses its tolerance.
-    """
-    wp = quad.working_precision(precision)
-    with mp.workprec(wp):
-        zv = _as_mpf(z)
-        if not (0 < zv < 1):
-            raise DomainError("pole check needs 0 < z < 1")
-        v_pole = laurent_eval(expansion.csc_coefficient(-1), wp)
-        u_0 = trig_evaluator(expansion.u_coeff(0), wp)
-        tan_half = quad.tan_half(wp)
-
-        def integrand(t):
-            return tan_half[t] * (v_pole * u_0(t))
-
-        result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
-        result.require_converged(f"pole cancellation integral at z = {mp.nstr(zv, 8)}")
-        value = mp.pi / 2 * mp.cot(mp.pi * (1 - zv)) + mp.pi / 2 * result.value / zv
     with mp.workprec(precision):
         return +value

@@ -9,13 +9,8 @@ import pytest
 from oddzeta import exactnum
 from oddzeta.errors import DomainError
 from oddzeta.pipoly import PiLaurent, PiPoly
-from oddzeta.exactnum import (
-    bernoulli_number,
-    bernoulli_polynomial,
-    euler_number,
-    euler_polynomial,
-    harmonic,
-)
+from oddzeta.exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
+from oracles import harmonic
 
 
 def poly_shift(poly: PiPoly, offset: Fraction) -> dict:

@@ -9,7 +9,8 @@ import pytest
 from oddzeta import expansion
 from oddzeta.errors import DomainError
 from oddzeta.expansion import alpha_term, csc_coefficient, p_poly, u_coeff, w_coeff
-from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale, trig_evaluator
+from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale
+from oracles import trig_evaluator
 
 
 def sine_series_coefficient(m: int) -> PiLaurent:

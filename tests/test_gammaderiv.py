@@ -8,12 +8,12 @@ import pytest
 from oddzeta.errors import ArityError, DomainError, NoConvergence
 from oddzeta.gammaderiv import (
     bell_complete,
-    gamma_first_derivative,
     gamma_nth_derivative_at_1,
     gamma_nth_derivative_numeric,
 )
 from oddzeta.quad import quad_tolerance
 from oddzeta.reference import euler_gamma, zeta_ref
+from oracles import gamma_first_derivative
 
 # independently computed anchors (Bell recurrence by hand for the structure,
 # the decimal values pinned by the integral oracle during development)

@@ -15,11 +15,11 @@ from oddzeta.pipoly import (
     laurent_eval,
     poly_evaluator,
     poly_scale,
-    sin_moment,
     to_json_terms,
     to_latex,
 )
 from oddzeta.quad import integrate_01, working_precision
+from oracles import sin_moment
 
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
@@ -184,6 +184,21 @@ class TestSineMoments:
     def test_integrate_weight_polynomial(self):
         # pi^2/6 (I_3 - I_1) = -1/pi
         assert integrate_against_sin(P2) == PiLaurent.monomial(-1, -1)
+
+    @pytest.mark.parametrize("family", ["monomials", "random", "p_poly"])
+    def test_by_parts_matches_moments(self, family, rng):
+        # the end-point sum against the independent sine-moment recurrence
+        if family == "monomials":
+            polys = [PiPoly.monomial(k, j, Fraction(-3, 7)) for k in range(41) for j in (0, 1, 4)]
+        elif family == "random":
+            polys = [random_poly(rng, max_terms=6, max_exp=40) for _ in range(40)]
+        else:
+            polys = [p_poly(p) for p in range(1, 25)]
+        for poly in polys:
+            by_moments = PiLaurent.zero()
+            for (i, j), c in poly.as_dict().items():
+                by_moments = by_moments + sin_moment(i).shifted(j) * c
+            assert integrate_against_sin(poly) == by_moments, poly
 
     def test_linearity_random(self, rng):
         for _ in range(20):
