@@ -33,12 +33,8 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
-_REP_FLAGS = {
-    "theorem": Representation.THEOREM,
-    "corollary": Representation.COROLLARY,
-    "ck-euler": Representation.CK_EULER,
-    "ck-bernoulli": Representation.CK_BERNOULLI,
-}
+# --rep spells each representation with hyphens: ck_euler -> ck-euler
+_REP_FLAGS = {rep.value.replace("_", "-"): rep for rep in Representation}
 
 # Factored display forms for p <= 5, transcribed as (prefactor, pi_exp,
 # factor polynomials in t).  cmd_poly re-expands each one and refuses to
@@ -172,13 +168,14 @@ def _verify_checks(max_p: int, digits: int):
         # p_poly raises unless its closed form equals the Cauchy product, but both
         # read csc_coefficient; csc(pi z) sin(pi z) = 1 needs only those
         # coefficients and factorials, so it catches a corrupted Bernoulli number
+        def sine(j):  # coefficient of z^j, j odd, in sin(pi z)
+            return PiLaurent.monomial(j, Fraction((-1) ** (j // 2), math.factorial(j)))
+
         for p in range(1, max_p + 1):
             expansion.p_poly(p)
-            coeff = PiLaurent.zero()
-            for k in range(-1, 2 * p, 2):
-                j = 2 * p - k  # odd order of the sine series
-                sine = PiLaurent.monomial(j, Fraction((-1) ** (j // 2), math.factorial(j)))
-                coeff = coeff + expansion.csc_coefficient(k) * sine
+            coeff = PiLaurent.sum(
+                expansion.csc_coefficient(k) * sine(2 * p - k) for k in range(-1, 2 * p, 2)
+            )
             if not coeff.is_zero():
                 raise OddzetaError(f"csc(pi z) sin(pi z) has z^{2 * p} coefficient {coeff!r}, not 0")
         return f"closed form == Cauchy product, p <= {max_p}"

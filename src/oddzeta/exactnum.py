@@ -32,7 +32,6 @@ __all__ = [
     "bernoulli_polynomial",
     "euler_number",
     "euler_polynomial",
-    "clear_caches",
 ]
 
 
@@ -76,7 +75,6 @@ def bernoulli_number(n: int) -> Fraction:
     return Fraction(sign * n * tangent, (1 << n) * ((1 << n) - 1))
 
 
-@lru_cache(maxsize=None)
 def euler_number(n: int) -> int:
     """Euler (secant) number E_n; E_0 = 1, E_2 = -1, E_4 = 5, odd ones vanish."""
     if n < 0:
@@ -87,7 +85,6 @@ def euler_number(n: int) -> int:
     return sign * _zigzag(n)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_polynomial(n: int) -> PiPoly:
     """Bernoulli polynomial B_n(t) = sum_k C(n,k) B_{n-k} t^k."""
     if n < 0:
@@ -95,7 +92,6 @@ def bernoulli_polynomial(n: int) -> PiPoly:
     return PiPoly(((k, 0), comb(n, k) * bernoulli_number(n - k)) for k in range(n + 1))
 
 
-@lru_cache(maxsize=None)
 def euler_polynomial(n: int) -> PiPoly:
     """Euler polynomial E_n(t), built from the midpoint values E_k / 2^k.
 
@@ -114,13 +110,3 @@ def euler_polynomial(n: int) -> PiPoly:
 
     return PiPoly(terms())
 
-
-# the cached functions as defined, so clearing still works after a test has
-# replaced one of the module attributes
-_CACHED = (_entringer_row, bernoulli_number, euler_number, bernoulli_polynomial, euler_polynomial)
-
-
-def clear_caches() -> None:
-    """Drop all memoized values (test hook)."""
-    for cached in _CACHED:
-        cached.cache_clear()

@@ -18,6 +18,10 @@ Everything here is exact.  With z the expansion variable about 0:
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
   built independently from the closed form (odd-n Bernoulli sum plus three
   alpha tail terms) and checked equal to the Cauchy-product coefficient.
+
+Both constructions sum their terms in one accumulation pass
+(:meth:`PiPoly.sum`).  Only ``csc_coefficient`` and ``p_poly`` are cached: a
+``u_coeff`` is one monomial, and each ``w_coeff`` is read once, by ``p_poly``.
 """
 
 from __future__ import annotations
@@ -36,11 +40,9 @@ __all__ = [
     "w_coeff",
     "alpha_term",
     "p_poly",
-    "clear_caches",
 ]
 
 
-@lru_cache(maxsize=None)
 def u_coeff(k: int) -> TrigPoly:
     """k-th Taylor coefficient of z -> sin(pi t (1 - z)) about z = 0.
 
@@ -77,20 +79,19 @@ def csc_coefficient(k: int) -> PiLaurent:
     return PiLaurent.monomial(k, value / factorial(2 * m))
 
 
-@lru_cache(maxsize=None)
 def w_coeff(p: int) -> TrigPoly:
     """Coefficient of z^p in sin(pi t (1-z)) / sin(pi (1-z)), exactly, for p >= 0.
 
     Cauchy product over the pole index -1 and the odd csc indices j <= p:
-    w_p = sum v_j u_{p-j}.  Every term has pi-grading p, since v_j carries
-    pi^j and u_{p-j} carries pi^{p-j}.
+    w_p = sum v_j u_{p-j}, each part summed in one pass.  Every term has
+    pi-grading p, since v_j carries pi^j and u_{p-j} carries pi^{p-j}.
     """
     if p < 0:
         raise DomainError("product-series index must be >= 0")
-    total = TrigPoly.zero()
-    for j in [-1, *range(1, p + 1, 2)]:
-        total = total + u_coeff(p - j).scale(csc_coefficient(j))
-    return total
+    terms = [u_coeff(p - j).scale(csc_coefficient(j)) for j in [-1, *range(1, p + 1, 2)]]
+    return TrigPoly(
+        PiPoly.sum(term.sin_part for term in terms), PiPoly.sum(term.cos_part for term in terms)
+    )
 
 
 def alpha_term(index: int) -> PiPoly:
@@ -104,30 +105,34 @@ def alpha_term(index: int) -> PiPoly:
     return PiPoly.monomial(index + 1, index, Fraction(sign, factorial(index + 1)))
 
 
-def _alpha_sum(p: int) -> PiPoly:
-    scaled_2 = poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6)))
-    scaled_4 = poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360)))
-    return alpha_term(2 * p) + scaled_2 + scaled_4
-
-
 @lru_cache(maxsize=None)
 def p_poly(p: int) -> PiPoly:
     """The polynomial P_{2p}(t) with w_{2p}(t) = cos(pi t) P_{2p}(t).
 
-    Closed form: odd-n sum of (-1)^{(n+1)/2} (pi t)^n / n! times the csc
-    coefficient of order 2p - n, for n = 1, 3, ..., 2p - 5 (empty when
-    2p - 5 < 1), plus the three alpha tail terms.  The result is checked
-    equal, term map against term map, to the independently computed Cauchy
-    product coefficient w_{2p}; any mismatch means corrupted inputs and
-    raises IdentityViolation.
+    Closed form, summed in one pass: the three alpha tail terms plus the
+    odd-n sum of (-1)^{(n+1)/2} (pi t)^n / n! times the csc coefficient of
+    order 2p - n, for n = 1, 3, ..., 2p - 5 (empty when 2p - 5 < 1).  The
+    result is checked equal, term map against term map, to the independently
+    computed Cauchy product coefficient w_{2p}; any mismatch means corrupted
+    inputs and raises IdentityViolation.
     """
     if p <= 0:
         raise DomainError("p must be >= 1")
-    total = _alpha_sum(p)
-    for n in range(1, 2 * p - 4, 2):
-        sign = -1 if ((n + 1) // 2) % 2 else 1
-        mono = PiPoly.monomial(n, n, Fraction(sign, factorial(n)))
-        total = total + poly_scale(mono, csc_coefficient(2 * p - n))
+    odd_terms = (
+        poly_scale(
+            PiPoly.monomial(n, n, Fraction((-1) ** ((n + 1) // 2), factorial(n))),
+            csc_coefficient(2 * p - n),
+        )
+        for n in range(1, 2 * p - 4, 2)
+    )
+    total = PiPoly.sum(
+        [
+            alpha_term(2 * p),
+            poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6))),
+            poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360))),
+            *odd_terms,
+        ]
+    )
     product = w_coeff(2 * p)
     if not product.sin_part.is_zero():
         raise IdentityViolation(f"w_{2 * p} has a sine component; expansion is corrupted")
@@ -137,13 +142,3 @@ def p_poly(p: int) -> PiPoly:
         )
     return total
 
-
-# the cached functions as defined, so clearing still works after a test has
-# replaced one of the module attributes
-_CACHED = (u_coeff, csc_coefficient, w_coeff, p_poly)
-
-
-def clear_caches() -> None:
-    """Drop memoized series data (test hook; use after monkeypatching exactnum)."""
-    for cached in _CACHED:
-        cached.cache_clear()

@@ -5,10 +5,12 @@ multiples of nonnegative powers of pi, stored as a term map
 ``(t_exp, pi_exp) -> Fraction``.  A :class:`PiLaurent` is a scalar: a finite
 rational combination of integer (possibly negative) powers of pi, keyed by
 pi_exp.  Both are one canonical term map (no zero coefficients) with one
-shared accumulator and one shared set of ring operators; the subclasses add
-only key validation and how two keys combine in a product.  Powers of pi stay
-symbolic through every algebraic operation; nothing is rounded until an
-explicit numeric evaluation at a stated bit precision.
+shared accumulator, one shared set of ring operators and one summing
+constructor (``sum``, which adds any number of values in one accumulation
+pass); the subclasses add only key validation and how two keys combine in a
+product.  Powers of pi stay symbolic through every algebraic operation;
+nothing is rounded until an explicit numeric evaluation at a stated bit
+precision.
 
 The module also integrates a PiPoly against sin(pi t) over (0,1) exactly, as
 a finite sum of end-point derivatives (:func:`integrate_against_sin`), which
@@ -44,7 +46,6 @@ __all__ = [
     "laurent_eval",
     "integrate_against_sin",
     "to_json_terms",
-    "from_json_terms",
     "to_latex",
     "to_text",
     "join_terms",
@@ -86,6 +87,11 @@ class _TermMap:
     @classmethod
     def zero(cls):
         return cls._wrap({})
+
+    @classmethod
+    def sum(cls, values: Iterable):
+        """Sum of same-type values in one accumulation pass over all their terms."""
+        return cls._wrap(_accumulate(kc for value in values for kc in value._terms.items()))
 
     def as_dict(self) -> dict:
         return dict(self._terms)
@@ -143,10 +149,6 @@ class PiLaurent(_TermMap):
     def monomial(cls, pi_exp: int, coeff: CoeffLike = 1) -> "PiLaurent":
         return cls({pi_exp: coeff})
 
-    def shifted(self, dpi: int) -> "PiLaurent":
-        # a shift is one-to-one on keys, so the result is canonical as built
-        return PiLaurent._wrap({e + dpi: c for e, c in self._terms.items()})
-
     def __repr__(self) -> str:
         if not self._terms:
             return "PiLaurent(0)"
@@ -203,13 +205,6 @@ class TrigPoly:
 
     sin_part: PiPoly
     cos_part: PiPoly
-
-    @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls(PiPoly.zero(), PiPoly.zero())
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly(self.sin_part + other.sin_part, self.cos_part + other.cos_part)
 
     def scale(self, scalar: PiLaurent) -> "TrigPoly":
         return TrigPoly(poly_scale(self.sin_part, scalar), poly_scale(self.cos_part, scalar))
@@ -324,13 +319,6 @@ def to_json_terms(a: PiPoly) -> list[dict]:
         {"t_exp": i, "pi_exp": j, "num": c.numerator, "den": c.denominator}
         for (i, j), c in sorted(a.as_dict().items())
     ]
-
-
-def from_json_terms(records: Iterable[Mapping]) -> PiPoly:
-    return PiPoly(
-        ((rec["t_exp"], rec["pi_exp"]), Fraction(int(rec["num"]), int(rec["den"])))
-        for rec in records
-    )
 
 
 def join_terms(terms: Iterable[tuple], atom: Callable) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "zeta_even_closed",
     "zeta_even_value",
     "lemma_check",
-    "clear_caches",
 ]
 
 
@@ -69,16 +68,6 @@ class ZetaComputation:
         """|value - reference|, recomputed on access (never stored)."""
         with mp.workprec(max(mp.mp.prec, 64)):
             return abs(self.value - self.reference)
-
-
-# the cached functions as defined, so clearing still works after a test has
-# replaced one of the module attributes
-_CACHED = (quad._tables, reference.zeta_ref)
-
-
-def clear_caches() -> None:
-    for cached in _CACHED:
-        cached.cache_clear()
 
 
 def _require_p(p: int) -> None:

@@ -206,5 +206,5 @@ def sin_moment(k: int) -> PiLaurent:
     # iterative to keep the recursion depth flat for large k
     prev = sin_moment(k % 2)
     for m in range(k % 2 + 2, k + 1, 2):
-        prev = inv_pi + prev.shifted(-2) * Fraction(-m * (m - 1))
+        prev = inv_pi + prev * PiLaurent.monomial(-2, -m * (m - 1))
     return prev

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from oddzeta import cli, exactnum, expansion, zetarep
+from oddzeta import cli, exactnum, zetarep
 from oddzeta.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
 
 ZETA3_30 = "1.20205690315959428539973816151"
@@ -179,7 +179,7 @@ class TestPoly:
         payload = json.loads(target.read_text())
         assert payload["inputs"] == {"p": 1}
 
-    def test_corrupted_bernoulli_is_a_clean_error(self, capsys, monkeypatch):
+    def test_corrupted_bernoulli_is_a_clean_error(self, capsys, monkeypatch, cold_caches):
         # B_2 feeds the Cauchy product but not the closed form's fixed pi^2/6
         # tail coefficient, so p_poly's exact cross-check must fail with a
         # typed error and the CLI must report it instead of a traceback
@@ -188,19 +188,12 @@ class TestPoly:
         def corrupted(n):
             return Fraction(1, 7) if n == 2 else real(n)  # true value is 1/6
 
-        exactnum.clear_caches()
         monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        expansion.clear_caches()
-        try:
-            code, out, err = run(["poly", "--p", "2"], capsys)
-            assert code == EXIT_USAGE
-            assert out == ""
-            assert err.startswith("error: ")
-            assert "Cauchy product" in err
-        finally:
-            monkeypatch.undo()
-            exactnum.clear_caches()
-            expansion.clear_caches()
+        code, out, err = run(["poly", "--p", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Cauchy product" in err
 
 
 class TestDigamma:
@@ -330,9 +323,9 @@ class TestVerify:
         assert "FAIL" not in out
         assert "checks passed" in out
 
-    def test_fault_injection_fails_lemma(self, capsys, monkeypatch):
-        # corrupt one even Bernoulli value and flush the derived caches; the
-        # exact -1/pi moment must break and the exit code must say so
+    def test_fault_injection_fails_lemma(self, capsys, monkeypatch, cold_caches):
+        # corrupt one even Bernoulli value on cold caches; the exact -1/pi
+        # moment must break and the exit code must say so
         real = exactnum.bernoulli_number
 
         def corrupted(n):
@@ -341,18 +334,11 @@ class TestVerify:
             return real(n)
 
         monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        expansion.clear_caches()
-        zetarep.clear_caches()
-        try:
-            code, out, _ = run(["verify", "--max-p", "3", "--digits", "12"], capsys)
-            assert code == EXIT_VERIFY_FAILED
-            assert "FAIL" in out
-        finally:
-            monkeypatch.undo()
-            expansion.clear_caches()
-            zetarep.clear_caches()
+        code, out, _ = run(["verify", "--max-p", "3", "--digits", "12"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert "FAIL" in out
 
-    def test_fault_injection_fails_series_product(self, capsys, monkeypatch):
+    def test_fault_injection_fails_series_product(self, capsys, monkeypatch, cold_caches):
         # B_6 enters the closed form and the Cauchy product alike, so only the
         # independent csc(pi z) sin(pi z) = 1 identity can flag it
         real = exactnum.bernoulli_number
@@ -361,20 +347,11 @@ class TestVerify:
             return Fraction(1, 43) if n == 6 else real(n)  # true value is 1/42
 
         monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        exactnum.clear_caches()
-        expansion.clear_caches()
-        zetarep.clear_caches()
-        try:
-            code, out, _ = run(["verify", "--max-p", "3", "--digits", "12"], capsys)
-            assert code == EXIT_VERIFY_FAILED
-            line = next(line for line in out.splitlines() if "series-product" in line)
-            assert line.startswith("FAIL  series-product")
-            assert "z^6" in line
-        finally:
-            monkeypatch.undo()
-            exactnum.clear_caches()
-            expansion.clear_caches()
-            zetarep.clear_caches()
+        code, out, _ = run(["verify", "--max-p", "3", "--digits", "12"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        line = next(line for line in out.splitlines() if "series-product" in line)
+        assert line.startswith("FAIL  series-product")
+        assert "z^6" in line
 
     def test_bad_max_p(self, capsys):
         code, _, err = run(["verify", "--max-p", "0"], capsys)

@@ -1,7 +1,11 @@
-"""Every name the package exports has a caller inside the library."""
+"""Every name the package or one of its modules exports has a caller inside the library."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import pytest
 
 import oddzeta
 
@@ -42,4 +46,10 @@ def library_loads() -> set:
 
 def test_every_export_has_a_library_caller():
     exported = set(oddzeta.__all__) - {"__version__"}
+    assert sorted(exported - library_loads()) == []
+
+
+@pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(oddzeta.__path__)])
+def test_every_module_export_has_a_library_caller(name):
+    exported = set(getattr(importlib.import_module(f"oddzeta.{name}"), "__all__", ()))
     assert sorted(exported - library_loads()) == []

@@ -10,7 +10,6 @@ from oddzeta.expansion import p_poly
 from oddzeta.pipoly import (
     PiLaurent,
     PiPoly,
-    from_json_terms,
     integrate_against_sin,
     laurent_eval,
     poly_evaluator,
@@ -107,14 +106,11 @@ class TestRingOperations:
             for k in scalars:
                 assert_canonical(a * k)
                 assert_canonical(x * k)
-            assert_canonical(poly_scale(a, s.shifted(2)))
-            assert_canonical(poly_scale(a - b, (s + x).shifted(2)))
+            assert_canonical(poly_scale(a, s * PiLaurent.monomial(2)))
+            assert_canonical(poly_scale(a - b, (s + x) * PiLaurent.monomial(2)))
             for t in points:
                 assert_canonical(a.at_rational(t))
                 assert_canonical((a - b).at_rational(t))
-            for shift in (-2, 0, 3):
-                assert_canonical(x.shifted(shift))
-                assert_canonical((x - y).shifted(shift))
 
 
 def evaluate(a, t, precision):
@@ -197,7 +193,7 @@ class TestSineMoments:
         for poly in polys:
             by_moments = PiLaurent.zero()
             for (i, j), c in poly.as_dict().items():
-                by_moments = by_moments + sin_moment(i).shifted(j) * c
+                by_moments = by_moments + sin_moment(i) * PiLaurent.monomial(j) * c
             assert integrate_against_sin(poly) == by_moments, poly
 
     def test_linearity_random(self, rng):
@@ -232,7 +228,8 @@ class TestSerialization:
             {"t_exp": 1, "pi_exp": 2, "num": -1, "den": 6},
             {"t_exp": 3, "pi_exp": 2, "num": 1, "den": 6},
         ]
-        assert from_json_terms(records) == P2
+        rebuilt = PiPoly(((r["t_exp"], r["pi_exp"]), Fraction(r["num"], r["den"])) for r in records)
+        assert rebuilt == P2
 
     def test_latex_factored_content(self):
         assert to_latex(P2) == "\\frac{\\pi^2}{6}\\left(t^3 - t\\right)"

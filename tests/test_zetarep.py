@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import exactnum, expansion, quad, reference, zetarep
+from oddzeta import exactnum, expansion, quad, reference
 from oddzeta.errors import DomainError, IdentityViolation, LemmaViolation
 from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
@@ -133,7 +133,7 @@ class TestCrossAgreement:
 
 class TestPolePrecondition:
     @pytest.mark.parametrize("rep", ["theorem", "corollary", "ck_bernoulli"])
-    def test_corrupted_bernoulli_raises_before_integrating(self, rep, monkeypatch):
+    def test_corrupted_bernoulli_raises_before_integrating(self, rep, monkeypatch, cold_caches):
         # B_6 = 1/43 instead of 1/42 leaves P_6 and B_7 nonzero at t = 1, so
         # the tan(pi t/2) pole is not cancelled; no integrand may be evaluated
         real = exactnum.bernoulli_number
@@ -144,22 +144,14 @@ class TestPolePrecondition:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated despite a nonzero residue at t = 1")
 
-        exactnum.clear_caches()
         monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
         monkeypatch.setattr(quad, "integrate_01", no_integration)
-        expansion.clear_caches()
-        try:
-            with pytest.raises(IdentityViolation) as excinfo:
-                zeta_odd(3, rep, 64)
-            message = str(excinfo.value)
-            assert "p=3" in message and rep in message
-            if rep != "ck_bernoulli":
-                assert "31/650160*pi^6" in message
-        finally:
-            monkeypatch.undo()
-            exactnum.clear_caches()
-            expansion.clear_caches()
-            zetarep.clear_caches()
+        with pytest.raises(IdentityViolation) as excinfo:
+            zeta_odd(3, rep, 64)
+        message = str(excinfo.value)
+        assert "p=3" in message and rep in message
+        if rep != "ck_bernoulli":
+            assert "31/650160*pi^6" in message
 
 
 class TestEvenClosedForm:
@@ -203,15 +195,6 @@ class TestComputationRecord:
         assert first == abs(comp.value - comp.reference)
 
 
-def test_clear_caches_after_patch(monkeypatch):
-    zeta_odd(1, "theorem", 96)
-    cached = reference.zeta_ref
-    monkeypatch.setattr(reference, "zeta_ref", lambda s, precision: mp.mpf(0))
-    zetarep.clear_caches()
-    assert cached.cache_info().currsize == 0
-    assert quad._tables.cache_info().currsize == 0
-
-
 # the tanh-sinh node levels and the tan(pi t/2) map share one store, quad._tables
 @pytest.mark.parametrize(
     "cached",
@@ -220,6 +203,25 @@ def test_clear_caches_after_patch(monkeypatch):
 )
 def test_per_precision_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
+
+
+# every library cache, by qualified name; the last three are keyed by precision
+KEPT_CACHES = (
+    "exactnum._entringer_row",
+    "exactnum.bernoulli_number",
+    "expansion.csc_coefficient",
+    "expansion.p_poly",
+    "quad._tables",
+    "reference.zeta_ref",
+    "reference.euler_gamma",
+)
+
+
+def test_cache_inventory(cold_caches):
+    # a new cache has to be added here on purpose
+    by_name = {f"{c.__module__.removeprefix('oddzeta.')}.{c.__qualname__}": c for c in cold_caches}
+    assert sorted(by_name) == sorted(KEPT_CACHES)
+    assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-3:])
 
 
 ROUTES = {rep.value: functools.partial(zeta_odd, 2, rep, 96) for rep in Representation}
