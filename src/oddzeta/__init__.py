@@ -10,11 +10,8 @@ Gamma function at 1; ``cli`` is the command-line surface.
 """
 
 from .errors import (
-    ArityError,
     DomainError,
-    GradingError,
     IdentityViolation,
-    LemmaViolation,
     NoConvergence,
     NonFiniteSample,
     OddzetaError,
@@ -22,7 +19,7 @@ from .errors import (
 from .exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
 from .expansion import alpha_term, p_poly, u_coeff, w_coeff
 from .gammaderiv import bell_complete, gamma_nth_derivative_at_1, gamma_nth_derivative_numeric
-from .pipoly import PiLaurent, PiPoly, TrigPoly, integrate_against_sin, laurent_eval, poly_scale
+from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval, poly_scale
 from .quad import QuadResult, integrate_01
 from .reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from .zetarep import (
@@ -37,11 +34,8 @@ from .zetarep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityError",
     "DomainError",
-    "GradingError",
     "IdentityViolation",
-    "LemmaViolation",
     "NoConvergence",
     "NonFiniteSample",
     "OddzetaError",
@@ -49,7 +43,6 @@ __all__ = [
     "PiPoly",
     "QuadResult",
     "Representation",
-    "TrigPoly",
     "ZetaComputation",
     "alpha_term",
     "bell_complete",

@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 usage or domain error, 2 quadrature non-convergence,
 3 verification failure.
 Inputs are checked by the library's typed errors; ``main`` reports one, or an
 ``OSError`` from ``--out``, as one ``error:`` line (exit 2 for a
-``NoConvergence``).  ``main`` opens ``--out`` before the command computes; a
-command builds one payload and :func:`_respond` writes it as text or JSON.
+``NoConvergence``).  ``main`` opens ``--out`` before the command computes,
+and every command writes to ``args.stream`` (that file, else stdout):
+compute, digamma and gammaderiv build one payload that :func:`_respond`
+writes as text or JSON; poly, verify and table write their own text, JSON,
+LaTeX or CSV.
 """
 
 from __future__ import annotations
@@ -231,9 +234,11 @@ def _verify_checks(max_p: int, digits: int):
 def cmd_verify(args) -> int:
     if args.max_p < 1:
         return _usage_error("max-p must be >= 1")
+    checks = _verify_checks(args.max_p, args.digits)
+    width = max(len(name) for name, _ in checks)
     failures = 0
-    rows = []
-    for name, check in _verify_checks(args.max_p, args.digits):
+    lines = []
+    for name, check in checks:
         start = time.perf_counter()
         try:
             detail = check()
@@ -242,11 +247,9 @@ def cmd_verify(args) -> int:
             detail = str(exc)
             status = "FAIL"
             failures += 1
-        rows.append((status, name, detail, time.perf_counter() - start))
-    width = max(len(name) for _, name, _, _ in rows)
-    for status, name, detail, elapsed in rows:
-        print(f"{status}  {name:<{width}}  {detail}  [{elapsed:.2f}s]")
-    print(f"{len(rows) - failures}/{len(rows)} checks passed")
+        lines.append(f"{status}  {name:<{width}}  {detail}  [{time.perf_counter() - start:.2f}s]")
+    lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
+    args.stream.write("\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

@@ -6,14 +6,10 @@ class OddzetaError(Exception):
 
 
 class DomainError(OddzetaError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
 
-
-class GradingError(OddzetaError, ValueError):
-    """A pi-grading constraint was violated.
-
-    Raised when an operation would introduce a negative pi-exponent into a
-    polynomial that is required to stay polynomial in pi.
+    This includes a pi-grading violation: an operation that would put a
+    negative pi-exponent into a polynomial required to stay polynomial in pi.
     """
 
 
@@ -29,22 +25,12 @@ class NoConvergence(OddzetaError, ArithmeticError):
     """
 
 
-class LemmaViolation(OddzetaError, ArithmeticError):
-    """An exact sine-moment integral failed to collapse to -1/pi.
-
-    This cannot happen for a correct polynomial pipeline; it signals corrupted
-    Bernoulli data or a broken series expansion upstream.
-    """
-
-
 class IdentityViolation(OddzetaError, ArithmeticError):
     """An exact polynomial identity that the construction guarantees failed.
 
-    Raised when the closed form of P_2p disagrees with the Cauchy product, or
-    when a polynomial factor does not vanish at t = 1 to cancel the
-    tan(pi t/2) pole; either signals corrupted exact data upstream.
+    Three identities raise it: the closed form of P_2p disagreeing with the
+    Cauchy product coefficient w_2p; a polynomial factor not vanishing at
+    t = 1 to cancel the tan(pi t/2) pole; and the sine moment of P_2p not
+    collapsing to exactly -1/pi.  Each signals corrupted exact data upstream,
+    such as a wrong Bernoulli number or a broken series expansion.
     """
-
-
-class ArityError(OddzetaError, ValueError):
-    """An argument list does not have the declared length."""

@@ -1,20 +1,21 @@
 """Series coefficients of sin(pi t (1-z)) / sin(pi (1-z)) and the closed form.
 
-Everything here is exact.  With z the expansion variable about 0:
+Everything here is exact.  With z the expansion variable about 0, the
+paper defines P_2p by w_2p(t) = cos(pi t) P_2p(t), so only the cos(pi t)
+half of each series is built:
 
-* ``u_coeff(k)``    Taylor coefficient of sin(pi t (1-z)).  Differentiating
-  k times gives (-pi t)^k sin(pi t + k pi/2), so the coefficient is a pure
-  sine or cosine multiple of (pi t)^k / k! with a four-step sign rotation.
+* ``u_coeff(k)``    cos(pi t) part of the Taylor coefficient of
+  sin(pi t (1-z)) = sin(pi t) cos(pi t z) - cos(pi t) sin(pi t z), that is the
+  z^k coefficient of -sin(pi t z): (-1)^((k+1)/2) (pi t)^k / k! for odd k and
+  zero for even k.
 * ``csc_coefficient``  Laurent coefficients of 1/sin(pi(1-z)) = 1/sin(pi z):
   1/(pi z) + pi z/6 + 7 pi^3 z^3/360 + ..., odd orders only, built from
   even-index Bernoulli numbers.
-* ``w_coeff(p)``    Cauchy product of the two for p >= 0, so
-  w_p = sum_j v_j u_{p-j} over j in {-1, 1, 3, ...}.  Even indices give
-  pure-cosine values, odd give pure-sine ones.  The product also has a
-  p = -1 term, v_{-1} u_0 = pi^{-1} sin(pi t); it is a pi-Laurent scalar times
-  a trig polynomial, not a PiPoly, and never enters the closed form; the
-  check that it cancels the cotangent pole lives with the tests
-  (``tests/oracles.py``).
+* ``w_coeff(p)``    cos(pi t) part of their Cauchy product for p >= 0,
+  w_p = sum_j v_j u_{p-j} over j in {-1, 1, 3, ...}; zero for odd p.  The
+  sine half, never built, holds the p = -1 term v_{-1} sin(pi t) =
+  pi^{-1} sin(pi t); the check that it cancels the cotangent pole lives with
+  the tests (``tests/oracles.py``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
   built independently from the closed form (odd-n Bernoulli sum plus three
   alpha tail terms) and checked equal to the Cauchy-product coefficient.
@@ -32,7 +33,7 @@ from math import factorial
 
 from . import exactnum
 from .errors import DomainError, IdentityViolation
-from .pipoly import PiLaurent, PiPoly, TrigPoly, poly_scale
+from .pipoly import PiLaurent, PiPoly, poly_scale
 
 __all__ = [
     "csc_coefficient",
@@ -43,22 +44,20 @@ __all__ = [
 ]
 
 
-def u_coeff(k: int) -> TrigPoly:
-    """k-th Taylor coefficient of z -> sin(pi t (1 - z)) about z = 0.
+def u_coeff(k: int) -> PiPoly:
+    """cos(pi t) part of the k-th Taylor coefficient of z -> sin(pi t (1 - z)) about z = 0.
 
-    Even k rotate onto sin(pi t), odd k onto cos(pi t):
+    Differentiating k times gives (-pi t)^k sin(pi t + k pi/2); even k rotate
+    onto sin(pi t) alone, so only odd k have a cosine part:
 
-        k = 4m:   + (pi t)^k / k! sin(pi t)      k = 4m+1: - (pi t)^k / k! cos(pi t)
-        k = 4m+2: - (pi t)^k / k! sin(pi t)      k = 4m+3: + (pi t)^k / k! cos(pi t)
+        k = 4m+1: - (pi t)^k / k!      k = 4m+3: + (pi t)^k / k!
     """
     if k < 0:
         raise DomainError("series index must be >= 0")
-    coeff = Fraction(1, factorial(k))
     if k % 2 == 0:
-        sign = -1 if (k // 2) % 2 else 1
-        return TrigPoly(PiPoly.monomial(k, k, sign * coeff), PiPoly.zero())
+        return PiPoly.zero()
     sign = -1 if ((k + 1) // 2) % 2 else 1
-    return TrigPoly(PiPoly.zero(), PiPoly.monomial(k, k, sign * coeff))
+    return PiPoly.monomial(k, k, Fraction(sign, factorial(k)))
 
 
 @lru_cache(maxsize=None)
@@ -79,18 +78,17 @@ def csc_coefficient(k: int) -> PiLaurent:
     return PiLaurent.monomial(k, value / factorial(2 * m))
 
 
-def w_coeff(p: int) -> TrigPoly:
-    """Coefficient of z^p in sin(pi t (1-z)) / sin(pi (1-z)), exactly, for p >= 0.
+def w_coeff(p: int) -> PiPoly:
+    """cos(pi t) part of the z^p coefficient of sin(pi t (1-z)) / sin(pi (1-z)), for p >= 0.
 
     Cauchy product over the pole index -1 and the odd csc indices j <= p:
-    w_p = sum v_j u_{p-j}, each part summed in one pass.  Every term has
-    pi-grading p, since v_j carries pi^j and u_{p-j} carries pi^{p-j}.
+    w_p = sum v_j u_{p-j}, summed in one pass.  Every term has pi-grading p,
+    since v_j carries pi^j and u_{p-j} carries pi^{p-j}.  Odd p give zero.
     """
     if p < 0:
         raise DomainError("product-series index must be >= 0")
-    terms = [u_coeff(p - j).scale(csc_coefficient(j)) for j in [-1, *range(1, p + 1, 2)]]
-    return TrigPoly(
-        PiPoly.sum(term.sin_part for term in terms), PiPoly.sum(term.cos_part for term in terms)
+    return PiPoly.sum(
+        poly_scale(u_coeff(p - j), csc_coefficient(j)) for j in [-1, *range(1, p + 1, 2)]
     )
 
 
@@ -133,12 +131,7 @@ def p_poly(p: int) -> PiPoly:
             *odd_terms,
         ]
     )
-    product = w_coeff(2 * p)
-    if not product.sin_part.is_zero():
-        raise IdentityViolation(f"w_{2 * p} has a sine component; expansion is corrupted")
-    if product.cos_part != total:
-        raise IdentityViolation(
-            f"closed form for P_{2 * p} disagrees with the Cauchy product"
-        )
+    if w_coeff(2 * p) != total:
+        raise IdentityViolation(f"closed form for P_{2 * p} disagrees with the Cauchy product")
     return total
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import mpmath as mp
 
 from . import quad, reference
-from .errors import ArityError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "bell_complete",
@@ -31,18 +31,14 @@ __all__ = [
 ]
 
 
-def bell_complete(n: int, x: Sequence):
-    """Complete exponential Bell polynomial B_n(x_1, ..., x_n).
+def bell_complete(x: Sequence):
+    """Complete exponential Bell polynomial B_n(x_1, ..., x_n) with n = len(x).
 
-    Recurrence B_0 = 1, B_{k+1} = sum_j C(k,j) B_{k-j} x_{j+1}; the argument
-    list must have exactly n entries.  Evaluated in mpf arithmetic at the
-    ambient precision (the inputs here include gamma and zeta values, which
-    have no exact finite form).
+    Recurrence B_0 = 1, B_{k+1} = sum_j C(k,j) B_{k-j} x_{j+1}.  Evaluated in
+    mpf arithmetic at the ambient precision (the inputs here include gamma
+    and zeta values, which have no exact finite form).
     """
-    if n < 0:
-        raise DomainError("Bell index must be >= 0")
-    if len(x) != n:
-        raise ArityError(f"B_{n} needs exactly {n} arguments, got {len(x)}")
+    n = len(x)
     values = [mp.mpf(1)]
     for k in range(n):
         acc = mp.mpf(0)
@@ -61,7 +57,7 @@ def gamma_nth_derivative_at_1(n: int, precision: int):
         args = [reference.euler_gamma(wp)]
         for k in range(2, n + 1):
             args.append(factorial(k - 1) * reference.zeta_ref(k, wp))
-        value = bell_complete(n, args[:n])
+        value = bell_complete(args[:n])
         if n % 2:
             value = -value
     with mp.workprec(precision):

@@ -21,13 +21,12 @@ signed-term walk, :func:`join_terms`.
 
 Negative pi-exponents are confined to :class:`PiLaurent`: every way of
 building a :class:`PiPoly` rejects them with
-:class:`~oddzeta.errors.GradingError`.  A polynomial with rational
+:class:`~oddzeta.errors.DomainError`.  A polynomial with rational
 coefficients (a Bernoulli or Euler polynomial) is a PiPoly at pi^0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
@@ -35,12 +34,11 @@ from typing import Callable, Iterable, Mapping, Union
 import mpmath as mp
 
 from . import quad
-from .errors import DomainError, GradingError
+from .errors import DomainError
 
 __all__ = [
     "PiPoly",
     "PiLaurent",
-    "TrigPoly",
     "poly_scale",
     "poly_evaluator",
     "laurent_eval",
@@ -176,7 +174,7 @@ class PiPoly(_TermMap):
         if t_exp < 0:
             raise DomainError(f"negative t-exponent {t_exp}")
         if pi_exp < 0:
-            raise GradingError(f"negative pi-exponent {pi_exp} in PiPoly")
+            raise DomainError(f"negative pi-exponent {pi_exp} in PiPoly")
         return t_exp, pi_exp
 
     @staticmethod
@@ -199,17 +197,6 @@ class PiPoly(_TermMap):
         return PiLaurent._wrap(_accumulate((j, c * t**i) for (i, j), c in self._terms.items()))
 
 
-@dataclass(frozen=True)
-class TrigPoly:
-    """Value of the form sin_part * sin(pi t) + cos_part * cos(pi t)."""
-
-    sin_part: PiPoly
-    cos_part: PiPoly
-
-    def scale(self, scalar: PiLaurent) -> "TrigPoly":
-        return TrigPoly(poly_scale(self.sin_part, scalar), poly_scale(self.cos_part, scalar))
-
-
 # ---------------------------------------------------------------------------
 # scaling by pi-Laurent scalars
 # ---------------------------------------------------------------------------
@@ -219,7 +206,7 @@ def poly_scale(a: PiPoly, scalar: PiLaurent) -> PiPoly:
 
     The scalar may carry negative pi-exponents as long as every term of the
     product still has nonnegative grading; otherwise the PiPoly grading rule
-    raises GradingError.  (The lowest pi-exponent at each t-degree comes from
+    raises DomainError.  (The lowest pi-exponent at each t-degree comes from
     one product of nonzero terms, so a negative one can never cancel.)
     """
     return PiPoly(

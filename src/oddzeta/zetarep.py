@@ -33,7 +33,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import exactnum, expansion, pipoly, quad, reference
-from .errors import DomainError, IdentityViolation, LemmaViolation
+from .errors import DomainError, IdentityViolation
 from .pipoly import PiLaurent, PiPoly
 
 __all__ = [
@@ -176,13 +176,14 @@ def lemma_check(p: int) -> PiLaurent:
     """Exact integral_0^1 P_{2p}(t) sin(pi t) dt; must equal -1/pi.
 
     Returns the pi-Laurent value (always exactly -pi^{-1}) or raises
-    LemmaViolation when any other term survives, which would mean the
-    polynomial pipeline upstream is corrupted.
+    IdentityViolation when any other term survives.  That cannot happen for
+    a correct polynomial pipeline; it signals corrupted Bernoulli data or a
+    broken series expansion upstream.
     """
     _require_p(p)
     moment = pipoly.integrate_against_sin(expansion.p_poly(p))
     if moment != _MINUS_INV_PI:
-        raise LemmaViolation(
+        raise IdentityViolation(
             f"sine moment of P_{2 * p} is {moment!r}, expected exactly -pi^-1"
         )
     return moment

@@ -11,8 +11,6 @@ Each one is a second route to something the library computes, kept out of
 * ``pole_cancellation_check``  the w_{-1} term of the z-expansion cancelling
   the cotangent pole; it calls ``quad.integrate_01`` through the module, so
   a test can cap the level loop.
-* ``trig_evaluator``           numeric sin/cos pairs, for the checks above
-  and the u_k series.
 * ``GammaDerivExact``, ``gamma_first_derivative``, ``harmonic``
   the exact Gamma'(m+1) = m! (H_m - gamma).
 * ``sin_moment``               the sine moments by their own recurrence,
@@ -25,13 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import mpmath as mp
 
 from oddzeta import expansion, quad, reference
 from oddzeta.errors import DomainError
-from oddzeta.pipoly import PiLaurent, TrigPoly, laurent_eval, poly_evaluator
+from oddzeta.pipoly import PiLaurent, laurent_eval
 from oddzeta.reference import _as_mpf, _fraction_to_mpf, digamma_ref, euler_gamma, zeta_ref
 
 
@@ -102,7 +99,9 @@ def pole_cancellation_check(z, precision: int):
 
     The z-expansion of the integral representation hides a 1/z term coming
     from w_{-1}(t) = v_{-1} u_0(t) = pi^{-1} sin(pi t), the csc pole
-    coefficient times the first sine-series coefficient.  The function
+    coefficient times the z^0 coefficient u_0(t) = sin(pi t) of
+    sin(pi t (1-z)).  ``expansion`` builds only cosine parts, so sin(pi t) is
+    evaluated here directly.  The function
 
         (pi/2) cot(pi (1-z)) + (pi/2) (integral_0^1 tan(pi t/2) w_{-1}(t) dt) / z
 
@@ -116,28 +115,16 @@ def pole_cancellation_check(z, precision: int):
         if not (0 < zv < 1):
             raise DomainError("pole check needs 0 < z < 1")
         v_pole = laurent_eval(expansion.csc_coefficient(-1), wp)
-        u_0 = trig_evaluator(expansion.u_coeff(0), wp)
         tan_half = quad.tan_half(wp)
 
         def integrand(t):
-            return tan_half[t] * (v_pole * u_0(t))
+            return tan_half[t] * (v_pole * mp.sin(mp.pi * t))
 
         result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
         result.require_converged(f"pole cancellation integral at z = {mp.nstr(zv, 8)}")
         value = mp.pi / 2 * mp.cot(mp.pi * (1 - zv)) + mp.pi / 2 * result.value / zv
     with mp.workprec(precision):
         return +value
-
-
-def trig_evaluator(tp: TrigPoly, precision: int) -> Callable:
-    """Evaluator for sin_part(t) sin(pi t) + cos_part(t) cos(pi t)."""
-    s_eval = poly_evaluator(tp.sin_part, precision)
-    c_eval = poly_evaluator(tp.cos_part, precision)
-
-    def evaluate(t):
-        return s_eval(t) * mp.sin(mp.pi * t) + c_eval(t) * mp.cos(mp.pi * t)
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------

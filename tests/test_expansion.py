@@ -8,8 +8,7 @@ import pytest
 
 from oddzeta.errors import DomainError
 from oddzeta.expansion import alpha_term, csc_coefficient, p_poly, u_coeff, w_coeff
-from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale
-from oracles import trig_evaluator
+from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_evaluator, poly_scale
 
 
 def sine_series_coefficient(m: int) -> PiLaurent:
@@ -62,29 +61,27 @@ EXPECTED_P = {
 
 class TestSeriesCoefficients:
     def test_u_base(self):
-        u0 = u_coeff(0)
-        assert u0.sin_part == PiPoly.monomial(0) and u0.cos_part.is_zero()
+        # u_0 = sin(pi t) has no cosine part
+        assert u_coeff(0).is_zero()
 
     def test_u_first(self):
-        u1 = u_coeff(1)
-        assert u1.sin_part.is_zero()
-        assert u1.cos_part == PiPoly.monomial(1, 1, -1)
+        assert u_coeff(1) == PiPoly.monomial(1, 1, -1)
 
     def test_u_second(self):
-        u2 = u_coeff(2)
-        assert u2.sin_part == PiPoly.monomial(2, 2, Fraction(-1, 2))
-        assert u2.cos_part.is_zero()
+        # the second cosine coefficient flips the sign: +(pi t)^3 / 3!
+        assert u_coeff(3) == PiPoly.monomial(3, 3, Fraction(1, 6))
 
     def test_u_partial_sums_converge_numerically(self):
-        # sum u_k z^k must reproduce sin(pi t (1 - z)); checks all rotations
+        # sum u_k z^k must reproduce -sin(pi t z), the cos(pi t) part of
+        # sin(pi t (1 - z)); checks both signs of the rotation
         precision = 96
         with mp.workprec(precision):
             t = mp.mpf(3) / 10
             z = mp.mpf(2) / 5
             total = mp.mpf(0)
             for k in range(26):
-                total += trig_evaluator(u_coeff(k), precision)(t) * z**k
-            target = mp.sin(mp.pi * t * (1 - z))
+                total += poly_evaluator(u_coeff(k), precision)(t) * z**k
+            target = -mp.sin(mp.pi * t * z)
             assert abs(total - target) < mp.mpf(10) ** -20
 
     def test_csc_examples(self):
@@ -121,17 +118,14 @@ class TestProductCoefficients:
             w_coeff(-1)
 
     def test_even_index_examples(self):
-        assert w_coeff(2).cos_part == PiPoly(EXPECTED_P[1])
-        assert w_coeff(2).sin_part.is_zero()
-        assert w_coeff(4).cos_part == PiPoly(EXPECTED_P[2])
+        assert w_coeff(2) == PiPoly(EXPECTED_P[1])
+        assert w_coeff(4) == PiPoly(EXPECTED_P[2])
 
     def test_parity(self):
-        for index in range(0, 25):
-            w = w_coeff(index)
-            if index % 2 == 0:
-                assert w.sin_part.is_zero(), index
-            else:
-                assert w.cos_part.is_zero(), index
+        # even u_k and odd w_p are pure sines: their cos(pi t) parts vanish
+        for index in range(0, 13):
+            assert u_coeff(2 * index).is_zero(), index
+            assert w_coeff(2 * index + 1).is_zero(), index
 
 
 class TestClosedForm:
@@ -141,7 +135,7 @@ class TestClosedForm:
 
     def test_matches_cauchy_product(self):
         for p in range(1, 13):
-            assert p_poly(p) == w_coeff(2 * p).cos_part, p
+            assert p_poly(p) == w_coeff(2 * p), p
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,8 @@
-"""Every name the package or one of its modules exports has a caller inside the library."""
+"""Library-wide AST checks.
+
+Every name the package or one of its modules exports has a caller inside the
+library, and every error type the package defines is raised there.
+"""
 
 import ast
 import importlib
@@ -8,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import oddzeta
+from oddzeta import errors
+
+SOURCES = sorted(Path(oddzeta.__file__).parent.glob("*.py"))
 
 
 class _Loads(ast.NodeVisitor):
@@ -36,11 +43,15 @@ class _Loads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def library_loads() -> set:
     loads = _Loads()
-    for path in sorted(Path(oddzeta.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         if path.name != "__init__.py":
-            loads.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            loads.visit(parse(path))
     return loads.names
 
 
@@ -53,3 +64,25 @@ def test_every_export_has_a_library_caller():
 def test_every_module_export_has_a_library_caller(name):
     exported = set(getattr(importlib.import_module(f"oddzeta.{name}"), "__all__", ()))
     assert sorted(exported - library_loads()) == []
+
+
+def test_error_inventory():
+    """errors.py defines exactly these five types, and the library raises every subclass."""
+    tree = parse(Path(errors.__file__))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert defined == {
+        "OddzetaError",
+        "DomainError",
+        "NonFiniteSample",
+        "NoConvergence",
+        "IdentityViolation",
+    }
+    raised = {
+        node.exc.func.id
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    assert sorted(defined - {"OddzetaError"} - raised) == []

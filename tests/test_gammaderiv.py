@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta.errors import ArityError, DomainError, NoConvergence
+from oddzeta.errors import DomainError, NoConvergence
 from oddzeta.gammaderiv import (
     bell_complete,
     gamma_nth_derivative_at_1,
@@ -49,30 +49,26 @@ class TestFirstDerivativeExact:
 
 class TestBellPolynomials:
     def test_empty(self):
-        assert bell_complete(0, []) == 1
+        assert bell_complete([]) == 1
 
     def test_quadratic(self):
         with mp.workprec(96):
             a, b = mp.mpf(3) / 7, mp.mpf(5) / 11
-            value = bell_complete(2, [a, b])
+            value = bell_complete([a, b])
             assert abs(value - (a * a + b)) < mp.ldexp(1, -80)
 
     def test_cubic(self):
         with mp.workprec(96):
             a, b, c = mp.mpf(2) / 3, mp.mpf(7) / 5, mp.mpf(1) / 9
-            value = bell_complete(3, [a, b, c])
+            value = bell_complete([a, b, c])
             assert abs(value - (a**3 + 3 * a * b + c)) < mp.ldexp(1, -78)
-
-    def test_arity(self):
-        with pytest.raises(ArityError):
-            bell_complete(2, [mp.mpf(1)])
 
     def test_positivity(self, rng):
         with mp.workprec(64):
             for _ in range(20):
                 n = rng.randint(1, 6)
                 xs = [mp.mpf(rng.randint(1, 50)) / 10 for _ in range(n)]
-                assert bell_complete(n, xs) > 0
+                assert bell_complete(xs) > 0
 
 
 class TestNthDerivativeAtOne:

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from oddzeta import exactnum, expansion, quad, reference
-from oddzeta.errors import DomainError, IdentityViolation, LemmaViolation
+from oddzeta.errors import DomainError, IdentityViolation
 from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.quad import integrate_01, working_precision
@@ -178,7 +178,7 @@ class TestLemmaCheck:
         wrong = PiPoly({(3, 2): Fraction(1, 6)})  # dropped the -t/6 term
 
         monkeypatch.setattr(expansion, "p_poly", lambda p: wrong)
-        with pytest.raises(LemmaViolation):
+        with pytest.raises(IdentityViolation):
             lemma_check(1)
 
     def test_rejects_p_zero(self):
