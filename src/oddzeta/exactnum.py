@@ -6,8 +6,9 @@ Bernoulli numbers (convention B_1 = -1/2) and Euler numbers as exact
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
 
-Bernoulli and Euler numbers are both read off a single boustrophedon (Seidel)
-triangle of Entringer numbers: with Z_n the zigzag numbers,
+Bernoulli and Euler numbers are both read off the zigzag numbers Z_n, cached
+one int each; Z_n ends row n of the boustrophedon (Seidel) triangle of
+Entringer numbers, of which only the last two rows are cached:
 
     tan x + sec x = sum Z_n x^n / n!,
     B_{2m} = (-1)^(m-1) * 2m * Z_{2m-1} / (2^{2m} (2^{2m} - 1)),
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .errors import DomainError
@@ -35,22 +37,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _entringer_row(n: int) -> tuple[int, ...]:
     """Row n of the Entringer triangle: E(n,k) = E(n,k-1) + E(n-1,n-k)."""
     if n == 0:
         return (1,)
-    prev = _entringer_row(n - 1)
-    row = [0]
-    for k in range(1, n + 1):
-        row.append(row[k - 1] + prev[n - k])
-    return tuple(row)
+    return tuple(accumulate(reversed(_entringer_row(n - 1)), initial=0))
 
 
+@lru_cache(maxsize=None)
 def _zigzag(n: int) -> int:
     """Zigzag number Z_n (secant number for even n, tangent for odd n)."""
-    for k in range(n):  # warm the row cache iteratively; keeps recursion shallow
-        _entringer_row(k)
+    for k in range(_zigzag.cache_info().currsize, n):  # upward: row k - 1 is cached
+        _zigzag(k)
     return _entringer_row(n)[n]
 
 

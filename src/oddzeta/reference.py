@@ -175,21 +175,28 @@ def digamma_mikolas(z, precision: int):
               + pi/2 * integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt].
 
     The bracket vanishes at t = 1, cancelling the tangent pole, so plain
-    tanh-sinh integration applies.  Raises NoConvergence when the integral
-    misses its tolerance.
+    tanh-sinh integration applies.  As z -> 1 the cotangent term and the
+    integral each grow like |cot(pi z)| and cancel to about psi(1), so the
+    bits of |cot(pi z)| beyond the guard bits are added to the precision the
+    integral and the sum are computed at.  Raises NoConvergence when the
+    integral misses its tolerance.
     """
-    wp = quad.working_precision(precision)
-    with mp.workprec(wp):
+    with mp.workprec(quad.working_precision(precision)):
         zv = _as_mpf(z)
         if not (0 < zv < 1):
             raise DomainError("Mikolas representation needs 0 < z < 1")
+        cot_bits = mp.mag(mp.cot(mp.pi * zv))
+    inner = precision + max(0, cot_bits - quad.guard_bits(precision))
+    wp = quad.working_precision(inner)
+    with mp.workprec(wp):
+        zv = _as_mpf(z)
         sin_z = mp.sin(mp.pi * zv)
         tan_half = quad.tan_half(wp)
 
         def bracket(t):
             return tan_half[t] * (mp.sin(mp.pi * zv * t) / sin_z - t)
 
-        result = quad.integrate_01(bracket, quad.quad_tolerance(precision), precision)
+        result = quad.integrate_01(bracket, quad.quad_tolerance(precision), inner)
         result.require_converged(f"Mikolas digamma integral at z = {mp.nstr(zv, 8)}")
         value = -(
             euler_gamma(wp)

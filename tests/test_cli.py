@@ -1,11 +1,12 @@
 """CLI surface: exit codes, output formats, fault injection."""
 
 import json
+import re
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from oddzeta import cli, exactnum, zetarep
+from oddzeta import cli, exactnum, reference, zetarep
 from oddzeta.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
 
 ZETA3_30 = "1.20205690315959428539973816151"
@@ -66,6 +67,15 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def verify_rows(out):
+    """``verify``'s check lines by check name, as "STATUS detail"."""
+    rows = {}
+    for line in out.splitlines()[:-1]:
+        status, name, detail = line.split(None, 2)
+        rows[name] = f"{status} {detail}"
+    return rows
 
 
 class TestCompute:
@@ -179,6 +189,15 @@ class TestPoly:
         payload = json.loads(target.read_text())
         assert payload["inputs"] == {"p": 1}
 
+    def test_corrupted_factored_form_is_refused(self, capsys, monkeypatch):
+        # 3t^2 - 5 for 3t^2 - 7: the stored factorization no longer re-expands to P_4
+        entry = (Fraction(-1, 360), 4, [{1: 1}, {2: 1, 0: -1}, {2: 3, 0: -5}])
+        monkeypatch.setitem(cli._FACTORED_FORMS, 2, entry)
+        code, out, err = run(["poly", "--p", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: stored factorization for p=2 does not match the expansion\n"
+
     def test_corrupted_bernoulli_is_a_clean_error(self, capsys, monkeypatch, cold_caches):
         # B_2 feeds the Cauchy product but not the closed form's fixed pi^2/6
         # tail coefficient, so p_poly's exact cross-check must fail with a
@@ -222,6 +241,12 @@ class TestDigamma:
         code, _, err = run(["digamma", "--z", "1.5", "--digits", "20"], capsys)
         assert code == EXIT_USAGE
         assert "0 < z < 1" in err
+
+    def test_unparsable_z(self, capsys):
+        code, out, err = run(["digamma", "--z", "abc", "--digits", "20"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: cannot parse z = 'abc'\n"
 
 
 class TestGammaDeriv:
@@ -279,10 +304,7 @@ class TestNoConvergence:
     def test_verify_names_the_integral(self, capsys):
         code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)
         assert code == EXIT_VERIFY_FAILED
-        rows = {}
-        for line in out.splitlines()[:-1]:
-            status, name, detail = line.split(None, 2)
-            rows[name] = f"{status} {detail}"
+        rows = verify_rows(out)
         assert rows["digamma-grid"].startswith(
             "FAIL Mikolas digamma integral at z = 0.0625 did not converge"
         )
@@ -297,6 +319,21 @@ class TestTable:
         assert lines[0] == "p,rep,value,abs_error,evaluations"
         assert len(lines) == 5  # four representations for p = 1
         assert all(line.startswith("1,") for line in lines[1:])
+
+    @pytest.mark.usefixtures("cap_levels")
+    def test_unconverged_rows_still_printed(self, capsys):
+        code, out, _ = run(["table", "--max-p", "2", "--digits", "15"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [str(p), rep.value] for p in (1, 2) for rep in zetarep.Representation
+        ]
+
+    def test_bad_max_p(self, capsys):
+        code, out, err = run(["table", "--max-p", "0"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: max-p must be >= 1\n"
 
 
 @pytest.mark.parametrize("command", ["compute", "table"])
@@ -352,6 +389,40 @@ class TestVerify:
         line = next(line for line in out.splitlines() if "series-product" in line)
         assert line.startswith("FAIL  series-product")
         assert "z^6" in line
+
+    @pytest.mark.parametrize(
+        "oracle,failed",
+        [
+            (
+                "zeta_ref",
+                {
+                    "representations": r"worst representation error \S+ exceeds bound  \[",
+                    "even-closed-form": r"even closed form mismatch at p=1  \[",
+                    "gamma-derivatives": r"Gamma derivative mismatch at n=2  \[",
+                },
+            ),
+            (
+                "euler_gamma",
+                {
+                    "digamma-grid": r"digamma grid error \S+ exceeds bound  \[",
+                    "gamma-derivatives": r"Gamma derivative mismatch at n=1  \[",
+                },
+            ),
+        ],
+    )
+    def test_perturbed_oracle_fails_the_numeric_bounds(
+        self, oracle, failed, capsys, monkeypatch, cold_caches
+    ):
+        # one oracle off by a relative 1e-5, far outside the 10^-(digits-8) bounds;
+        # the exact checks read no oracle and still pass
+        real = getattr(reference, oracle)
+        monkeypatch.setattr(reference, oracle, lambda *args: real(*args) * (1 + mp.mpf(10) ** -5))
+        code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        rows = verify_rows(out)
+        assert {name for name, row in rows.items() if row.startswith("FAIL")} == set(failed)
+        for name, pattern in failed.items():
+            assert re.match(f"FAIL {pattern}", rows[name]), rows[name]
 
     def test_bad_max_p(self, capsys):
         code, _, err = run(["verify", "--max-p", "0"], capsys)

@@ -1,11 +1,14 @@
 """Exact combinatorics: frozen values, defining identities, polynomial laws."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
+import mpmath as mp
 import pytest
 
+from oddzeta import exactnum
 from oddzeta.errors import DomainError
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
@@ -52,6 +55,18 @@ class TestBernoulliNumbers:
         assert all(r == results[0] for r in results)
         assert results[0] == bernoulli_number(24)
 
+    def test_sweep_against_mpmath_keeps_two_rows(self, cold_caches):
+        # mpmath computes B_n by its own route; each Entringer row is read once,
+        # to build the next, so only the last two stay cached
+        for n in range(601):
+            assert bernoulli_number(n) == Fraction(*mp.bernfrac(n)), n
+        assert exactnum._entringer_row.cache_info().currsize <= 2
+
+    def test_cold_index_past_the_recursion_limit(self, cold_caches):
+        # the zigzag numbers fill upward, so a cold call recurses one frame, not n
+        n = 2 * (sys.getrecursionlimit() // 2 + 50)
+        assert bernoulli_number(n) == Fraction(*mp.bernfrac(n))
+
 
 class TestEulerNumbers:
     def test_frozen_values(self):
@@ -63,6 +78,10 @@ class TestEulerNumbers:
         for n in range(1, 16):
             total = sum(comb(2 * n, 2 * j) * euler_number(2 * j) for j in range(n + 1))
             assert total == 0, n
+
+    def test_sweep_against_mpmath(self):
+        for n in range(201):
+            assert euler_number(n) == mp.eulernum(n, exact=True), n
 
 
 class TestBernoulliPolynomials:

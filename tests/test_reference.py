@@ -5,7 +5,9 @@ import inspect
 import mpmath as mp
 import pytest
 
+from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, NoConvergence
+from oddzeta.quad import quad_tolerance
 from oddzeta.reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from oracles import dl_series_check, pole_cancellation_check, zeta_borwein
 
@@ -129,6 +131,17 @@ class TestMikolasIntegral:
             z = mp.mpf(k) / 16
             diff = abs(digamma_mikolas(z, precision) - digamma_ref(z, precision))
             assert diff < mp.mpf(10) ** -25, k
+
+    @pytest.mark.parametrize("digits", [12, 40])
+    def test_next_to_one(self, digits):
+        # pi/2 cot(pi z) and the integral are each about 1e21 here and cancel
+        # to psi(z) ~ -0.577, so the integral needs about 72 more bits
+        precision = bits_for_digits(digits)
+        with mp.workprec(precision):
+            z = mp.mpf("0.9999999999999999999999")
+        value = digamma_mikolas(z, precision)
+        with mp.workprec(2 * precision):
+            assert abs(value - mp.digamma(z)) < quad_tolerance(precision)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import exactnum, expansion, quad, reference
+from oddzeta import exactnum, expansion, quad
 from oddzeta.errors import DomainError, IdentityViolation
 from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
@@ -195,22 +195,14 @@ class TestComputationRecord:
         assert first == abs(comp.value - comp.reference)
 
 
-# the tanh-sinh node levels and the tan(pi t/2) map share one store, quad._tables
-@pytest.mark.parametrize(
-    "cached",
-    [quad._tables, reference.zeta_ref, reference.euler_gamma, quad._tables],
-    ids=["unit_nodes", "zeta_ref", "euler_gamma", "trig_memo"],
-)
-def test_per_precision_caches_are_bounded(cached):
-    assert cached.cache_info().maxsize is not None
-
-
-# every library cache, by qualified name; the last three are keyed by precision
+# every library cache, by qualified name; the last four are bounded: two
+# Entringer rows, and three caches keyed by precision
 KEPT_CACHES = (
-    "exactnum._entringer_row",
+    "exactnum._zigzag",
     "exactnum.bernoulli_number",
     "expansion.csc_coefficient",
     "expansion.p_poly",
+    "exactnum._entringer_row",
     "quad._tables",
     "reference.zeta_ref",
     "reference.euler_gamma",
@@ -221,7 +213,7 @@ def test_cache_inventory(cold_caches):
     # a new cache has to be added here on purpose
     by_name = {f"{c.__module__.removeprefix('oddzeta.')}.{c.__qualname__}": c for c in cold_caches}
     assert sorted(by_name) == sorted(KEPT_CACHES)
-    assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-3:])
+    assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-4:])
 
 
 ROUTES = {rep.value: functools.partial(zeta_odd, 2, rep, 96) for rep in Representation}
