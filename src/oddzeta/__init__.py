@@ -1,7 +1,7 @@
 """Exact polynomial machinery and integral representations of odd zeta values.
 
 The package keeps pi symbolic through all algebra (``pipoly``), builds the
-weight polynomials both from a closed form and from an exact Cauchy product
+weight polynomials as an exact Cauchy product checked at t = 1
 (``expansion``), integrates with arbitrary-precision double-exponential
 quadrature (``quad``), and checks everything against independent oracles
 (``reference``).  ``zetarep`` ties these together into four numeric routes to
@@ -17,7 +17,7 @@ from .errors import (
     OddzetaError,
 )
 from .exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
-from .expansion import alpha_term, p_poly, u_coeff, w_coeff
+from .expansion import p_poly, u_coeff, w_coeff
 from .gammaderiv import bell_complete, gamma_nth_derivative_at_1, gamma_nth_derivative_numeric
 from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval, poly_scale
 from .quad import QuadResult, integrate_01
@@ -44,7 +44,6 @@ __all__ = [
     "QuadResult",
     "Representation",
     "ZetaComputation",
-    "alpha_term",
     "bell_complete",
     "bernoulli_number",
     "bernoulli_polynomial",

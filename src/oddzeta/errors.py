@@ -28,9 +28,11 @@ class NoConvergence(OddzetaError, ArithmeticError):
 class IdentityViolation(OddzetaError, ArithmeticError):
     """An exact polynomial identity that the construction guarantees failed.
 
-    Three identities raise it: the closed form of P_2p disagreeing with the
-    Cauchy product coefficient w_2p; a polynomial factor not vanishing at
-    t = 1 to cancel the tan(pi t/2) pole; and the sine moment of P_2p not
-    collapsing to exactly -1/pi.  Each signals corrupted exact data upstream,
-    such as a wrong Bernoulli number or a broken series expansion.
+    Three identities raise it: P_2p(1) = -[z^2p] csc(pi z) sin(pi z) not
+    vanishing when P_2p is built from the Cauchy product; a polynomial
+    factor not vanishing at t = 1 to cancel the tan(pi t/2) pole; and the
+    sine moment of P_2p not collapsing to exactly -1/pi.  Each message names
+    the polynomial and what survived; from ``zeta_odd`` it also names the
+    route.  Each signals corrupted exact data upstream, such as a wrong
+    Bernoulli number or a broken series expansion.
     """

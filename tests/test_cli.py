@@ -233,9 +233,9 @@ class TestPoly:
         assert err == "error: stored factorization for p=2 does not match the expansion\n"
 
     def test_corrupted_bernoulli_is_a_clean_error(self, capsys, monkeypatch, cold_caches):
-        # B_2 feeds the Cauchy product but not the closed form's fixed pi^2/6
-        # tail coefficient, so p_poly's exact cross-check must fail with a
-        # typed error and the CLI must report it instead of a traceback
+        # B_2 feeds the Cauchy product, so P_4(1) is not 0 and p_poly's exact
+        # check must fail with a typed error that the CLI reports instead of
+        # a traceback
         real = exactnum.bernoulli_number
 
         def corrupted(n):
@@ -425,8 +425,8 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_fault_injection_fails_series_product(self, capsys, monkeypatch, cold_caches):
-        # B_6 enters the closed form and the Cauchy product alike, so only the
-        # independent csc(pi z) sin(pi z) = 1 identity can flag it
+        # B_6 moves the z^6 coefficient of csc(pi z) sin(pi z) off 0, which
+        # P_6(1) = 0 in p_poly flags
         real = exactnum.bernoulli_number
 
         def corrupted(n):

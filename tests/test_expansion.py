@@ -6,9 +6,11 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from oddzeta.errors import DomainError
-from oddzeta.expansion import alpha_term, csc_coefficient, p_poly, u_coeff, w_coeff
+from oddzeta import exactnum
+from oddzeta.errors import DomainError, IdentityViolation
+from oddzeta.expansion import csc_coefficient, p_poly, u_coeff, w_coeff
 from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_evaluator, poly_scale
+from oracles import alpha_term, closed_form_p_poly
 
 
 def sine_series_coefficient(m: int) -> PiLaurent:
@@ -27,7 +29,7 @@ def alpha_tail(p: int) -> PiPoly:
         (-1)^p pi^{2p} t^{2p-3} [60 t^2 (2p(2p+1) - 6 t^2)(2p-3)! - 7 (2p+1)!]
         / (360 (2p-3)! (2p+1)!)
 
-    An oracle independent of the term-by-term sum that ``p_poly`` builds.
+    An oracle independent of the term-by-term sum in ``closed_form_p_poly``.
     For p < 2 only the term-by-term sum (with negative-index alphas dropped)
     has a sensible reading, so this form refuses those inputs.
     """
@@ -134,8 +136,28 @@ class TestClosedForm:
         assert p_poly(p) == PiPoly(EXPECTED_P[p])
 
     def test_matches_cauchy_product(self):
-        for p in range(1, 13):
-            assert p_poly(p) == w_coeff(2 * p), p
+        # the paper's closed form against p_poly, which is the Cauchy product
+        for p in range(1, 73):
+            assert closed_form_p_poly(p) == p_poly(p), p
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    def test_corrupted_bernoulli_fails_from_its_order_on(self, m, monkeypatch, cold_caches):
+        # B_2m enters csc_coefficient(2m - 1), so w_2p for every p >= m and no
+        # smaller p; P_2p(1) = 0 compares with no Bernoulli number of its own
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return real(n) * 2 if n == 2 * m else real(n)
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        for p in range(1, m):
+            assert p_poly(p) == closed_form_p_poly(p), (m, p)
+        for p in range(m, 13):
+            with pytest.raises(IdentityViolation) as excinfo:
+                p_poly(p)
+            message = str(excinfo.value)
+            assert f"p={p}:" in message, (m, p)
+            assert f"the z^{2 * p} coefficient of csc(pi z) sin(pi z)" in message, (m, p)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -166,6 +188,7 @@ class TestAlphaTail:
     def test_p2_is_whole_polynomial(self):
         # Bernoulli sum is empty at p = 2, so the tail is all of P_4
         assert alpha_tail(2) == p_poly(2)
+        assert alpha_tail(2) == closed_form_p_poly(2)
 
     def test_matches_term_by_term(self):
         for p in range(2, 9):

@@ -11,6 +11,7 @@ from oddzeta.expansion import p_poly
 from oddzeta.pipoly import (
     PiLaurent,
     PiPoly,
+    fraction_to_mpf,
     integrate_against_sin,
     laurent_eval,
     poly_evaluator,
@@ -178,6 +179,19 @@ class TestEvaluation:
                 assert abs(value - exact) <= bound, (name, wp, t)
             with mp.workprec(wp):
                 assert negated(t) == -value, (name, wp, t)
+
+    @pytest.mark.parametrize("precision", [53, 300, 2600])
+    def test_fraction_to_mpf_is_plain_division(self, precision, rng):
+        # bit for bit mpf(numerator) / denominator, also for long power-of-two
+        # denominators and numerators wider than the precision
+        cases = [Fraction(0), Fraction(-1, 3), Fraction(1, 1 << 2392), Fraction(7 << 40, 3)]
+        for _ in range(200):
+            numerator = rng.randint(-(1 << 3000), 1 << 3000) >> rng.randint(0, 3000)
+            odd = rng.randint(0, 1 << rng.randint(0, 3000)) | 1
+            cases.append(Fraction(numerator, odd << rng.randint(0, 3000)))
+        with mp.workprec(precision):
+            for c in cases:
+                assert fraction_to_mpf(c) == mp.mpf(c.numerator) / c.denominator, c
 
     def test_at_rational_exact(self):
         assert P2.at_rational(Fraction(1)) == PiLaurent.zero()

@@ -46,14 +46,15 @@ class TestUnitInterval:
             assert abs(result.value - mp.mpf("0.46522")) < mp.mpf("1e-4")
 
     @pytest.mark.parametrize("precision", [64, 192, 320])
-    def test_endpoint_safety(self, precision):
+    def test_endpoint_safety(self, precision, monkeypatch):
         seen = []
 
         def probe(t):
             seen.append(t)
             return mp.mpf(1)
 
-        integrate_01(probe, mp.mpf(10) ** -5, precision, max_level=6)
+        monkeypatch.setattr(quad, "MAX_LEVEL", 6)
+        integrate_01(probe, mp.mpf(10) ** -5, precision)
         assert seen
         assert all(0 < t < 1 for t in seen)
 
@@ -130,8 +131,9 @@ class TestErrorModes:
         with pytest.raises(NonFiniteSample):
             integrate_01(lambda t: mp.nan, TOL30, 64)
 
-    def test_no_convergence_reports_honestly(self):
-        result = integrate_01(zeta3_integrand(256), mp.mpf(10) ** -70, 256, max_level=3)
+    def test_no_convergence_reports_honestly(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_LEVEL", 3)
+        result = integrate_01(zeta3_integrand(256), mp.mpf(10) ** -70, 256)
         assert not result.converged
         assert result.error_estimate > mp.mpf(10) ** -70
         assert result.levels == 3
