@@ -9,9 +9,10 @@ Inputs are checked by the library's typed errors; ``main`` reports one, or an
 and every command writes to ``args.stream`` (that file, else stdout):
 compute, digamma and gammaderiv build one payload that :func:`_respond`
 writes as text or JSON; poly, verify and table write their own text, JSON,
-LaTeX or CSV.  ``verify`` runs six named checks; ``series-product`` is the
-exact P_2p(1) = 0 test that :func:`expansion.p_poly` makes of the Cauchy
-product.
+LaTeX or CSV (``table --format json``: one record per p and representation
+with its value, reference, error and quadrature diagnostics).  ``verify``
+runs six named checks; ``series-product`` is the exact P_2p(1) = 0 test that
+:func:`expansion.p_poly` makes of the Cauchy product.
 """
 
 from __future__ import annotations
@@ -288,24 +289,39 @@ def cmd_table(args) -> int:
     if args.max_p < 1:
         return _usage_error("max-p must be >= 1")
     precision = bits_for_digits(args.digits)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["p", "rep", "value", "abs_error", "evaluations"])
+    rows = []
     exit_code = EXIT_OK
     for p in range(1, args.max_p + 1):
         for rep in Representation:
             comp = zetarep.zeta_odd(p, rep, precision)
             if not comp.quad.converged:
                 exit_code = EXIT_NO_CONVERGENCE
-            writer.writerow(
-                [
-                    p,
-                    rep.value,
-                    mp.nstr(comp.value, args.digits),
-                    mp.nstr(comp.abs_error_vs_reference, 8),
-                    comp.quad.evaluations,
-                ]
+            rows.append(
+                {
+                    "p": p,
+                    "representation": rep.value,
+                    "value": mp.nstr(comp.value, args.digits),
+                    "reference": mp.nstr(comp.reference, args.digits),
+                    "abs_error": mp.nstr(comp.abs_error_vs_reference, 8),
+                    "diagnostics": {
+                        "evaluations": comp.quad.evaluations,
+                        "levels": comp.quad.levels,
+                        "converged": comp.quad.converged,
+                        "error_estimate": mp.nstr(comp.quad.error_estimate, 8),
+                        "precision_bits": precision,
+                    },
+                }
             )
+    if args.format == "json":
+        inputs = {"max_p": args.max_p, "digits": args.digits}
+        args.stream.write(render_json({"command": "table", "inputs": inputs, "rows": rows}))
+        return exit_code
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["p", "rep", "value", "abs_error", "evaluations"])
+    for row in rows:
+        fields = (row["p"], row["representation"], row["value"], row["abs_error"])
+        writer.writerow([*fields, row["diagnostics"]["evaluations"]])
     args.stream.write(buffer.getvalue())
     return exit_code
 
@@ -357,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="CSV table over p and representation")
     p_table.add_argument("--max-p", type=int, default=3, dest="max_p")
     p_table.add_argument("--digits", type=int, default=30)
+    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=cmd_table)
 

@@ -19,13 +19,14 @@ possible in pure rational arithmetic.  Every text form of a polynomial
 (:func:`to_text`, :func:`to_latex`, the CLI's factored form) is one
 signed-term walk, :func:`join_terms`.
 
-Numeric evaluation is the one place the library works in integers:
-:func:`poly_evaluator` folds each degree's pi-powers into one fixed-point
-integer, rounded to nearest, with fraction bits from the precision and the
-coefficient sizes, runs Horner on Python integers and rounds the result into
-one mpf.  That size rule, log2 |c pi^e| read off the bit lengths, is also
-the guard of :func:`laurent_eval`.  Every Fraction the library turns into an
-mpf goes through :func:`fraction_to_mpf`.
+A polynomial reaches the quadrature as fixed-point integers:
+:func:`fixed_point` folds each degree's pi-powers into one integer, rounded
+to nearest, with fraction bits from the precision and the coefficient sizes,
+and ``quad`` takes its dot product with integer moments.  That size rule,
+log2 |c pi^e| read off the bit lengths, is also the guard of
+:func:`laurent_eval`.  :func:`divide_one_minus_t` splits off the factor
+(1 - t) exactly, and its remainder is the value at t = 1.  Every Fraction the
+library turns into an mpf goes through :func:`fraction_to_mpf`.
 
 Negative pi-exponents are confined to :class:`PiLaurent`: every way of
 building a :class:`PiPoly` rejects them with
@@ -40,7 +41,6 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from . import quad
 from .errors import DomainError
@@ -50,7 +50,8 @@ __all__ = [
     "PiLaurent",
     "poly_scale",
     "fraction_to_mpf",
-    "poly_evaluator",
+    "fixed_point",
+    "divide_one_minus_t",
     "laurent_eval",
     "integrate_against_sin",
     "to_json_terms",
@@ -258,47 +259,45 @@ def _magnitude_bits(c: Fraction, pi_exp: int) -> int:
     return c.numerator.bit_length() - c.denominator.bit_length() + 2 * abs(pi_exp)
 
 
-def poly_evaluator(a: PiPoly, precision: int) -> Callable:
-    """Compile a PiPoly into a fixed-point integer Horner evaluator at ``precision`` bits.
+def fixed_point(a: PiPoly, precision: int) -> tuple[int, list]:
+    """a's coefficients as fixed-point integers, for sums accurate to about 2^-precision.
 
-    The pi-powers of each degree are folded once into one integer with F
-    fraction bits, rounded to nearest, so that +c and -c stay exact negatives.
-    The returned callable converts its mpf argument t to F fraction bits once,
-    runs ``acc = ((acc * x) >> F) + c`` on Python integers and returns one mpf
-    rounded to ``precision`` bits.  F is ``precision`` plus the bits of the
-    largest |c_ij pi^j| (the :func:`laurent_eval` size rule, at least 0) plus
-    log2(degree) plus 4, so for |t| <= 1 the absolute error is within
-    (degree + 1) * max(1, sum |c_i|) * 2^-precision.  The polynomial is
-    evaluated with its leading coefficient made positive and the sign put
-    back at the end, so -a evaluates to exactly the negative of a.  Intended
-    to be called with the working precision already including guard bits.
+    Returns (F, [c_0, ..., c_d]): the pi-powers of each degree are folded into
+    one number and rounded to nearest at F fraction bits, so +a and -a give
+    exact negatives.  F is ``precision`` plus the bits of the largest
+    |c_ij pi^j| (the :func:`laurent_eval` size rule, at least 0) plus
+    log2(degree) plus 4, the guard for the rounding of d multiply-and-shift
+    steps on values in [-1, 1].
     """
-    if precision < 16:
-        raise DomainError("precision must be at least 16 bits")
     terms = a._terms
-    if not terms:
-        zero = mp.mpf(0)
-        return lambda t: zero
-    degree = max(i for i, _ in terms)
-    top = max(0, *(_magnitude_bits(c, j) for (_, j), c in terms.items()))
+    degree = max((i for i, _ in terms), default=0)
+    top = max([0] + [_magnitude_bits(c, j) for (_, j), c in terms.items()])
     frac = precision + top + degree.bit_length() + 4
     with mp.workprec(frac + top + 16):
         pi = +mp.pi
-        by_degree = [mp.mpf(0)] * (degree + 1)
+        by_degree = [mp.mpf(0)] * (degree + 1) if terms else []
         for (i, j), c in terms.items():
             by_degree[i] += fraction_to_mpf(c) * pi**j
-        sign = -1 if by_degree[-1] < 0 else 1
-        lead, *rest = (sign * int(mp.nint(mp.ldexp(c, frac))) for c in reversed(by_degree))
-    convert, make_mpf = mp.convert, mp.make_mpf
+        return frac, [int(mp.nint(mp.ldexp(c, frac))) for c in by_degree]
 
-    def evaluate(t):
-        x = to_fixed(convert(t)._mpf_, frac)
-        acc = lead
-        for c in rest:
-            acc = ((acc * x) >> frac) + c
-        return make_mpf(from_man_exp(sign * acc, -frac, precision, round_nearest))
 
-    return evaluate
+def divide_one_minus_t(a: PiPoly) -> tuple[PiPoly, PiLaurent]:
+    """Exact (Q, R) with a(t) = (1 - t) Q(t) + R, where R = a(1).
+
+    Per pi-power j, q_k = -(a_{k+1} + ... + a_d) and R is the sum of all a_k,
+    so Q keeps a's grading and has one degree less.
+    """
+    rows: dict = {}
+    for (i, j), c in a._terms.items():
+        rows.setdefault(j, {})[i] = c
+    quotient, remainder = {}, {}
+    for j, row in rows.items():
+        tail = 0  # a_{k+1} + ... + a_d
+        for k in range(max(row), -1, -1):
+            quotient[k, j] = -tail
+            tail += row.get(k, 0)
+        remainder[j] = tail
+    return PiPoly(quotient), PiLaurent(remainder)
 
 
 def laurent_eval(a: PiLaurent, precision: int):

@@ -5,19 +5,32 @@ without ever touching them, so an integrable logarithmic endpoint
 singularity needs no special treatment.  The complementary node 1 - t
 is produced in the same stable form, and the weight is pi cosh(u) t (1 - t),
 which avoids all cancellation.  Each level halves the step h = 2^-level and
-reuses every previous abscissa (Takahasi & Mori 1974); :func:`integrate_01`
-keeps the running sums and the per-level deltas, estimates the error, stops,
-and rounds the result back to the requested precision.  An integral over
-(0, inf) reaches (0, 1) by a change of variable in its caller.
+reuses every previous abscissa (Takahasi & Mori 1974).  One level loop,
+:func:`_level_loop`, keeps the running sums and the per-level deltas,
+estimates the error, stops, and rounds the result back to the requested
+precision; it is handed each level's new partial sum either by sampling an
+integrand (:func:`integrate_01`) or by a dot product with cached moments
+(:func:`integrate_moments`).  An integral over (0, inf) reaches (0, 1) by a
+change of variable in its caller.
 
 The nodes step exp(u) along u = j h by a fixed factor and take sinh u and
 cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does, so a node
 costs one exp, the transform's own; the stepping carries 16 + log2(steps)
 extra bits.  The nodes are cached per working precision together with
-tan(pi t/2) at every abscissa (:func:`tan_half`), the factor the library's
-zeta and digamma integrands carry: one tan per node pair, tan(pi t_lo/2)
+tan(pi t/2) at every abscissa (:func:`tan_half`), the factor the zeta
+moments and the digamma integrand carry: one tan per node pair, tan(pi t_lo/2)
 and its reciprocal for t_hi = 1 - t_lo, so the ill-conditioned tan next to
 t = 1 is never formed.
+
+The zeta integrands are tan(pi t/2) (1 - t) Q(t), times cos(pi t) for the
+theorem, with Q a polynomial, so each level's sum is sum_k q_k N_k with the
+moments N_k = sum_j g_j t_j^k over the level's abscissas and g_j = w_j
+tan(pi t_j/2) (1 - t_j) [cos(pi t_j)].  Near t = 1 that factor is formed as
+w tan(pi t_hi/2) t_lo, which is bounded.  The moments are fixed-point
+integers with F fraction bits, cached per level in the same store as the
+nodes, one table per F (F - wp rounded up to a multiple of 64), so a result
+depends only on its own polynomial and precision, never on which tables
+earlier calls built; a table is extended when a call needs a higher degree.
 
 The error estimate follows the usual double-exponential heuristic: with
 d1 = |S_m - S_{m-1}| and d2 = |S_m - S_{m-2}| the estimated exponent is
@@ -27,8 +40,8 @@ Numbers are mpmath ``mpf`` values; every routine takes the target precision
 in bits and computes internally with guard bits (max of 16 and 10% extra).
 The guard bits and the tolerance the library integrates to are decided here
 (:func:`guard_bits`, :func:`quad_tolerance`) and nowhere else.  Identical
-inputs produce bit-identical results: abscissas, weights, and the summation
-order are all fixed.
+inputs produce bit-identical results: abscissas, weights, moments and the
+summation order are all fixed.
 """
 
 from __future__ import annotations
@@ -39,12 +52,14 @@ from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, NoConvergence, NonFiniteSample
 
 __all__ = [
     "QuadResult",
     "integrate_01",
+    "integrate_moments",
     "tan_half",
     "guard_bits",
     "working_precision",
@@ -52,8 +67,12 @@ __all__ = [
     "MAX_LEVEL",
 ]
 
-# the last level integrate_01 runs, read at call time
+# the last level the level loop runs, read at call time
 MAX_LEVEL = 12
+
+# moment tables keep this many fraction bits beyond the working precision,
+# or a multiple of it
+_MOMENT_BITS = 64
 
 
 def guard_bits(precision: int) -> int:
@@ -117,8 +136,9 @@ def _estimate_error(sums: list, wp: int):
 
 @lru_cache(maxsize=4)  # four working precisions
 def _tables(wp: int):
-    """Per-precision store: tanh-sinh nodes by level, tan(pi t/2) by abscissa."""
-    return {}, {}
+    """Per-precision store: tanh-sinh nodes by level, tan(pi t/2) by abscissa,
+    and the fixed-point moments by (level, fraction bits, with_cos)."""
+    return {}, {}, {}
 
 
 def tan_half(wp: int) -> dict:
@@ -140,7 +160,7 @@ def _unit_nodes(wp: int, level: int):
     Building a level also enters its abscissas in :func:`tan_half`, at one
     tan per pair: tan(pi t/2) tan(pi (1-t)/2) = 1, and tan(pi/4) = 1.
     """
-    levels, tangents = _tables(wp)
+    levels, tangents, _ = _tables(wp)
     if level in levels:
         return levels[level]
     with mp.workprec(wp):
@@ -182,35 +202,66 @@ def _unit_nodes(wp: int, level: int):
     return nodes
 
 
+def _moments(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> list:
+    """N_k = sum_j g_j t_j^k, k = 0..degree at least, over the new abscissas of a level.
+
+    g_j = w_j tan(pi t_j/2) (1 - t_j), times cos(pi t_j) = (1 - tau^2)/(1 + tau^2)
+    when ``with_cos`` is set, is formed from the tangent map at frac + 8 bits
+    (w tan(pi t_hi/2) t_lo next to t = 1) and rounded down to ``frac`` fraction
+    bits, as is t_j; each power is ``(x * t) >> frac``.  The table keeps every
+    abscissa's next power, so a call that needs a higher degree extends it
+    and the entries already there do not change.
+    """
+    store = _tables(wp)[2]
+    key = (level, frac, with_cos)
+    table = store.get(key)
+    if table is not None and len(table[0]) > degree:
+        return table[0]
+    # (t, 1 - t, weight) per abscissa; the centre t = 1/2 is its own complement
+    abscissas = [
+        (t, complement, weight)
+        for t_hi, t_lo, weight in _unit_nodes(wp, level)
+        for t, complement in (((t_hi, t_hi),) if t_lo is None else ((t_hi, t_lo), (t_lo, t_hi)))
+    ]
+    if table is None:
+        tangents = tan_half(wp)
+        powers = []
+        with mp.workprec(frac + 8):
+            for t, complement, weight in abscissas:
+                tau = tangents[t]
+                g = weight * tau * complement
+                if with_cos:
+                    square = tau * tau
+                    g = g * (1 - square) / (1 + square)
+                powers.append(to_fixed(g._mpf_, frac))
+        table = store[key] = ([], powers)
+    sums, powers = table
+    start = len(sums)
+    sums.extend([0] * (degree + 1 - start))
+    for j, (t, _, _) in enumerate(abscissas):
+        x, step = powers[j], to_fixed(t._mpf_, frac)
+        for k in range(start, degree + 1):
+            sums[k] += x
+            x = (x * step) >> frac
+        powers[j] = x
+    return sums
 
 
-def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
-    """Tanh-sinh integration of f over the open interval (0, 1).
+def _level_loop(level_sum: Callable, tol, precision: int) -> QuadResult:
+    """The one tanh-sinh level loop: sums, deltas, error estimate, stop, rounding.
 
-    ``f`` is never called at the endpoints; it must be finite on (0,1) and
-    may have an integrable logarithmic singularity at an endpoint.  No
-    abscissa lies within about 2^-wp of an endpoint (wp the working
-    precision), so the integral over that stretch must be negligible at
-    ``tol``.  Level 0 is the trapezoid sum over its nodes; every later level
-    halves the previous sum and adds its own new nodes.  Levels double until
-    the error estimate drops below ``tol`` (requires at least two
-    refinements) or level ``MAX_LEVEL`` is done, in which case the best
-    value is returned with ``converged=False``.  A non-finite sample raises
-    NonFiniteSample.
+    ``level_sum(wp, level)`` returns the level's new weighted sum (at ``wp``
+    bits, before the factor h) and the number of abscissas it covers.  Level 0
+    is the trapezoid sum over its nodes; every later level halves the
+    previous sum and adds its own.  Levels double until the error estimate
+    drops below ``tol`` (requires at least two refinements) or level
+    ``MAX_LEVEL`` is done, in which case the best value is returned with
+    ``converged=False``.  The value is rounded to ``precision`` bits.
     """
     if precision < 16:
         raise DomainError("precision must be at least 16 bits")
     wp = working_precision(precision)
     evaluations = 0
-
-    def sample(t):
-        nonlocal evaluations
-        value = f(t)
-        if not mp.isfinite(value):
-            raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
-        evaluations += 1
-        return value
-
     with mp.workprec(wp):
         tolerance = mp.mpf(tol)
         sums: list = []
@@ -219,11 +270,8 @@ def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
         converged = False
         for level in range(MAX_LEVEL + 1):
             h = mp.ldexp(1, -level)
-            partial = mp.mpf(0)
-            for t_hi, t_lo, weight in _unit_nodes(wp, level):
-                partial += weight * sample(t_hi)
-                if t_lo is not None:
-                    partial += weight * sample(t_lo)
+            partial, count = level_sum(wp, level)
+            evaluations += count
             sums.append(partial * h if level == 0 else sums[-1] / 2 + partial * h)
             if level >= 1:
                 deltas.append(abs(sums[-1] - sums[-2]))
@@ -243,3 +291,56 @@ def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
         converged=converged,
         deltas=deltas,
     )
+
+
+def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
+    """Tanh-sinh integration of f over the open interval (0, 1).
+
+    ``f`` is never called at the endpoints; it must be finite on (0,1) and
+    may have an integrable logarithmic singularity at an endpoint.  No
+    abscissa lies within about 2^-wp of an endpoint (wp the working
+    precision), so the integral over that stretch must be negligible at
+    ``tol``.  Convergence, the level cap and the rounding are those of the
+    level loop (:func:`_level_loop`); ``evaluations`` counts the calls of f.
+    A non-finite sample raises NonFiniteSample.
+    """
+
+    def level_sum(wp, level):
+        partial, count = mp.mpf(0), 0
+        for t_hi, t_lo, weight in _unit_nodes(wp, level):
+            for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
+                value = f(t)
+                if not mp.isfinite(value):
+                    raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
+                partial += weight * value
+                count += 1
+        return partial, count
+
+    return _level_loop(level_sum, tol, precision)
+
+
+def integrate_moments(
+    coefficients: list, frac: int, with_cos: bool, tol, precision: int
+) -> QuadResult:
+    """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt, times cos(pi t) under ``with_cos``.
+
+    ``coefficients`` are round(q_k 2^frac), lowest degree first, with ``frac``
+    sized by :func:`pipoly.fixed_point`; they are shifted up exactly to the
+    moment table of wp plus a multiple of 64 fraction bits.  Each level's sum
+    is their integer dot product with the level's moments (:func:`_moments`),
+    rounded once into an mpf, so no integrand is evaluated; ``evaluations``
+    counts the abscissas the sums cover.  The level loop is that of
+    :func:`integrate_01`.
+    """
+    wp = working_precision(precision)
+    table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
+    shifted = [c << (table - frac) for c in coefficients]
+    degree = len(shifted) - 1
+
+    def level_sum(wp, level):
+        moments = _moments(wp, level, table, with_cos, degree)
+        total = sum(c * n for c, n in zip(shifted, moments))
+        count = 2 * len(_unit_nodes(wp, level)) - (level == 0)
+        return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count
+
+    return _level_loop(level_sum, tol, precision)

@@ -15,12 +15,16 @@ the zero-tolerance moment identity integral_0^1 P_{2p}(t) sin(pi t) dt = -1/pi.
 
 Every tan(pi t/2) pole at t = 1 is cancelled by a zero of the polynomial
 factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
-bounded and the quadrature contract applies directly.  ``zeta_odd`` checks
-that zero exactly before integrating.  The integrands read tau = tan(pi t/2)
-from the node tables' tangent map (:func:`quad.tan_half`), and ``theorem``
-takes cos(pi t) = (1 - tau^2)/(1 + tau^2) from the same tau, so this module
-keeps no trig cache of its own.  Computed values are
-always reported next to a freshly computed oracle value, never a stored one.
+bounded and the quadrature contract applies directly.  ``zeta_odd`` divides
+the factor exactly by (1 - t), P = (1 - t) Q, and the zero remainder is its
+check of that zero.  Each integral is then linear in Q: the quadrature takes
+the dot product of Q's fixed-point coefficients (:func:`pipoly.fixed_point`)
+with moments of tan(pi t/2) (1 - t), and of that times cos(pi t) for
+``theorem``, cached per precision and level in ``quad``
+(:func:`quad.integrate_moments`).  So one pass over a level's abscissas
+serves every p and route, no integrand is sampled, and this module keeps no
+trig cache of its own.  Computed values are always reported next to a
+freshly computed oracle value, never a stored one.
 """
 
 from __future__ import annotations
@@ -110,11 +114,11 @@ def _route(p: int, rep: Representation) -> _Route:
 def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
     """zeta(2p+1) by one :class:`Representation` (or its string value).
 
-    The polynomial factor must vanish exactly at t = 1, where it cancels the
-    tan(pi t/2) pole; this is checked in rational arithmetic before any
-    integrand is evaluated (for P_2p by :func:`expansion.p_poly` itself), and
-    a nonzero residue raises IdentityViolation naming p, the route and the
-    residue.
+    The polynomial factor P is divided exactly by (1 - t); the remainder is
+    P(1), which must be 0 for P to cancel the tan(pi t/2) pole, and a nonzero
+    one raises IdentityViolation naming p, the route and the residue before
+    any node is built (for P_2p :func:`expansion.p_poly` has checked it
+    already).  The quotient is integrated by :func:`quad.integrate_moments`.
     """
     _require_p(p)
     try:
@@ -125,28 +129,17 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
         route = _route(p, rep)
     except IdentityViolation as exc:
         raise IdentityViolation(f"{rep.value}, {exc}") from exc
-    residue = route.poly.at_rational(1)
+    quotient, residue = pipoly.divide_one_minus_t(route.poly)
     if not residue.is_zero():
         raise IdentityViolation(
             f"p={p}, {rep.value}: the polynomial factor is {residue!r} at t = 1, not 0, "
             "so the tan(pi t/2) pole there is not cancelled"
         )
     wp = quad.working_precision(precision)
-    poly_fn = pipoly.poly_evaluator(route.poly, wp)
-    tan_half = quad.tan_half(wp)
-    if route.with_cos:
-
-        def integrand(t):
-            tau = tan_half[t]
-            square = tau * tau
-            return tau * (1 - square) / (1 + square) * poly_fn(t)  # cos(pi t) from tau
-
-    else:
-
-        def integrand(t):
-            return tan_half[t] * poly_fn(t)
-
-    result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
+    frac, coefficients = pipoly.fixed_point(quotient, wp)
+    result = quad.integrate_moments(
+        coefficients, frac, route.with_cos, quad.quad_tolerance(precision), precision
+    )
     with mp.workprec(wp):
         scale = pipoly.fraction_to_mpf(route.prefactor) * mp.pi**route.pi_exp
         raw = pipoly.fraction_to_mpf(route.shift) + scale * result.value

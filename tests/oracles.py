@@ -18,6 +18,9 @@ Each one is a second route to something the library computes, kept out of
 * ``closed_form_p_poly``, ``alpha_term``
   the paper's closed form of P_2p, against which the Cauchy product
   ``expansion.p_poly`` is checked.
+* ``poly_evaluator``           a PiPoly at one point by fixed-point integer
+  Horner, on the coefficients ``pipoly.fixed_point`` folds for the moment
+  dot product; the reference evaluator of the tests.
 """
 
 from __future__ import annotations
@@ -28,10 +31,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from oddzeta import exactnum, expansion, quad, reference
 from oddzeta.errors import DomainError
-from oddzeta.pipoly import PiLaurent, PiPoly, fraction_to_mpf, laurent_eval, poly_scale
+from oddzeta.pipoly import (
+    PiLaurent,
+    PiPoly,
+    fixed_point,
+    fraction_to_mpf,
+    laurent_eval,
+    poly_scale,
+)
 from oddzeta.reference import _as_mpf, digamma_ref, euler_gamma, zeta_ref
 
 
@@ -242,3 +253,40 @@ def closed_form_p_poly(p: int) -> PiPoly:
             *odd_terms,
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# pointwise evaluation
+# ---------------------------------------------------------------------------
+
+def poly_evaluator(a: PiPoly, precision: int):
+    """Compile a PiPoly into a fixed-point integer Horner evaluator at ``precision`` bits.
+
+    The coefficients are those of ``pipoly.fixed_point(a, precision)``: each
+    degree's pi-powers folded into one integer with F fraction bits, rounded
+    to nearest.  The returned callable converts its mpf argument t to F
+    fraction bits once, runs ``acc = ((acc * x) >> F) + c`` on Python
+    integers and returns one mpf rounded to ``precision`` bits; for |t| <= 1
+    the absolute error is within (degree + 1) * max(1, sum |c_i|) *
+    2^-precision.  The polynomial is evaluated with its highest nonzero
+    coefficient made positive and the sign put back at the end, so -a
+    evaluates to exactly the negative of a.
+    """
+    if precision < 16:
+        raise DomainError("precision must be at least 16 bits")
+    frac, coefficients = fixed_point(a, precision)
+    if not coefficients:
+        zero = mp.mpf(0)
+        return lambda t: zero
+    # the top coefficient can round to 0; the sign is that of the first nonzero one
+    sign = -1 if next((c for c in reversed(coefficients) if c), 0) < 0 else 1
+    lead, *rest = (sign * c for c in reversed(coefficients))
+
+    def evaluate(t):
+        x = to_fixed(mp.convert(t)._mpf_, frac)
+        acc = lead
+        for c in rest:
+            acc = ((acc * x) >> frac) + c
+        return mp.make_mpf(from_man_exp(sign * acc, -frac, precision, round_nearest))
+
+    return evaluate

@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -85,7 +86,13 @@ TABLE_6_60 = "\r\n".join(
     ]
 )
 
+# `table --max-p 16 --digits 100` stdout, frozen byte for byte (md5 5f8184326e554dd19eb24cebe0fe2098);
+# its evaluations column sums to 43,072
+TABLE_16_100 = Path(__file__).parent / "golden" / "table-max-p16-digits100.csv"
+
 COMPARISON_KEYS = {"command", "inputs", "value", "error_estimate", "reference", "diagnostics"}
+TABLE_ROW_KEYS = {"p", "representation", "value", "reference", "abs_error", "diagnostics"}
+TABLE_DIAGNOSTIC_KEYS = {"evaluations", "levels", "converged", "error_estimate", "precision_bits"}
 
 # one valid command line per subcommand that takes --digits
 DIGITS_COMMANDS = {
@@ -377,6 +384,47 @@ class TestTable:
         code, out, _ = run(["table", "--max-p", "6", "--digits", "60"], capsys)
         assert code == EXIT_OK
         assert out == TABLE_6_60
+
+    def test_golden_sixteen(self, capsys):
+        code, out, _ = run(["table", "--max-p", "16", "--digits", "100"], capsys)
+        assert code == EXIT_OK
+        assert out.encode() == TABLE_16_100.read_bytes()
+
+    def test_json_keys_and_round_trip(self, capsys):
+        code, out, _ = run(["table", "--max-p", "2", "--digits", "20", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert cli.render_json(payload) == out
+        assert set(payload) == {"command", "inputs", "rows"}
+        assert payload["command"] == "table"
+        assert payload["inputs"] == {"max_p": 2, "digits": 20}
+        assert [(row["p"], row["representation"]) for row in payload["rows"]] == [
+            (p, rep.value) for p in (1, 2) for rep in zetarep.Representation
+        ]
+        for row in payload["rows"]:
+            assert set(row) == TABLE_ROW_KEYS
+            assert set(row["diagnostics"]) == TABLE_DIAGNOSTIC_KEYS
+            assert row["diagnostics"]["converged"] is True
+            assert row["diagnostics"]["precision_bits"] == cli.bits_for_digits(20)
+            assert row["value"][:19] in ("1.20205690315959428", "1.03692775514336992")
+
+    def test_json_matches_csv(self, capsys):
+        argv = ["table", "--max-p", "3", "--digits", "30"]
+        _, text, _ = run(argv, capsys)
+        _, out, _ = run([*argv, "--format", "json"], capsys)
+        csv_rows = [line.split(",") for line in text.splitlines()[1:]]
+        json_rows = [
+            [str(r["p"]), r["representation"], r["value"], r["abs_error"], str(r["diagnostics"]["evaluations"])]
+            for r in json.loads(out)["rows"]
+        ]
+        assert json_rows == csv_rows
+
+    @pytest.mark.usefixtures("cap_levels")
+    def test_json_unconverged_exit_code(self, capsys):
+        code, out, _ = run(["table", "--max-p", "1", "--digits", "15", "--format", "json"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 4 and not any(row["diagnostics"]["converged"] for row in rows)
 
     def test_bad_max_p(self, capsys):
         code, out, err = run(["table", "--max-p", "0"], capsys)

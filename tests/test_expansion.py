@@ -9,8 +9,8 @@ import pytest
 from oddzeta import exactnum
 from oddzeta.errors import DomainError, IdentityViolation
 from oddzeta.expansion import csc_coefficient, p_poly, u_coeff, w_coeff
-from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_evaluator, poly_scale
-from oracles import alpha_term, closed_form_p_poly
+from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale
+from oracles import alpha_term, closed_form_p_poly, poly_evaluator
 
 
 def sine_series_coefficient(m: int) -> PiLaurent:

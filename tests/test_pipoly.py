@@ -5,22 +5,24 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from oddzeta import quad
 from oddzeta.errors import DomainError
 from oddzeta.exactnum import bernoulli_polynomial, euler_polynomial
 from oddzeta.expansion import p_poly
 from oddzeta.pipoly import (
     PiLaurent,
     PiPoly,
+    divide_one_minus_t,
+    fixed_point,
     fraction_to_mpf,
     integrate_against_sin,
     laurent_eval,
-    poly_evaluator,
     poly_scale,
     to_json_terms,
     to_latex,
 )
 from oddzeta.quad import integrate_01, working_precision
-from oracles import sin_moment
+from oracles import poly_evaluator, sin_moment
 
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
@@ -131,6 +133,37 @@ EVALUATOR_POLYS = {
 }
 
 
+# the route polynomials, which vanish at t = 1
+MOMENT_POLYS = {name: EVALUATOR_POLYS[name] for name in ("P_2", "P_16", "P_32", "P_144", "E_32", "B_33")}
+
+
+def exact_level_sum(q, wp, level, with_cos):
+    """sum_j g_j q(t_j) over a level's new abscissas at 6,000 bits.
+
+    g_j = w_j tan(pi t_j/2) (1 - t_j) [cos(pi t_j)] from the stored nodes and
+    tangents, taken as exact, and q(t_j) by mpf Horner.
+    """
+    tangents = quad.tan_half(wp)
+    degree = max((i for i, _ in q.as_dict()), default=0)
+    with mp.workprec(6000):
+        coefficients = [mp.mpf(0)] * (degree + 1)
+        for (i, j), c in q.as_dict().items():
+            coefficients[i] += fraction_to_mpf(c) * mp.pi**j
+        total = mp.mpf(0)
+        for t_hi, t_lo, weight in quad._unit_nodes(wp, level):
+            pairs = ((t_hi, t_hi),) if t_lo is None else ((t_hi, t_lo), (t_lo, t_hi))
+            for t, complement in pairs:
+                tau = tangents[t]
+                g = weight * tau * complement
+                if with_cos:
+                    g *= (1 - tau**2) / (1 + tau**2)
+                value = mp.mpf(0)
+                for c in reversed(coefficients):
+                    value = value * t + c
+                total += g * value
+    return total
+
+
 class TestEvaluation:
     def test_identity_monomial(self):
         value = evaluate(PiPoly.monomial(1), mp.mpf(1) / 2, 64)
@@ -179,6 +212,42 @@ class TestEvaluation:
                 assert abs(value - exact) <= bound, (name, wp, t)
             with mp.workprec(wp):
                 assert negated(t) == -value, (name, wp, t)
+
+    @pytest.mark.parametrize("with_cos", [False, True], ids=["tan", "cos"])
+    @pytest.mark.parametrize("wp", [128, 2400])
+    @pytest.mark.parametrize("name", list(MOMENT_POLYS))
+    def test_moment_error_bound(self, name, wp, with_cos):
+        # one level's sum_k q_k N_k, Q = P / (1 - t), against the 6,000-bit sum
+        # over the same n abscissas.  Each g t^k is within 2k + 2 units of 2^-F
+        # and each q_k within half a unit, so the error is at most
+        # n (2d + 2)(1 + sum |q_k|) 2^-F, and the size rule makes
+        # 2^-F <= 2^-(wp + bits(d) + 3) / max(1, max |q_ij pi^j|).  -Q folds to
+        # exactly the negated integers, so its sum is exactly -(the sum).
+        quotient, remainder = divide_one_minus_t(MOMENT_POLYS[name]())
+        assert remainder.is_zero()
+        frac, coefficients = fixed_point(quotient, wp)
+        assert fixed_point(-quotient, wp) == (frac, [-c for c in coefficients])
+        level = 3
+        moments = quad._moments(wp, level, frac, with_cos, len(coefficients) - 1)
+        total = sum(c * n for c, n in zip(coefficients, moments))
+        count = 2 * len(quad._unit_nodes(wp, level))
+        exact = exact_level_sum(quotient, wp, level, with_cos)
+        degree = len(coefficients) - 1
+        sizes = [abs(laurent_eval(PiLaurent({j: c}), 64)) for (_, j), c in quotient.as_dict().items()]
+        with mp.workprec(6000):
+            error = abs(mp.ldexp(total, -2 * frac) - exact)
+            scale = mp.ldexp(1, -(wp + degree.bit_length() + 3)) / max(1, max(sizes))
+            assert error <= count * (2 * degree + 2) * (1 + sum(sizes)) * scale
+
+    @pytest.mark.parametrize("name", list(MOMENT_POLYS))
+    def test_divide_one_minus_t(self, name, rng):
+        # a = (1 - t) Q + R with R = a(1), for the route polynomials and random ones
+        one_minus_t = PiPoly({(0, 0): 1, (1, 0): -1})
+        for a in [MOMENT_POLYS[name]()] + [random_poly(rng) for _ in range(10)]:
+            quotient, remainder = divide_one_minus_t(a)
+            assert remainder == a.at_rational(Fraction(1))
+            rest = PiPoly({(0, j): c for j, c in remainder.as_dict().items()})
+            assert one_minus_t * quotient + rest == a
 
     @pytest.mark.parametrize("precision", [53, 300, 2600])
     def test_fraction_to_mpf_is_plain_division(self, precision, rng):

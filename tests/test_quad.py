@@ -6,9 +6,9 @@ import pytest
 from oddzeta import quad
 from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
-from oddzeta.pipoly import poly_evaluator
 from oddzeta.quad import integrate_01, working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
+from oracles import poly_evaluator
 
 TOL30 = mp.mpf(10) ** -30
 

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from oddzeta import exactnum, expansion, quad
+from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, IdentityViolation
 from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
@@ -20,6 +21,7 @@ from oddzeta.zetarep import (
     zeta_even_value,
     zeta_odd,
 )
+from oracles import poly_evaluator
 
 ZETA3 = "1.202056903159594285399738161511449990765"
 ZETA5 = "1.036927755143369926331365486457034168057"
@@ -114,8 +116,6 @@ class TestCrossAgreement:
         # pi/2 * integral tan(pi t/2) (1 + cos(pi t)) P_2p(t) dt = -1/2,
         # which is exactly the gap between theorem and corollary forms
         precision = 160
-        from oddzeta.pipoly import poly_evaluator
-
         wp = working_precision(precision)
         poly_fn = poly_evaluator(expansion.p_poly(2), wp)
         result = integrate_01(
@@ -135,7 +135,8 @@ class TestPolePrecondition:
     @pytest.mark.parametrize("rep", ["theorem", "corollary", "ck_bernoulli"])
     def test_corrupted_bernoulli_raises_before_integrating(self, rep, monkeypatch, cold_caches):
         # B_6 = 1/43 instead of 1/42 leaves P_6 and B_7 nonzero at t = 1, so
-        # the tan(pi t/2) pole is not cancelled; no integrand may be evaluated
+        # the tan(pi t/2) pole is not cancelled; no level of nodes, and so no
+        # moment, may be built (the caches are cold, so either would build one)
         real = exactnum.bernoulli_number
 
         def corrupted(n):
@@ -145,7 +146,7 @@ class TestPolePrecondition:
             raise AssertionError("integrated despite a nonzero residue at t = 1")
 
         monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        monkeypatch.setattr(quad, "integrate_01", no_integration)
+        monkeypatch.setattr(quad, "_unit_nodes", no_integration)
         with pytest.raises(IdentityViolation) as excinfo:
             zeta_odd(3, rep, 64)
         message = str(excinfo.value)
@@ -216,8 +217,8 @@ def test_cache_inventory(cold_caches):
     assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-4:])
 
 
-ROUTES = {rep.value: functools.partial(zeta_odd, 2, rep, 96) for rep in Representation}
-ROUTES["gammaderiv"] = functools.partial(gamma_nth_derivative_numeric, 2, 1, 96)
+# the zeta routes hand no integrand to integrate_01: they integrate by moments
+ROUTES = {"gammaderiv": functools.partial(gamma_nth_derivative_numeric, 2, 1, 96)}
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=list(ROUTES))
@@ -227,3 +228,27 @@ def test_integrand_takes_one_positional_argument(route, handed_integrands):
     (integrand,) = handed_integrands
     (param,) = inspect.signature(integrand).parameters.values()
     assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
+
+
+TABLE_CALLS = [(p, rep) for p in range(1, 17) for rep in Representation]
+
+
+def diagnosed(p, rep, precision):
+    comp = zeta_odd(p, rep, precision)
+    q = comp.quad
+    return comp.value, q.evaluations, q.levels, q.converged, q.error_estimate
+
+
+def test_results_do_not_depend_on_call_order(cold_caches):
+    # the 64 integrals of `table --max-p 16 --digits 100`: the moment tables
+    # that earlier calls built must not change a later result in any bit
+    precision = bits_for_digits(100)
+    forward = [diagnosed(p, rep, precision) for p, rep in TABLE_CALLS]
+    for cached in cold_caches:
+        cached.cache_clear()
+    backward = [diagnosed(p, rep, precision) for p, rep in reversed(TABLE_CALLS)][::-1]
+    assert backward == forward
+    for (p, rep), expected in zip(TABLE_CALLS, forward):
+        for cached in cold_caches:
+            cached.cache_clear()
+        assert diagnosed(p, rep, precision) == expected, (p, rep)
