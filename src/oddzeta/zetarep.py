@@ -17,10 +17,11 @@ Every tan(pi t/2) pole at t = 1 is cancelled by a zero of the polynomial
 factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
 bounded and the quadrature contract applies directly.  ``zeta_odd`` divides
 the factor exactly by (1 - t), P = (1 - t) Q, and the zero remainder is its
-check of that zero.  Each integral is then linear in Q: the quadrature takes
-the dot product of Q's fixed-point coefficients (:func:`pipoly.fixed_point`)
-with moments of tan(pi t/2) (1 - t), and of that times cos(pi t) for
-``theorem``, cached per precision and level in ``quad``
+check of that zero.  Q times the exact prefactor is what is integrated, so
+the integral is zeta(2p+1) less its shift, whatever the prefactor's size.
+The quadrature takes the dot product of its fixed-point coefficients
+(:func:`pipoly.fixed_point`) with moments of tan(pi t/2) (1 - t), and of that
+times cos(pi t) for ``theorem``, cached per precision and level in ``quad``
 (:func:`quad.integrate_moments`).  So one pass over a level's abscissas
 serves every p and route, no integrand is sampled, and this module keeps no
 trig cache of its own.  Computed values are always reported next to a
@@ -118,7 +119,9 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
     P(1), which must be 0 for P to cancel the tan(pi t/2) pole, and a nonzero
     one raises IdentityViolation naming p, the route and the residue before
     any node is built (for P_2p :func:`expansion.p_poly` has checked it
-    already).  The quotient is integrated by :func:`quad.integrate_moments`.
+    already).  The quotient times the prefactor, exactly, is integrated by
+    :func:`quad.integrate_moments`, whose rounded value is the result; only
+    ``theorem`` adds its 1/2 after that rounding.
     """
     _require_p(p)
     try:
@@ -135,16 +138,13 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
             f"p={p}, {rep.value}: the polynomial factor is {residue!r} at t = 1, not 0, "
             "so the tan(pi t/2) pole there is not cancelled"
         )
-    wp = quad.working_precision(precision)
-    frac, coefficients = pipoly.fixed_point(quotient, wp)
+    scaled = quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor)
+    frac, coefficients = pipoly.fixed_point(scaled, quad.working_precision(precision))
     result = quad.integrate_moments(
         coefficients, frac, route.with_cos, quad.quad_tolerance(precision), precision
     )
-    with mp.workprec(wp):
-        scale = pipoly.fraction_to_mpf(route.prefactor) * mp.pi**route.pi_exp
-        raw = pipoly.fraction_to_mpf(route.shift) + scale * result.value
     with mp.workprec(precision):
-        value = +raw
+        value = pipoly.fraction_to_mpf(route.shift) + result.value
     return ZetaComputation(
         p=p,
         representation=rep,

@@ -103,6 +103,24 @@ class TestCKForms:
             zeta_odd(1, "chebyshev", 96)
 
 
+class TestScaledIntegrals:
+    # each route integrates its polynomial with the exact prefactor folded in,
+    # so the integral is zeta(2p+1) itself (less the theorem's 1/2) and the
+    # absolute tolerance holds however small the prefactor is
+    @pytest.mark.parametrize("rep", [rep.value for rep in Representation])
+    @pytest.mark.parametrize("p", [16, 28, 48, 72])
+    def test_large_p_converges_in_five_levels(self, p, rep):
+        comp = zeta_odd(p, rep, bits_for_digits(50))
+        assert comp.quad.converged and comp.quad.levels <= 5
+        with mp.workprec(bits_for_digits(60)):
+            assert abs(comp.value - mp.zeta(2 * p + 1)) < mp.mpf(10) ** -41
+
+    @pytest.mark.parametrize("rep", ["corollary", "ck_euler", "ck_bernoulli"])
+    def test_shift_free_value_is_the_integral(self, rep):
+        comp = zeta_odd(5, rep, 192)
+        assert comp.value == comp.quad.value
+
+
 class TestCrossAgreement:
     def test_pairwise_small_p(self):
         precision = 192
