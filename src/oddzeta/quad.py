@@ -16,11 +16,11 @@ change of variable in its caller.
 The nodes step exp(u) along u = j h by a fixed factor and take sinh u and
 cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does, so a node
 costs one exp, the transform's own; the stepping carries 16 + log2(steps)
-extra bits.  The nodes are cached per working precision, each with
-tan(pi t/2) at its abscissas, the factor the zeta moments and the digamma
-integrand carry: one tan per node pair, tan(pi t_lo/2) and its reciprocal for
-t_hi = 1 - t_lo, so the ill-conditioned tan next to t = 1 is never formed.
-An integrand finds them in a map keyed by abscissa (:func:`tan_half`).
+extra bits.  The nodes are cached per working precision together with
+tan(pi t/2) at every abscissa (:func:`tan_half`), the factor the zeta
+moments and the digamma integrand carry: one tan per node pair, tan(pi t_lo/2)
+and its reciprocal for t_hi = 1 - t_lo, so the ill-conditioned tan next to
+t = 1 is never formed.
 
 The zeta integrands are tan(pi t/2) (1 - t) Q(t), times cos(pi t) for the
 theorem, with Q a polynomial, so each level's sum is sum_k q_k N_k with the
@@ -150,15 +150,14 @@ def tan_half(wp: int) -> dict:
 
 
 def _unit_nodes(wp: int, level: int):
-    """New (t, 1-t, weight, tan(pi t/2), tan(pi (1-t)/2)) nodes for this level at wp bits.
+    """New (t, 1-t, weight) triples for this level at wp bits.
 
     Level 0 holds all integer multiples of h = 1 (the first entry is the
     centre t = 1/2, marked by a None partner); higher levels hold the odd
     multiples of their step only.  The u-range is capped so that 1 - t stays
     representable at wp bits; weights beyond the cap are below 2^-wp anyway.
-    One tan per pair gives both: tan(pi t/2) tan(pi (1-t)/2) = 1, tan(pi/4) = 1.
-    They also enter :func:`tan_half`, keyed by the rounded t, where distinct
-    abscissas next to t = 1 can collide; the node keeps each one's own.
+    Building a level also enters its abscissas in :func:`tan_half`, at one
+    tan per pair: tan(pi t/2) tan(pi (1-t)/2) = 1, and tan(pi/4) = 1.
     """
     levels, tangents, _ = _tables(wp)
     if level in levels:
@@ -188,16 +187,15 @@ def _unit_nodes(wp: int, level: int):
         nodes = []
         if level == 0:
             centre = mp.mpf(1) / 2
-            nodes.append((centre, None, mp.pi / 4, mp.mpf(1), None))
+            nodes.append((centre, None, mp.pi / 4))
             tangents[centre] = mp.mpf(1)
         for t_hi, t_lo, weight in raw:
             t_hi, t_lo, weight = +t_hi, +t_lo, +weight
             if t_hi == 1 or t_lo == 0:
                 break  # would round onto an endpoint; contribution < 2^-wp
             tan_lo = mp.tan(mp.pi * t_lo / 2)
-            tan_hi = 1 / tan_lo
-            tangents[t_lo], tangents[t_hi] = tan_lo, tan_hi
-            nodes.append((t_hi, t_lo, weight, tan_hi, tan_lo))
+            tangents[t_lo], tangents[t_hi] = tan_lo, 1 / tan_lo
+            nodes.append((t_hi, t_lo, weight))
     levels[level] = nodes = tuple(nodes)
     return nodes
 
@@ -206,7 +204,7 @@ def _moments(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> lis
     """N_k = sum_j g_j t_j^k, k = 0..degree at least, over the new abscissas of a level.
 
     g_j = w_j tan(pi t_j/2) (1 - t_j), times cos(pi t_j) = (1 - tau^2)/(1 + tau^2)
-    when ``with_cos`` is set, is formed from the nodes' tangents at frac + 8 bits
+    when ``with_cos`` is set, is formed from the tangent map at frac + 8 bits
     (w tan(pi t_hi/2) t_lo next to t = 1) and rounded down to ``frac`` fraction
     bits, as is t_j; each power is ``(x * t) >> frac``.  The table keeps every
     abscissa's next power, so a call that needs a higher degree extends it
@@ -217,18 +215,19 @@ def _moments(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> lis
     table = store.get(key)
     if table is not None and len(table[0]) > degree:
         return table[0]
-    # (t, 1 - t, weight, tan(pi t/2)) per abscissa; the centre is its own complement
+    # (t, 1 - t, weight) per abscissa; the centre t = 1/2 is its own complement
     abscissas = [
-        (t, complement, weight, tau)
-        for t_hi, t_lo, weight, tan_hi, tan_lo in _unit_nodes(wp, level)
-        for t, complement, tau in (
-            ((t_hi, t_hi, tan_hi),) if t_lo is None else ((t_hi, t_lo, tan_hi), (t_lo, t_hi, tan_lo))
-        )
+        (t, complement, weight)
+        for t_hi, t_lo, weight in _unit_nodes(wp, level)
+        for t, complement in (((t_hi, t_hi),) if t_lo is None else ((t_hi, t_lo), (t_lo, t_hi)))
     ]
     if table is None:
+        tangents = tan_half(wp)
         powers = []
         with mp.workprec(frac + 8):
-            for t, complement, weight, tau in abscissas:
+            for t, complement, weight in abscissas:
+                # t_hi keys collide next to t = 1; t_lo's give _unit_nodes' bits
+                tau = tangents[t] if t <= complement else mp.fdiv(1, tangents[complement], prec=wp)
                 g = weight * tau * complement
                 if with_cos:
                     square = tau * tau
@@ -238,7 +237,7 @@ def _moments(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> lis
     sums, powers = table
     start = len(sums)
     sums.extend([0] * (degree + 1 - start))
-    for j, (t, *_) in enumerate(abscissas):
+    for j, (t, _, _) in enumerate(abscissas):
         x, step = powers[j], to_fixed(t._mpf_, frac)
         for k in range(start, degree + 1):
             sums[k] += x
@@ -307,7 +306,7 @@ def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
 
     def level_sum(wp, level):
         partial, count = mp.mpf(0), 0
-        for t_hi, t_lo, weight, *_ in _unit_nodes(wp, level):
+        for t_hi, t_lo, weight in _unit_nodes(wp, level):
             for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
                 value = f(t)
                 if not mp.isfinite(value):

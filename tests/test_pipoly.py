@@ -141,18 +141,22 @@ def exact_level_sum(q, wp, level, with_cos):
     """sum_j g_j q(t_j) over a level's new abscissas at 6,000 bits.
 
     g_j = w_j tan(pi t_j/2) (1 - t_j) [cos(pi t_j)] from the stored nodes and
-    their tangents, taken as exact, and q(t_j) by mpf Horner.
+    tangents, taken as exact, and q(t_j) by mpf Horner.  tan(pi t_hi/2) is the
+    reciprocal of tan(pi t_lo/2) at wp bits, as the moments form it.
     """
+    tangents = quad.tan_half(wp)
     degree = max((i for i, _ in q.as_dict()), default=0)
     with mp.workprec(6000):
         coefficients = [mp.mpf(0)] * (degree + 1)
         for (i, j), c in q.as_dict().items():
             coefficients[i] += fraction_to_mpf(c) * mp.pi**j
         total = mp.mpf(0)
-        for t_hi, t_lo, weight, tan_hi, tan_lo in quad._unit_nodes(wp, level):
-            pairs = (
-                ((t_hi, t_hi, tan_hi),) if t_lo is None else ((t_hi, t_lo, tan_hi), (t_lo, t_hi, tan_lo))
-            )
+        for t_hi, t_lo, weight in quad._unit_nodes(wp, level):
+            if t_lo is None:
+                pairs = ((t_hi, t_hi, tangents[t_hi]),)
+            else:
+                tan_lo = tangents[t_lo]
+                pairs = ((t_hi, t_lo, mp.fdiv(1, tan_lo, prec=wp)), (t_lo, t_hi, tan_lo))
             for t, complement, tau in pairs:
                 g = weight * tau * complement
                 if with_cos:
