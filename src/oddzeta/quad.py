@@ -1,38 +1,51 @@
-"""Arbitrary-precision tanh-sinh quadrature on (0, 1).
+"""Arbitrary-precision quadrature on [0, 1]: Euler-Maclaurin for the zeta integrals, tanh-sinh for the rest.
 
-t(u) = 1 / (1 + exp(-pi sinh u)) clusters the abscissas at both endpoints
-without ever touching them, so an integrable logarithmic endpoint
-singularity needs no special treatment.  The complementary node 1 - t
-is produced in the same stable form, and the weight is pi cosh(u) t (1 - t),
-which avoids all cancellation.  Each level halves the step h = 2^-level and
-reuses every previous abscissa (Takahasi & Mori 1974).  One level loop,
-:func:`_level_loop`, keeps the running sums and the per-level deltas,
-estimates the error, stops, and rounds the result back to the requested
-precision; it is handed each level's new partial sum either by sampling an
-integrand (:func:`integrate_01`) or by a dot product with cached moments
-(:func:`integrate_moments`).  An integral over (0, inf) reaches (0, 1) by a
-change of variable in its caller.
+The zeta integrals (:func:`integrate_moments`) are integral_0^1 w(t) Q(t) dt
+with Q a polynomial and w = (1 - t) tan(pi t/2), times cos(pi t) for the
+theorem.  The factor (1 - t) cancels the pole at t = 1, so w Q is analytic
+on [0, 1], and the trapezoid rule on t_k = k/N with its exact end
+corrections (Euler-Maclaurin, DLMF 2.10.1) converges like e^(-2 pi rho N)
+for the distance rho from [0, 1] to the nearest singularity: rho = 1 (the
+pole at t = -1), or rho = 2 (t = 3) when Q(-1) = 0, as for P_2p (Trefethen &
+Weideman, SIAM Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments
+M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached per level:
 
-The nodes step exp(u) along u = j h by a fixed factor and take sinh u and
-cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does, so a node
-costs one exp, the transform's own; the stepping carries 16 + log2(steps)
-extra bits.  The nodes are cached per working precision together with
-tan(pi t/2) at every abscissa (:func:`tan_half`), the factor the zeta
-moments and the digamma integrand carry: one tan per node pair, tan(pi t_lo/2)
-and its reciprocal for t_hi = 1 - t_lo, so the ill-conditioned tan next to
-t = 1 is never formed.
+* Grid.  sin(pi k/2N) is Im z^k with z = exp(i pi/(2N)), stepped from one
+  cos/sin pair per level, and tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N),
+  a ratio of two well-conditioned sines even next to t = 1; cos(pi t_k) is
+  cos^2 - sin^2 of the same pair.  With w_k at F fraction bits, the sums
+  sum_k w_k k^m are exact integers, so a level's grid moments are combined
+  exactly and divided by N^(m+1) once, in the dot product with the q_m.
+* End corrections.  The odd derivatives of w t^m at both ends come from exact
+  series: tan at t = 0 (DLMF 4.19.3), s cot(pi s/2) with s = 1 - t at t = 1
+  (DLMF 4.19.6), and sin(pi t) for the theorem by tan x cos 2x = sin 2x -
+  tan x.  Their coefficients are rationals from the Bernoulli numbers times
+  powers of pi, summed at F + 32 bits and rounded to F fraction bits.
+* Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
+  new abscissas are the odd k.  A level takes the fewest correction terms K
+  (at most N/4) whose remainder bound is below 2^-wp.  The bound is DLMF
+  2.10.2 with a Cauchy estimate of the (2K+2)nd derivative on the discs of
+  radius r = 63 rho/64 about [0, 1], so r stays clear of the singularities,
+  plus the rounding of the fixed-point sums; the error estimate of a level is
+  the larger of that bound and the heuristic below.
 
-The zeta integrands are tan(pi t/2) (1 - t) Q(t), times cos(pi t) for the
-theorem, with Q a polynomial, so each level's sum is sum_k q_k N_k with the
-moments N_k = sum_j g_j t_j^k over the level's abscissas and g_j = w_j
-tan(pi t_j/2) (1 - t_j) [cos(pi t_j)].  Near t = 1 that factor is formed as
-w tan(pi t_hi/2) t_lo, which is bounded.  The moments are fixed-point
-integers with F fraction bits, cached per level in the same store as the
-nodes, one table per F (F - wp rounded up to a multiple of 64), so a result
-depends only on its own polynomial and precision, never on which tables
-earlier calls built; a table is extended when a call needs a higher degree.
+Everything else (the Gamma-derivative integral, with its logarithmic
+endpoint singularity, and the Mikolas digamma integral) uses tanh-sinh
+quadrature (:func:`integrate_01`): t(u) = 1 / (1 + exp(-pi sinh u)) clusters
+the abscissas at both endpoints without ever touching them, 1 - t is formed
+in the same stable form, and the weight is pi cosh(u) t (1 - t).  Each level
+halves the step h = 2^-level and reuses every previous abscissa (Takahasi &
+Mori 1974).  The nodes step exp(u) along u = j h by a fixed factor and take
+sinh u and cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does,
+so a node costs one exp; the stepping carries 16 + log2(steps) extra bits.
+The nodes are cached per working precision together with tan(pi t/2) at
+every abscissa (:func:`tan_half`), which the digamma integrand reads: one tan
+per node pair, tan(pi t_lo/2) and its reciprocal for t_hi = 1 - t_lo.
 
-The error estimate follows the usual double-exponential heuristic: with
+Both engines share one level loop, :func:`_level_loop`, which is handed each
+level's complete estimate; it keeps the per-level deltas, estimates the
+error, stops, and rounds the result back to the requested precision.  The
+heuristic error estimate is the double-exponential one: with
 d1 = |S_m - S_{m-1}| and d2 = |S_m - S_{m-2}| the estimated exponent is
 max(log(d1)^2 / log(d2), 2 log(d1)), floored at the working epsilon.
 
@@ -48,12 +61,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
 
+from . import exactnum, pipoly
 from .errors import DomainError, NoConvergence, NonFiniteSample
 
 __all__ = [
@@ -74,6 +89,13 @@ MAX_LEVEL = 12
 # or a multiple of it
 _MOMENT_BITS = 64
 
+# the end-correction series and weights carry this many bits beyond a table's
+_SERIES_BITS = 32
+
+# the Cauchy discs of the trapezoid error bound reach this share of the
+# distance rho from [0, 1] to the nearest singularity
+_DISC = 63 / 64
+
 
 def guard_bits(precision: int) -> int:
     return max(16, precision // 10)
@@ -92,7 +114,7 @@ def quad_tolerance(precision: int):
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of an adaptive double-exponential integration.
+    """Outcome of an adaptive integration.
 
     ``converged`` is True only when the error estimate met the requested
     tolerance before the level cap; otherwise the best value so far is
@@ -136,7 +158,7 @@ def _estimate_error(sums: list, wp: int):
 @lru_cache(maxsize=4)  # four working precisions
 def _tables(wp: int):
     """Per-precision store: tanh-sinh nodes by level, tan(pi t/2) by abscissa,
-    and the fixed-point moments by (level, fraction bits, with_cos)."""
+    and the trapezoid tables (grid sums, end corrections, their series)."""
     return {}, {}, {}
 
 
@@ -150,7 +172,7 @@ def tan_half(wp: int) -> dict:
 
 
 def _unit_nodes(wp: int, level: int):
-    """New (t, 1-t, weight) triples for this level at wp bits.
+    """New (t, 1-t, weight) triples for this tanh-sinh level at wp bits.
 
     Level 0 holds all integer multiples of h = 1 (the first entry is the
     centre t = 1/2, marked by a None partner); higher levels hold the odd
@@ -200,61 +222,218 @@ def _unit_nodes(wp: int, level: int):
     return nodes
 
 
-def _moments(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> list:
-    """N_k = sum_j g_j t_j^k, k = 0..degree at least, over the new abscissas of a level.
+def _base_points(wp: int) -> int:
+    """N0, the trapezoid grid of level 0: ceil((wp + 40) / 12).
 
-    g_j = w_j tan(pi t_j/2) (1 - t_j), times cos(pi t_j) = (1 - tau^2)/(1 + tau^2)
-    when ``with_cos`` is set, is formed from the tangent map at frac + 8 bits
-    (w tan(pi t_hi/2) t_lo next to t = 1) and rounded down to ``frac`` fraction
-    bits, as is t_j; each power is ``(x * t) >> frac``.  The table keeps every
-    abscissa's next power, so a call that needs a higher degree extends it
-    and the entries already there do not change.
+    With K = N/4 corrections the remainder for rho = 2 is near 2^(-3 N), so
+    level 2 (N = 4 N0) reaches 2^-wp with about 40 bits to spare for the size
+    of the integrand; rho = 1 takes one level more.
+    """
+    return -(-(wp + 40) // 12)
+
+
+def _grid_sums(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> list:
+    """S_m = sum_k w_k k^m, m = 0..degree at least, over the new abscissas k/N of a level.
+
+    w_k = (1 - t) tan(pi t/2), times cos(pi t) under ``with_cos``, is rounded to
+    ``frac`` fraction bits and the sums are exact from there.  Level 0 holds
+    k = 1..N-1 and the end t = 1 with half its value (w(1)/2 = +-1/pi; w(0) =
+    0); later levels hold the odd k.  The table keeps every abscissa's next
+    power, so a call that needs a higher degree extends it and the entries
+    already there do not change.
     """
     store = _tables(wp)[2]
-    key = (level, frac, with_cos)
-    table = store.get(key)
-    if table is not None and len(table[0]) > degree:
-        return table[0]
-    # (t, 1 - t, weight) per abscissa; the centre t = 1/2 is its own complement
-    abscissas = [
-        (t, complement, weight)
-        for t_hi, t_lo, weight in _unit_nodes(wp, level)
-        for t, complement in (((t_hi, t_hi),) if t_lo is None else ((t_hi, t_lo), (t_lo, t_hi)))
-    ]
-    if table is None:
-        tangents = tan_half(wp)
-        powers = []
-        with mp.workprec(frac + 8):
-            for t, complement, weight in abscissas:
-                # t_hi keys collide next to t = 1; t_lo's give _unit_nodes' bits
-                tau = tangents[t] if t <= complement else mp.fdiv(1, tangents[complement], prec=wp)
-                g = weight * tau * complement
-                if with_cos:
-                    square = tau * tau
-                    g = g * (1 - square) / (1 + square)
-                powers.append(to_fixed(g._mpf_, frac))
-        table = store[key] = ([], powers)
-    sums, powers = table
+    key = ("grid", level, frac, with_cos)
+    entry = store.get(key)
+    if entry is None:
+        n = _base_points(wp) << level
+        # sin(pi k/2N) is then within about N 2^-bits of its value, relatively
+        bits = frac + n.bit_length() + 8
+        cos, sin = (to_fixed(x, bits) for x in mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True))
+        if level == 0:
+            ks, step = range(1, n), (cos, sin)
+        else:
+            ks, step = range(1, n, 2), ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
+        sines, re, im = [], cos, sin
+        for _ in ks:
+            sines.append(im)
+            re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
+        weights = []
+        for i, k in enumerate(ks):
+            # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N), and N - k is in ks too
+            sn, cs = sines[i], sines[-1 - i]
+            num, den = (n - k) * sn, n * cs
+            if with_cos:
+                num, den = num * (cs * cs - sn * sn), den << (2 * bits)
+            weights.append(((num << (frac + 1)) // den + 1) >> 1)
+        ks = list(ks)
+        if level == 0:
+            with mp.workprec(frac + 16):
+                half = to_fixed((1 / mp.pi)._mpf_, frac)
+            ks.append(n)
+            weights.append(-half if with_cos else half)
+        entry = store[key] = ([], weights, ks)
+    sums, powers, ks = entry
     start = len(sums)
+    if start > degree:
+        return sums
     sums.extend([0] * (degree + 1 - start))
-    for j, (t, _, _) in enumerate(abscissas):
-        x, step = powers[j], to_fixed(t._mpf_, frac)
-        for k in range(start, degree + 1):
-            sums[k] += x
-            x = (x * step) >> frac
+    for j, k in enumerate(ks):
+        x = powers[j]
+        for m in range(start, degree + 1):
+            sums[m] += x
+            x *= k
         powers[j] = x
     return sums
 
 
-def _level_loop(level_sum: Callable, tol, precision: int) -> QuadResult:
-    """The one tanh-sinh level loop: sums, deltas, error estimate, stop, rounding.
+def _series(wp: int, frac: int, with_cos: bool, count: int) -> tuple:
+    """The end series of w, ``count`` terms each, at frac + 32 fraction bits.
 
-    ``level_sum(wp, level)`` returns the level's new weighted sum (at ``wp``
-    bits, before the factor h) and the number of abscissas it covers.  Level 0
-    is the trapezoid sum over its nodes; every later level halves the
-    previous sum and adds its own.  Levels double until the error estimate
-    drops below ``tol`` (requires at least two refinements) or level
-    ``MAX_LEVEL`` is done, in which case the best value is returned with
+    g_n is the coefficient of t^(2n-1) in tan(pi t/2) (DLMF 4.19.3), or in
+    sin(pi t) - tan(pi t/2) = tan(pi t/2) cos(pi t), for n >= 1; u_n that of
+    s^(2n) in s cot(pi s/2) = (2/pi) sum (-1)^n B_2n (pi s)^2n / (2n)! (DLMF
+    4.19.6), or in s sin(pi s) - s cot(pi s/2), for n >= 0.  So w(t) =
+    (1 - t) g(t) and w(1 - s) = u(s).  Each is an exact rational times a power
+    of pi, rounded once.
+    """
+    store = _tables(wp)[2]
+    g, u = store.setdefault(("series", frac, with_cos), ([], []))
+    bits = frac + _SERIES_BITS
+    with mp.workprec(bits + 16):
+        pi = +mp.pi
+        square, power = pi * pi, pi ** (2 * len(g) - 1)  # pi^(2n-1)
+        for n in range(len(g), count):
+            tan_coeff = (-1) ** n * 2 * ((1 << 2 * n + 2) - 1) * exactnum.bernoulli_number(2 * n + 2)
+            tan_coeff /= math.factorial(2 * n + 2)
+            cot_coeff = 2 * (-1) ** n * exactnum.bernoulli_number(2 * n) / math.factorial(2 * n)
+            if with_cos:
+                tan_coeff = Fraction((-1) ** n, math.factorial(2 * n + 1)) - tan_coeff
+                cot_coeff = (Fraction((-1) ** (n - 1), math.factorial(2 * n - 1)) if n else 0) - cot_coeff
+            u.append(to_fixed((pipoly.fraction_to_mpf(Fraction(cot_coeff)) * power)._mpf_, bits))
+            power *= square
+            g.append(to_fixed((pipoly.fraction_to_mpf(tan_coeff) * power)._mpf_, bits))
+    return g, u
+
+
+def _corrections(wp: int, level: int, frac: int, with_cos: bool, terms: int, degree: int) -> tuple:
+    """(V, D): a level's end-correction tables for ``terms`` corrections, at ``frac`` bits.
+
+    The corrections of w Q are sum_j E_j ([t^(2j-1)] w Q + [s^(2j-1)] u(s) Q(1-s))
+    with E_j = B_2j/(2j N^2j), which is integral - h sum'' w Q to that order.
+    At t = 0, g(t) (1 - t) t^m meets t^(2j-1) in one term only, so moment m
+    gets V_a for m = 2a and -V_(a+1) for m = 2a+1, with V_a = sum_j E_j
+    g_(j-a), a = 0..degree/2 + 1.  At t = 1 the corrections act on the Taylor
+    coefficients r_i of Q(1 - s), whose odd ones meet D_c = sum_j E_j u_(j-c)
+    for i = 2c - 1 <= degree; in that basis no binomial C(m, i) amplifies a
+    rounding error.  E_j is rounded once from the exact rational, and each
+    sum is exact until its one rounding.  Both lists grow with the degree.
+    """
+    store = _tables(wp)[2]
+    key = ("corrections", level, frac, with_cos, terms)
+    bits = frac + _SERIES_BITS
+    entry = store.get(key)
+    if entry is None:
+        n = _base_points(wp) << level
+        weights, scale = [], 1
+        for j in range(1, terms + 1):
+            scale *= n * n
+            big = exactnum.bernoulli_number(2 * j)
+            den = 2 * j * scale * big.denominator
+            weights.append(((big.numerator << (bits + 1)) // den + 1) >> 1)
+        entry = store[key] = (weights, [], [])
+    weights, at_zero, at_one = entry
+    g, u = _series(wp, frac, with_cos, terms)
+    shift = 2 * bits - frac
+
+    def fold(total):
+        return (total + (1 << shift - 1)) >> shift
+
+    for a in range(len(at_zero), degree // 2 + 2):
+        at_zero.append(fold(sum(weights[j - 1] * g[j - a - 1] for j in range(a + 1, terms + 1))))
+    for c in range(len(at_one) + 1, min(terms, (degree + 1) // 2) + 1):
+        at_one.append(fold(sum(weights[j - 1] * u[j - c] for j in range(c, terms + 1))))
+    return at_zero, at_one
+
+
+def _remainder_log2(n: int, radius: int, log_size: float, terms: int) -> float:
+    """log2 of a bound on the remainder after ``terms`` end corrections on the grid of N = n.
+
+    DLMF 2.10.2 bounds it by 2 |B_2m| h^2m max |f^(2m)| / (2m)!, m = K + 1, and
+    Cauchy's estimate on the discs of radius r = 63 rho/64 about [0, 1] gives
+    max |f^(2m)| <= (2m)! M_r / r^2m with log2 M_r = ``log_size``
+    (:func:`_log2_size`); |B_2m| <= 2 (2m)! zeta(2) / (2 pi)^2m.  One bit of
+    margin covers the float arithmetic.
+    """
+    m2 = 2 * terms + 2
+    log_bernoulli = 1 + math.log2(math.pi**2 / 6) + math.lgamma(m2 + 1) / math.log(2) - m2 * math.log2(2 * math.pi)
+    return 2 + log_bernoulli + log_size - m2 * math.log2(n * radius * _DISC)
+
+
+def _truncation(n: int, radius: int, log_size: float, target: int) -> tuple:
+    """(K, log2 of its remainder bound): the fewest end corrections, at most N/4, below 2^-target."""
+    for terms in range(1, max(1, n // 4) + 1):
+        bound = _remainder_log2(n, radius, log_size, terms)
+        if bound <= -target:
+            break
+    return terms, bound
+
+
+def _log2_size(coefficients: list, frac: int, radius: int, with_cos: bool) -> float:
+    """log2 of a bound on |w(z) Q(z)| where z is r = 63 rho/64 from [0, 1].
+
+    |tan(pi z/2)| <= cosh(pi r/2) / (rho - r) there, since every pole left is at
+    least rho - r away, |1 - z| and |z| are at most 1 + r, |cos(pi z)| <=
+    cosh(pi r), and |Q(z)| <= sum |q_m| (1 + r)^m.
+    """
+    r = radius * _DISC
+    logs = [math.log2(abs(c)) - frac + m * math.log2(1 + r) for m, c in enumerate(coefficients) if c]
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    log_q = top + math.log2(sum(2 ** (x - top) for x in logs))
+    log_w = math.log2(math.cosh(math.pi * r / 2) / (radius - r) * (1 + r))
+    return log_q + log_w + (math.log2(math.cosh(math.pi * r)) if with_cos else 0)
+
+
+def _reflected(q: list) -> list:
+    """The coefficients of Q(1 - s), exactly, from those of Q(t)."""
+    return [(-1) ** i * sum(math.comb(m, i) * c for m, c in enumerate(q[i:], i)) for i in range(len(q))]
+
+
+def _level_total(wp: int, level: int, frac: int, with_cos: bool, terms: int, q: list, r: list) -> int:
+    """The level's Euler-Maclaurin sum for w Q at 2 frac fraction bits.
+
+    ``q`` and ``r`` are Q's coefficients and those of Q(1 - s), both at
+    ``frac`` bits.  The grid part sum_m q_m h sum'' w t^m is X_m / N^(m+1),
+    where X_m adds up the sums of this and every coarser level in this level's
+    units k^m, so its dot product with q is one exact integer divided once by
+    N^(degree+1).  The corrections with ``terms`` terms are those of
+    :func:`_corrections`.
+    """
+    n = _base_points(wp) << level
+    degree = len(q) - 1
+    grids = [_grid_sums(wp, k, frac, with_cos, degree) for k in range(level + 1)]
+    numerator, power = 0, 1
+    for m in range(degree, -1, -1):
+        x = sum(grid[m] << (level - k) * m for k, grid in enumerate(grids))
+        numerator += q[m] * x * power
+        power *= n
+    at_zero, at_one = _corrections(wp, level, frac, with_cos, terms, degree)
+    total = (2 * numerator + power) // (2 * power)
+    total += sum(c * (at_zero[m // 2] if m % 2 == 0 else -at_zero[m // 2 + 1]) for m, c in enumerate(q))
+    return total + sum(c * d for c, d in zip(r[1::2], at_one))
+
+
+def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
+    """The one level loop: deltas, error estimate, stop, rounding.
+
+    ``level_estimate(wp, level)`` returns the level's complete estimate of the
+    integral at ``wp`` bits, the number of new abscissas it covers, and a
+    bound on its error, or None where the engine has none.  Levels run until
+    the error estimate (the heuristic, or the bound where it is larger) drops
+    below ``tol`` (requires at least two refinements) or level ``MAX_LEVEL``
+    is done, in which case the best value is returned with
     ``converged=False``.  The value is rounded to ``precision`` bits.
     """
     if precision < 16:
@@ -268,13 +447,14 @@ def _level_loop(level_sum: Callable, tol, precision: int) -> QuadResult:
         estimate = mp.inf
         converged = False
         for level in range(MAX_LEVEL + 1):
-            h = mp.ldexp(1, -level)
-            partial, count = level_sum(wp, level)
+            value, count, bound = level_estimate(wp, level)
             evaluations += count
-            sums.append(partial * h if level == 0 else sums[-1] / 2 + partial * h)
+            sums.append(value)
             if level >= 1:
                 deltas.append(abs(sums[-1] - sums[-2]))
                 estimate = _estimate_error(sums, wp)
+                if bound is not None:
+                    estimate = max(estimate, bound)
                 if level >= 2 and estimate <= tolerance:
                     converged = True
                     break
@@ -299,12 +479,15 @@ def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
     may have an integrable logarithmic singularity at an endpoint.  No
     abscissa lies within about 2^-wp of an endpoint (wp the working
     precision), so the integral over that stretch must be negligible at
-    ``tol``.  Convergence, the level cap and the rounding are those of the
-    level loop (:func:`_level_loop`); ``evaluations`` counts the calls of f.
-    A non-finite sample raises NonFiniteSample.
+    ``tol``.  Level 0 is the trapezoid sum over its nodes; every later level
+    halves the previous sum and adds its own.  Convergence, the level cap and
+    the rounding are those of the level loop (:func:`_level_loop`);
+    ``evaluations`` counts the calls of f.  A non-finite sample raises
+    NonFiniteSample.
     """
+    sums = []
 
-    def level_sum(wp, level):
+    def level_estimate(wp, level):
         partial, count = mp.mpf(0), 0
         for t_hi, t_lo, weight in _unit_nodes(wp, level):
             for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
@@ -313,33 +496,48 @@ def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
                     raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
                 partial += weight * value
                 count += 1
-        return partial, count
+        partial = mp.ldexp(partial, -level)
+        sums.append(partial + sums[-1] / 2 if sums else partial)
+        return sums[-1], count, None
 
-    return _level_loop(level_sum, tol, precision)
+    return _level_loop(level_estimate, tol, precision)
 
 
 def integrate_moments(
-    coefficients: list, frac: int, with_cos: bool, tol, precision: int
+    coefficients: list, frac: int, with_cos: bool, radius: int, shift: Fraction, tol, precision: int
 ) -> QuadResult:
-    """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt, times cos(pi t) under ``with_cos``.
+    """shift + integral_0^1 tan(pi t/2) (1 - t) Q(t) dt, times cos(pi t) under ``with_cos``.
 
     ``coefficients`` are round(q_k 2^frac), lowest degree first, with ``frac``
     sized by :func:`pipoly.fixed_point`; they are shifted up exactly to the
-    moment table of wp plus a multiple of 64 fraction bits.  Each level's sum
-    is their integer dot product with the level's moments (:func:`_moments`),
+    moment tables' wp plus a multiple of 64 fraction bits.  ``radius`` is the
+    distance from [0, 1] to the nearest singularity of w Q: 2 when Q(-1) = 0,
+    else 1.  Each level's estimate is the integer dot product of the
+    coefficients with the level's grid sums (:func:`_grid_sums`, exact, divided
+    once) and end corrections (:func:`_corrections`), plus the exact ``shift``,
     rounded once into an mpf, so no integrand is evaluated; ``evaluations``
-    counts the abscissas the sums cover.  The level loop is that of
-    :func:`integrate_01`.
+    counts the trapezoid nodes.  The error bound and K are those of
+    :func:`_truncation`; the level loop is that of :func:`integrate_01`.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
-    shifted = [c << (table - frac) for c in coefficients]
-    degree = len(shifted) - 1
+    q = [c << (table - frac) for c in coefficients]
+    r = _reflected(q)
+    constant = ((shift.numerator << (2 * table + 1)) // shift.denominator + 1) >> 1
+    log_size = _log2_size(q, table, radius, with_cos)
+    # each grid moment and table entry is within 2^-table, the division within
+    # 2^-2table and the mpf within 2^-wp
+    with mp.workprec(53):
+        sizes = 2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + (1 << table)
+        rounding = mp.ldexp(sizes, -2 * table) + mp.ldexp(1, -wp)
 
-    def level_sum(wp, level):
-        moments = _moments(wp, level, table, with_cos, degree)
-        total = sum(c * n for c, n in zip(shifted, moments))
-        count = 2 * len(_unit_nodes(wp, level)) - (level == 0)
-        return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count
+    def level_estimate(wp, level):
+        n = _base_points(wp) << level
+        terms, log_bound = _truncation(n, radius, log_size, wp)
+        total = _level_total(wp, level, table, with_cos, terms, q, r) + constant
+        with mp.workprec(53):
+            bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
+        count = n + 1 if level == 0 else n // 2
+        return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count, bound
 
-    return _level_loop(level_sum, tol, precision)
+    return _level_loop(level_estimate, tol, precision)

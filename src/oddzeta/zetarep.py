@@ -3,7 +3,7 @@
 Four numeric routes to zeta(2p+1), all one integral shape over (0,1): an
 exact polynomial times tan(pi t/2), for ``theorem`` also times cos(pi t),
 scaled by an exact rational multiple of a power of pi.  ``zeta_odd`` runs
-each of them through tanh-sinh quadrature:
+each of them through the Euler-Maclaurin trapezoid engine of ``quad``:
 
 * ``theorem``       1/2 + pi/2 * integral tan(pi t/2) cos(pi t) P_{2p}(t) dt
 * ``corollary``     -pi/2 * integral tan(pi t/2) P_{2p}(t) dt
@@ -15,14 +15,17 @@ the zero-tolerance moment identity integral_0^1 P_{2p}(t) sin(pi t) dt = -1/pi.
 
 Every tan(pi t/2) pole at t = 1 is cancelled by a zero of the polynomial
 factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
-bounded and the quadrature contract applies directly.  ``zeta_odd`` divides
-the factor exactly by (1 - t), P = (1 - t) Q, and the zero remainder is its
-check of that zero.  Q times the exact prefactor is what is integrated, so
-the integral is zeta(2p+1) less its shift, whatever the prefactor's size.
-The quadrature takes the dot product of its fixed-point coefficients
-(:func:`pipoly.fixed_point`) with moments of tan(pi t/2) (1 - t), and of that
-times cos(pi t) for ``theorem``, cached per precision and level in ``quad``
-(:func:`quad.integrate_moments`).  So one pass over a level's abscissas
+analytic on [0, 1].  ``zeta_odd`` divides the factor exactly by (1 - t),
+P = (1 - t) Q, and the zero remainder is its check of that zero.  Q times the
+exact prefactor is what is integrated, and the shift (the theorem's 1/2) is
+added exactly inside the quadrature, so its one rounding gives zeta(2p+1)
+whatever the prefactor's size.  P_{2p} also vanishes at t = -1, which
+cancels the next pole too; Q(-1) tells the quadrature which radius of
+analyticity, 2 or 1, its error bound may use.  The quadrature takes the dot
+product of Q's fixed-point coefficients (:func:`pipoly.fixed_point`) with
+trapezoid grid sums and exact end corrections of (1 - t) tan(pi t/2), and of
+that times cos(pi t) for ``theorem``, cached per precision and level in
+``quad`` (:func:`quad.integrate_moments`).  So one set of tables per level
 serves every p and route, no integrand is sampled, and this module keeps no
 trig cache of its own.  Computed values are always reported next to a
 freshly computed oracle value, never a stored one.
@@ -118,10 +121,10 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
     The polynomial factor P is divided exactly by (1 - t); the remainder is
     P(1), which must be 0 for P to cancel the tan(pi t/2) pole, and a nonzero
     one raises IdentityViolation naming p, the route and the residue before
-    any node is built (for P_2p :func:`expansion.p_poly` has checked it
-    already).  The quotient times the prefactor, exactly, is integrated by
-    :func:`quad.integrate_moments`, whose rounded value is the result; only
-    ``theorem`` adds its 1/2 after that rounding.
+    any table is built (for P_2p :func:`expansion.p_poly` has checked it
+    already).  The quotient times the prefactor, exactly, and the exact shift
+    are integrated by :func:`quad.integrate_moments`, whose value, rounded
+    once, is the result for every route.
     """
     _require_p(p)
     try:
@@ -139,16 +142,15 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
             "so the tan(pi t/2) pole there is not cancelled"
         )
     scaled = quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor)
+    radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
     frac, coefficients = pipoly.fixed_point(scaled, quad.working_precision(precision))
     result = quad.integrate_moments(
-        coefficients, frac, route.with_cos, quad.quad_tolerance(precision), precision
+        coefficients, frac, route.with_cos, radius, route.shift, quad.quad_tolerance(precision), precision
     )
-    with mp.workprec(precision):
-        value = pipoly.fraction_to_mpf(route.shift) + result.value
     return ZetaComputation(
         p=p,
         representation=rep,
-        value=value,
+        value=result.value,
         quad=result,
         reference=reference.zeta_ref(2 * p + 1, precision),
     )

@@ -53,41 +53,41 @@ GAMMADERIV_TEXT = (
     "  |difference| = 0.0\n"
 )
 
-# `table --max-p 6 --digits 60` stdout, frozen byte for byte (md5 cc24df82e93a764b87be8600387d54cb):
+# `table --max-p 6 --digits 60` stdout, frozen byte for byte (md5 5906806e8c3820caafb2fa6ef02f4626):
 # every value, abs_error digit and evaluation count
 TABLE_6_60 = "\r\n".join(
     [
         "p,rep,value,abs_error,evaluations",
-        "1,theorem,1.20205690315959428539973816151144999076498629234049888179227,0.0,311",
-        "1,corollary,1.20205690315959428539973816151144999076498629234049888179227,0.0,311",
-        "1,ck_euler,1.20205690315959428539973816151144999076498629234049888179227,0.0,311",
-        "1,ck_bernoulli,1.20205690315959428539973816151144999076498629234049888179227,0.0,311",
-        "2,theorem,1.03692775514336992633136548645703416805708091950191281197419,0.0,311",
-        "2,corollary,1.03692775514336992633136548645703416805708091950191281197419,0.0,311",
-        "2,ck_euler,1.03692775514336992633136548645703416805708091950191281197419,0.0,311",
-        "2,ck_bernoulli,1.03692775514336992633136548645703416805708091950191281197419,0.0,311",
-        "3,theorem,1.00834927738192282683979754984979675959986356056523870641728,6.7470067e-80,311",
-        "3,corollary,1.00834927738192282683979754984979675959986356056523870641728,0.0,311",
-        "3,ck_euler,1.00834927738192282683979754984979675959986356056523870641728,0.0,311",
-        "3,ck_bernoulli,1.00834927738192282683979754984979675959986356056523870641728,0.0,311",
-        "4,theorem,1.0020083928260822144178527692324120604856058513948887565486,0.0,311",
-        "4,corollary,1.0020083928260822144178527692324120604856058513948887565486,0.0,311",
-        "4,ck_euler,1.0020083928260822144178527692324120604856058513948887565486,0.0,311",
-        "4,ck_bernoulli,1.0020083928260822144178527692324120604856058513948887565486,0.0,311",
-        "5,theorem,1.00049418860411946455870228252646993646860643575820861711914,0.0,311",
-        "5,corollary,1.00049418860411946455870228252646993646860643575820861711914,0.0,311",
-        "5,ck_euler,1.00049418860411946455870228252646993646860643575820861711914,0.0,311",
-        "5,ck_bernoulli,1.00049418860411946455870228252646993646860643575820861711914,0.0,311",
-        "6,theorem,1.0001227133475784891467518365263573957142751058955098451367,6.7470067e-80,311",
-        "6,corollary,1.0001227133475784891467518365263573957142751058955098451367,0.0,311",
-        "6,ck_euler,1.0001227133475784891467518365263573957142751058955098451367,0.0,311",
-        "6,ck_bernoulli,1.0001227133475784891467518365263573957142751058955098451367,0.0,311",
+        "1,theorem,1.20205690315959428539973816151144999076498629234049888179227,0.0,113",
+        "1,corollary,1.20205690315959428539973816151144999076498629234049888179227,0.0,113",
+        "1,ck_euler,1.20205690315959428539973816151144999076498629234049888179227,0.0,113",
+        "1,ck_bernoulli,1.20205690315959428539973816151144999076498629234049888179227,0.0,113",
+        "2,theorem,1.03692775514336992633136548645703416805708091950191281197419,0.0,113",
+        "2,corollary,1.03692775514336992633136548645703416805708091950191281197419,0.0,113",
+        "2,ck_euler,1.03692775514336992633136548645703416805708091950191281197419,0.0,113",
+        "2,ck_bernoulli,1.03692775514336992633136548645703416805708091950191281197419,0.0,113",
+        "3,theorem,1.00834927738192282683979754984979675959986356056523870641728,0.0,113",
+        "3,corollary,1.00834927738192282683979754984979675959986356056523870641728,0.0,113",
+        "3,ck_euler,1.00834927738192282683979754984979675959986356056523870641728,0.0,113",
+        "3,ck_bernoulli,1.00834927738192282683979754984979675959986356056523870641728,0.0,113",
+        "4,theorem,1.0020083928260822144178527692324120604856058513948887565486,0.0,113",
+        "4,corollary,1.0020083928260822144178527692324120604856058513948887565486,0.0,113",
+        "4,ck_euler,1.0020083928260822144178527692324120604856058513948887565486,0.0,113",
+        "4,ck_bernoulli,1.0020083928260822144178527692324120604856058513948887565486,0.0,113",
+        "5,theorem,1.00049418860411946455870228252646993646860643575820861711914,0.0,113",
+        "5,corollary,1.00049418860411946455870228252646993646860643575820861711914,0.0,113",
+        "5,ck_euler,1.00049418860411946455870228252646993646860643575820861711914,0.0,113",
+        "5,ck_bernoulli,1.00049418860411946455870228252646993646860643575820861711914,0.0,113",
+        "6,theorem,1.0001227133475784891467518365263573957142751058955098451367,0.0,113",
+        "6,corollary,1.0001227133475784891467518365263573957142751058955098451367,0.0,113",
+        "6,ck_euler,1.0001227133475784891467518365263573957142751058955098451367,0.0,113",
+        "6,ck_bernoulli,1.0001227133475784891467518365263573957142751058955098451367,0.0,113",
         "",
     ]
 )
 
-# `table --max-p 16 --digits 100` stdout, frozen byte for byte (md5 db4d589a9e90de6174735f3567a7f6f5);
-# its evaluations column sums to 43,072
+# `table --max-p 16 --digits 100` stdout, frozen byte for byte (md5 0c69e0c8679bc58158efc5db2a3497d3);
+# its evaluations column sums to 10,944
 TABLE_16_100 = Path(__file__).parent / "golden" / "table-max-p16-digits100.csv"
 
 COMPARISON_KEYS = {"command", "inputs", "value", "error_estimate", "reference", "diagnostics"}
@@ -143,6 +143,11 @@ class TestCompute:
         value = mp.mpf(payload["value"])
         reference = mp.mpf(payload["reference"])
         assert abs(value - reference) < mp.mpf(10) ** -15
+
+    def test_large_p_ck_bernoulli_converges(self, capsys):
+        code, out, _ = run(["compute", "--p", "48", "--rep", "ck-bernoulli", "--digits", "50", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["diagnostics"]["converged"] is True
 
     def test_p_zero_is_usage_error(self, capsys):
         code, _, err = run(["compute", "--p", "0", "--digits", "20"], capsys)
@@ -352,6 +357,13 @@ class TestNoConvergence:
         assert err.endswith(" after level 1\n") and err.count("\n") == 1
 
     @pytest.mark.usefixtures("cap_levels")
+    def test_compute_exits_2(self, capsys):
+        code, out, _ = run(["compute", "--p", "2", "--rep", "ck-euler", "--digits", "20", "--format", "json"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        payload = json.loads(out)
+        assert payload["diagnostics"]["levels"] == 1 and not payload["diagnostics"]["converged"]
+
+    @pytest.mark.usefixtures("cap_levels")
     def test_verify_names_the_integral(self, capsys):
         code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)
         assert code == EXIT_VERIFY_FAILED
@@ -389,6 +401,16 @@ class TestTable:
         code, out, _ = run(["table", "--max-p", "16", "--digits", "100"], capsys)
         assert code == EXIT_OK
         assert out.encode() == TABLE_16_100.read_bytes()
+
+    @pytest.mark.parametrize("golden", ["6-60", "16-100"])
+    def test_goldens_print_one_value_per_p(self, golden):
+        # every route is rounded once from an integral accurate to the working
+        # precision, so all four print the corollary's value on every row
+        text = TABLE_6_60 if golden == "6-60" else TABLE_16_100.read_text()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        corollary = {p: value for p, rep, value, _, _ in rows if rep == "corollary"}
+        assert len(rows) == 4 * len(corollary)
+        assert all(value == corollary[p] for p, _, value, _, _ in rows)
 
     def test_json_keys_and_round_trip(self, capsys):
         code, out, _ = run(["table", "--max-p", "2", "--digits", "20", "--format", "json"], capsys)
@@ -486,6 +508,23 @@ class TestVerify:
         line = next(line for line in out.splitlines() if "series-product" in line)
         assert line.startswith("FAIL  series-product")
         assert "z^6" in line
+
+    def test_corrupted_bernoulli_tail_fails_representations(self, capsys, monkeypatch, cold_caches):
+        # B_40 doubled: p_poly's exact checks read only B_2..B_2p, but the end
+        # corrections at 100 digits read B_2j up to about B_80, and so does the
+        # zeta oracle, by different amounts
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return 2 * real(n) if n == 40 else real(n)
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        monkeypatch.setattr(reference, "bernoulli_number", corrupted)
+        code, out, _ = run(["verify", "--max-p", "2", "--digits", "100"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        rows = verify_rows(out)
+        assert rows["lemma"].startswith("PASS") and rows["series-product"].startswith("PASS")
+        assert re.match(r"FAIL worst representation error \S+ exceeds bound  \[", rows["representations"])
 
     @pytest.mark.parametrize(
         "oracle,failed",

@@ -137,34 +137,60 @@ EVALUATOR_POLYS = {
 MOMENT_POLYS = {name: EVALUATOR_POLYS[name] for name in ("P_2", "P_16", "P_32", "P_144", "E_32", "B_33")}
 
 
-def exact_level_sum(q, wp, level, with_cos):
-    """sum_j g_j q(t_j) over a level's new abscissas at 6,000 bits.
+def series_product(a, b):
+    """The first len(a) coefficients of the product of two power series."""
+    return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
-    g_j = w_j tan(pi t_j/2) (1 - t_j) [cos(pi t_j)] from the stored nodes and
-    tangents, taken as exact, and q(t_j) by mpf Horner.  tan(pi t_hi/2) is the
-    reciprocal of tan(pi t_lo/2) at wp bits, as the moments form it.
+
+def exact_level_sum(q, wp, level, with_cos, terms):
+    """A trapezoid level's Euler-Maclaurin sum for f = w Q at wp + 200 bits, apart from quad's tables.
+
+    h sum'' f(t_k) - sum_{j <= terms} B_2j h^2j / (2j)! (f^(2j-1)(1) - f^(2j-1)(0))
+    on t_k = k/N, with w = (1 - t) tan(pi t/2) [cos(pi t)] by mpmath at each
+    node and the odd derivatives read off truncated power series built from
+    mpmath's own Bernoulli numbers: tan(pi t/2) at t = 0, and s cot(pi s/2)
+    with s = 1 - t at t = 1.
     """
-    tangents = quad.tan_half(wp)
+    n = quad._base_points(wp) << level
+    count = 2 * terms
     degree = max((i for i, _ in q.as_dict()), default=0)
-    with mp.workprec(6000):
+    with mp.workprec(wp + 200):
+        pi = +mp.pi
         coefficients = [mp.mpf(0)] * (degree + 1)
         for (i, j), c in q.as_dict().items():
-            coefficients[i] += fraction_to_mpf(c) * mp.pi**j
-        total = mp.mpf(0)
-        for t_hi, t_lo, weight in quad._unit_nodes(wp, level):
-            if t_lo is None:
-                pairs = ((t_hi, t_hi, tangents[t_hi]),)
-            else:
-                tan_lo = tangents[t_lo]
-                pairs = ((t_hi, t_lo, mp.fdiv(1, tan_lo, prec=wp)), (t_lo, t_hi, tan_lo))
-            for t, complement, tau in pairs:
-                g = weight * tau * complement
-                if with_cos:
-                    g *= (1 - tau**2) / (1 + tau**2)
-                value = mp.mpf(0)
-                for c in reversed(coefficients):
-                    value = value * t + c
-                total += g * value
+            coefficients[i] += fraction_to_mpf(c) * pi**j
+
+        def horner(t):
+            value = mp.mpf(0)
+            for c in reversed(coefficients):
+                value = value * t + c
+            return value
+
+        def w(t):
+            return (1 - t) * mp.tan(pi * t / 2) * (mp.cos(pi * t) if with_cos else 1)
+
+        end = (-1 if with_cos else 1) * horner(1) / pi  # f(1)/2 = w(1) Q(1) / 2
+        total = (mp.fsum(w(mp.mpf(k) / n) * horner(mp.mpf(k) / n) for k in range(1, n)) + end) / n
+        tan_series, cot_series, cos_series = [mp.mpf(0)] * count, [mp.mpf(0)] * count, [mp.mpf(0)] * count
+        for k in range(count):
+            i = (k + 1) // 2
+            if k % 2:  # tan(pi t/2) = sum (-1)^(i-1) 2^2i (2^2i - 1) B_2i (pi t/2)^(2i-1) / (2i)!
+                tan_series[k] = (-1) ** (i - 1) * 4**i * (4**i - 1) * mp.bernoulli(2 * i) * (pi / 2) ** k / mp.factorial(2 * i)
+            else:  # s cot(pi s/2) = (2/pi) sum (-1)^i B_2i (pi s)^2i / (2i)!
+                cos_series[k] = (-1) ** i * pi**k / mp.factorial(k)
+                cot_series[k] = 2 / pi * (-1) ** i * mp.bernoulli(k) * pi**k / mp.factorial(k)
+        at_zero = series_product(tan_series, [mp.mpf(1), mp.mpf(-1)] + [mp.mpf(0)] * (count - 2))
+        at_one = cot_series
+        if with_cos:  # cos(pi t) = -cos(pi s)
+            at_zero = series_product(at_zero, cos_series)
+            at_one = series_product(at_one, [-c for c in cos_series])
+        at_zero = series_product(at_zero, (coefficients + [mp.mpf(0)] * count)[:count])
+        shifted = [(-1) ** i * mp.fsum(mp.binomial(m, i) * c for m, c in enumerate(coefficients)) for i in range(count)]
+        at_one = series_product(at_one, shifted)
+        for j in range(1, terms + 1):
+            # f^(2j-1)(0) = (2j-1)! [t^(2j-1)] f(t), f^(2j-1)(1) = -(2j-1)! [s^(2j-1)] f(1 - s)
+            jump = -(at_one[2 * j - 1] + at_zero[2 * j - 1]) * mp.factorial(2 * j - 1)
+            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.mpf(n) ** (-2 * j) * jump
     return total
 
 
@@ -221,27 +247,28 @@ class TestEvaluation:
     @pytest.mark.parametrize("wp", [128, 2400])
     @pytest.mark.parametrize("name", list(MOMENT_POLYS))
     def test_moment_error_bound(self, name, wp, with_cos):
-        # one level's sum_k q_k N_k, Q = P / (1 - t), against the 6,000-bit sum
-        # over the same n abscissas.  Each g t^k is within 2k + 2 units of 2^-F
-        # and each q_k within half a unit, so the error is at most
-        # n (2d + 2)(1 + sum |q_k|) 2^-F, and the size rule makes
-        # 2^-F <= 2^-(wp + bits(d) + 3) / max(1, max |q_ij pi^j|).  -Q folds to
-        # exactly the negated integers, so its sum is exactly -(the sum).
+        # one trapezoid level's sum with six end corrections from quad's
+        # fixed-point tables, Q = P / (1 - t), against the same sum at wp + 200
+        # bits.  Each grid moment and table entry is within 2^-F and each q_k
+        # within half a unit, so the error is at most (2 sum |q_k| + sum |r_i| +
+        # d + 2) 2^-F, with r_i the odd Taylor coefficients of Q at t = 1, and
+        # the size rule makes 2^-F <= 2^-(wp + bits(d) + 3) / max(1, max |q_ij pi^j|).
+        # -Q folds to exactly the negated integers.
         quotient, remainder = divide_one_minus_t(MOMENT_POLYS[name]())
         assert remainder.is_zero()
         frac, coefficients = fixed_point(quotient, wp)
         assert fixed_point(-quotient, wp) == (frac, [-c for c in coefficients])
-        level = 3
-        moments = quad._moments(wp, level, frac, with_cos, len(coefficients) - 1)
-        total = sum(c * n for c, n in zip(coefficients, moments))
-        count = 2 * len(quad._unit_nodes(wp, level))
-        exact = exact_level_sum(quotient, wp, level, with_cos)
+        level, terms = 1, 6
+        taylor = quad._reflected(coefficients)
+        total = quad._level_total(wp, level, frac, with_cos, terms, coefficients, taylor)
+        exact = exact_level_sum(quotient, wp, level, with_cos, terms)
         degree = len(coefficients) - 1
         sizes = [abs(laurent_eval(PiLaurent({j: c}), 64)) for (_, j), c in quotient.as_dict().items()]
-        with mp.workprec(6000):
+        with mp.workprec(wp + 200):
             error = abs(mp.ldexp(total, -2 * frac) - exact)
-            scale = mp.ldexp(1, -(wp + degree.bit_length() + 3)) / max(1, max(sizes))
-            assert error <= count * (2 * degree + 2) * (1 + sum(sizes)) * scale
+            size = mp.ldexp(2 * sum(map(abs, coefficients)) + sum(map(abs, taylor[1::2])), -frac)
+            assert error <= (size + degree + 2) * mp.ldexp(1, -frac)
+            assert mp.ldexp(1, -frac) <= mp.ldexp(1, -(wp + degree.bit_length() + 3)) / max(1, max(sizes))
 
     @pytest.mark.parametrize("name", list(MOMENT_POLYS))
     def test_divide_one_minus_t(self, name, rng):

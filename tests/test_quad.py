@@ -1,11 +1,15 @@
-"""Double-exponential quadrature: accuracy, endpoint safety, determinism."""
+"""Quadrature: tanh-sinh accuracy, endpoint safety and determinism; the zeta integrals' trapezoid tables."""
+
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from oddzeta import quad
+from oddzeta import quad, zetarep
 from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
+from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point, fraction_to_mpf
 from oddzeta.quad import integrate_01, working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
 from oracles import poly_evaluator
@@ -210,20 +214,27 @@ class TestTangentMap:
                     assert abs(t_hi - (1 - t_lo)) <= ulp(t_hi, wp)
 
     def test_moments_do_not_depend_on_later_levels(self):
-        # next to t = 1 distinct abscissas of different levels round to the
-        # same t_hi at wp = 253 (first at level 6, against level 12), so a
-        # tangent read through the map would be whichever level was built last
-        wp, frac, degree = 253, 317, 3
-        keys = [(level, with_cos) for level in range(13) for with_cos in (False, True)]
+        # the trapezoid tables of the zeta integrals read no tangent map and no
+        # tanh-sinh node, so each level's grid sums and end corrections are the
+        # same whether it is built after the levels below it or after level 6
+        wp, frac, degree, terms = 253, 317, 5, 4
+        keys = [(level, with_cos) for level in range(7) for with_cos in (False, True)]
+
+        def tables(order):
+            return {
+                (level, c): (
+                    list(quad._grid_sums(wp, level, frac, c, degree)),
+                    tuple(map(list, quad._corrections(wp, level, frac, c, terms, degree))),
+                )
+                for level, c in order
+            }
+
         quad._tables.cache_clear()
-        pairs = [node for level in range(13) for node in quad._unit_nodes(wp, level)[level == 0 :]]
-        # the moments read the t_lo keys, which stay distinct
-        assert len({t_lo for _, t_lo, _ in pairs}) == len(pairs) > len({t_hi for t_hi, _, _ in pairs})
+        straight = tables(keys)
+        nodes, tangents, _ = quad._tables(wp)
+        assert not nodes and not tangents
         quad._tables.cache_clear()
-        straight = [list(quad._moments(wp, level, frac, c, degree)) for level, c in keys]
-        quad._tables(wp)[2].clear()  # the moments go, every level's nodes stay
-        after = [list(quad._moments(wp, level, frac, c, degree)) for level, c in keys]
-        assert after == straight
+        assert tables(reversed(keys)) == straight
 
     def test_map_is_filled_before_sampling(self):
         quad._tables.cache_clear()
@@ -238,3 +249,66 @@ class TestTangentMap:
 
         integrate_01(probe, mp.mpf(10) ** -20, precision)
         assert tan and not missing
+
+
+def weight(with_cos):
+    """w(t) = (1 - t) tan(pi t/2), times cos(pi t) under ``with_cos``."""
+    return lambda t: (1 - t) * mp.tan(mp.pi * t / 2) * (mp.cos(mp.pi * t) if with_cos else 1)
+
+
+class TestTrapezoidMoments:
+    # Q = t^m has Q(-1) != 0, so w Q keeps the pole at t = -1 (radius 1);
+    # Q = t^m (1 + t) cancels it (radius 2)
+    @pytest.mark.parametrize("with_cos", [False, True], ids=["tan", "cos"])
+    @pytest.mark.parametrize("m", [0, 3, 8])
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_against_mpmath_quad(self, m, radius, with_cos):
+        precision = 160
+        frac = working_precision(precision) + 8
+        coefficients = [0] * m + [1 << frac] + [1 << frac] * (radius == 2)
+        result = quad.integrate_moments(coefficients, frac, with_cos, radius, Fraction(0), TOL30, precision)
+        with mp.workprec(precision + 40):
+            f = weight(with_cos)
+            want = mp.quad(lambda t: f(t) * t**m * (1 + t if radius == 2 else 1), [0, 1])
+            assert result.converged
+            assert abs(result.value - want) <= ulp(want, precision)
+
+    def test_shift_is_added_before_the_rounding(self):
+        # the exact 1/2 enters the fixed-point sum, so theorem's integral is rounded once
+        precision = 128
+        frac = working_precision(precision) + 8
+        plain = quad.integrate_moments([0, 1 << frac], frac, True, 1, Fraction(0), TOL30, precision)
+        shifted = quad.integrate_moments([0, 1 << frac], frac, True, 1, Fraction(1, 2), TOL30, precision)
+        with mp.workprec(precision + 40):
+            want = mp.quad(lambda t: weight(True)(t) * t, [0, 1]) + mp.mpf(1) / 2
+        assert abs(shifted.value - want) <= ulp(want, precision) / 2 * (1 + mp.mpf(2) ** -20)
+        assert (shifted.levels, shifted.evaluations) == (plain.levels, plain.evaluations)
+
+    @pytest.mark.parametrize("p,rep", [(1, "corollary"), (3, "theorem"), (2, "ck_euler"), (4, "ck_bernoulli")])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_remainder_bound_holds(self, p, rep, level):
+        # below the level that converges, the trapezoid sum with K end
+        # corrections misses zeta(2p+1) by no more than the DLMF 2.10.2 /
+        # Cauchy bound for K, for every K up to N/4
+        wp = 200
+        route = zetarep._route(p, zetarep.Representation(rep))
+        quotient, _ = divide_one_minus_t(route.poly)
+        radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
+        frac, q = fixed_point(quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor), wp)
+        r = quad._reflected(q)
+        n = quad._base_points(wp) << level
+        log_size = quad._log2_size(q, frac, radius, route.with_cos)
+        with mp.workprec(wp + 64):
+            target = mp.zeta(2 * p + 1) - fraction_to_mpf(route.shift)
+            for terms in range(1, n // 4 + 1):
+                total = quad._level_total(wp, level, frac, route.with_cos, terms, q, r)
+                error = abs(mp.ldexp(total, -2 * frac) - target)
+                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, radius, log_size, terms)))
+                assert error <= bound + mp.ldexp(len(q) + 2, -frac) * 4, (terms, error, bound)
+
+    def test_zeta_routes_build_no_tanh_sinh_nodes(self, cold_caches):
+        precision = 200
+        for rep in zetarep.Representation:
+            zetarep.zeta_odd(2, rep, precision)
+        nodes, tangents, tables = quad._tables(working_precision(precision))
+        assert not nodes and not tangents and tables

@@ -21,7 +21,7 @@ from oddzeta.zetarep import (
     zeta_even_value,
     zeta_odd,
 )
-from oracles import poly_evaluator
+from oracles import poly_evaluator, zeta_borwein
 
 ZETA3 = "1.202056903159594285399738161511449990765"
 ZETA5 = "1.036927755143369926331365486457034168057"
@@ -120,6 +120,61 @@ class TestScaledIntegrals:
         comp = zeta_odd(5, rep, 192)
         assert comp.value == comp.quad.value
 
+    def test_theorem_is_rounded_once(self):
+        # the 1/2 is added to the fixed-point sum before its one rounding, so
+        # the theorem's value is the quadrature's and matches the corollary's
+        # where a second rounding used to miss it (p = 3 and 6 at 60 digits)
+        precision = bits_for_digits(60)
+        for p in range(1, 7):
+            comp = zeta_odd(p, "theorem", precision)
+            assert comp.value == comp.quad.value == zeta_odd(p, "corollary", precision).value, p
+
+
+# p and digits of the accuracy sweep; the bound is 10^-(digits - 9)
+SWEEP_P = (1, 2, 3, 4, 8, 16, 24, 32, 48, 64, 72)
+
+
+class TestAccuracySweep:
+    @pytest.mark.parametrize("digits", [10, 50, 100, 300])
+    def test_every_route_within_bound(self, digits):
+        precision = bits_for_digits(digits)
+        for p in SWEEP_P:
+            with mp.workprec(precision + 32):
+                want = mp.zeta(2 * p + 1)
+            for rep in Representation:
+                comp = zeta_odd(p, rep, precision)
+                assert comp.quad.converged, (p, rep)
+                with mp.workprec(precision + 32):
+                    assert abs(comp.value - want) <= mp.mpf(10) ** -(digits - 9), (p, rep)
+
+    def test_corollary_at_1000_digits(self):
+        precision = bits_for_digits(1000)
+        comp = zeta_odd(1, "corollary", precision)
+        with mp.workprec(precision + 32):
+            assert comp.quad.converged and comp.quad.levels <= 8
+            assert abs(comp.value - mp.zeta(3)) <= mp.mpf(10) ** -991
+
+
+class TestCorruptedBernoulliTail:
+    # the end corrections read B_2j far beyond the B_2..B_2p that p_poly's
+    # exact check covers; B_40 doubled moves every route at 100 digits, and
+    # Borwein's eta series, which reads no Bernoulli number, sees it
+    def test_borwein_flags_zeta_odd(self, monkeypatch, cold_caches):
+        precision = bits_for_digits(100)
+        real = exactnum.bernoulli_number
+        monkeypatch.setattr(exactnum, "bernoulli_number", lambda n: 2 * real(n) if n == 40 else real(n))
+        oracle = zeta_borwein(3, precision)
+        with mp.workprec(precision):
+            for rep in Representation:
+                comp = zeta_odd(1, rep, precision)
+                assert abs(comp.value - oracle) > mp.mpf(10) ** -(100 - 8), rep
+        monkeypatch.setattr(exactnum, "bernoulli_number", real)
+        for cached in cold_caches:
+            cached.cache_clear()
+        with mp.workprec(precision):
+            for rep in Representation:
+                assert abs(zeta_odd(1, rep, precision).value - oracle) <= mp.ldexp(1, 2 - precision), rep
+
 
 class TestCrossAgreement:
     def test_pairwise_small_p(self):
@@ -153,8 +208,8 @@ class TestPolePrecondition:
     @pytest.mark.parametrize("rep", ["theorem", "corollary", "ck_bernoulli"])
     def test_corrupted_bernoulli_raises_before_integrating(self, rep, monkeypatch, cold_caches):
         # B_6 = 1/43 instead of 1/42 leaves P_6 and B_7 nonzero at t = 1, so
-        # the tan(pi t/2) pole is not cancelled; no level of nodes, and so no
-        # moment, may be built (the caches are cold, so either would build one)
+        # the tan(pi t/2) pole is not cancelled; no level of the grid and no
+        # end correction may be built (the caches are cold, so either would build one)
         real = exactnum.bernoulli_number
 
         def corrupted(n):
@@ -164,7 +219,8 @@ class TestPolePrecondition:
             raise AssertionError("integrated despite a nonzero residue at t = 1")
 
         monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        monkeypatch.setattr(quad, "_unit_nodes", no_integration)
+        monkeypatch.setattr(quad, "_grid_sums", no_integration)
+        monkeypatch.setattr(quad, "_corrections", no_integration)
         with pytest.raises(IdentityViolation) as excinfo:
             zeta_odd(3, rep, 64)
         message = str(excinfo.value)
