@@ -7,11 +7,13 @@ Inputs are checked by the library's typed errors; ``main`` reports one, or an
 ``OSError`` from ``--out``, as one ``error:`` line (exit 2 for a
 ``NoConvergence``).  ``main`` opens ``--out`` before the command computes,
 and every command writes to ``args.stream`` (that file, else stdout):
-compute, digamma and gammaderiv build one payload that :func:`_respond`
-writes as text or JSON; poly, verify and table write their own text, JSON,
-LaTeX or CSV (``table --format json``: one record per p and representation
-with its value, reference, error and quadrature diagnostics).  ``verify``
-runs six named checks; ``series-product`` is the exact P_2p(1) = 0 test that
+compute, digamma, gammaderiv and verify build one payload that
+:func:`_respond` writes as text or JSON; poly and table write their own text,
+JSON, LaTeX or CSV (``table --format json``: one record per p and
+representation with its value, reference, error and quadrature diagnostics).
+``verify`` runs six named checks (``verify --format json``: one record per
+check with its name, status, detail and elapsed seconds, and the passed and
+total counts); ``series-product`` is the exact P_2p(1) = 0 test that
 :func:`expansion.p_poly` makes of the Cauchy product.
 """
 
@@ -229,7 +231,7 @@ def cmd_verify(args) -> int:
         return _usage_error("max-p must be >= 1")
     checks = _verify_checks(args.max_p, args.digits)
     width = max(len(name) for name, _ in checks)
-    failures = 0
+    records = []
     lines = []
     for name, check in checks:
         start = time.perf_counter()
@@ -239,11 +241,20 @@ def cmd_verify(args) -> int:
         except Exception as exc:  # report and continue; exit code carries the result
             detail = str(exc)
             status = "FAIL"
-            failures += 1
-        lines.append(f"{status}  {name:<{width}}  {detail}  [{time.perf_counter() - start:.2f}s]")
-    lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
-    args.stream.write("\n".join(lines) + "\n")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+        elapsed = time.perf_counter() - start
+        records.append({"name": name, "status": status, "detail": detail, "elapsed_s": round(elapsed, 6)})
+        lines.append(f"{status}  {name:<{width}}  {detail}  [{elapsed:.2f}s]")
+    passed = sum(record["status"] == "PASS" for record in records)
+    lines.append(f"{passed}/{len(checks)} checks passed")
+    payload = {
+        "command": "verify",
+        "inputs": {"max_p": args.max_p, "digits": args.digits},
+        "checks": records,
+        "passed": passed,
+        "total": len(checks),
+    }
+    _respond(args, payload, lines)
+    return EXIT_OK if passed == len(checks) else EXIT_VERIFY_FAILED
 
 
 def _compare(args, title, labels, inputs, value, ref, precision) -> int:
@@ -358,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
     p_verify.add_argument("--max-p", type=int, default=8, dest="max_p")
     p_verify.add_argument("--digits", type=int, default=50)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_dig = sub.add_parser("digamma", help="digamma via the Mikolas integral vs oracle")

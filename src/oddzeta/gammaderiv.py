@@ -7,7 +7,8 @@ Two routes that must agree:
 * integral: Gamma^(n)(z) = integral_0^inf t^{z-1} e^{-t} (log t)^n dt
             for z >= 1, mapped onto (0,1) by e^{-t} = 1 - r^2 and evaluated
             by the library's tanh-sinh rule, which takes the integrable
-            log(log) singularity left at r = 1 without splitting.
+            log(log) singularity left at r = 1 without splitting; it is the
+            one integral the library runs on tanh-sinh.
 
 The exact first derivative Gamma'(m+1) = m! (H_m - gamma), a third check on
 the integral route, has no production caller and lives with the tests
@@ -84,12 +85,13 @@ def gamma_nth_derivative_numeric(n: int, z, precision: int):
         exponent = zv - 1
 
         def integrand(r):
-            t = -mp.log1p(-r * r)
             value = 2 * r
-            if exponent:
-                value *= t**exponent
-            if n:
-                value *= mp.log(t) ** n
+            if exponent or n:  # Gamma(1) = integral 2r dr reads no t
+                t = -mp.log1p(-r * r)
+                if exponent:
+                    value *= t**exponent
+                if n:
+                    value *= mp.log(t) ** n
             return value
 
         result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)

@@ -1,4 +1,4 @@
-"""Arbitrary-precision quadrature on [0, 1]: Euler-Maclaurin for the zeta integrals, tanh-sinh for the rest.
+"""Arbitrary-precision quadrature on [0, 1]: Euler-Maclaurin for the zeta and digamma integrals, tanh-sinh for Gamma.
 
 The zeta integrals (:func:`integrate_moments`) are integral_0^1 w(t) Q(t) dt
 with Q a polynomial and w = (1 - t) tan(pi t/2), times cos(pi t) for the
@@ -11,11 +11,12 @@ Weideman, SIAM Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments
 M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached per level:
 
 * Grid.  sin(pi k/2N) is Im z^k with z = exp(i pi/(2N)), stepped from one
-  cos/sin pair per level, and tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N),
-  a ratio of two well-conditioned sines even next to t = 1; cos(pi t_k) is
-  cos^2 - sin^2 of the same pair.  With w_k at F fraction bits, the sums
-  sum_k w_k k^m are exact integers, so a level's grid moments are combined
-  exactly and divided by N^(m+1) once, in the dot product with the q_m.
+  cos/sin pair per level (:func:`_sines`), and tan(pi t_k/2) = sin(pi k/2N) /
+  sin(pi (N-k)/2N), a ratio of two well-conditioned sines even next to t = 1;
+  cos(pi t_k) is cos^2 - sin^2 of the same pair.  With w_k at F fraction
+  bits, the sums sum_k w_k k^m are exact integers, so a level's grid moments
+  are combined exactly and divided by N^(m+1) once, in the dot product with
+  the q_m.
 * End corrections.  The odd derivatives of w t^m at both ends come from exact
   series: tan at t = 0 (DLMF 4.19.3), s cot(pi s/2) with s = 1 - t at t = 1
   (DLMF 4.19.6), and sin(pi t) for the theorem by tan x cos 2x = sin 2x -
@@ -29,20 +30,22 @@ M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached per level:
   plus the rounding of the fixed-point sums; the error estimate of a level is
   the larger of that bound and the heuristic below.
 
-Everything else (the Gamma-derivative integral, with its logarithmic
-endpoint singularity, and the Mikolas digamma integral) uses tanh-sinh
-quadrature (:func:`integrate_01`): t(u) = 1 / (1 + exp(-pi sinh u)) clusters
-the abscissas at both endpoints without ever touching them, 1 - t is formed
-in the same stable form, and the weight is pi cosh(u) t (1 - t).  Each level
-halves the step h = 2^-level and reuses every previous abscissa (Takahasi &
-Mori 1974).  The nodes step exp(u) along u = j h by a fixed factor and take
-sinh u and cosh u from exp(+-u), as mpmath's ``TanhSinh.calc_nodes`` does,
-so a node costs one exp; the stepping carries 16 + log2(steps) extra bits.
-The nodes are cached per working precision together with tan(pi t/2) at
-every abscissa (:func:`tan_half`), which the digamma integrand reads: one tan
-per node pair, tan(pi t_lo/2) and its reciprocal for t_hi = 1 - t_lo.
+Mikolas' digamma integral (:func:`integrate_mikolas`) runs on the same grids,
+sine tables, truncation and t = 1 correction tables: its integrand is even at
+t = 0 and analytic out to t = +-3, and sin(pi z k/N) is stepped like the
+grid's sines, so a node costs a few integer products and one division.
 
-Both engines share one level loop, :func:`_level_loop`, which is handed each
+The Gamma-derivative integral, with its logarithmic endpoint singularity,
+uses tanh-sinh quadrature (:func:`integrate_01`): t(u) = 1 / (1 + exp(-pi
+sinh u)) clusters the abscissas at both endpoints without ever touching them,
+1 - t is formed in the same stable form, and the weight is pi cosh(u) t (1 -
+t).  Each level halves the step h = 2^-level and reuses every previous
+abscissa (Takahasi & Mori 1974).  The nodes step exp(u) along u = j h by a
+fixed factor and take sinh u and cosh u from exp(+-u), as mpmath's
+``TanhSinh.calc_nodes`` does, so a node costs one exp; the stepping carries
+16 + log2(steps) extra bits.  The nodes are cached per working precision.
+
+All engines share one level loop, :func:`_level_loop`, which is handed each
 level's complete estimate; it keeps the per-level deltas, estimates the
 error, stops, and rounds the result back to the requested precision.  The
 heuristic error estimate is the double-exponential one: with
@@ -66,7 +69,7 @@ from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_cos_sin, mpf_div, round_nearest, to_fixed
 
 from . import exactnum, pipoly
 from .errors import DomainError, NoConvergence, NonFiniteSample
@@ -75,7 +78,7 @@ __all__ = [
     "QuadResult",
     "integrate_01",
     "integrate_moments",
-    "tan_half",
+    "integrate_mikolas",
     "guard_bits",
     "working_precision",
     "quad_tolerance",
@@ -157,18 +160,9 @@ def _estimate_error(sums: list, wp: int):
 
 @lru_cache(maxsize=4)  # four working precisions
 def _tables(wp: int):
-    """Per-precision store: tanh-sinh nodes by level, tan(pi t/2) by abscissa,
-    and the trapezoid tables (grid sums, end corrections, their series)."""
-    return {}, {}, {}
-
-
-def tan_half(wp: int) -> dict:
-    """tan(pi t/2) keyed by every tanh-sinh abscissa built so far at ``wp`` bits.
-
-    :func:`integrate_01` builds the abscissas of a level before sampling any
-    of them, so an integrand called by it at ``wp`` finds its t here.
-    """
-    return _tables(wp)[1]
+    """Per-precision store: tanh-sinh nodes by level, and the trapezoid tables
+    (sines, grid sums, end corrections, their series)."""
+    return {}, {}
 
 
 def _unit_nodes(wp: int, level: int):
@@ -178,10 +172,8 @@ def _unit_nodes(wp: int, level: int):
     centre t = 1/2, marked by a None partner); higher levels hold the odd
     multiples of their step only.  The u-range is capped so that 1 - t stays
     representable at wp bits; weights beyond the cap are below 2^-wp anyway.
-    Building a level also enters its abscissas in :func:`tan_half`, at one
-    tan per pair: tan(pi t/2) tan(pi (1-t)/2) = 1, and tan(pi/4) = 1.
     """
-    levels, tangents, _ = _tables(wp)
+    levels = _tables(wp)[0]
     if level in levels:
         return levels[level]
     with mp.workprec(wp):
@@ -206,17 +198,11 @@ def _unit_nodes(wp: int, level: int):
             raw.append((t_hi, t_lo, mp.pi * cosh_u * t_hi * t_lo))
             e *= step
     with mp.workprec(wp):
-        nodes = []
-        if level == 0:
-            centre = mp.mpf(1) / 2
-            nodes.append((centre, None, mp.pi / 4))
-            tangents[centre] = mp.mpf(1)
+        nodes = [(mp.mpf(1) / 2, None, mp.pi / 4)] if level == 0 else []
         for t_hi, t_lo, weight in raw:
             t_hi, t_lo, weight = +t_hi, +t_lo, +weight
             if t_hi == 1 or t_lo == 0:
                 break  # would round onto an endpoint; contribution < 2^-wp
-            tan_lo = mp.tan(mp.pi * t_lo / 2)
-            tangents[t_lo], tangents[t_hi] = tan_lo, 1 / tan_lo
             nodes.append((t_hi, t_lo, weight))
     levels[level] = nodes = tuple(nodes)
     return nodes
@@ -232,6 +218,39 @@ def _base_points(wp: int) -> int:
     return -(-(wp + 40) // 12)
 
 
+def _stepped_sines(x: tuple, level: int, n: int, bits: int) -> list:
+    """sin(pi x k) at ``bits`` fraction bits for a level's new k: 1..n-1 at level 0, the odd k < n after.
+
+    Im w^k with w = exp(i pi x) from one cos/sin pair (``x`` a raw mpf), stepped
+    by w, or by w^2 over the odd k; each value is within about k 2^-bits.
+    """
+    cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(x, bits + 8, pi=True))
+    if level == 0:
+        count, step = n - 1, (cos, sin)
+    else:
+        count, step = n // 2, ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
+    sines, re, im = [], cos, sin
+    for _ in range(count):
+        sines.append(im)
+        re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
+    return sines
+
+
+def _sines(wp: int, level: int, bits: int) -> list:
+    """sin(pi k/2N) at ``bits`` fraction bits for the new k of a level of the grid N, cached.
+
+    The entry for k is within about N 2^-bits of its value, relatively, and
+    the one for N - k sits at the mirrored index, so tan(pi k/2N) is
+    ``sines[i] / sines[-1 - i]``.
+    """
+    store = _tables(wp)[1]
+    key = ("sines", level, bits)
+    if key not in store:
+        n = _base_points(wp) << level
+        store[key] = _stepped_sines(from_rational(1, 2 * n, bits + 8), level, n, bits)
+    return store[key]
+
+
 def _grid_sums(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> list:
     """S_m = sum_k w_k k^m, m = 0..degree at least, over the new abscissas k/N of a level.
 
@@ -242,31 +261,22 @@ def _grid_sums(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> l
     power, so a call that needs a higher degree extends it and the entries
     already there do not change.
     """
-    store = _tables(wp)[2]
+    store = _tables(wp)[1]
     key = ("grid", level, frac, with_cos)
     entry = store.get(key)
     if entry is None:
         n = _base_points(wp) << level
-        # sin(pi k/2N) is then within about N 2^-bits of its value, relatively
         bits = frac + n.bit_length() + 8
-        cos, sin = (to_fixed(x, bits) for x in mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True))
-        if level == 0:
-            ks, step = range(1, n), (cos, sin)
-        else:
-            ks, step = range(1, n, 2), ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
-        sines, re, im = [], cos, sin
-        for _ in ks:
-            sines.append(im)
-            re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
+        sines = _sines(wp, level, bits)
+        ks = list(range(1, n) if level == 0 else range(1, n, 2))
         weights = []
         for i, k in enumerate(ks):
-            # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N), and N - k is in ks too
+            # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N)
             sn, cs = sines[i], sines[-1 - i]
             num, den = (n - k) * sn, n * cs
             if with_cos:
                 num, den = num * (cs * cs - sn * sn), den << (2 * bits)
             weights.append(((num << (frac + 1)) // den + 1) >> 1)
-        ks = list(ks)
         if level == 0:
             with mp.workprec(frac + 16):
                 half = to_fixed((1 / mp.pi)._mpf_, frac)
@@ -297,8 +307,10 @@ def _series(wp: int, frac: int, with_cos: bool, count: int) -> tuple:
     (1 - t) g(t) and w(1 - s) = u(s).  Each is an exact rational times a power
     of pi, rounded once.
     """
-    store = _tables(wp)[2]
+    store = _tables(wp)[1]
     g, u = store.setdefault(("series", frac, with_cos), ([], []))
+    if len(g) >= count:
+        return g, u
     bits = frac + _SERIES_BITS
     with mp.workprec(bits + 16):
         pi = +mp.pi
@@ -329,7 +341,7 @@ def _corrections(wp: int, level: int, frac: int, with_cos: bool, terms: int, deg
     rounding error.  E_j is rounded once from the exact rational, and each
     sum is exact until its one rounding.  Both lists grow with the degree.
     """
-    store = _tables(wp)[2]
+    store = _tables(wp)[1]
     key = ("corrections", level, frac, with_cos, terms)
     bits = frac + _SERIES_BITS
     entry = store.get(key)
@@ -539,5 +551,83 @@ def integrate_moments(
             bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
         count = n + 1 if level == 0 else n // 2
         return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count, bound
+
+    return _level_loop(level_estimate, tol, precision)
+
+
+def integrate_mikolas(z, tol, precision: int) -> QuadResult:
+    """cot(pi z) + integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt for an mpf z in (0, 1).
+
+    As z -> 1 the cotangent and the integral each grow like |cot(pi z)| and
+    cancel, so the cotangent is added, exactly like :func:`integrate_moments`'
+    shift, before the one rounding.  The integral runs on the trapezoid grids
+    of :func:`integrate_moments`.  Its integrand f is even at t = 0, a product
+    of two odd factors, so its end corrections there vanish.  With s = 1 - t,
+    f(1 - s) = cot(pi s/2) (cos(pi z s) - 1 + s - cot(pi z) sin(pi z s)), and
+    cot(pi s/2) is odd, so only the even part cos(pi z s) - 1 reaches the odd
+    coefficients; with cot(pi s/2) = sum_n u_n s^(2n-1) (:func:`_series`), the
+    corrections are sum_c (-1)^c (pi z)^2c / (2c)! D_c over the D_c of
+    :func:`_corrections` (without cos), each (pi z)^2c/(2c)! stepped from the
+    one before.  The grid values are tan(pi k/2N) from :func:`_sines` times
+    (N sin(pi z k/N) - k sin(pi z)) / (N sin(pi z)), that sine stepped from
+    exp(i pi z/N), each one exact integer quotient rounded to F = wp + 64
+    fraction bits; f(0) = 0, and f(1)/2 = (1 - pi z cot(pi z))/pi takes half
+    weight.
+
+    The bracket vanishes at t = +-1 and cancels those poles of tan, so f is
+    analytic for |t| < 3 and rho = 2.  Its log-size for :func:`_truncation`:
+    |f| on the discs of radius r = 63 rho/64 about [0, 1] is largest on their
+    boundary, where every odd integer is at least rho - r away (t = +-1 at
+    least r - 1), so |tan(pi t/2)| <= cosh(pi r/2) / (rho - r) as in
+    :func:`_log2_size`; |sin(pi z t)| <= cosh(pi z r) and |t| <= 1 + r, so
+    M_r <= cosh(pi r/2) / (rho - r) * (cosh(pi z r) / sin(pi z) + 1 + r).
+    The sines of the bracket carry the bits of 1/sin(pi z), which the
+    division by it costs, and log2 N more for the tangent next to t = 1, so
+    each grid value is within 2^(size - F) with 2^size >= 1/sin(pi z); the
+    rounding bound adds that and K + 2 units of 2^-F for the corrections.
+    The level loop is that of :func:`integrate_01`.
+    """
+    wp = working_precision(precision)
+    frac = wp + _MOMENT_BITS
+    radius = 2
+    with mp.workprec(wp):
+        sin_z = mp.sinpi(z)
+    size = max(0, -mp.mag(sin_z))  # the bits 1/sin(pi z) adds to the bracket
+    with mp.workprec(frac + size + 16):
+        cot_z = mp.cospi(z) / mp.sinpi(z)
+        pi_z = mp.pi * z
+        shift = to_fixed(cot_z._mpf_, frac)
+        end = to_fixed(((1 - pi_z * cot_z) / mp.pi)._mpf_, frac)
+        pi_z_squared = to_fixed((pi_z * pi_z)._mpf_, frac)
+    with mp.workprec(53):
+        r = radius * _DISC
+        tan_size = mp.cosh(mp.pi * r / 2) / (radius - r)
+        log_size = float(mp.log(tan_size * (mp.cosh(mp.pi * z * r) / sin_z + 1 + r), 2))
+    grid = {}  # each level's sum over its new abscissas, at frac bits
+
+    def level_estimate(wp, level):
+        n = _base_points(wp) << level
+        terms, log_bound = _truncation(n, radius, log_size, wp)
+        bits = frac + n.bit_length() + 8
+        tangents = _sines(wp, level, bits)
+        bits_z = bits + n.bit_length() + size
+        sines = _stepped_sines(mpf_div(z._mpf_, from_int(n), bits_z + 8), level, n, bits_z)
+        sine_z = to_fixed(mpf_cos_sin(z._mpf_, bits_z + 8, pi=True)[1], bits_z)
+        ks = range(1, n) if level == 0 else range(1, n, 2)
+        grid[level] = 0
+        for i, k in enumerate(ks):
+            num, den = tangents[i] * (n * sines[i] - k * sine_z), tangents[-1 - i] * n * sine_z
+            grid[level] += ((num << (frac + 1)) // den + 1) >> 1
+        points = end + sum(grid[coarser] for coarser in range(level + 1))
+        total = shift + (2 * points + n) // (2 * n)
+        at_one = _corrections(wp, level, frac, False, terms, 2 * terms - 1)[1]
+        x = 1 << frac
+        for c, d in enumerate(at_one, 1):
+            x = x * pi_z_squared // ((2 * c - 1) * (2 * c) << frac)
+            total += (-1) ** c * (x * d >> frac)
+        with mp.workprec(53):
+            bound = mp.ldexp(terms + 2, size - frac) + mp.ldexp(1, -wp) + mp.ldexp(1, math.ceil(log_bound))
+        count = n + 1 if level == 0 else n // 2
+        return mp.make_mpf(from_man_exp(total, -frac, wp, round_nearest)), count, bound
 
     return _level_loop(level_estimate, tol, precision)

@@ -15,8 +15,8 @@ Where that second route has no production caller it lives with the tests
 * ``digamma_ref``      upward recurrence past a precision-dependent
   threshold, then the Bernoulli asymptotic series.
 * ``digamma_mikolas``  the cotangent-plus-integral representation of
-  Mikolas (1957), evaluated by tanh-sinh quadrature; tan(pi t/2) is read
-  from the node tables' tangent map (:func:`quad.tan_half`).
+  Mikolas (1957), its integral on the Euler-Maclaurin trapezoid grids
+  (:func:`quad.integrate_mikolas`).
 """
 
 from __future__ import annotations
@@ -76,9 +76,11 @@ def zeta_ref(s: int, precision: int):
         + sum_j B_{2j}/(2j)! (s)_{2j-1} N^{-s-2j+1},
 
     with N about 0.7 times the working precision in bits and correction terms
-    added until they fall below the working epsilon.  The test suite's
-    Borwein route must agree to full precision for s up to 25, so no decimal
-    value is ever taken on faith.
+    added until they fall below the working epsilon.  The partial sum is
+    exact in integers at wp + log2(N) + 2 fraction bits, each k^-s rounded
+    down once, and N^{-s-2j+1} is stepped by one multiply per j.  The test
+    suite's Borwein route must agree to full precision for s up to 25, so no
+    decimal value is ever taken on faith.
     """
     if s < 2:
         raise DomainError("zeta oracle needs integer s >= 2")
@@ -86,25 +88,23 @@ def zeta_ref(s: int, precision: int):
     with mp.workprec(wp):
         cutoff = max(10, int(0.7 * wp))
         eps = mp.ldexp(1, -wp)
-        acc = mp.mpf(0)
-        for k in range(1, cutoff):
-            acc += mp.mpf(k) ** (-s)
+        frac = wp + cutoff.bit_length() + 2
+        unit = 1 << frac
+        acc = mp.ldexp(sum(unit // k**s for k in range(1, cutoff)), -frac)
         tail = mp.mpf(cutoff) ** (-s)
         acc += cutoff * tail / (s - 1) + tail / 2
         rising = mp.mpf(s)  # (s)_{2j-1} at j = 1
+        power = tail / cutoff  # N^{-s-2j+1} at j = 1
+        inverse_square = 1 / mp.mpf(cutoff * cutoff)
         j = 1
         while True:
             b = bernoulli_number(2 * j)
-            term = (
-                fraction_to_mpf(b)
-                / math.factorial(2 * j)
-                * rising
-                * mp.mpf(cutoff) ** (-s - 2 * j + 1)
-            )
+            term = fraction_to_mpf(b) / math.factorial(2 * j) * rising * power
             acc += term
             if abs(term) < eps * abs(acc):
                 break
             rising *= (s + 2 * j - 1) * (s + 2 * j)
+            power *= inverse_square
             j += 1
         result = acc
     with mp.workprec(precision):
@@ -189,12 +189,14 @@ def digamma_mikolas(z, precision: int):
     psi(z) = -[gamma + 1/(2z) + pi/2 cot(pi z)
               + pi/2 * integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt].
 
-    The bracket vanishes at t = 1, cancelling the tangent pole, so plain
-    tanh-sinh integration applies.  As z -> 1 the cotangent term and the
-    integral each grow like |cot(pi z)| and cancel to about psi(1), so the
-    bits of |cot(pi z)| beyond the guard bits are added to the precision the
-    integral and the sum are computed at.  Raises NoConvergence when the
-    integral misses its tolerance.
+    The bracket vanishes at t = 1, cancelling the tangent pole, and the
+    integrand is even at t = 0 and analytic for |t| < 3, so the trapezoid rule
+    with end corrections at t = 1 applies; :func:`quad.integrate_mikolas`
+    returns cot(pi z) plus the integral.  As z -> 1 the two each grow like
+    |cot(pi z)| and cancel to about psi(1): the engine adds them before its
+    one rounding, and the bits of |cot(pi z)| beyond the guard bits are added
+    to the precision it computes at.  Raises NoConvergence when the integral
+    misses its tolerance.
     """
     with mp.workprec(quad.working_precision(precision)):
         zv = _as_mpf(z)
@@ -205,19 +207,8 @@ def digamma_mikolas(z, precision: int):
     wp = quad.working_precision(inner)
     with mp.workprec(wp):
         zv = _as_mpf(z)
-        sin_z = mp.sin(mp.pi * zv)
-        tan_half = quad.tan_half(wp)
-
-        def bracket(t):
-            return tan_half[t] * (mp.sin(mp.pi * zv * t) / sin_z - t)
-
-        result = quad.integrate_01(bracket, quad.quad_tolerance(precision), inner)
+        result = quad.integrate_mikolas(zv, quad.quad_tolerance(precision), inner)
         result.require_converged(f"Mikolas digamma integral at z = {shortest_str(zv)}")
-        value = -(
-            euler_gamma(wp)
-            + 1 / (2 * zv)
-            + mp.pi / 2 * mp.cot(mp.pi * zv)
-            + mp.pi / 2 * result.value
-        )
+        value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * result.value)
     with mp.workprec(precision):
         return +value

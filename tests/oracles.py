@@ -129,10 +129,9 @@ def pole_cancellation_check(z, precision: int):
         if not (0 < zv < 1):
             raise DomainError("pole check needs 0 < z < 1")
         v_pole = laurent_eval(expansion.csc_coefficient(-1), wp)
-        tan_half = quad.tan_half(wp)
 
         def integrand(t):
-            return tan_half[t] * (v_pole * mp.sin(mp.pi * t))
+            return mp.tan(mp.pi * t / 2) * (v_pole * mp.sin(mp.pi * t))
 
         result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
         result.require_converged(f"pole cancellation integral at z = {mp.nstr(zv, 8)}")

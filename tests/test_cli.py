@@ -93,6 +93,16 @@ TABLE_16_100 = Path(__file__).parent / "golden" / "table-max-p16-digits100.csv"
 COMPARISON_KEYS = {"command", "inputs", "value", "error_estimate", "reference", "diagnostics"}
 TABLE_ROW_KEYS = {"p", "representation", "value", "reference", "abs_error", "diagnostics"}
 TABLE_DIAGNOSTIC_KEYS = {"evaluations", "levels", "converged", "error_estimate", "precision_bits"}
+VERIFY_KEYS = {"command", "inputs", "checks", "passed", "total"}
+VERIFY_CHECK_KEYS = {"name", "status", "detail", "elapsed_s"}
+VERIFY_CHECKS = [
+    "lemma",
+    "series-product",
+    "representations",
+    "even-closed-form",
+    "digamma-grid",
+    "gamma-derivatives",
+]
 
 # one valid command line per subcommand that takes --digits
 DIGITS_COMMANDS = {
@@ -479,6 +489,38 @@ class TestVerify:
         assert "FAIL" not in out
         assert "checks passed" in out
 
+    def test_json_keys(self, capsys):
+        code, out, _ = run(["verify", "--max-p", "1", "--digits", "15", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert set(payload) == VERIFY_KEYS
+        assert payload["command"] == "verify"
+        assert payload["inputs"] == {"max_p": 1, "digits": 15}
+        assert [record["name"] for record in payload["checks"]] == VERIFY_CHECKS
+        for record in payload["checks"]:
+            assert set(record) == VERIFY_CHECK_KEYS
+            assert record["status"] == "PASS" and record["elapsed_s"] >= 0
+        assert payload["passed"] == payload["total"] == len(VERIFY_CHECKS)
+        assert cli.render_json(payload) == out
+
+    def test_json_matches_text(self, capsys):
+        argv = ["verify", "--max-p", "2", "--digits", "15"]
+        _, text, _ = run(argv, capsys)
+        _, out, _ = run([*argv, "--format", "json"], capsys)
+        rows = {name: row.split("  [")[0] for name, row in verify_rows(text).items()}
+        payload = json.loads(out)
+        assert rows == {r["name"]: f"{r['status']} {r['detail']}" for r in payload["checks"]}
+        assert text.splitlines()[-1] == f"{payload['passed']}/{payload['total']} checks passed"
+
+    @pytest.mark.usefixtures("cap_levels")
+    def test_json_failure_exit_code(self, capsys):
+        code, out, _ = run(["verify", "--max-p", "1", "--digits", "15", "--format", "json"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        payload = json.loads(out)
+        failed = {r["name"] for r in payload["checks"] if r["status"] == "FAIL"}
+        assert failed == {"representations", "digamma-grid", "gamma-derivatives"}
+        assert payload["passed"] == payload["total"] - 3
+
     def test_fault_injection_fails_lemma(self, capsys, monkeypatch, cold_caches):
         # corrupt one even Bernoulli value on cold caches; the exact -1/pi
         # moment must break and the exit code must say so
@@ -525,6 +567,23 @@ class TestVerify:
         rows = verify_rows(out)
         assert rows["lemma"].startswith("PASS") and rows["series-product"].startswith("PASS")
         assert re.match(r"FAIL worst representation error \S+ exceeds bound  \[", rows["representations"])
+
+    def test_corrupted_bernoulli_tail_fails_digamma_grid(self, capsys, monkeypatch, cold_caches):
+        # B_40 doubled: the Mikolas integral's t = 1 corrections at 120 digits
+        # read B_2j beyond B_40, so the grid values converge up to about 1e-88
+        # off, which the engine's remainder bound cannot see; digamma_ref reads
+        # no corrupted number here, and the comparison with it fails (bound 1e-111)
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return 2 * real(n) if n == 40 else real(n)
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        code, out, _ = run(["verify", "--max-p", "8", "--digits", "120"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        line = next(line for line in out.splitlines() if "digamma-grid" in line)
+        assert line.startswith("FAIL  digamma-grid")
+        assert re.match(r"FAIL digamma grid error \S+ exceeds bound  \[", verify_rows(out)["digamma-grid"])
 
     @pytest.mark.parametrize(
         "oracle,failed",

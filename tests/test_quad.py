@@ -1,4 +1,4 @@
-"""Quadrature: tanh-sinh accuracy, endpoint safety and determinism; the zeta integrals' trapezoid tables."""
+"""Quadrature: tanh-sinh accuracy, endpoint safety and determinism; the zeta and digamma integrals' trapezoid tables."""
 
 import math
 from fractions import Fraction
@@ -194,29 +194,23 @@ def ulp(x, wp):
 
 
 class TestTangentMap:
-    # the map stores tan(pi t_lo/2) and its reciprocal for t_hi; t_hi itself
-    # is 1 - t_lo rounded to wp bits, a relative change in 1 - t_hi that is
-    # large next to t = 1, so tan[t_hi] is measured against tan(pi (1 - t_lo)/2)
-    @pytest.mark.parametrize("wp,levels", [(80, LEVELS), (400, LEVELS), (2629, range(4))])
-    def test_every_abscissa_has_its_tangent(self, wp, levels):
-        tan = quad.tan_half(wp)
-        for level in levels:
-            for t_hi, t_lo, _ in quad._unit_nodes(wp, level):
-                if t_lo is None:
-                    assert t_hi == mp.mpf(1) / 2 and tan[t_hi] == 1
-                    continue
-                with mp.workprec(2 * wp):
-                    assert abs(tan[t_hi] * tan[t_lo] - 1) <= 2 * mp.ldexp(1, -wp)
-                    # pi t_lo/2 and the tangent are each rounded at wp bits
-                    assert abs(tan[t_lo] - mp.tan(mp.pi * t_lo / 2)) <= 2 * ulp(tan[t_lo], wp)
-                    want = mp.tan(mp.pi * (1 - t_lo) / 2)
-                    assert abs(tan[t_hi] - want) <= 4 * ulp(want, wp)
-                    assert abs(t_hi - (1 - t_lo)) <= ulp(t_hi, wp)
+    # no integrand reads tan(pi t/2) at a tanh-sinh abscissa any more, so the
+    # node tables hold nodes only and building them takes no tangent
+    def test_nodes_take_no_tangent(self, monkeypatch, cold_caches):
+        def tan(*args):
+            raise AssertionError("a node build called mp.tan")
+
+        monkeypatch.setattr(mp, "tan", tan)
+        for level in range(4):
+            quad._unit_nodes(400, level)
+        assert not hasattr(quad, "tan_half")
+        nodes, _ = quad._tables(400)
+        assert sorted(nodes) == list(range(4))
 
     def test_moments_do_not_depend_on_later_levels(self):
-        # the trapezoid tables of the zeta integrals read no tangent map and no
-        # tanh-sinh node, so each level's grid sums and end corrections are the
-        # same whether it is built after the levels below it or after level 6
+        # the trapezoid tables of the zeta integrals read no tanh-sinh node, so
+        # each level's grid sums and end corrections are the same whether it
+        # is built after the levels below it or after level 6
         wp, frac, degree, terms = 253, 317, 5, 4
         keys = [(level, with_cos) for level in range(7) for with_cos in (False, True)]
 
@@ -231,24 +225,10 @@ class TestTangentMap:
 
         quad._tables.cache_clear()
         straight = tables(keys)
-        nodes, tangents, _ = quad._tables(wp)
-        assert not nodes and not tangents
+        nodes, _ = quad._tables(wp)
+        assert not nodes
         quad._tables.cache_clear()
         assert tables(reversed(keys)) == straight
-
-    def test_map_is_filled_before_sampling(self):
-        quad._tables.cache_clear()
-        precision = 96
-        tan = quad.tan_half(working_precision(precision))
-        missing = []
-
-        def probe(t):
-            if t not in tan:
-                missing.append(t)
-            return mp.mpf(1)
-
-        integrate_01(probe, mp.mpf(10) ** -20, precision)
-        assert tan and not missing
 
 
 def weight(with_cos):
@@ -310,5 +290,46 @@ class TestTrapezoidMoments:
         precision = 200
         for rep in zetarep.Representation:
             zetarep.zeta_odd(2, rep, precision)
-        nodes, tangents, tables = quad._tables(working_precision(precision))
-        assert not nodes and not tangents and tables
+        nodes, tables = quad._tables(working_precision(precision))
+        assert not nodes and tables
+
+
+def mikolas_value(z, wp):
+    """cot(pi z) + the Mikolas integral, from psi(z) = -(gamma + 1/(2z) + pi/2 (that))."""
+    with mp.workprec(wp):
+        return -2 / mp.pi * (mp.digamma(z) + mp.euler + 1 / (2 * z))
+
+
+class TestMikolasGrid:
+    # every K up to N/4 below the level that converges: the trapezoid sum with K
+    # end corrections at t = 1 misses cot(pi z) + integral by no more than the
+    # DLMF 2.10.2 / Cauchy bound for K with rho = 2
+    @pytest.mark.parametrize("z", ["0.0625", "0.5", "0.9375", "0.999", "1e-9"])
+    def test_remainder_bound_holds(self, z, monkeypatch):
+        precision = 160
+        wp = working_precision(precision)
+        with mp.workprec(wp):
+            zv = mp.mpf(z)
+        want = mikolas_value(zv, wp + 64)
+        captured = []
+        monkeypatch.setattr(quad, "_level_loop", lambda estimate, tol, precision: captured.append(estimate))
+        quad.integrate_mikolas(zv, TOL30, precision)
+        (estimate,) = captured
+        for level in (0, 1):
+            n = quad._base_points(wp) << level
+            for terms in range(1, n // 4 + 1):
+                monkeypatch.setattr(
+                    quad,
+                    "_truncation",
+                    lambda n, radius, log_size, target: (terms, quad._remainder_log2(n, radius, log_size, terms)),
+                )
+                value, count, bound = estimate(wp, level)
+                with mp.workprec(wp + 64):
+                    assert abs(value - want) <= bound + ulp(want, wp), (level, terms, value - want, bound)
+
+    def test_builds_no_tanh_sinh_nodes(self, cold_caches):
+        precision = 200
+        with mp.workprec(working_precision(precision)):
+            quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
+        nodes, tables = quad._tables(working_precision(precision))
+        assert not nodes and tables

@@ -291,7 +291,8 @@ def test_cache_inventory(cold_caches):
     assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-4:])
 
 
-# the zeta routes hand no integrand to integrate_01: they integrate by moments
+# the zeta routes and the Mikolas digamma integral hand no integrand to
+# integrate_01: they run on the trapezoid grids
 ROUTES = {"gammaderiv": functools.partial(gamma_nth_derivative_numeric, 2, 1, 96)}
 
 
