@@ -18,9 +18,14 @@ from .errors import (
 )
 from .exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
 from .expansion import p_poly, u_coeff, w_coeff
-from .gammaderiv import bell_complete, gamma_nth_derivative_at_1, gamma_nth_derivative_numeric
+from .gammaderiv import (
+    bell_complete,
+    gamma_derivatives_numeric,
+    gamma_nth_derivative_at_1,
+    gamma_nth_derivative_numeric,
+)
 from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval, poly_scale
-from .quad import QuadResult, integrate_01
+from .quad import QuadResult, integrate_01_many
 from .reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from .zetarep import (
     Representation,
@@ -52,9 +57,10 @@ __all__ = [
     "euler_gamma",
     "euler_number",
     "euler_polynomial",
+    "gamma_derivatives_numeric",
     "gamma_nth_derivative_at_1",
     "gamma_nth_derivative_numeric",
-    "integrate_01",
+    "integrate_01_many",
     "integrate_against_sin",
     "laurent_eval",
     "lemma_check",

@@ -209,9 +209,9 @@ def _verify_checks(max_p: int, digits: int):
         return f"Mikolas digamma grid k/16, worst |err| = {mp.nstr(worst, 3)}"
 
     def check_gamma_derivatives():
-        for n in range(0, 5):
+        orders = range(0, 5)
+        for n, numeric in zip(orders, gammaderiv.gamma_derivatives_numeric(orders, 1, precision)):
             exact = gammaderiv.gamma_nth_derivative_at_1(n, precision)
-            numeric = gammaderiv.gamma_nth_derivative_numeric(n, 1, precision)
             if abs(exact - numeric) > 10 * tolerance * max(1, abs(exact)):
                 raise OddzetaError(f"Gamma derivative mismatch at n={n}")
         return "Bell-exact vs integral Gamma derivatives, n <= 4"

@@ -8,7 +8,8 @@ Two routes that must agree:
             for z >= 1, mapped onto (0,1) by e^{-t} = 1 - r^2 and evaluated
             by the library's tanh-sinh rule, which takes the integrable
             log(log) singularity left at r = 1 without splitting; it is the
-            one integral the library runs on tanh-sinh.
+            one integral the library runs on tanh-sinh, and one pass over
+            the nodes serves every order asked for.
 
 The exact first derivative Gamma'(m+1) = m! (H_m - gamma), a third check on
 the integral route, has no production caller and lives with the tests
@@ -27,6 +28,7 @@ from .errors import DomainError
 
 __all__ = [
     "bell_complete",
+    "gamma_derivatives_numeric",
     "gamma_nth_derivative_at_1",
     "gamma_nth_derivative_numeric",
 ]
@@ -65,17 +67,20 @@ def gamma_nth_derivative_at_1(n: int, precision: int):
         return +value
 
 
-def gamma_nth_derivative_numeric(n: int, z, precision: int):
-    """Gamma^(n)(z) = integral_0^1 2r t^{z-1} (log t)^n dr, t = -log(1 - r^2), z >= 1.
+def gamma_derivatives_numeric(orders: Sequence[int], z, precision: int) -> list:
+    """Gamma^(n)(z) = integral_0^1 2r t^{z-1} (log t)^n dr, t = -log(1 - r^2), z >= 1, for n in ``orders``.
 
     This is integral_0^inf t^{z-1} e^{-t} (log t)^n dt with e^{-t} = 1 - r^2.
     Near r = 0 the integrand is about 2r (log r^2)^n, so the stretch that
     tanh-sinh leaves unsampled there holds far less than the tolerance even
     at high n; with e^{-t} = 1 - s it would hold about 2^-wp |log 2^-wp|^n.
-    Raises DomainError for z < 1, where t^{z-1} is unbounded at t = 0, and
-    NoConvergence when the integral misses its tolerance.
+    Each order is one component of a single integrand
+    (:func:`quad.integrate_01_many`), so t and log t are formed once per node,
+    and each value is bit for bit that of its order alone.  Raises
+    DomainError for z < 1, where t^{z-1} is unbounded at t = 0, and
+    NoConvergence for the first order in ``orders`` that misses its tolerance.
     """
-    if n < 0:
+    if any(n < 0 for n in orders):
         raise DomainError("derivative order must be >= 0")
     wp = quad.working_precision(precision)
     with mp.workprec(wp):
@@ -83,18 +88,25 @@ def gamma_nth_derivative_numeric(n: int, z, precision: int):
         if not (zv >= 1):
             raise DomainError("the integral form needs z >= 1")
         exponent = zv - 1
+        logs = any(orders)
 
         def integrand(r):
-            value = 2 * r
-            if exponent or n:  # Gamma(1) = integral 2r dr reads no t
+            value, log_t = 2 * r, None
+            if exponent or logs:  # Gamma(1) = integral 2r dr reads no t
                 t = -mp.log1p(-r * r)
                 if exponent:
                     value *= t**exponent
-                if n:
-                    value *= mp.log(t) ** n
-            return value
+                if logs:
+                    log_t = mp.log(t)
+            return tuple(value * log_t**n if n else value for n in orders)
 
-        result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
-    result.require_converged(f"Gamma^({n})({reference.shortest_str(zv)}) integral")
+        results = quad.integrate_01_many(integrand, quad.quad_tolerance(precision), precision)
+    for n, result in zip(orders, results):
+        result.require_converged(f"Gamma^({n})({reference.shortest_str(zv)}) integral")
     with mp.workprec(precision):
-        return +result.value
+        return [+result.value for result in results]
+
+
+def gamma_nth_derivative_numeric(n: int, z, precision: int):
+    """Gamma^(n)(z) by the integral of :func:`gamma_derivatives_numeric`, its one-order case."""
+    return gamma_derivatives_numeric([n], z, precision)[0]

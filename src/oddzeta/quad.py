@@ -35,15 +35,17 @@ sine tables, truncation and t = 1 correction tables: its integrand is even at
 t = 0 and analytic out to t = +-3, and sin(pi z k/N) is stepped like the
 grid's sines, so a node costs a few integer products and one division.
 
-The Gamma-derivative integral, with its logarithmic endpoint singularity,
-uses tanh-sinh quadrature (:func:`integrate_01`): t(u) = 1 / (1 + exp(-pi
+The Gamma-derivative integrals, with their logarithmic endpoint singularity,
+use tanh-sinh quadrature (:func:`integrate_01_many`): t(u) = 1 / (1 + exp(-pi
 sinh u)) clusters the abscissas at both endpoints without ever touching them,
 1 - t is formed in the same stable form, and the weight is pi cosh(u) t (1 -
 t).  Each level halves the step h = 2^-level and reuses every previous
-abscissa (Takahasi & Mori 1974).  The nodes step exp(u) along u = j h by a
-fixed factor and take sinh u and cosh u from exp(+-u), as mpmath's
-``TanhSinh.calc_nodes`` does, so a node costs one exp; the stepping carries
-16 + log2(steps) extra bits.  The nodes are cached per working precision.
+abscissa (Takahasi & Mori 1974).  The integrand returns one value per order,
+so one pass over a level's nodes serves every order.  The nodes step exp(u)
+along u = j h by a fixed factor and take sinh u and cosh u from exp(+-u), as
+mpmath's ``TanhSinh.calc_nodes`` does, so a node costs one exp; the stepping
+carries 16 + log2(steps) extra bits.  The nodes are cached per working
+precision.
 
 All engines share one level loop, :func:`_level_loop`, which is handed each
 level's complete estimate; it keeps the per-level deltas, estimates the
@@ -76,7 +78,7 @@ from .errors import DomainError, NoConvergence, NonFiniteSample
 
 __all__ = [
     "QuadResult",
-    "integrate_01",
+    "integrate_01_many",
     "integrate_moments",
     "integrate_mikolas",
     "guard_bits",
@@ -484,35 +486,51 @@ def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
     )
 
 
-def integrate_01(f: Callable, tol, precision: int) -> QuadResult:
-    """Tanh-sinh integration of f over the open interval (0, 1).
+def integrate_01_many(f: Callable, tol, precision: int) -> list:
+    """Tanh-sinh integration over the open interval (0, 1) of each component of the tuple f(t).
 
-    ``f`` is never called at the endpoints; it must be finite on (0,1) and
-    may have an integrable logarithmic singularity at an endpoint.  No
-    abscissa lies within about 2^-wp of an endpoint (wp the working
+    ``f`` is never called at the endpoints; each component must be finite on
+    (0, 1) and may have an integrable logarithmic singularity at an endpoint.
+    No abscissa lies within about 2^-wp of an endpoint (wp the working
     precision), so the integral over that stretch must be negligible at
-    ``tol``.  Level 0 is the trapezoid sum over its nodes; every later level
-    halves the previous sum and adds its own.  Convergence, the level cap and
-    the rounding are those of the level loop (:func:`_level_loop`);
-    ``evaluations`` counts the calls of f.  A non-finite sample raises
-    NonFiniteSample.
+    ``tol``.  A level visits its nodes once, keeping one partial sum per
+    component; level 0 is the trapezoid sum over its nodes, and every later
+    level halves the previous sum and adds its own.  Each component then runs
+    the level loop (:func:`_level_loop`) on those partials, so its QuadResult,
+    one per component in order, is bit for bit that of the component alone; a
+    level is built when the first component asks for it.  ``evaluations``
+    counts the calls of f.  A non-finite sample raises NonFiniteSample.
     """
-    sums = []
+    levels = []  # per level: each component's partial sum, and the calls of f
 
-    def level_estimate(wp, level):
-        partial, count = mp.mpf(0), 0
-        for t_hi, t_lo, weight in _unit_nodes(wp, level):
-            for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
-                value = f(t)
-                if not mp.isfinite(value):
-                    raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
-                partial += weight * value
-                count += 1
-        partial = mp.ldexp(partial, -level)
-        sums.append(partial + sums[-1] / 2 if sums else partial)
-        return sums[-1], count, None
+    def level_partials(wp, level):
+        if level == len(levels):
+            partials, count = None, 0
+            for t_hi, t_lo, weight in _unit_nodes(wp, level):
+                for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
+                    values = f(t)
+                    if partials is None:
+                        partials = [mp.mpf(0)] * len(values)
+                    for i, value in enumerate(values):
+                        if not mp.isfinite(value):
+                            raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
+                        partials[i] += weight * value
+                    count += 1
+            levels.append(([mp.ldexp(partial, -level) for partial in partials], count))
+        return levels[level]
 
-    return _level_loop(level_estimate, tol, precision)
+    def component(i):
+        sums = []
+
+        def level_estimate(wp, level):
+            partials, count = level_partials(wp, level)
+            sums.append(partials[i] + sums[-1] / 2 if sums else partials[i])
+            return sums[-1], count, None
+
+        return _level_loop(level_estimate, tol, precision)
+
+    first = component(0)  # level 0 tells the number of components
+    return [first] + [component(i) for i in range(1, len(levels[0][0]))]
 
 
 def integrate_moments(
@@ -529,7 +547,7 @@ def integrate_moments(
     once) and end corrections (:func:`_corrections`), plus the exact ``shift``,
     rounded once into an mpf, so no integrand is evaluated; ``evaluations``
     counts the trapezoid nodes.  The error bound and K are those of
-    :func:`_truncation`; the level loop is that of :func:`integrate_01`.
+    :func:`_truncation`; the level loop is that of :func:`integrate_01_many`.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
@@ -585,7 +603,7 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     division by it costs, and log2 N more for the tangent next to t = 1, so
     each grid value is within 2^(size - F) with 2^size >= 1/sin(pi z); the
     rounding bound adds that and K + 2 units of 2^-F for the corrections.
-    The level loop is that of :func:`integrate_01`.
+    The level loop is that of :func:`integrate_01_many`.
     """
     wp = working_precision(precision)
     frac = wp + _MOMENT_BITS

@@ -154,7 +154,10 @@ def digamma_ref(x, precision: int):
 
     psi(x+1) = psi(x) + 1/x lifts the argument above max(20, 0.35 * bits),
     after which psi(x) = log x - 1/(2x) - sum B_{2n} / (2n x^{2n}) converges
-    well below the working epsilon.
+    well below the working epsilon.  With x = m 2^-e exact, the shift
+    -sum_j 1/(x + j) over the s steps is one fixed-point integer sum of
+    2^(F+e) // (m + j 2^e) at F = wp + bitlength(s) + 2 fraction bits, so the
+    s truncations stay below 2^-(wp+2) together and no step divides an mpf.
     """
     wp = quad.working_precision(precision)
     with mp.workprec(wp):
@@ -162,10 +165,13 @@ def digamma_ref(x, precision: int):
         if not mp.isfinite(value) or value <= 0:
             raise DomainError("digamma oracle needs x > 0")
         threshold = max(20, int(0.35 * precision))
-        shift = mp.mpf(0)
-        while value < threshold:
-            shift -= 1 / value
-            value += 1
+        man, exp = value.man_exp
+        m, e = (man << exp, 0) if exp >= 0 else (man, -exp)
+        steps = max(0, -((m - (threshold << e)) >> e))  # ceil(threshold - x)
+        frac = wp + steps.bit_length() + 2
+        total = sum((1 << frac + e) // (m + (j << e)) for j in range(steps))
+        shift = mp.ldexp(-total, -frac)
+        value += steps
         result = mp.log(value) - 1 / (2 * value) + shift
         eps = mp.ldexp(1, -wp)
         square = value * value

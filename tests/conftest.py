@@ -52,19 +52,19 @@ def cold_caches():
 
 @pytest.fixture
 def cap_levels(monkeypatch):
-    """Make ``quad.integrate_01`` stop after level 1, so no integral converges."""
+    """Make the level loop of every engine stop after level 1, so no integral converges."""
     monkeypatch.setattr(quad, "MAX_LEVEL", 1)
 
 
 @pytest.fixture
 def handed_integrands(monkeypatch):
-    """The integrands handed to ``quad.integrate_01`` while the test runs."""
+    """The integrands handed to ``quad.integrate_01_many`` while the test runs."""
     handed = []
-    real = quad.integrate_01
+    real = quad.integrate_01_many
 
     def capture(f, tol, precision):
         handed.append(f)
         return real(f, tol, precision)
 
-    monkeypatch.setattr(quad, "integrate_01", capture)
+    monkeypatch.setattr(quad, "integrate_01_many", capture)
     return handed

