@@ -1,27 +1,28 @@
 """Arbitrary-precision quadrature on [0, 1]: Euler-Maclaurin for the zeta and digamma integrals, tanh-sinh for Gamma.
 
 The zeta integrals (:func:`integrate_moments`) are integral_0^1 w(t) Q(t) dt
-with Q a polynomial and w = (1 - t) tan(pi t/2), times cos(pi t) for the
-theorem.  The factor (1 - t) cancels the pole at t = 1, so w Q is analytic
-on [0, 1], and the trapezoid rule on t_k = k/N with its exact end
-corrections (Euler-Maclaurin, DLMF 2.10.1) converges like e^(-2 pi rho N)
-for the distance rho from [0, 1] to the nearest singularity: rho = 1 (the
-pole at t = -1), or rho = 2 (t = 3) when Q(-1) = 0, as for P_2p (Trefethen &
-Weideman, SIAM Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments
-M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached per level:
+with Q a polynomial and one weight, w = (1 - t) tan(pi t/2); the theorem's
+cos(pi t) never reaches the engine, since ``zetarep`` splits it off exactly
+(tan x cos 2x = sin 2x - tan x).  The factor (1 - t) cancels the pole at
+t = 1, so w Q is analytic on [0, 1], and the trapezoid rule on t_k = k/N with
+its exact end corrections (Euler-Maclaurin, DLMF 2.10.1) converges like
+e^(-2 pi rho N) for the distance rho from [0, 1] to the nearest singularity:
+rho = 1 (the pole at t = -1), or rho = 2 (t = 3) when Q(-1) = 0, as for P_2p
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  Each integral is sum_m q_m M_m
+over moments M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached
+per level:
 
 * Grid.  sin(pi k/2N) is Im z^k with z = exp(i pi/(2N)), stepped from one
   cos/sin pair per level (:func:`_sines`), and tan(pi t_k/2) = sin(pi k/2N) /
-  sin(pi (N-k)/2N), a ratio of two well-conditioned sines even next to t = 1;
-  cos(pi t_k) is cos^2 - sin^2 of the same pair.  With w_k at F fraction
-  bits, the sums sum_k w_k k^m are exact integers, so a level's grid moments
-  are combined exactly and divided by N^(m+1) once, in the dot product with
-  the q_m.
+  sin(pi (N-k)/2N), a ratio of two well-conditioned sines even next to t = 1.
+  With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, so
+  a level's grid moments are combined exactly and divided by N^(m+1) once, in
+  the dot product with the q_m.
 * End corrections.  The odd derivatives of w t^m at both ends come from exact
-  series: tan at t = 0 (DLMF 4.19.3), s cot(pi s/2) with s = 1 - t at t = 1
-  (DLMF 4.19.6), and sin(pi t) for the theorem by tan x cos 2x = sin 2x -
-  tan x.  Their coefficients are rationals from the Bernoulli numbers times
-  powers of pi, summed at F + 32 bits and rounded to F fraction bits.
+  series: tan at t = 0 (DLMF 4.19.3) and s cot(pi s/2) with s = 1 - t at
+  t = 1 (DLMF 4.19.6).  Their coefficients are rationals from the Bernoulli
+  numbers times powers of pi, summed at F + 32 bits and rounded to F fraction
+  bits.
 * Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
   new abscissas are the odd k.  A level takes the fewest correction terms K
   (at most N/4) whose remainder bound is below 2^-wp.  The bound is DLMF
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -253,18 +253,17 @@ def _sines(wp: int, level: int, bits: int) -> list:
     return store[key]
 
 
-def _grid_sums(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> list:
+def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
     """S_m = sum_k w_k k^m, m = 0..degree at least, over the new abscissas k/N of a level.
 
-    w_k = (1 - t) tan(pi t/2), times cos(pi t) under ``with_cos``, is rounded to
-    ``frac`` fraction bits and the sums are exact from there.  Level 0 holds
-    k = 1..N-1 and the end t = 1 with half its value (w(1)/2 = +-1/pi; w(0) =
-    0); later levels hold the odd k.  The table keeps every abscissa's next
-    power, so a call that needs a higher degree extends it and the entries
-    already there do not change.
+    w_k = (1 - t) tan(pi t/2) is rounded to ``frac`` fraction bits and the
+    sums are exact from there.  Level 0 holds k = 1..N-1 and the end t = 1
+    with half its value (w(1)/2 = 1/pi; w(0) = 0); later levels hold the odd
+    k.  The table keeps every abscissa's next power, so a call that needs a
+    higher degree extends it and the entries already there do not change.
     """
     store = _tables(wp)[1]
-    key = ("grid", level, frac, with_cos)
+    key = ("grid", level, frac)
     entry = store.get(key)
     if entry is None:
         n = _base_points(wp) << level
@@ -274,16 +273,12 @@ def _grid_sums(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> l
         weights = []
         for i, k in enumerate(ks):
             # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N)
-            sn, cs = sines[i], sines[-1 - i]
-            num, den = (n - k) * sn, n * cs
-            if with_cos:
-                num, den = num * (cs * cs - sn * sn), den << (2 * bits)
+            num, den = (n - k) * sines[i], n * sines[-1 - i]
             weights.append(((num << (frac + 1)) // den + 1) >> 1)
         if level == 0:
-            with mp.workprec(frac + 16):
-                half = to_fixed((1 / mp.pi)._mpf_, frac)
             ks.append(n)
-            weights.append(-half if with_cos else half)
+            with mp.workprec(frac + 16):
+                weights.append(to_fixed((1 / mp.pi)._mpf_, frac))
         entry = store[key] = ([], weights, ks)
     sums, powers, ks = entry
     start = len(sums)
@@ -299,18 +294,17 @@ def _grid_sums(wp: int, level: int, frac: int, with_cos: bool, degree: int) -> l
     return sums
 
 
-def _series(wp: int, frac: int, with_cos: bool, count: int) -> tuple:
+def _series(wp: int, frac: int, count: int) -> tuple:
     """The end series of w, ``count`` terms each, at frac + 32 fraction bits.
 
-    g_n is the coefficient of t^(2n-1) in tan(pi t/2) (DLMF 4.19.3), or in
-    sin(pi t) - tan(pi t/2) = tan(pi t/2) cos(pi t), for n >= 1; u_n that of
-    s^(2n) in s cot(pi s/2) = (2/pi) sum (-1)^n B_2n (pi s)^2n / (2n)! (DLMF
-    4.19.6), or in s sin(pi s) - s cot(pi s/2), for n >= 0.  So w(t) =
-    (1 - t) g(t) and w(1 - s) = u(s).  Each is an exact rational times a power
-    of pi, rounded once.
+    g_n is the coefficient of t^(2n-1) in tan(pi t/2) (DLMF 4.19.3), for
+    n >= 1; u_n that of s^(2n) in s cot(pi s/2) = (2/pi) sum (-1)^n B_2n
+    (pi s)^2n / (2n)! (DLMF 4.19.6), for n >= 0.  So w(t) = (1 - t) g(t) and
+    w(1 - s) = u(s).  Each is an exact rational times a power of pi, rounded
+    once.
     """
     store = _tables(wp)[1]
-    g, u = store.setdefault(("series", frac, with_cos), ([], []))
+    g, u = store.setdefault(("series", frac), ([], []))
     if len(g) >= count:
         return g, u
     bits = frac + _SERIES_BITS
@@ -321,30 +315,28 @@ def _series(wp: int, frac: int, with_cos: bool, count: int) -> tuple:
             tan_coeff = (-1) ** n * 2 * ((1 << 2 * n + 2) - 1) * exactnum.bernoulli_number(2 * n + 2)
             tan_coeff /= math.factorial(2 * n + 2)
             cot_coeff = 2 * (-1) ** n * exactnum.bernoulli_number(2 * n) / math.factorial(2 * n)
-            if with_cos:
-                tan_coeff = Fraction((-1) ** n, math.factorial(2 * n + 1)) - tan_coeff
-                cot_coeff = (Fraction((-1) ** (n - 1), math.factorial(2 * n - 1)) if n else 0) - cot_coeff
-            u.append(to_fixed((pipoly.fraction_to_mpf(Fraction(cot_coeff)) * power)._mpf_, bits))
+            u.append(to_fixed((pipoly.fraction_to_mpf(cot_coeff) * power)._mpf_, bits))
             power *= square
             g.append(to_fixed((pipoly.fraction_to_mpf(tan_coeff) * power)._mpf_, bits))
     return g, u
 
 
-def _corrections(wp: int, level: int, frac: int, with_cos: bool, terms: int, degree: int) -> tuple:
+def _corrections(wp: int, level: int, frac: int, terms: int, zeros: int, ones: int) -> tuple:
     """(V, D): a level's end-correction tables for ``terms`` corrections, at ``frac`` bits.
 
     The corrections of w Q are sum_j E_j ([t^(2j-1)] w Q + [s^(2j-1)] u(s) Q(1-s))
     with E_j = B_2j/(2j N^2j), which is integral - h sum'' w Q to that order.
     At t = 0, g(t) (1 - t) t^m meets t^(2j-1) in one term only, so moment m
     gets V_a for m = 2a and -V_(a+1) for m = 2a+1, with V_a = sum_j E_j
-    g_(j-a), a = 0..degree/2 + 1.  At t = 1 the corrections act on the Taylor
-    coefficients r_i of Q(1 - s), whose odd ones meet D_c = sum_j E_j u_(j-c)
-    for i = 2c - 1 <= degree; in that basis no binomial C(m, i) amplifies a
-    rounding error.  E_j is rounded once from the exact rational, and each
-    sum is exact until its one rounding.  Both lists grow with the degree.
+    g_(j-a).  At t = 1 the corrections act on the Taylor coefficients r_i of
+    Q(1 - s), whose odd ones meet D_c = sum_j E_j u_(j-c) for i = 2c - 1; in
+    that basis no binomial C(m, i) amplifies a rounding error.  E_j is rounded
+    once from the exact rational, and each sum is exact until its one
+    rounding.  The lists grow to the first ``zeros`` V_a and ``ones`` D_c (none
+    past c = K, where the sum is empty), as far as the caller reads them.
     """
     store = _tables(wp)[1]
-    key = ("corrections", level, frac, with_cos, terms)
+    key = ("corrections", level, frac, terms)
     bits = frac + _SERIES_BITS
     entry = store.get(key)
     if entry is None:
@@ -357,15 +349,15 @@ def _corrections(wp: int, level: int, frac: int, with_cos: bool, terms: int, deg
             weights.append(((big.numerator << (bits + 1)) // den + 1) >> 1)
         entry = store[key] = (weights, [], [])
     weights, at_zero, at_one = entry
-    g, u = _series(wp, frac, with_cos, terms)
+    g, u = _series(wp, frac, terms)
     shift = 2 * bits - frac
 
     def fold(total):
         return (total + (1 << shift - 1)) >> shift
 
-    for a in range(len(at_zero), degree // 2 + 2):
+    for a in range(len(at_zero), zeros):
         at_zero.append(fold(sum(weights[j - 1] * g[j - a - 1] for j in range(a + 1, terms + 1))))
-    for c in range(len(at_one) + 1, min(terms, (degree + 1) // 2) + 1):
+    for c in range(len(at_one) + 1, min(terms, ones) + 1):
         at_one.append(fold(sum(weights[j - 1] * u[j - c] for j in range(c, terms + 1))))
     return at_zero, at_one
 
@@ -393,12 +385,12 @@ def _truncation(n: int, radius: int, log_size: float, target: int) -> tuple:
     return terms, bound
 
 
-def _log2_size(coefficients: list, frac: int, radius: int, with_cos: bool) -> float:
+def _log2_size(coefficients: list, frac: int, radius: int) -> float:
     """log2 of a bound on |w(z) Q(z)| where z is r = 63 rho/64 from [0, 1].
 
     |tan(pi z/2)| <= cosh(pi r/2) / (rho - r) there, since every pole left is at
-    least rho - r away, |1 - z| and |z| are at most 1 + r, |cos(pi z)| <=
-    cosh(pi r), and |Q(z)| <= sum |q_m| (1 + r)^m.
+    least rho - r away, |1 - z| and |z| are at most 1 + r, and |Q(z)| <=
+    sum |q_m| (1 + r)^m.
     """
     r = radius * _DISC
     logs = [math.log2(abs(c)) - frac + m * math.log2(1 + r) for m, c in enumerate(coefficients) if c]
@@ -407,7 +399,7 @@ def _log2_size(coefficients: list, frac: int, radius: int, with_cos: bool) -> fl
     top = max(logs)
     log_q = top + math.log2(sum(2 ** (x - top) for x in logs))
     log_w = math.log2(math.cosh(math.pi * r / 2) / (radius - r) * (1 + r))
-    return log_q + log_w + (math.log2(math.cosh(math.pi * r)) if with_cos else 0)
+    return log_q + log_w
 
 
 def _reflected(q: list) -> list:
@@ -415,7 +407,7 @@ def _reflected(q: list) -> list:
     return [(-1) ** i * sum(math.comb(m, i) * c for m, c in enumerate(q[i:], i)) for i in range(len(q))]
 
 
-def _level_total(wp: int, level: int, frac: int, with_cos: bool, terms: int, q: list, r: list) -> int:
+def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -> int:
     """The level's Euler-Maclaurin sum for w Q at 2 frac fraction bits.
 
     ``q`` and ``r`` are Q's coefficients and those of Q(1 - s), both at
@@ -427,13 +419,13 @@ def _level_total(wp: int, level: int, frac: int, with_cos: bool, terms: int, q: 
     """
     n = _base_points(wp) << level
     degree = len(q) - 1
-    grids = [_grid_sums(wp, k, frac, with_cos, degree) for k in range(level + 1)]
+    grids = [_grid_sums(wp, k, frac, degree) for k in range(level + 1)]
     numerator, power = 0, 1
     for m in range(degree, -1, -1):
         x = sum(grid[m] << (level - k) * m for k, grid in enumerate(grids))
         numerator += q[m] * x * power
         power *= n
-    at_zero, at_one = _corrections(wp, level, frac, with_cos, terms, degree)
+    at_zero, at_one = _corrections(wp, level, frac, terms, degree // 2 + 2, (degree + 1) // 2)
     total = (2 * numerator + power) // (2 * power)
     total += sum(c * (at_zero[m // 2] if m % 2 == 0 else -at_zero[m // 2 + 1]) for m, c in enumerate(q))
     return total + sum(c * d for c, d in zip(r[1::2], at_one))
@@ -533,10 +525,8 @@ def integrate_01_many(f: Callable, tol, precision: int) -> list:
     return [first] + [component(i) for i in range(1, len(levels[0][0]))]
 
 
-def integrate_moments(
-    coefficients: list, frac: int, with_cos: bool, radius: int, shift: Fraction, tol, precision: int
-) -> QuadResult:
-    """shift + integral_0^1 tan(pi t/2) (1 - t) Q(t) dt, times cos(pi t) under ``with_cos``.
+def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision: int) -> QuadResult:
+    """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt.
 
     ``coefficients`` are round(q_k 2^frac), lowest degree first, with ``frac``
     sized by :func:`pipoly.fixed_point`; they are shifted up exactly to the
@@ -544,17 +534,16 @@ def integrate_moments(
     distance from [0, 1] to the nearest singularity of w Q: 2 when Q(-1) = 0,
     else 1.  Each level's estimate is the integer dot product of the
     coefficients with the level's grid sums (:func:`_grid_sums`, exact, divided
-    once) and end corrections (:func:`_corrections`), plus the exact ``shift``,
-    rounded once into an mpf, so no integrand is evaluated; ``evaluations``
-    counts the trapezoid nodes.  The error bound and K are those of
+    once) and end corrections (:func:`_corrections`), rounded once into an
+    mpf, so no integrand is evaluated; ``evaluations`` counts the trapezoid
+    nodes.  The error bound and K are those of
     :func:`_truncation`; the level loop is that of :func:`integrate_01_many`.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
     q = [c << (table - frac) for c in coefficients]
     r = _reflected(q)
-    constant = ((shift.numerator << (2 * table + 1)) // shift.denominator + 1) >> 1
-    log_size = _log2_size(q, table, radius, with_cos)
+    log_size = _log2_size(q, table, radius)
     # each grid moment and table entry is within 2^-table, the division within
     # 2^-2table and the mpf within 2^-wp
     with mp.workprec(53):
@@ -564,7 +553,7 @@ def integrate_moments(
     def level_estimate(wp, level):
         n = _base_points(wp) << level
         terms, log_bound = _truncation(n, radius, log_size, wp)
-        total = _level_total(wp, level, table, with_cos, terms, q, r) + constant
+        total = _level_total(wp, level, table, terms, q, r)
         with mp.workprec(53):
             bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
         count = n + 1 if level == 0 else n // 2
@@ -577,20 +566,20 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     """cot(pi z) + integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt for an mpf z in (0, 1).
 
     As z -> 1 the cotangent and the integral each grow like |cot(pi z)| and
-    cancel, so the cotangent is added, exactly like :func:`integrate_moments`'
-    shift, before the one rounding.  The integral runs on the trapezoid grids
-    of :func:`integrate_moments`.  Its integrand f is even at t = 0, a product
-    of two odd factors, so its end corrections there vanish.  With s = 1 - t,
+    cancel, so the cotangent is added exactly, in fixed point, before the one
+    rounding.  The integral runs on the trapezoid grids of
+    :func:`integrate_moments`.  Its integrand f is even at t = 0, a product of
+    two odd factors, so its end corrections there vanish and only the D_c of
+    :func:`_corrections` are built.  With s = 1 - t,
     f(1 - s) = cot(pi s/2) (cos(pi z s) - 1 + s - cot(pi z) sin(pi z s)), and
     cot(pi s/2) is odd, so only the even part cos(pi z s) - 1 reaches the odd
     coefficients; with cot(pi s/2) = sum_n u_n s^(2n-1) (:func:`_series`), the
-    corrections are sum_c (-1)^c (pi z)^2c / (2c)! D_c over the D_c of
-    :func:`_corrections` (without cos), each (pi z)^2c/(2c)! stepped from the
-    one before.  The grid values are tan(pi k/2N) from :func:`_sines` times
-    (N sin(pi z k/N) - k sin(pi z)) / (N sin(pi z)), that sine stepped from
-    exp(i pi z/N), each one exact integer quotient rounded to F = wp + 64
-    fraction bits; f(0) = 0, and f(1)/2 = (1 - pi z cot(pi z))/pi takes half
-    weight.
+    corrections are sum_c (-1)^c (pi z)^2c / (2c)! D_c, each (pi z)^2c/(2c)!
+    stepped from the one before.  The grid values are tan(pi k/2N) from
+    :func:`_sines` times (N sin(pi z k/N) - k sin(pi z)) / (N sin(pi z)),
+    that sine stepped from exp(i pi z/N), each one exact integer quotient
+    rounded to F = wp + 64 fraction bits; f(0) = 0, and f(1)/2 = (1 - pi z
+    cot(pi z))/pi takes half weight.
 
     The bracket vanishes at t = +-1 and cancels those poles of tan, so f is
     analytic for |t| < 3 and rho = 2.  Its log-size for :func:`_truncation`:
@@ -638,7 +627,7 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
             grid[level] += ((num << (frac + 1)) // den + 1) >> 1
         points = end + sum(grid[coarser] for coarser in range(level + 1))
         total = shift + (2 * points + n) // (2 * n)
-        at_one = _corrections(wp, level, frac, False, terms, 2 * terms - 1)[1]
+        at_one = _corrections(wp, level, frac, terms, 0, terms)[1]
         x = 1 << frac
         for c, d in enumerate(at_one, 1):
             x = x * pi_z_squared // ((2 * c - 1) * (2 * c) << frac)

@@ -10,7 +10,7 @@ from oddzeta import quad, zetarep
 from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
 from oddzeta.gammaderiv import gamma_derivatives_numeric
-from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point, fraction_to_mpf
+from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point
 from oddzeta.quad import working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
 from oracles import integrate_one, poly_evaluator
@@ -254,64 +254,53 @@ class TestTangentMap:
         # each level's grid sums and end corrections are the same whether it
         # is built after the levels below it or after level 6
         wp, frac, degree, terms = 253, 317, 5, 4
-        keys = [(level, with_cos) for level in range(7) for with_cos in (False, True)]
+        levels = list(range(7))
 
         def tables(order):
             return {
-                (level, c): (
-                    list(quad._grid_sums(wp, level, frac, c, degree)),
-                    tuple(map(list, quad._corrections(wp, level, frac, c, terms, degree))),
+                level: (
+                    list(quad._grid_sums(wp, level, frac, degree)),
+                    tuple(map(list, quad._corrections(wp, level, frac, terms, degree // 2 + 2, (degree + 1) // 2))),
                 )
-                for level, c in order
+                for level in order
             }
 
         quad._tables.cache_clear()
-        straight = tables(keys)
+        straight = tables(levels)
         nodes, _ = quad._tables(wp)
         assert not nodes
         quad._tables.cache_clear()
-        assert tables(reversed(keys)) == straight
+        assert tables(reversed(levels)) == straight
 
 
-def weight(with_cos):
-    """w(t) = (1 - t) tan(pi t/2), times cos(pi t) under ``with_cos``."""
-    return lambda t: (1 - t) * mp.tan(mp.pi * t / 2) * (mp.cos(mp.pi * t) if with_cos else 1)
+def weight(t):
+    """w(t) = (1 - t) tan(pi t/2), the one weight of the zeta integrals."""
+    return (1 - t) * mp.tan(mp.pi * t / 2)
 
 
 class TestTrapezoidMoments:
     # Q = t^m has Q(-1) != 0, so w Q keeps the pole at t = -1 (radius 1);
     # Q = t^m (1 + t) cancels it (radius 2)
-    @pytest.mark.parametrize("with_cos", [False, True], ids=["tan", "cos"])
+    @pytest.mark.parametrize("w", [weight], ids=["tan"])
     @pytest.mark.parametrize("m", [0, 3, 8])
     @pytest.mark.parametrize("radius", [1, 2])
-    def test_against_mpmath_quad(self, m, radius, with_cos):
+    def test_against_mpmath_quad(self, m, radius, w):
         precision = 160
         frac = working_precision(precision) + 8
         coefficients = [0] * m + [1 << frac] + [1 << frac] * (radius == 2)
-        result = quad.integrate_moments(coefficients, frac, with_cos, radius, Fraction(0), TOL30, precision)
+        result = quad.integrate_moments(coefficients, frac, radius, TOL30, precision)
         with mp.workprec(precision + 40):
-            f = weight(with_cos)
-            want = mp.quad(lambda t: f(t) * t**m * (1 + t if radius == 2 else 1), [0, 1])
+            want = mp.quad(lambda t: w(t) * t**m * (1 + t if radius == 2 else 1), [0, 1])
             assert result.converged
             assert abs(result.value - want) <= ulp(want, precision)
-
-    def test_shift_is_added_before_the_rounding(self):
-        # the exact 1/2 enters the fixed-point sum, so theorem's integral is rounded once
-        precision = 128
-        frac = working_precision(precision) + 8
-        plain = quad.integrate_moments([0, 1 << frac], frac, True, 1, Fraction(0), TOL30, precision)
-        shifted = quad.integrate_moments([0, 1 << frac], frac, True, 1, Fraction(1, 2), TOL30, precision)
-        with mp.workprec(precision + 40):
-            want = mp.quad(lambda t: weight(True)(t) * t, [0, 1]) + mp.mpf(1) / 2
-        assert abs(shifted.value - want) <= ulp(want, precision) / 2 * (1 + mp.mpf(2) ** -20)
-        assert (shifted.levels, shifted.evaluations) == (plain.levels, plain.evaluations)
 
     @pytest.mark.parametrize("p,rep", [(1, "corollary"), (3, "theorem"), (2, "ck_euler"), (4, "ck_bernoulli")])
     @pytest.mark.parametrize("level", [0, 1])
     def test_remainder_bound_holds(self, p, rep, level):
         # below the level that converges, the trapezoid sum with K end
         # corrections misses zeta(2p+1) by no more than the DLMF 2.10.2 /
-        # Cauchy bound for K, for every K up to N/4
+        # Cauchy bound for K, for every K up to N/4; the theorem's route is
+        # the corollary's integral once its exact sine lemma has held
         wp = 200
         route = zetarep._route(p, zetarep.Representation(rep))
         quotient, _ = divide_one_minus_t(route.poly)
@@ -319,11 +308,11 @@ class TestTrapezoidMoments:
         frac, q = fixed_point(quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor), wp)
         r = quad._reflected(q)
         n = quad._base_points(wp) << level
-        log_size = quad._log2_size(q, frac, radius, route.with_cos)
+        log_size = quad._log2_size(q, frac, radius)
         with mp.workprec(wp + 64):
-            target = mp.zeta(2 * p + 1) - fraction_to_mpf(route.shift)
+            target = mp.zeta(2 * p + 1)
             for terms in range(1, n // 4 + 1):
-                total = quad._level_total(wp, level, frac, route.with_cos, terms, q, r)
+                total = quad._level_total(wp, level, frac, terms, q, r)
                 error = abs(mp.ldexp(total, -2 * frac) - target)
                 bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, radius, log_size, terms)))
                 assert error <= bound + mp.ldexp(len(q) + 2, -frac) * 4, (terms, error, bound)
@@ -375,3 +364,14 @@ class TestMikolasGrid:
             quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
         nodes, tables = quad._tables(working_precision(precision))
         assert not nodes and tables
+
+    def test_builds_no_corrections_at_zero(self, cold_caches):
+        # the integrand is even at t = 0, so only the t = 1 tables D_c are read
+        # and none of the V_a is built
+        precision = 200
+        with mp.workprec(working_precision(precision)):
+            quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
+        _, tables = quad._tables(working_precision(precision))
+        entries = [entry for key, entry in tables.items() if key[0] == "corrections"]
+        assert entries and all(at_one for _, _, at_one in entries)
+        assert all(at_zero == [] for _, at_zero, _ in entries)

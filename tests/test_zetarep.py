@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import exactnum, expansion, quad
+from oddzeta import exactnum, expansion, pipoly, quad
 from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, IdentityViolation
 from oddzeta.gammaderiv import gamma_nth_derivative_numeric
@@ -105,8 +105,8 @@ class TestCKForms:
 
 class TestScaledIntegrals:
     # each route integrates its polynomial with the exact prefactor folded in,
-    # so the integral is zeta(2p+1) itself (less the theorem's 1/2) and the
-    # absolute tolerance holds however small the prefactor is
+    # so the integral is zeta(2p+1) itself and the absolute tolerance holds
+    # however small the prefactor is
     @pytest.mark.parametrize("rep", [rep.value for rep in Representation])
     @pytest.mark.parametrize("p", [16, 28, 48, 72])
     def test_large_p_converges_in_five_levels(self, p, rep):
@@ -121,13 +121,16 @@ class TestScaledIntegrals:
         assert comp.value == comp.quad.value
 
     def test_theorem_is_rounded_once(self):
-        # the 1/2 is added to the fixed-point sum before its one rounding, so
-        # the theorem's value is the quadrature's and matches the corollary's
-        # where a second rounding used to miss it (p = 3 and 6 at 60 digits)
-        precision = bits_for_digits(60)
-        for p in range(1, 7):
-            comp = zeta_odd(p, "theorem", precision)
-            assert comp.value == comp.quad.value == zeta_odd(p, "corollary", precision).value, p
+        # the theorem's 1/2 cancels against its exact sine lemma, so its value
+        # is the corollary's quadrature, rounded once, and so is every
+        # diagnostic; p = 3 and 6 at 60 digits are where a second rounding
+        # would miss the correctly rounded value
+        for digits, ps in ((60, range(1, 7)), (50, (16, 48))):
+            precision = bits_for_digits(digits)
+            for p in ps:
+                comp = zeta_odd(p, "theorem", precision)
+                assert comp.value == comp.quad.value, p
+                assert comp.quad == zeta_odd(p, "corollary", precision).quad, p
 
 
 # p and digits of the accuracy sweep; the bound is 10^-(digits - 9)
@@ -227,6 +230,21 @@ class TestPolePrecondition:
         assert "p=3" in message and rep in message
         if rep != "ck_bernoulli":
             assert "31/650160*pi^6" in message
+
+    def test_broken_lemma_raises_before_integrating(self, monkeypatch, cold_caches):
+        # the theorem's quadrature is the corollary's only because the sine
+        # moment is exactly -1/pi; a wrong moment must stop it before any level
+        # of the grid or end correction is built
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated despite a broken sine lemma")
+
+        monkeypatch.setattr(pipoly, "integrate_against_sin", lambda poly: PiLaurent.monomial(-1, -2))
+        monkeypatch.setattr(quad, "_grid_sums", no_integration)
+        monkeypatch.setattr(quad, "_corrections", no_integration)
+        with pytest.raises(IdentityViolation) as excinfo:
+            zeta_odd(3, "theorem", 64)
+        message = str(excinfo.value)
+        assert "p=3" in message and "theorem" in message and "-2*pi^-1" in message
 
 
 class TestEvenClosedForm:
