@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     IdentityViolation,
     NoConvergence,
-    NonFiniteSample,
     OddzetaError,
 )
 from .exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
@@ -25,7 +24,7 @@ from .gammaderiv import (
     gamma_nth_derivative_numeric,
 )
 from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval, poly_scale
-from .quad import QuadResult, integrate_01_many
+from .quad import QuadResult
 from .reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from .zetarep import (
     Representation,
@@ -42,7 +41,6 @@ __all__ = [
     "DomainError",
     "IdentityViolation",
     "NoConvergence",
-    "NonFiniteSample",
     "OddzetaError",
     "PiLaurent",
     "PiPoly",
@@ -60,7 +58,6 @@ __all__ = [
     "gamma_derivatives_numeric",
     "gamma_nth_derivative_at_1",
     "gamma_nth_derivative_numeric",
-    "integrate_01_many",
     "integrate_against_sin",
     "laurent_eval",
     "lemma_check",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -163,6 +164,14 @@ def cmd_poly(args) -> int:
     return EXIT_OK
 
 
+def _computations(p: int, precision: int) -> list:
+    """zeta(2p+1) by every representation in order; the theorem is the corollary once its exact sine lemma holds."""
+    corollary = zetarep.zeta_odd(p, Representation.COROLLARY, precision)
+    zetarep.lemma_check(p)
+    theorem = dataclasses.replace(corollary, representation=Representation.THEOREM)
+    return [theorem, corollary, *(zetarep.zeta_odd(p, rep, precision) for rep in list(Representation)[2:])]
+
+
 def _verify_checks(max_p: int, digits: int):
     precision = bits_for_digits(digits)
     tolerance = mp.mpf(10) ** (-(digits - 8))
@@ -181,10 +190,9 @@ def _verify_checks(max_p: int, digits: int):
     def check_representations():
         worst = mp.mpf(0)
         for p in range(1, max_p + 1):
-            for rep in Representation:
-                comp = zetarep.zeta_odd(p, rep, precision)
+            for comp in _computations(p, precision):
                 if not comp.quad.converged:
-                    raise OddzetaError(f"quadrature did not converge at p={p}, {rep.value}")
+                    raise OddzetaError(f"quadrature did not converge at p={p}, {comp.representation.value}")
                 worst = max(worst, comp.abs_error_vs_reference)
         if worst > 10 * tolerance:
             raise OddzetaError(f"worst representation error {mp.nstr(worst, 5)} exceeds bound")
@@ -303,14 +311,13 @@ def cmd_table(args) -> int:
     rows = []
     exit_code = EXIT_OK
     for p in range(1, args.max_p + 1):
-        for rep in Representation:
-            comp = zetarep.zeta_odd(p, rep, precision)
+        for comp in _computations(p, precision):
             if not comp.quad.converged:
                 exit_code = EXIT_NO_CONVERGENCE
             rows.append(
                 {
                     "p": p,
-                    "representation": rep.value,
+                    "representation": comp.representation.value,
                     "value": mp.nstr(comp.value, args.digits),
                     "reference": mp.nstr(comp.reference, args.digits),
                     "abs_error": mp.nstr(comp.abs_error_vs_reference, 8),

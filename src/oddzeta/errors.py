@@ -13,10 +13,6 @@ class DomainError(OddzetaError, ValueError):
     """
 
 
-class NonFiniteSample(OddzetaError, ArithmeticError):
-    """An integrand returned inf or nan, which indicates a bug in the integrand."""
-
-
 class NoConvergence(OddzetaError, ArithmeticError):
     """An integral missed its tolerance on a route that returns a bare value.
 

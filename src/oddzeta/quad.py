@@ -1,4 +1,4 @@
-"""Arbitrary-precision quadrature on [0, 1]: Euler-Maclaurin for the zeta and digamma integrals, tanh-sinh for Gamma.
+"""Arbitrary-precision quadrature: Euler-Maclaurin on [0, 1] for zeta and digamma, a double-exponential rule for Gamma.
 
 The zeta integrals (:func:`integrate_moments`) are integral_0^1 w(t) Q(t) dt
 with Q a polynomial and one weight, w = (1 - t) tan(pi t/2); the theorem's
@@ -36,17 +36,13 @@ sine tables, truncation and t = 1 correction tables: its integrand is even at
 t = 0 and analytic out to t = +-3, and sin(pi z k/N) is stepped like the
 grid's sines, so a node costs a few integer products and one division.
 
-The Gamma-derivative integrals, with their logarithmic endpoint singularity,
-use tanh-sinh quadrature (:func:`integrate_01_many`): t(u) = 1 / (1 + exp(-pi
-sinh u)) clusters the abscissas at both endpoints without ever touching them,
-1 - t is formed in the same stable form, and the weight is pi cosh(u) t (1 -
-t).  Each level halves the step h = 2^-level and reuses every previous
-abscissa (Takahasi & Mori 1974).  The integrand returns one value per order,
-so one pass over a level's nodes serves every order.  The nodes step exp(u)
-along u = j h by a fixed factor and take sinh u and cosh u from exp(+-u), as
-mpmath's ``TanhSinh.calc_nodes`` does, so a node costs one exp; the stepping
-carries 16 + log2(steps) extra bits.  The nodes are cached per working
-precision.
+The Gamma-derivative integrals (:func:`integrate_gamma`) run on the
+double-exponential map t = exp(u - e^-u) for exponentially decaying
+integrands (Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput.
+Appl. Math. 127, 2001): log t = u - e^-u comes free, and the integrand in u
+falls double-exponentially at both ends and is analytic for |Im u| < pi/2,
+so the trapezoid rule of step h errs by about exp(-pi^2/h).  A node costs
+two exps and no log, and one pass serves every order.
 
 All engines share one level loop, :func:`_level_loop`, which is handed each
 level's complete estimate; it keeps the per-level deltas, estimates the
@@ -74,13 +70,13 @@ import mpmath as mp
 from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_cos_sin, mpf_div, round_nearest, to_fixed
 
 from . import exactnum, pipoly
-from .errors import DomainError, NoConvergence, NonFiniteSample
+from .errors import DomainError, NoConvergence
 
 __all__ = [
     "QuadResult",
-    "integrate_01_many",
     "integrate_moments",
     "integrate_mikolas",
+    "integrate_gamma",
     "guard_bits",
     "working_precision",
     "quad_tolerance",
@@ -100,6 +96,10 @@ _SERIES_BITS = 32
 # the Cauchy discs of the trapezoid error bound reach this share of the
 # distance rho from [0, 1] to the nearest singularity
 _DISC = 63 / 64
+
+# the cutoffs of the Gamma integrals leave tails below 2^-wp for every order
+# up to this one; a higher order gets its own, larger tail bound
+_TAIL_ORDER = 16
 
 
 def guard_bits(precision: int) -> int:
@@ -153,61 +153,17 @@ def _estimate_error(sums: list, wp: int):
     d2 = abs(sums[-1] - sums[-3])
     if d2 == 0:
         return d1
-    with mp.workprec(53):  # the exponent needs a few digits, not wp bits
-        log_d1 = mp.log(d1, 10)
-        log_d2 = mp.log(d2, 10)
-        exponent = min(0, max(log_d1**2 / log_d2, 2 * log_d1, -wp * mp.log(2, 10)))
+    # the exponent needs a few digits, not wp bits: log10 from the mantissa (an
+    # int, or a gmpy2 mpz, which int() converts exactly) and the exponent
+    log_d1, log_d2 = ((math.log2(int(d._mpf_[1])) + d._mpf_[2]) * math.log10(2) for d in (d1, d2))
+    exponent = min(0, max(log_d1**2 / log_d2, 2 * log_d1, -wp * math.log10(2)))
     return mp.mpf(10) ** exponent
 
 
 @lru_cache(maxsize=4)  # four working precisions
-def _tables(wp: int):
-    """Per-precision store: tanh-sinh nodes by level, and the trapezoid tables
-    (sines, grid sums, end corrections, their series)."""
-    return {}, {}
-
-
-def _unit_nodes(wp: int, level: int):
-    """New (t, 1-t, weight) triples for this tanh-sinh level at wp bits.
-
-    Level 0 holds all integer multiples of h = 1 (the first entry is the
-    centre t = 1/2, marked by a None partner); higher levels hold the odd
-    multiples of their step only.  The u-range is capped so that 1 - t stays
-    representable at wp bits; weights beyond the cap are below 2^-wp anyway.
-    """
-    levels = _tables(wp)[0]
-    if level in levels:
-        return levels[level]
-    with mp.workprec(wp):
-        u_max = mp.asinh((wp - 2) * mp.log(2) / mp.pi)
-        h = mp.ldexp(1, -level)
-        count = int(mp.floor(u_max / h))
-    stride = 1 if level == 0 else 2
-    runs = (count + stride - 1) // stride
-    # exp(u) is stepped by the factor exp(h)^stride, so the level costs one exp
-    # besides each node's own; the stepping loses about log2(runs) bits and
-    # sinh u = (e - 1/e)/2 about log2(1/h)
-    with mp.workprec(wp + 16 + runs.bit_length()):
-        e = mp.exp(h)
-        step = e**stride
-        raw = []
-        for _ in range(runs):
-            inverse = 1 / e
-            sinh_u, cosh_u = (e - inverse) / 2, (e + inverse) / 2
-            decay = mp.exp(-mp.pi * sinh_u)
-            t_hi = 1 / (1 + decay)           # in (1/2, 1)
-            t_lo = decay * t_hi              # = 1 - t_hi, computed stably
-            raw.append((t_hi, t_lo, mp.pi * cosh_u * t_hi * t_lo))
-            e *= step
-    with mp.workprec(wp):
-        nodes = [(mp.mpf(1) / 2, None, mp.pi / 4)] if level == 0 else []
-        for t_hi, t_lo, weight in raw:
-            t_hi, t_lo, weight = +t_hi, +t_lo, +weight
-            if t_hi == 1 or t_lo == 0:
-                break  # would round onto an endpoint; contribution < 2^-wp
-            nodes.append((t_hi, t_lo, weight))
-    levels[level] = nodes = tuple(nodes)
-    return nodes
+def _tables(wp: int) -> dict:
+    """Per-precision store of the trapezoid tables: sines, grid sums, end corrections, their series."""
+    return {}
 
 
 def _base_points(wp: int) -> int:
@@ -245,7 +201,7 @@ def _sines(wp: int, level: int, bits: int) -> list:
     the one for N - k sits at the mirrored index, so tan(pi k/2N) is
     ``sines[i] / sines[-1 - i]``.
     """
-    store = _tables(wp)[1]
+    store = _tables(wp)
     key = ("sines", level, bits)
     if key not in store:
         n = _base_points(wp) << level
@@ -262,7 +218,7 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
     k.  The table keeps every abscissa's next power, so a call that needs a
     higher degree extends it and the entries already there do not change.
     """
-    store = _tables(wp)[1]
+    store = _tables(wp)
     key = ("grid", level, frac)
     entry = store.get(key)
     if entry is None:
@@ -303,7 +259,7 @@ def _series(wp: int, frac: int, count: int) -> tuple:
     w(1 - s) = u(s).  Each is an exact rational times a power of pi, rounded
     once.
     """
-    store = _tables(wp)[1]
+    store = _tables(wp)
     g, u = store.setdefault(("series", frac), ([], []))
     if len(g) >= count:
         return g, u
@@ -335,7 +291,7 @@ def _corrections(wp: int, level: int, frac: int, terms: int, zeros: int, ones: i
     rounding.  The lists grow to the first ``zeros`` V_a and ``ones`` D_c (none
     past c = K, where the sum is empty), as far as the caller reads them.
     """
-    store = _tables(wp)[1]
+    store = _tables(wp)
     key = ("corrections", level, frac, terms)
     bits = frac + _SERIES_BITS
     entry = store.get(key)
@@ -478,53 +434,6 @@ def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
     )
 
 
-def integrate_01_many(f: Callable, tol, precision: int) -> list:
-    """Tanh-sinh integration over the open interval (0, 1) of each component of the tuple f(t).
-
-    ``f`` is never called at the endpoints; each component must be finite on
-    (0, 1) and may have an integrable logarithmic singularity at an endpoint.
-    No abscissa lies within about 2^-wp of an endpoint (wp the working
-    precision), so the integral over that stretch must be negligible at
-    ``tol``.  A level visits its nodes once, keeping one partial sum per
-    component; level 0 is the trapezoid sum over its nodes, and every later
-    level halves the previous sum and adds its own.  Each component then runs
-    the level loop (:func:`_level_loop`) on those partials, so its QuadResult,
-    one per component in order, is bit for bit that of the component alone; a
-    level is built when the first component asks for it.  ``evaluations``
-    counts the calls of f.  A non-finite sample raises NonFiniteSample.
-    """
-    levels = []  # per level: each component's partial sum, and the calls of f
-
-    def level_partials(wp, level):
-        if level == len(levels):
-            partials, count = None, 0
-            for t_hi, t_lo, weight in _unit_nodes(wp, level):
-                for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
-                    values = f(t)
-                    if partials is None:
-                        partials = [mp.mpf(0)] * len(values)
-                    for i, value in enumerate(values):
-                        if not mp.isfinite(value):
-                            raise NonFiniteSample(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
-                        partials[i] += weight * value
-                    count += 1
-            levels.append(([mp.ldexp(partial, -level) for partial in partials], count))
-        return levels[level]
-
-    def component(i):
-        sums = []
-
-        def level_estimate(wp, level):
-            partials, count = level_partials(wp, level)
-            sums.append(partials[i] + sums[-1] / 2 if sums else partials[i])
-            return sums[-1], count, None
-
-        return _level_loop(level_estimate, tol, precision)
-
-    first = component(0)  # level 0 tells the number of components
-    return [first] + [component(i) for i in range(1, len(levels[0][0]))]
-
-
 def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision: int) -> QuadResult:
     """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt.
 
@@ -537,7 +446,7 @@ def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision
     once) and end corrections (:func:`_corrections`), rounded once into an
     mpf, so no integrand is evaluated; ``evaluations`` counts the trapezoid
     nodes.  The error bound and K are those of
-    :func:`_truncation`; the level loop is that of :func:`integrate_01_many`.
+    :func:`_truncation`; the level loop is :func:`_level_loop`.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
@@ -592,7 +501,7 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     division by it costs, and log2 N more for the tangent next to t = 1, so
     each grid value is within 2^(size - F) with 2^size >= 1/sin(pi z); the
     rounding bound adds that and K + 2 units of 2^-F for the corrections.
-    The level loop is that of :func:`integrate_01_many`.
+    The level loop is :func:`_level_loop`.
     """
     wp = working_precision(precision)
     frac = wp + _MOMENT_BITS
@@ -638,3 +547,112 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
         return mp.make_mpf(from_man_exp(total, -frac, wp, round_nearest)), count, bound
 
     return _level_loop(level_estimate, tol, precision)
+
+
+def _gamma_tail(z: float, n: int, cut: float) -> float:
+    """ln of a bound on the Gamma integral of order n beyond the cutoff ``cut`` in u, or inf where none is derived.
+
+    Beyond either cutoff the integrand is monotone, so the trapezoid terms
+    there sum to at most the integral there.  Right of cut > 0, where
+    x = cut - e^-cut >= 1 and T = e^x >= 2(z + n), that is
+    int_T^inf e^-t t^(z-1) (log t)^n dt <= 2 T^(z-1) x^n e^-T.  Left of
+    cut <= -1, where -x >= S = e^-cut - cut >= 2n/z (and z >= 1), it is at
+    most int_S^inf e^(-z s) s^n ds <= (2/z) S^n e^(-z S).  In both, the log
+    of the integrand falls at rate 1/2 or z/2 or more.
+    """
+    if cut > 0:
+        x = cut - math.exp(-cut)
+        if x < 1 or x < math.log(2 * (z + n)):
+            return math.inf
+        return math.log(2) + (z - 1) * x + n * math.log(x) - math.exp(x)
+    s = math.exp(-cut) - cut
+    if cut > -1 or s < 2 * n / z:
+        return math.inf
+    return math.log(2 / z) + n * math.log(s) - z * s
+
+
+def integrate_gamma(z, orders, tol, precision: int) -> list:
+    """integral_0^inf e^-t t^(z-1) (log t)^n dt for each n in ``orders``, one QuadResult each, for an mpf z >= 1.
+
+    With t = e^x, x = u - E, E = e^-u: dt = t (1 + E) du, and a node's
+    integrand is v x^n, v = (1 + E) exp(z x - t): two exps, E stepped by one
+    factor.  v is rounded to F = wp + 16 bits below its leading bit (or the
+    point, if v >= 1), and each order is one fixed-point multiply by x from
+    the one before, rounded to F fraction bits, so level sums are integers.
+    8 + log2(count) + log2((z + e^hi)(e^-lo + 1)) more bits keep x within
+    2^-(F+1) and v within 2^-(F+2) relatively.
+
+    Level L is the trapezoid rule of step 1/N, N = N0 2^L, on the j/N in
+    [lo, hi], the odd j after level 0.  Its error is near exp(-pi^2 N), so
+    N0 = ceil(wp log 2 / (4 pi^2)) puts level 1 near 2^(-wp/2) and
+    :func:`_level_loop` can stop at level 2.  lo and hi are the multiples of
+    1/N0 nearest 0 whose tails of order ``_TAIL_ORDER`` are below 2^-wp
+    (:func:`_gamma_tail`).  Order n's bound adds both tails to the rounding:
+    a chain step multiplies an error by at most max(1, |x|) and v's ulp is at
+    most 2^(1-F) v, so a node's term is within (6n + 8) 2^-2F (|T_0| + |T_n|
+    + 2) + 2^-(F+1) of v x^n, T_k its rounded terms.  ``tol`` is relative to
+    2^e >= |level 0's value| where that exceeds 1.  The orders share each
+    level's pass and run their own level loops, so each QuadResult is bit for
+    bit that of its order alone; ``evaluations`` counts the nodes.
+    """
+    wp = working_precision(precision)
+    frac, top, zf = wp + 16, max(orders, default=0), float(z)
+    n0 = math.ceil(wp * math.log(2) / (4 * math.pi**2))
+    # the cutoffs, at most 700 out, where exp still fits a float
+    j_lo, j_hi = (
+        next(
+            (j for j in range(n0, 700 * n0) if _gamma_tail(zf, _TAIL_ORDER, side * j / n0) <= -wp * math.log(2)),
+            700 * n0,
+        )
+        for side in (-1, 1)
+    )
+    lo, hi = -j_lo / n0, j_hi / n0
+    levels = []  # per level: each order's sum of terms and of their absolute values, and the node count
+
+    def build(level):
+        n = n0 << level
+        if level == 0:
+            first, stride, count = -j_lo, 1, j_lo + j_hi + 1
+        else:
+            first, stride, count = 1 - (j_lo << level), 2, (j_lo + j_hi) << level - 1
+        extra = 8 + count.bit_length() + math.ceil(math.log2((zf + math.exp(hi)) * (math.exp(-lo) + 1)))
+        sums, sizes = [0] * (top + 1), [0] * (top + 1)
+        with mp.workprec(frac + extra):
+            e, step = mp.exp(mp.mpf(-first) / n), mp.exp(mp.mpf(-stride) / n)
+            for j in range(first, first + stride * count, stride):
+                x = mp.make_mpf(from_rational(j, n, mp.mp.prec, round_nearest)) - e
+                v = (1 + e) * mp.exp(z * x - mp.exp(x))
+                shift = max(0, -mp.mag(v))
+                term, half, power = to_fixed(v._mpf_, frac + shift), (1 << shift) >> 1, to_fixed(x._mpf_, frac)
+                for k in range(top + 1):
+                    if k:
+                        term = (term * power) >> frac
+                    rounded = (term + half) >> shift
+                    sums[k] += rounded
+                    sizes[k] += abs(rounded)
+                e *= step
+        levels.append((sums, sizes, count))
+
+    def order(k):
+        log_tails = max(_gamma_tail(zf, k, lo), _gamma_tail(zf, k, hi)) / math.log(2)
+        tails = mp.inf if log_tails == math.inf else mp.ldexp(2, math.ceil(log_tails))
+        total = size = nodes = 0
+
+        def level_estimate(wp, level):
+            nonlocal total, size, nodes
+            if level == len(levels):
+                build(level)
+            sums, sizes, count = levels[level]
+            total, size, nodes = total + sums[k], size + sizes[k] + sizes[0] + 2 * count, nodes + count
+            n = n0 << level
+            value = mp.make_mpf(from_rational(total, n << frac, wp, round_nearest))
+            with mp.workprec(53):
+                rounding = (mp.ldexp((6 * k + 8) * size, -2 * frac) + mp.ldexp(nodes, -frac - 1)) / n
+                bound = tails + rounding + mp.ldexp(1 + abs(value), -wp)
+            return value, count, bound
+
+        e = max(0, abs(levels[0][0][k]).bit_length() - frac - n0.bit_length() + 1)
+        return _level_loop(level_estimate, mp.ldexp(tol, e), precision)
+
+    build(0)
+    return [order(k) for k in orders]

@@ -54,17 +54,3 @@ def cold_caches():
 def cap_levels(monkeypatch):
     """Make the level loop of every engine stop after level 1, so no integral converges."""
     monkeypatch.setattr(quad, "MAX_LEVEL", 1)
-
-
-@pytest.fixture
-def handed_integrands(monkeypatch):
-    """The integrands handed to ``quad.integrate_01_many`` while the test runs."""
-    handed = []
-    real = quad.integrate_01_many
-
-    def capture(f, tol, precision):
-        handed.append(f)
-        return real(f, tol, precision)
-
-    monkeypatch.setattr(quad, "integrate_01_many", capture)
-    return handed

@@ -8,9 +8,12 @@ Each one is a second route to something the library computes, kept out of
   the second route to ``reference.zeta_ref``.
 * ``dl_series_check``          residual of the zeta power series of
   -psi(1-z) - gamma.
-* ``integrate_one``            tanh-sinh integration of a scalar integrand:
-  the one-component case of ``quad.integrate_01_many``, reached through the
-  module, so a test can cap the level loop or capture the integrand.
+* ``integrate_01_many``, ``integrate_one``
+  tanh-sinh integration over (0, 1) of a tuple-valued and of a scalar
+  integrand, on nodes stepped from one exp(h) per level (``_unit_nodes``,
+  cached per working precision), through the library's level loop: the
+  reference integrator of the tests, once the library's rule for the Gamma
+  derivatives.  No library integral runs on it.
 * ``pole_cancellation_check``  the w_{-1} term of the z-expansion cancelling
   the cotangent pole, integrated by ``integrate_one``.
 * ``digamma_steps``            digamma(x) by the per-step upward recurrence,
@@ -55,9 +58,106 @@ from oddzeta.reference import _as_mpf, digamma_ref, euler_gamma, zeta_ref
 # quadrature
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)  # four working precisions
+def _node_tables(wp: int) -> dict:
+    """The tanh-sinh nodes by level at one working precision."""
+    return {}
+
+
+def _unit_nodes(wp: int, level: int):
+    """New (t, 1-t, weight) triples for this tanh-sinh level at wp bits.
+
+    Level 0 holds all integer multiples of h = 1 (the first entry is the
+    centre t = 1/2, marked by a None partner); higher levels hold the odd
+    multiples of their step only.  The u-range is capped so that 1 - t stays
+    representable at wp bits; weights beyond the cap are below 2^-wp anyway.
+    """
+    levels = _node_tables(wp)
+    if level in levels:
+        return levels[level]
+    with mp.workprec(wp):
+        u_max = mp.asinh((wp - 2) * mp.log(2) / mp.pi)
+        h = mp.ldexp(1, -level)
+        count = int(mp.floor(u_max / h))
+    stride = 1 if level == 0 else 2
+    runs = (count + stride - 1) // stride
+    # exp(u) is stepped by the factor exp(h)^stride, so the level costs one exp
+    # besides each node's own; the stepping loses about log2(runs) bits and
+    # sinh u = (e - 1/e)/2 about log2(1/h)
+    with mp.workprec(wp + 16 + runs.bit_length()):
+        e = mp.exp(h)
+        step = e**stride
+        raw = []
+        for _ in range(runs):
+            inverse = 1 / e
+            sinh_u, cosh_u = (e - inverse) / 2, (e + inverse) / 2
+            decay = mp.exp(-mp.pi * sinh_u)
+            t_hi = 1 / (1 + decay)           # in (1/2, 1)
+            t_lo = decay * t_hi              # = 1 - t_hi, computed stably
+            raw.append((t_hi, t_lo, mp.pi * cosh_u * t_hi * t_lo))
+            e *= step
+    with mp.workprec(wp):
+        nodes = [(mp.mpf(1) / 2, None, mp.pi / 4)] if level == 0 else []
+        for t_hi, t_lo, weight in raw:
+            t_hi, t_lo, weight = +t_hi, +t_lo, +weight
+            if t_hi == 1 or t_lo == 0:
+                break  # would round onto an endpoint; contribution < 2^-wp
+            nodes.append((t_hi, t_lo, weight))
+    levels[level] = nodes = tuple(nodes)
+    return nodes
+
+
+def integrate_01_many(f, tol, precision: int) -> list:
+    """Tanh-sinh integration over the open interval (0, 1) of each component of the tuple f(t).
+
+    ``f`` is never called at the endpoints; each component must be finite on
+    (0, 1) and may have an integrable logarithmic singularity at an endpoint.
+    No abscissa lies within about 2^-wp of an endpoint (wp the working
+    precision), so the integral over that stretch must be negligible at
+    ``tol``.  A level visits its nodes once, keeping one partial sum per
+    component; level 0 is the trapezoid sum over its nodes, and every later
+    level halves the previous sum and adds its own.  Each component then runs
+    the library's level loop (``quad._level_loop``, through the module, so
+    ``quad.MAX_LEVEL`` caps it) on those partials, so its QuadResult, one per
+    component in order, is bit for bit that of the component alone; a level
+    is built when the first component asks for it.  ``evaluations`` counts
+    the calls of f.  A non-finite sample raises ArithmeticError.
+    """
+    levels = []  # per level: each component's partial sum, and the calls of f
+
+    def level_partials(wp, level):
+        if level == len(levels):
+            partials, count = None, 0
+            for t_hi, t_lo, weight in _unit_nodes(wp, level):
+                for t in (t_hi,) if t_lo is None else (t_hi, t_lo):
+                    values = f(t)
+                    if partials is None:
+                        partials = [mp.mpf(0)] * len(values)
+                    for i, value in enumerate(values):
+                        if not mp.isfinite(value):
+                            raise ArithmeticError(f"integrand returned {value} at t = {mp.nstr(t, 8)}")
+                        partials[i] += weight * value
+                    count += 1
+            levels.append(([mp.ldexp(partial, -level) for partial in partials], count))
+        return levels[level]
+
+    def component(i):
+        sums = []
+
+        def level_estimate(wp, level):
+            partials, count = level_partials(wp, level)
+            sums.append(partials[i] + sums[-1] / 2 if sums else partials[i])
+            return sums[-1], count, None
+
+        return quad._level_loop(level_estimate, tol, precision)
+
+    first = component(0)  # level 0 tells the number of components
+    return [first] + [component(i) for i in range(1, len(levels[0][0]))]
+
+
 def integrate_one(f, tol, precision: int):
-    """The QuadResult of the scalar f over (0, 1): f as the one component of ``quad.integrate_01_many``."""
-    return quad.integrate_01_many(lambda t: (f(t),), tol, precision)[0]
+    """The QuadResult of the scalar f over (0, 1): f as the one component of :func:`integrate_01_many`."""
+    return integrate_01_many(lambda t: (f(t),), tol, precision)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 from oddzeta import cli, exactnum, reference, zetarep
 from oddzeta.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
+from oddzeta.errors import IdentityViolation
 
 ZETA3_30 = "1.20205690315959428539973816151"
 
@@ -463,6 +464,34 @@ class TestTable:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: max-p must be >= 1\n"
+
+    def test_theorem_rows_take_the_corollary_quadrature(self, capsys, monkeypatch):
+        # three quadratures per p: the theorem row is the corollary's once the
+        # exact sine lemma holds
+        calls = []
+        real = zetarep.zeta_odd
+
+        def counted(p, rep, precision):
+            calls.append((p, zetarep.Representation(rep)))
+            return real(p, rep, precision)
+
+        monkeypatch.setattr(zetarep, "zeta_odd", counted)
+        code, out, _ = run(["table", "--max-p", "2", "--digits", "20", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert sorted(calls) == sorted((p, rep) for p in (1, 2) for rep in list(zetarep.Representation)[1:])
+        rows = {(row["p"], row["representation"]): row for row in json.loads(out)["rows"]}
+        for p in (1, 2):
+            theorem, corollary = rows[(p, "theorem")], rows[(p, "corollary")]
+            assert {**theorem, "representation": "corollary"} == corollary
+
+    def test_theorem_rows_rest_on_the_lemma(self, capsys, monkeypatch):
+        def broken(p):
+            raise IdentityViolation(f"p={p}: the sine moment is broken")
+
+        monkeypatch.setattr(zetarep, "lemma_check", broken)
+        code, out, err = run(["table", "--max-p", "1", "--digits", "15"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: p=1: the sine moment is broken\n"
 
 
 @pytest.mark.parametrize("command", ["compute", "table"])

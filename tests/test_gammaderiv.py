@@ -1,5 +1,6 @@
 """Gamma derivatives: exact pairs, Bell recurrence, integral cross-checks."""
 
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,7 +13,8 @@ from oddzeta.gammaderiv import (
     gamma_nth_derivative_at_1,
     gamma_nth_derivative_numeric,
 )
-from oddzeta.quad import quad_tolerance
+from oddzeta import quad
+from oddzeta.quad import quad_tolerance, working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
 from oracles import gamma_first_derivative
 
@@ -110,9 +112,15 @@ class TestNumericIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_nth_derivative_numeric(1, 0, 96)
-        # the s^(z-1) end of the mapped integral would lose about half the digits
+        # quad.integrate_gamma derives its tail bounds, and so its error
+        # estimate, for z >= 1 only
         with pytest.raises(DomainError, match="z >= 1"):
             gamma_nth_derivative_numeric(1, mp.mpf(1) / 2, 96)
+
+    @pytest.mark.parametrize("z,name", [(mp.inf, "+inf"), (-mp.inf, "-inf"), (mp.nan, "nan")], ids=["inf", "-inf", "nan"])
+    def test_non_finite_z(self, z, name):
+        with pytest.raises(DomainError, match=re.escape(f"needs a finite z >= 1, not {name}")):
+            gamma_derivatives_numeric([0, 1], z, 96)
 
     @pytest.mark.usefixtures("cap_levels")
     def test_no_convergence_raises(self):
@@ -164,3 +172,92 @@ class TestNumericIntegral:
         numeric = gamma_nth_derivative_numeric(12, 1, precision)
         with mp.workprec(precision):
             assert abs(exact - numeric) <= 10 * quad_tolerance(precision) * abs(exact)
+
+
+class TestDoubleExponentialRule:
+    # verify's size: 120 digits are 463 bits
+    PRECISION = 463
+
+    def test_takes_no_log(self, monkeypatch):
+        # log t = u - e^-u at every node, so neither log nor log1p is called
+        def no_log(*args, **kwargs):
+            raise AssertionError("the Gamma integral called a log")
+
+        monkeypatch.setattr(mp, "log", no_log)
+        monkeypatch.setattr(mp, "log1p", no_log)
+        values = gamma_derivatives_numeric(range(5), 1, self.PRECISION)
+        monkeypatch.undo()
+        for n, value in enumerate(values):
+            exact = gamma_nth_derivative_at_1(n, self.PRECISION)
+            with mp.workprec(self.PRECISION):
+                assert abs(exact - value) <= 10 * quad_tolerance(self.PRECISION) * max(1, abs(exact)), n
+
+    def test_levels_and_evaluations_at_verify_size(self, monkeypatch):
+        results = []
+        real = quad.integrate_gamma
+
+        def capture(*args):
+            results.extend(real(*args))
+            return results
+
+        monkeypatch.setattr(quad, "integrate_gamma", capture)
+        gamma_derivatives_numeric(range(5), 1, self.PRECISION)
+        assert len(results) == 5
+        for result in results:
+            assert result.converged
+            assert result.levels <= 5 and result.evaluations <= 450, (result.levels, result.evaluations)
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_high_orders_converge_relative_to_their_size(self, n):
+        # Gamma^(30)(1) is near 2^108: the fixed-point rounding is relative, so
+        # the tolerance is relative where the value exceeds 1
+        precision = 231
+        exact = gamma_nth_derivative_at_1(n, precision)
+        numeric = gamma_nth_derivative_numeric(n, 1, precision)
+        with mp.workprec(precision):
+            assert abs(exact - numeric) <= 10 * quad_tolerance(precision) * abs(exact)
+
+
+def reference_derivatives(z, precision, top):
+    """Gamma^(n)(z) for n <= top at ``precision`` bits from the Bell values at 1, for z = 1, 3 or 1 + 2^-70.
+
+    Gamma(3 + e) = (2 + 3e + e^2) Gamma(1 + e) gives z = 3 by Leibniz's rule;
+    1 + 2^-70 is the Taylor series about 1, to below 2^-precision.
+    """
+    terms = precision // 60 + 2 if z == "1+2^-70" else 0
+    with mp.workprec(precision):
+        g = [gamma_nth_derivative_at_1(m, precision) for m in range(top + 1 + terms)]
+        if z == "1":
+            return g[: top + 1]
+        if z == "3":
+            return [2 * g[n] + 3 * n * g[n - 1] * (n > 0) + n * (n - 1) * g[n - 2] * (n > 1) for n in range(top + 1)]
+        values = []
+        for n in range(top + 1):
+            total, power = mp.mpf(0), mp.mpf(1)
+            for k in range(terms + 1):
+                total += g[n + k] * power
+                power = power * mp.ldexp(1, -70) / (k + 1)
+            values.append(total)
+        return values
+
+
+@pytest.mark.parametrize("precision", [96, 231, 463, 1000])
+@pytest.mark.parametrize("z", ["1", "3", "1+2^-70"])
+def test_error_estimate_covers_the_truth(z, precision):
+    # every order up to 16 lands within its own error estimate (or the
+    # tolerance) of the Bell value, up to the rounding of the result to
+    # precision bits: the estimate includes both tails and the fixed-point
+    # rounding, so no unsampled stretch is taken as negligible
+    orders = range(17)
+    with mp.workprec(working_precision(precision)):
+        zv = 1 + mp.ldexp(1, -70) if z == "1+2^-70" else mp.mpf(z)
+    tol = quad_tolerance(precision)
+    results = quad.integrate_gamma(zv, orders, tol, precision)
+    wanted = reference_derivatives(z, precision + 32, orders[-1])
+    with mp.workprec(precision + 32):
+        for n, result, want in zip(orders, results, wanted):
+            error = abs(result.value - want)
+            assert error <= max(result.error_estimate, tol) + mp.ldexp(abs(want), -precision), (n, error)
+            if (n, precision) == (16, 231):
+                # where the e^-t = 1 - s map of the tanh-sinh rule missed 8.5e6-fold
+                assert result.converged and error <= 10 * tol * abs(want)

@@ -1,4 +1,4 @@
-"""Quadrature: tanh-sinh accuracy, endpoint safety and determinism; the zeta and digamma integrals' trapezoid tables."""
+"""Quadrature: the tests' tanh-sinh reference integrator; the zeta and digamma integrals' trapezoid tables; the Gamma rule's shared pass."""
 
 import math
 from fractions import Fraction
@@ -6,14 +6,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import oracles
 from oddzeta import quad, zetarep
-from oddzeta.errors import NonFiniteSample
 from oddzeta.expansion import p_poly
-from oddzeta.gammaderiv import gamma_derivatives_numeric
 from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point
 from oddzeta.quad import working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
-from oracles import integrate_one, poly_evaluator
+from oracles import integrate_01_many, integrate_one, poly_evaluator
 
 TOL30 = mp.mpf(10) ** -30
 
@@ -94,19 +93,19 @@ class TestUnitInterval:
 
 
 class TestSharedPass:
-    # one pass over the nodes for every component, then one level loop each:
-    # every component's QuadResult is bit for bit that of its run alone
+    # one pass over the nodes for every order or component, then one level
+    # loop each: every QuadResult is bit for bit that of its run alone
     @pytest.mark.parametrize("orders,precision", [(tuple(range(7)), 128), ((0, 12), 231)])
-    def test_gamma_orders_match_their_own_runs(self, orders, precision, handed_integrands):
-        gamma_derivatives_numeric(orders, 1, precision)
-        (integrand,) = handed_integrands
+    def test_gamma_orders_match_their_own_runs(self, orders, precision):
         tol = quad.quad_tolerance(precision)
-        shared = quad.integrate_01_many(integrand, tol, precision)
+        with mp.workprec(working_precision(precision)):
+            z = mp.mpf(1)
+        shared = quad.integrate_gamma(z, orders, tol, precision)
         assert len(shared) == len(orders)
-        for i, result in enumerate(shared):
-            alone = integrate_one(lambda r: integrand(r)[i], tol, precision)
+        for n, result in zip(orders, shared):
+            (alone,) = quad.integrate_gamma(z, [n], tol, precision)
             assert result.converged and alone.converged
-            assert result == alone, orders[i]
+            assert result == alone, n
 
     def test_components_keep_their_own_levels(self):
         # the poles at t = 1/2 +- i/10 slow the second component by three levels
@@ -119,7 +118,7 @@ class TestSharedPass:
             calls.append(t)
             return mp.mpf(1), peaked(t)
 
-        constant, curved = quad.integrate_01_many(f, TOL30, 128)
+        constant, curved = integrate_01_many(f, TOL30, 128)
         assert constant == integrate_one(lambda t: mp.mpf(1), TOL30, 128)
         assert curved == integrate_one(peaked, TOL30, 128)
         with mp.workprec(144):
@@ -130,8 +129,8 @@ class TestSharedPass:
         assert len(calls) == len(set(calls)) == curved.evaluations
 
     def test_non_finite_second_component(self):
-        with pytest.raises(NonFiniteSample):
-            quad.integrate_01_many(lambda t: (mp.mpf(1), mp.nan), TOL30, 64)
+        with pytest.raises(ArithmeticError, match="integrand returned nan"):
+            integrate_01_many(lambda t: (mp.mpf(1), mp.nan), TOL30, 64)
 
 
 # Integrals over (0, inf) reach (0, 1) by a change of variable; the mapped
@@ -170,11 +169,11 @@ class TestSemiInfinite:
 
 class TestErrorModes:
     def test_non_finite_sample(self):
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(ArithmeticError, match="integrand returned"):
             integrate_one(lambda t: mp.inf, TOL30, 64)
 
     def test_nan_sample(self):
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(ArithmeticError, match="integrand returned nan"):
             integrate_one(lambda t: mp.nan, TOL30, 64)
 
     def test_no_convergence_reports_honestly(self, monkeypatch):
@@ -221,13 +220,13 @@ class TestSteppedNodes:
     @NODE_PRECISIONS
     def test_unit_nodes_match_closed_form(self, wp):
         for level in LEVELS:
-            got = quad._unit_nodes(wp, level)
+            got = oracles._unit_nodes(wp, level)
             assert_nodes_close(got, closed_form_unit_nodes(wp, level), wp)
 
     def test_build_restores_precision(self):
         before = mp.mp.prec
-        quad._tables.cache_clear()
-        quad._unit_nodes(96, 3)
+        oracles._node_tables.cache_clear()
+        oracles._unit_nodes(96, 3)
         assert mp.mp.prec == before
 
 
@@ -238,16 +237,16 @@ def ulp(x, wp):
 class TestTangentMap:
     # no integrand reads tan(pi t/2) at a tanh-sinh abscissa any more, so the
     # node tables hold nodes only and building them takes no tangent
-    def test_nodes_take_no_tangent(self, monkeypatch, cold_caches):
+    def test_nodes_take_no_tangent(self, monkeypatch):
         def tan(*args):
             raise AssertionError("a node build called mp.tan")
 
         monkeypatch.setattr(mp, "tan", tan)
+        oracles._node_tables.cache_clear()
         for level in range(4):
-            quad._unit_nodes(400, level)
+            oracles._unit_nodes(400, level)
         assert not hasattr(quad, "tan_half")
-        nodes, _ = quad._tables(400)
-        assert sorted(nodes) == list(range(4))
+        assert sorted(oracles._node_tables(400)) == list(range(4))
 
     def test_moments_do_not_depend_on_later_levels(self):
         # the trapezoid tables of the zeta integrals read no tanh-sinh node, so
@@ -267,10 +266,12 @@ class TestTangentMap:
 
         quad._tables.cache_clear()
         straight = tables(levels)
-        nodes, _ = quad._tables(wp)
-        assert not nodes
         quad._tables.cache_clear()
         assert tables(reversed(levels)) == straight
+
+
+# the kinds of table the per-precision store keeps: all of the trapezoid engine
+TRAPEZOID_TABLES = {"sines", "grid", "series", "corrections"}
 
 
 def weight(t):
@@ -321,8 +322,8 @@ class TestTrapezoidMoments:
         precision = 200
         for rep in zetarep.Representation:
             zetarep.zeta_odd(2, rep, precision)
-        nodes, tables = quad._tables(working_precision(precision))
-        assert not nodes and tables
+        tables = quad._tables(working_precision(precision))
+        assert tables and {key[0] for key in tables} <= TRAPEZOID_TABLES
 
 
 def mikolas_value(z, wp):
@@ -362,8 +363,8 @@ class TestMikolasGrid:
         precision = 200
         with mp.workprec(working_precision(precision)):
             quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
-        nodes, tables = quad._tables(working_precision(precision))
-        assert not nodes and tables
+        tables = quad._tables(working_precision(precision))
+        assert tables and {key[0] for key in tables} <= TRAPEZOID_TABLES
 
     def test_builds_no_corrections_at_zero(self, cold_caches):
         # the integrand is even at t = 0, so only the t = 1 tables D_c are read
@@ -371,7 +372,7 @@ class TestMikolasGrid:
         precision = 200
         with mp.workprec(working_precision(precision)):
             quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
-        _, tables = quad._tables(working_precision(precision))
+        tables = quad._tables(working_precision(precision))
         entries = [entry for key, entry in tables.items() if key[0] == "corrections"]
         assert entries and all(at_one for _, _, at_one in entries)
         assert all(at_zero == [] for _, at_zero, _ in entries)

@@ -1,7 +1,5 @@
 """The four zeta representations, the even closed form, and the moment identity."""
 
-import functools
-import inspect
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +8,6 @@ import pytest
 from oddzeta import exactnum, expansion, pipoly, quad
 from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, IdentityViolation
-from oddzeta.gammaderiv import gamma_nth_derivative_numeric
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.quad import working_precision
 from oddzeta.reference import zeta_ref
@@ -307,20 +304,6 @@ def test_cache_inventory(cold_caches):
     by_name = {f"{c.__module__.removeprefix('oddzeta.')}.{c.__qualname__}": c for c in cold_caches}
     assert sorted(by_name) == sorted(KEPT_CACHES)
     assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-4:])
-
-
-# the zeta routes and the Mikolas digamma integral hand no integrand to
-# integrate_01_many: they run on the trapezoid grids
-ROUTES = {"gammaderiv": functools.partial(gamma_nth_derivative_numeric, 2, 1, 96)}
-
-
-@pytest.mark.parametrize("route", ROUTES.values(), ids=list(ROUTES))
-def test_integrand_takes_one_positional_argument(route, handed_integrands):
-    # tracing wraps the integrand that each route hands to integrate_01_many as integrand(t)
-    route()
-    (integrand,) = handed_integrands
-    (param,) = inspect.signature(integrand).parameters.values()
-    assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
 
 
 TABLE_CALLS = [(p, rep) for p in range(1, 17) for rep in Representation]
