@@ -2,8 +2,8 @@
 
 The package keeps pi symbolic through all algebra (``pipoly``), builds the
 weight polynomials as an exact Cauchy product checked at t = 1
-(``expansion``), integrates with arbitrary-precision double-exponential
-quadrature (``quad``), and checks everything against independent oracles
+(``expansion``), integrates by fixed-point trapezoid rules at arbitrary
+precision (``quad``), and checks everything against independent oracles
 (``reference``).  ``zetarep`` ties these together into four numeric routes to
 zeta(2p+1) plus exact identities; ``gammaderiv`` covers derivatives of the
 Gamma function at 1; ``cli`` is the command-line surface.

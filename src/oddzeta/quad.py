@@ -1,16 +1,16 @@
 """Arbitrary-precision quadrature: Euler-Maclaurin on [0, 1] for zeta and digamma, a double-exponential rule for Gamma.
 
-The zeta integrals (:func:`integrate_moments`) are integral_0^1 w(t) Q(t) dt
-with Q a polynomial and one weight, w = (1 - t) tan(pi t/2); the theorem's
-cos(pi t) never reaches the engine, since ``zetarep`` splits it off exactly
-(tan x cos 2x = sin 2x - tan x).  The factor (1 - t) cancels the pole at
-t = 1, so w Q is analytic on [0, 1], and the trapezoid rule on t_k = k/N with
-its exact end corrections (Euler-Maclaurin, DLMF 2.10.1) converges like
-e^(-2 pi rho N) for the distance rho from [0, 1] to the nearest singularity:
-rho = 1 (the pole at t = -1), or rho = 2 (t = 3) when Q(-1) = 0, as for P_2p
-(Trefethen & Weideman, SIAM Rev. 56, 2014).  Each integral is sum_m q_m M_m
-over moments M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached
-per level:
+The zeta and Mikolas digamma integrals (:func:`integrate_moments`) are
+integral_0^1 w(t) Q(t) dt with Q a polynomial and one weight, w = (1 - t)
+tan(pi t/2); the theorem's cos(pi t) never reaches the engine, since
+``zetarep`` splits it off exactly (tan x cos 2x = sin 2x - tan x).  The factor
+(1 - t) cancels the pole at t = 1, so w Q is analytic on [0, 1], and the
+trapezoid rule on t_k = k/N with its exact end corrections (Euler-Maclaurin,
+DLMF 2.10.1) converges like e^(-2 pi rho N) for the distance rho from [0, 1]
+to the nearest singularity: rho = 1 (the pole at t = -1), or rho = 2 (t = 3)
+when Q(-1) = 0, as for P_2p and the digamma Q (Trefethen & Weideman, SIAM
+Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments M_m = h sum''
+w(t_k) t_k^m - (end corrections of w t^m), cached per level:
 
 * Grid.  sin(pi k/2N) is Im z^k with z = exp(i pi/(2N)), stepped from one
   cos/sin pair per level (:func:`_sines`), and tan(pi t_k/2) = sin(pi k/2N) /
@@ -31,11 +31,6 @@ per level:
   plus the rounding of the fixed-point sums; the error estimate of a level is
   the larger of that bound and the heuristic below.
 
-Mikolas' digamma integral (:func:`integrate_mikolas`) runs on the same grids,
-sine tables, truncation and t = 1 correction tables: its integrand is even at
-t = 0 and analytic out to t = +-3, and sin(pi z k/N) is stepped like the
-grid's sines, so a node costs a few integer products and one division.
-
 The Gamma-derivative integrals (:func:`integrate_gamma`) run on the
 double-exponential map t = exp(u - e^-u) for exponentially decaying
 integrands (Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput.
@@ -44,7 +39,7 @@ falls double-exponentially at both ends and is analytic for |Im u| < pi/2,
 so the trapezoid rule of step h errs by about exp(-pi^2/h).  A node costs
 two exps and no log, and one pass serves every order.
 
-All engines share one level loop, :func:`_level_loop`, which is handed each
+Both engines share one level loop, :func:`_level_loop`, which is handed each
 level's complete estimate; it keeps the per-level deltas, estimates the
 error, stops, and rounds the result back to the requested precision.  The
 heuristic error estimate is the double-exponential one: with
@@ -64,10 +59,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_cos_sin, mpf_div, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
 
 from . import exactnum, pipoly
 from .errors import DomainError, NoConvergence
@@ -75,7 +71,6 @@ from .errors import DomainError, NoConvergence
 __all__ = [
     "QuadResult",
     "integrate_moments",
-    "integrate_mikolas",
     "integrate_gamma",
     "guard_bits",
     "working_precision",
@@ -176,36 +171,28 @@ def _base_points(wp: int) -> int:
     return -(-(wp + 40) // 12)
 
 
-def _stepped_sines(x: tuple, level: int, n: int, bits: int) -> list:
-    """sin(pi x k) at ``bits`` fraction bits for a level's new k: 1..n-1 at level 0, the odd k < n after.
-
-    Im w^k with w = exp(i pi x) from one cos/sin pair (``x`` a raw mpf), stepped
-    by w, or by w^2 over the odd k; each value is within about k 2^-bits.
-    """
-    cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(x, bits + 8, pi=True))
-    if level == 0:
-        count, step = n - 1, (cos, sin)
-    else:
-        count, step = n // 2, ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
-    sines, re, im = [], cos, sin
-    for _ in range(count):
-        sines.append(im)
-        re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
-    return sines
-
-
 def _sines(wp: int, level: int, bits: int) -> list:
     """sin(pi k/2N) at ``bits`` fraction bits for the new k of a level of the grid N, cached.
 
-    The entry for k is within about N 2^-bits of its value, relatively, and
-    the one for N - k sits at the mirrored index, so tan(pi k/2N) is
-    ``sines[i] / sines[-1 - i]``.
+    Im w^k, w = exp(i pi/2N) from one cos/sin pair, is stepped by w over k =
+    1..N-1 at level 0 and by w^2 over the odd k after.  The entry for k is
+    within about N 2^-bits of its value, relatively, and the one for N - k
+    sits at the mirrored index, so tan(pi k/2N) is ``sines[i] / sines[-1 - i]``.
     """
     store = _tables(wp)
     key = ("sines", level, bits)
     if key not in store:
         n = _base_points(wp) << level
-        store[key] = _stepped_sines(from_rational(1, 2 * n, bits + 8), level, n, bits)
+        cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True))
+        if level == 0:
+            count, step = n - 1, (cos, sin)
+        else:
+            count, step = n // 2, ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
+        sines, re, im = [], cos, sin
+        for _ in range(count):
+            sines.append(im)
+            re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
+        store[key] = sines
     return store[key]
 
 
@@ -277,7 +264,7 @@ def _series(wp: int, frac: int, count: int) -> tuple:
     return g, u
 
 
-def _corrections(wp: int, level: int, frac: int, terms: int, zeros: int, ones: int) -> tuple:
+def _corrections(wp: int, level: int, frac: int, terms: int, degree: int) -> tuple:
     """(V, D): a level's end-correction tables for ``terms`` corrections, at ``frac`` bits.
 
     The corrections of w Q are sum_j E_j ([t^(2j-1)] w Q + [s^(2j-1)] u(s) Q(1-s))
@@ -288,8 +275,8 @@ def _corrections(wp: int, level: int, frac: int, terms: int, zeros: int, ones: i
     Q(1 - s), whose odd ones meet D_c = sum_j E_j u_(j-c) for i = 2c - 1; in
     that basis no binomial C(m, i) amplifies a rounding error.  E_j is rounded
     once from the exact rational, and each sum is exact until its one
-    rounding.  The lists grow to the first ``zeros`` V_a and ``ones`` D_c (none
-    past c = K, where the sum is empty), as far as the caller reads them.
+    rounding.  The lists grow as far as a Q of degree ``degree`` reads them,
+    to a = degree/2 + 1 and 2c - 1 = degree (none past c = K: empty sums).
     """
     store = _tables(wp)
     key = ("corrections", level, frac, terms)
@@ -311,9 +298,9 @@ def _corrections(wp: int, level: int, frac: int, terms: int, zeros: int, ones: i
     def fold(total):
         return (total + (1 << shift - 1)) >> shift
 
-    for a in range(len(at_zero), zeros):
+    for a in range(len(at_zero), degree // 2 + 2):
         at_zero.append(fold(sum(weights[j - 1] * g[j - a - 1] for j in range(a + 1, terms + 1))))
-    for c in range(len(at_one) + 1, min(terms, ones) + 1):
+    for c in range(len(at_one) + 1, min(terms, (degree + 1) // 2) + 1):
         at_one.append(fold(sum(weights[j - 1] * u[j - c] for j in range(c, terms + 1))))
     return at_zero, at_one
 
@@ -358,9 +345,16 @@ def _log2_size(coefficients: list, frac: int, radius: int) -> float:
     return log_q + log_w
 
 
-def _reflected(q: list) -> list:
-    """The coefficients of Q(1 - s), exactly, from those of Q(t)."""
-    return [(-1) ** i * sum(math.comb(m, i) * c for m, c in enumerate(q[i:], i)) for i in range(len(q))]
+def _taylor_shift(q: list) -> list:
+    """The coefficients of Q(1 - s), exactly, from those of Q(t): (-1)^i b_i with b_i = sum_m C(m, i) q_m.
+
+    The b_i come from repeated synthetic division by t - 1: pass i replaces
+    q_j, j >= i, by q_j + ... + q_d, so O(d^2) integer additions in all.
+    """
+    b = q[::-1]
+    for n in range(len(b), 1, -1):
+        b[:n] = accumulate(b[:n])
+    return [-c if i % 2 else c for i, c in enumerate(reversed(b))]
 
 
 def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -> int:
@@ -381,13 +375,13 @@ def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -
         x = sum(grid[m] << (level - k) * m for k, grid in enumerate(grids))
         numerator += q[m] * x * power
         power *= n
-    at_zero, at_one = _corrections(wp, level, frac, terms, degree // 2 + 2, (degree + 1) // 2)
+    at_zero, at_one = _corrections(wp, level, frac, terms, degree)
     total = (2 * numerator + power) // (2 * power)
     total += sum(c * (at_zero[m // 2] if m % 2 == 0 else -at_zero[m // 2 + 1]) for m, c in enumerate(q))
     return total + sum(c * d for c, d in zip(r[1::2], at_one))
 
 
-def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
+def _level_loop(level_estimate: Callable, tol, precision: int, floor=0) -> QuadResult:
     """The one level loop: deltas, error estimate, stop, rounding.
 
     ``level_estimate(wp, level)`` returns the level's complete estimate of the
@@ -396,7 +390,10 @@ def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
     the error estimate (the heuristic, or the bound where it is larger) drops
     below ``tol`` (requires at least two refinements) or level ``MAX_LEVEL``
     is done, in which case the best value is returned with
-    ``converged=False``.  The value is rounded to ``precision`` bits.
+    ``converged=False``.  ``floor`` is the part of every level's bound that
+    no level lowers; when it exceeds ``tol`` the loop stops after level 0
+    with ``converged=False`` and the floor as its estimate.  The value is
+    rounded to ``precision`` bits.
     """
     if precision < 16:
         raise DomainError("precision must be at least 16 bits")
@@ -412,6 +409,9 @@ def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
             value, count, bound = level_estimate(wp, level)
             evaluations += count
             sums.append(value)
+            if floor > tolerance:
+                estimate = mp.mpf(floor)
+                break
             if level >= 1:
                 deltas.append(abs(sums[-1] - sums[-2]))
                 estimate = _estimate_error(sums, wp)
@@ -437,21 +437,19 @@ def _level_loop(level_estimate: Callable, tol, precision: int) -> QuadResult:
 def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision: int) -> QuadResult:
     """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt.
 
-    ``coefficients`` are round(q_k 2^frac), lowest degree first, with ``frac``
-    sized by :func:`pipoly.fixed_point`; they are shifted up exactly to the
-    moment tables' wp plus a multiple of 64 fraction bits.  ``radius`` is the
-    distance from [0, 1] to the nearest singularity of w Q: 2 when Q(-1) = 0,
-    else 1.  Each level's estimate is the integer dot product of the
-    coefficients with the level's grid sums (:func:`_grid_sums`, exact, divided
-    once) and end corrections (:func:`_corrections`), rounded once into an
-    mpf, so no integrand is evaluated; ``evaluations`` counts the trapezoid
-    nodes.  The error bound and K are those of
-    :func:`_truncation`; the level loop is :func:`_level_loop`.
+    ``coefficients`` are round(q_k 2^frac), lowest degree first; they are
+    shifted up exactly to the moment tables' wp plus a multiple of 64 fraction
+    bits.  ``radius`` is the distance from [0, 1] to the nearest singularity
+    of w Q: 2 when Q(-1) = 0, else 1.  Each level's estimate is the integer
+    dot product of the coefficients with the level's grid sums and end
+    corrections (:func:`_level_total`), rounded once into an mpf, so no
+    integrand is evaluated; ``evaluations`` counts the trapezoid nodes.  The
+    error bound and K are those of :func:`_truncation`.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
     q = [c << (table - frac) for c in coefficients]
-    r = _reflected(q)
+    r = _taylor_shift(q)
     log_size = _log2_size(q, table, radius)
     # each grid moment and table entry is within 2^-table, the division within
     # 2^-2table and the mpf within 2^-wp
@@ -467,84 +465,6 @@ def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision
             bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
         count = n + 1 if level == 0 else n // 2
         return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count, bound
-
-    return _level_loop(level_estimate, tol, precision)
-
-
-def integrate_mikolas(z, tol, precision: int) -> QuadResult:
-    """cot(pi z) + integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt for an mpf z in (0, 1).
-
-    As z -> 1 the cotangent and the integral each grow like |cot(pi z)| and
-    cancel, so the cotangent is added exactly, in fixed point, before the one
-    rounding.  The integral runs on the trapezoid grids of
-    :func:`integrate_moments`.  Its integrand f is even at t = 0, a product of
-    two odd factors, so its end corrections there vanish and only the D_c of
-    :func:`_corrections` are built.  With s = 1 - t,
-    f(1 - s) = cot(pi s/2) (cos(pi z s) - 1 + s - cot(pi z) sin(pi z s)), and
-    cot(pi s/2) is odd, so only the even part cos(pi z s) - 1 reaches the odd
-    coefficients; with cot(pi s/2) = sum_n u_n s^(2n-1) (:func:`_series`), the
-    corrections are sum_c (-1)^c (pi z)^2c / (2c)! D_c, each (pi z)^2c/(2c)!
-    stepped from the one before.  The grid values are tan(pi k/2N) from
-    :func:`_sines` times (N sin(pi z k/N) - k sin(pi z)) / (N sin(pi z)),
-    that sine stepped from exp(i pi z/N), each one exact integer quotient
-    rounded to F = wp + 64 fraction bits; f(0) = 0, and f(1)/2 = (1 - pi z
-    cot(pi z))/pi takes half weight.
-
-    The bracket vanishes at t = +-1 and cancels those poles of tan, so f is
-    analytic for |t| < 3 and rho = 2.  Its log-size for :func:`_truncation`:
-    |f| on the discs of radius r = 63 rho/64 about [0, 1] is largest on their
-    boundary, where every odd integer is at least rho - r away (t = +-1 at
-    least r - 1), so |tan(pi t/2)| <= cosh(pi r/2) / (rho - r) as in
-    :func:`_log2_size`; |sin(pi z t)| <= cosh(pi z r) and |t| <= 1 + r, so
-    M_r <= cosh(pi r/2) / (rho - r) * (cosh(pi z r) / sin(pi z) + 1 + r).
-    The sines of the bracket carry the bits of 1/sin(pi z), which the
-    division by it costs, and log2 N more for the tangent next to t = 1, so
-    each grid value is within 2^(size - F) with 2^size >= 1/sin(pi z); the
-    rounding bound adds that and K + 2 units of 2^-F for the corrections.
-    The level loop is :func:`_level_loop`.
-    """
-    wp = working_precision(precision)
-    frac = wp + _MOMENT_BITS
-    radius = 2
-    with mp.workprec(wp):
-        sin_z = mp.sinpi(z)
-    size = max(0, -mp.mag(sin_z))  # the bits 1/sin(pi z) adds to the bracket
-    with mp.workprec(frac + size + 16):
-        cot_z = mp.cospi(z) / mp.sinpi(z)
-        pi_z = mp.pi * z
-        shift = to_fixed(cot_z._mpf_, frac)
-        end = to_fixed(((1 - pi_z * cot_z) / mp.pi)._mpf_, frac)
-        pi_z_squared = to_fixed((pi_z * pi_z)._mpf_, frac)
-    with mp.workprec(53):
-        r = radius * _DISC
-        tan_size = mp.cosh(mp.pi * r / 2) / (radius - r)
-        log_size = float(mp.log(tan_size * (mp.cosh(mp.pi * z * r) / sin_z + 1 + r), 2))
-    grid = {}  # each level's sum over its new abscissas, at frac bits
-
-    def level_estimate(wp, level):
-        n = _base_points(wp) << level
-        terms, log_bound = _truncation(n, radius, log_size, wp)
-        bits = frac + n.bit_length() + 8
-        tangents = _sines(wp, level, bits)
-        bits_z = bits + n.bit_length() + size
-        sines = _stepped_sines(mpf_div(z._mpf_, from_int(n), bits_z + 8), level, n, bits_z)
-        sine_z = to_fixed(mpf_cos_sin(z._mpf_, bits_z + 8, pi=True)[1], bits_z)
-        ks = range(1, n) if level == 0 else range(1, n, 2)
-        grid[level] = 0
-        for i, k in enumerate(ks):
-            num, den = tangents[i] * (n * sines[i] - k * sine_z), tangents[-1 - i] * n * sine_z
-            grid[level] += ((num << (frac + 1)) // den + 1) >> 1
-        points = end + sum(grid[coarser] for coarser in range(level + 1))
-        total = shift + (2 * points + n) // (2 * n)
-        at_one = _corrections(wp, level, frac, terms, 0, terms)[1]
-        x = 1 << frac
-        for c, d in enumerate(at_one, 1):
-            x = x * pi_z_squared // ((2 * c - 1) * (2 * c) << frac)
-            total += (-1) ** c * (x * d >> frac)
-        with mp.workprec(53):
-            bound = mp.ldexp(terms + 2, size - frac) + mp.ldexp(1, -wp) + mp.ldexp(1, math.ceil(log_bound))
-        count = n + 1 if level == 0 else n // 2
-        return mp.make_mpf(from_man_exp(total, -frac, wp, round_nearest)), count, bound
 
     return _level_loop(level_estimate, tol, precision)
 
@@ -590,7 +510,9 @@ def integrate_gamma(z, orders, tol, precision: int) -> list:
     (:func:`_gamma_tail`).  Order n's bound adds both tails to the rounding:
     a chain step multiplies an error by at most max(1, |x|) and v's ulp is at
     most 2^(1-F) v, so a node's term is within (6n + 8) 2^-2F (|T_0| + |T_n|
-    + 2) + 2^-(F+1) of v x^n, T_k its rounded terms.  ``tol`` is relative to
+    + 2) + 2^-(F+1) of v x^n, T_k its rounded terms.  No level lowers the
+    tails, so they are the level loop's floor, and an order whose tails
+    exceed its tolerance stops after level 0.  ``tol`` is relative to
     2^e >= |level 0's value| where that exceeds 1.  The orders share each
     level's pass and run their own level loops, so each QuadResult is bit for
     bit that of its order alone; ``evaluations`` counts the nodes.
@@ -652,7 +574,7 @@ def integrate_gamma(z, orders, tol, precision: int) -> list:
             return value, count, bound
 
         e = max(0, abs(levels[0][0][k]).bit_length() - frac - n0.bit_length() + 1)
-        return _level_loop(level_estimate, mp.ldexp(tol, e), precision)
+        return _level_loop(level_estimate, mp.ldexp(tol, e), precision, floor=tails)
 
     build(0)
     return [order(k) for k in orders]

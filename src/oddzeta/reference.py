@@ -15,18 +15,21 @@ Where that second route has no production caller it lives with the tests
 * ``digamma_ref``      upward recurrence past a precision-dependent
   threshold, then the Bernoulli asymptotic series.
 * ``digamma_mikolas``  the cotangent-plus-integral representation of
-  Mikolas (1957), its integral on the Euler-Maclaurin trapezoid grids
-  (:func:`quad.integrate_mikolas`).
+  Mikolas (1957); the bracket of its integrand is cut to an exact odd
+  polynomial that vanishes at t = 1, so the integral is a moment integral on
+  the zeta routes' engine (:func:`quad.integrate_moments`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
-from mpmath.libmp import repr_dps
+from mpmath.libmp import repr_dps, to_fixed
 
 from . import quad
 from .errors import DomainError
@@ -189,32 +192,61 @@ def digamma_ref(x, precision: int):
         return +result
 
 
+def _mikolas_quotient(z, frac: int) -> tuple:
+    """(Q at F = ``frac`` fraction bits, a bound on the integral's error from it) for the Mikolas bracket at z.
+
+    The bracket b(t) = sin(pi z t)/sin(pi z) - t is odd and entire with b(1) =
+    0; its t^m coefficient is c_m = (-1)^k (pi z)^m / (m! sin(pi z)), m = 2k + 1
+    >= 3.  |c_m| is stepped at F + 40 fraction bits from pi z / sin(pi z) by
+    one multiply by (pi z)^2 and one floored division by (m - 1) m, within 3
+    units, until it falls below 2^-(F+32); D is the last degree kept.  g_m is
+    c_m rounded to F bits and g_1 = -(g_3 + ... + g_D), which is S - S(1) t for
+    the cut series S, exactly, so g is odd with g(1) = 0, Q = g/(1 - t) is its
+    partial sums and Q(-1) = 0.  The error E = b - g vanishes at t = 1 too, so
+    E = sum_(m>=3) E_m (t^m - t) with 0 <= t - t^m <= (m - 1)(1 - t), and
+    |integral_0^1 tan(pi t/2) E dt| <= (2 log 2/pi) sum (m - 1) |E_m|, the
+    factor being integral_0^1 (1 - t) tan(pi t/2) dt.  Up to D, |E_m| <= (1/2 +
+    2^-38) 2^-F and the m - 1 sum to (D^2 - 1)/4; past D, (m - 1)|c_m| at least
+    halves per step, as (pi z)^2 <= (m - 1)(m + 2)/2 (z < 0.7 when D = 1), and
+    adds at most 2 (D + 1) 2^-(F+31).  All of it is below (D^2 + 16) 2^-(F+4).
+    """
+    bits = frac + 40
+    size = max(0, -mp.mag(mp.sinpi(z)))  # the bits 1/sin(pi z) adds to c_m
+    with mp.workprec(bits + size + 16):
+        magnitude = to_fixed((mp.pi * z / mp.sinpi(z))._mpf_, bits)
+        square = to_fixed(((mp.pi * z) ** 2)._mpf_, bits + size + 8)
+    g = [0, 0]  # g_m for m = len(g) + 1 next
+    while (magnitude := (magnitude * square >> bits + size + 8) // (len(g) * (len(g) + 1))) >> 8:
+        g += [0, (-1) ** (len(g) // 2) * ((magnitude + (1 << 39)) >> 40)]
+    g[1] = -sum(g[3::2])
+    return list(accumulate(g[:-1])), mp.ldexp((len(g) - 1) ** 2 + 16, -(frac + 4))
+
+
 def digamma_mikolas(z, precision: int):
     """digamma(z) on (0,1) from the Mikolas integral representation.
 
     psi(z) = -[gamma + 1/(2z) + pi/2 cot(pi z)
               + pi/2 * integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt].
 
-    The bracket vanishes at t = 1, cancelling the tangent pole, and the
-    integrand is even at t = 0 and analytic for |t| < 3, so the trapezoid rule
-    with end corrections at t = 1 applies; :func:`quad.integrate_mikolas`
-    returns cot(pi z) plus the integral.  As z -> 1 the two each grow like
-    |cot(pi z)| and cancel to about psi(1): the engine adds them before its
-    one rounding, and the bits of |cot(pi z)| beyond the guard bits are added
-    to the precision it computes at.  Raises NoConvergence when the integral
-    misses its tolerance.
+    The integral is :func:`quad.integrate_moments` of the Q of
+    :func:`_mikolas_quotient` (radius 2, F = wp + 64, the zeta routes' tables)
+    plus its cut's bound.  cot(pi z) and the integral cancel as z -> 1, so the
+    bits of |cot(pi z)| beyond 16 are added to the integral's precision, and
+    cot(pi z) is added after its rounding.  Raises NoConvergence when the
+    integral misses its tolerance.
     """
     with mp.workprec(quad.working_precision(precision)):
         zv = _as_mpf(z)
         if not (0 < zv < 1):
             raise DomainError("Mikolas representation needs 0 < z < 1")
-        cot_bits = mp.mag(mp.cot(mp.pi * zv))
-    inner = precision + max(0, cot_bits - quad.guard_bits(precision))
+        inner = precision + max(0, mp.mag(mp.cot(mp.pi * zv)) - 16)
     wp = quad.working_precision(inner)
     with mp.workprec(wp):
         zv = _as_mpf(z)
-        result = quad.integrate_mikolas(zv, quad.quad_tolerance(precision), inner)
+        q, cut = _mikolas_quotient(zv, wp + 64)
+        result = quad.integrate_moments(q, wp + 64, 2, quad.quad_tolerance(precision), inner)
+        result = replace(result, error_estimate=result.error_estimate + cut)
         result.require_converged(f"Mikolas digamma integral at z = {shortest_str(zv)}")
-        value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * result.value)
+        value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * (mp.cospi(zv) / mp.sinpi(zv) + result.value))
     with mp.workprec(precision):
         return +value

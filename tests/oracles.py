@@ -29,6 +29,8 @@ Each one is a second route to something the library computes, kept out of
 * ``poly_evaluator``           a PiPoly at one point by fixed-point integer
   Horner, on the coefficients ``pipoly.fixed_point`` folds for the moment
   dot product; the reference evaluator of the tests.
+* ``reflected``                the coefficients of Q(1 - s) by the binomial
+  sum, against which ``quad._taylor_shift`` is checked.
 """
 
 from __future__ import annotations
@@ -440,3 +442,8 @@ def poly_evaluator(a: PiPoly, precision: int):
         return mp.make_mpf(from_man_exp(sign * acc, -frac, precision, round_nearest))
 
     return evaluate
+
+
+def reflected(q: list) -> list:
+    """The coefficients of Q(1 - s), exactly, from those of Q(t): (-1)^i sum_m C(m, i) q_m."""
+    return [(-1) ** i * sum(math.comb(m, i) * c for m, c in enumerate(q[i:], i)) for i in range(len(q))]

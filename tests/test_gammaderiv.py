@@ -135,6 +135,22 @@ class TestNumericIntegral:
         with pytest.raises(NoConvergence, match=r"Gamma\^\(3\)\(1\.0\) integral did not converge"):
             gamma_derivatives_numeric([3, 0, 1], 1, 96)
 
+    def test_tails_above_the_tolerance_stop_at_level_0(self):
+        # at 30 digits the tails of order 80 already exceed the tolerance, and
+        # no level lowers them: the order stops after level 0 with the tails as
+        # its estimate, while order 4 of the same pass converges as usual
+        precision = 164  # 30 digits, as the CLI sets it
+        tol = quad_tolerance(precision)
+        low, high = quad.integrate_gamma(mp.mpf(1), [4, 80], tol, precision)
+        assert low.converged and low.levels >= 2
+        assert not high.converged and high.levels == 0 and high.deltas == ()
+        assert high.error_estimate > tol * abs(high.value)
+        with pytest.raises(NoConvergence) as excinfo:
+            gamma_nth_derivative_numeric(80, 1, precision)
+        message = str(excinfo.value)
+        assert "Gamma^(80)(1.0) integral did not converge: error estimate" in message
+        assert message.endswith("after level 0")
+
     def test_orders_together_match_each_alone(self):
         # one pass over the nodes for all orders; each value bit for bit its own run's
         precision = 128

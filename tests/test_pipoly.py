@@ -254,7 +254,7 @@ class TestEvaluation:
         frac, coefficients = fixed_point(quotient, wp)
         assert fixed_point(-quotient, wp) == (frac, [-c for c in coefficients])
         level, terms = 1, 6
-        taylor = quad._reflected(coefficients)
+        taylor = quad._taylor_shift(coefficients)
         total = quad._level_total(wp, level, frac, terms, coefficients, taylor)
         exact = exact_level_sum(quotient, wp, level, terms)
         degree = len(coefficients) - 1

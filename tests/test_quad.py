@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
 
 import oracles
-from oddzeta import quad, zetarep
+from oddzeta import quad, reference, zetarep
 from oddzeta.expansion import p_poly
 from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point
 from oddzeta.quad import working_precision
@@ -259,7 +260,7 @@ class TestTangentMap:
             return {
                 level: (
                     list(quad._grid_sums(wp, level, frac, degree)),
-                    tuple(map(list, quad._corrections(wp, level, frac, terms, degree // 2 + 2, (degree + 1) // 2))),
+                    tuple(map(list, quad._corrections(wp, level, frac, terms, degree))),
                 )
                 for level in order
             }
@@ -307,7 +308,7 @@ class TestTrapezoidMoments:
         quotient, _ = divide_one_minus_t(route.poly)
         radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
         frac, q = fixed_point(quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor), wp)
-        r = quad._reflected(q)
+        r = quad._taylor_shift(q)
         n = quad._base_points(wp) << level
         log_size = quad._log2_size(q, frac, radius)
         with mp.workprec(wp + 64):
@@ -326,53 +327,123 @@ class TestTrapezoidMoments:
         assert tables and {key[0] for key in tables} <= TRAPEZOID_TABLES
 
 
+class TestTaylorShift:
+    # repeated synthetic division against the binomial sum, on random signed
+    # integers of every degree up to 200 and at the digamma integral's 615
+    @pytest.mark.parametrize("degrees", [range(0, 201), [615]], ids=["0-200", "615"])
+    def test_matches_the_binomial_sum(self, degrees, rng):
+        for degree in degrees:
+            q = [rng.randrange(-(1 << 256), 1 << 256) for _ in range(degree + 1)]
+            assert quad._taylor_shift(q) == oracles.reflected(q), degree
+
+    def test_empty_and_constant(self):
+        assert quad._taylor_shift([]) == []
+        assert quad._taylor_shift([5]) == [5]
+
+
 def mikolas_value(z, wp):
     """cot(pi z) + the Mikolas integral, from psi(z) = -(gamma + 1/(2z) + pi/2 (that))."""
     with mp.workprec(wp):
         return -2 / mp.pi * (mp.digamma(z) + mp.euler + 1 / (2 * z))
 
 
+def bracket_coefficients(z, count, wp):
+    """c_1, c_3, ...: the t^m coefficients (pi z)^m (-1)^k / (m! sin(pi z)), m = 2k + 1, at wp bits."""
+    with mp.workprec(wp):
+        return [(-1) ** k * (mp.pi * z) ** (2 * k + 1) / (mp.factorial(2 * k + 1) * mp.sinpi(z)) for k in range(count)]
+
+
+def taylor_errors(q, z, frac):
+    """Where g = (1 - t) Q departs from the cut Taylor series of the bracket, as a list of messages.
+
+    g must be odd with g(1) = 0, its coefficients c_m for 3 <= m <= D rounded
+    to ``frac`` bits (within half a unit plus the 2^-38 units of the stepping),
+    and D the last degree with |c_D| >= 2^-(frac+32), up to the 3 units of
+    2^-(frac+40) by which the stepped magnitudes may miss the cut.
+    """
+    g = [b - a for a, b in zip([0] + q, q + [0])]
+    degree = len(g) - 1
+    c = bracket_coefficients(z, degree // 2 + 3, frac + 64)
+    errors = []
+    if any(g[0::2]) or sum(g):
+        errors.append("g is not odd or g(1) != 0")
+    with mp.workprec(frac + 64):
+        unit = mp.ldexp(1, -(frac + 32))
+        for m in range(3, degree + 1, 2):
+            if abs(g[m] - mp.ldexp(c[m // 2], frac)) > 0.5 + 2**-36:
+                errors.append(f"coefficient {m} is not c_{m} rounded")
+        if abs(c[degree // 2 + 1]) >= unit * (1 + 2**-6):
+            errors.append(f"c_{degree + 2} is above the cut but dropped")
+        if degree >= 3 and abs(c[degree // 2]) < unit * (1 - 2**-6):
+            errors.append(f"c_{degree} is below the cut but kept")
+    return errors
+
+
+MIKOLAS_POINTS = pytest.mark.parametrize("z", ["0.0625", "0.5", "0.9375", "0.999", "1e-9"])
+
+
 class TestMikolasGrid:
-    # every K up to N/4 below the level that converges: the trapezoid sum with K
-    # end corrections at t = 1 misses cot(pi z) + integral by no more than the
-    # DLMF 2.10.2 / Cauchy bound for K with rho = 2
-    @pytest.mark.parametrize("z", ["0.0625", "0.5", "0.9375", "0.999", "1e-9"])
-    def test_remainder_bound_holds(self, z, monkeypatch):
+    # the bracket cut to an odd polynomial g with g(1) = 0, as digamma_mikolas
+    # builds it, and Q = g / (1 - t) on the zeta routes' moment tables
+    @MIKOLAS_POINTS
+    def test_remainder_bound_holds(self, z):
+        # every K up to N/4 below the level that converges: the trapezoid sum
+        # of w Q with K end corrections, plus cot(pi z), misses cot(pi z) +
+        # the integral by no more than the DLMF 2.10.2 / Cauchy bound for K with
+        # rho = 2, the rounding of the sums and the bound of the Taylor cut
         precision = 160
         wp = working_precision(precision)
+        frac = wp + 64
         with mp.workprec(wp):
             zv = mp.mpf(z)
         want = mikolas_value(zv, wp + 64)
-        captured = []
-        monkeypatch.setattr(quad, "_level_loop", lambda estimate, tol, precision: captured.append(estimate))
-        quad.integrate_mikolas(zv, TOL30, precision)
-        (estimate,) = captured
+        q, cut = reference._mikolas_quotient(zv, frac)
+        r = quad._taylor_shift(q)
+        log_size = quad._log2_size(q, frac, 2)
+        with mp.workprec(wp + 64):
+            shift = mp.cospi(zv) / mp.sinpi(zv)
+            rounding = mp.ldexp(2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + (1 << frac), -2 * frac)
         for level in (0, 1):
             n = quad._base_points(wp) << level
             for terms in range(1, n // 4 + 1):
-                monkeypatch.setattr(
-                    quad,
-                    "_truncation",
-                    lambda n, radius, log_size, target: (terms, quad._remainder_log2(n, radius, log_size, terms)),
-                )
-                value, count, bound = estimate(wp, level)
+                total = quad._level_total(wp, level, frac, terms, q, r)
+                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, 2, log_size, terms)))
                 with mp.workprec(wp + 64):
-                    assert abs(value - want) <= bound + ulp(want, wp), (level, terms, value - want, bound)
+                    error = abs(mp.ldexp(total, -2 * frac) + shift - want)
+                    assert error <= bound + rounding + cut, (level, terms, error, bound)
+
+    @MIKOLAS_POINTS
+    def test_polynomial_is_the_cut_taylor_series(self, z):
+        precision = 160
+        frac = working_precision(precision) + 64
+        with mp.workprec(frac):
+            zv = mp.mpf(z)
+        q, cut = reference._mikolas_quotient(zv, frac)
+        assert taylor_errors(q, zv, frac) == []
+        degree = len(q)
+        assert cut == mp.ldexp(degree * degree + 16, -(frac + 4))
+
+    @MIKOLAS_POINTS
+    def test_faults_in_the_polynomial_are_caught(self, z):
+        # stopping the series one kept term early, or leaving g_1 at c_1 - 1
+        # instead of correcting it by S(1), each fails the check above
+        precision = 160
+        frac = working_precision(precision) + 64
+        with mp.workprec(frac):
+            zv = mp.mpf(z)
+        q, _ = reference._mikolas_quotient(zv, frac)
+        g = [b - a for a, b in zip([0] + q, q + [0])]
+        early = g[:-2]
+        early[1] = -sum(early[3::2])
+        assert taylor_errors(list(accumulate(early[:-1])), zv, frac)
+        with mp.workprec(frac + 64):
+            first = int(mp.nint(mp.ldexp(bracket_coefficients(zv, 1, frac + 64)[0] - 1, frac)))
+        uncorrected = [0, first] + g[2:]
+        if sum(uncorrected):  # S(1) is 0 when the roundings cancel
+            assert taylor_errors(list(accumulate(uncorrected[:-1])), zv, frac)
 
     def test_builds_no_tanh_sinh_nodes(self, cold_caches):
         precision = 200
-        with mp.workprec(working_precision(precision)):
-            quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
+        reference.digamma_mikolas(mp.mpf(3) / 10, precision)
         tables = quad._tables(working_precision(precision))
         assert tables and {key[0] for key in tables} <= TRAPEZOID_TABLES
-
-    def test_builds_no_corrections_at_zero(self, cold_caches):
-        # the integrand is even at t = 0, so only the t = 1 tables D_c are read
-        # and none of the V_a is built
-        precision = 200
-        with mp.workprec(working_precision(precision)):
-            quad.integrate_mikolas(mp.mpf(3) / 10, TOL30, precision)
-        tables = quad._tables(working_precision(precision))
-        entries = [entry for key, entry in tables.items() if key[0] == "corrections"]
-        assert entries and all(at_one for _, _, at_one in entries)
-        assert all(at_zero == [] for _, at_zero, _ in entries)
