@@ -42,6 +42,11 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
+# the largest --p and --max-p (from p = 779 on, P_2p has integers past Python's 4,300-digit
+# str limit) and --n (the Gamma integral of order 20,000 alone takes 21.5 s)
+MAX_P = 700
+MAX_N = 1000
+
 # --rep spells each representation with hyphens: ck_euler -> ck-euler
 _REP_FLAGS = {rep.value.replace("_", "-"): rep for rep in Representation}
 
@@ -235,8 +240,6 @@ def _verify_checks(max_p: int, digits: int):
 
 
 def cmd_verify(args) -> int:
-    if args.max_p < 1:
-        return _usage_error("max-p must be >= 1")
     checks = _verify_checks(args.max_p, args.digits)
     width = max(len(name) for name, _ in checks)
     records = []
@@ -298,15 +301,14 @@ def cmd_digamma(args) -> int:
 
 def cmd_gammaderiv(args) -> int:
     precision = bits_for_digits(args.digits)
-    exact = gammaderiv.gamma_nth_derivative_at_1(args.n, precision)
+    # the integral first: it gives up after level 0 where the Bell form's n oracle calls take seconds
     numeric = gammaderiv.gamma_nth_derivative_numeric(args.n, 1, precision)
+    exact = gammaderiv.gamma_nth_derivative_at_1(args.n, precision)
     labels = ("Bell form", "integral ", "|difference|")
     return _compare(args, f"Gamma^({args.n})(1)", labels, {"n": args.n}, exact, numeric, precision)
 
 
 def cmd_table(args) -> int:
-    if args.max_p < 1:
-        return _usage_error("max-p must be >= 1")
     precision = bits_for_digits(args.digits)
     rows = []
     exit_code = EXIT_OK
@@ -407,6 +409,12 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     out = getattr(args, "out", None)
     try:
+        # the caps, and --max-p < 1, which no library call sees, fail before --out is opened
+        if getattr(args, "max_p", 1) < 1:
+            raise DomainError("max-p must be >= 1")
+        for name, cap in {"p": MAX_P, "max_p": MAX_P, "n": MAX_N}.items():
+            if getattr(args, name, 0) > cap:
+                raise DomainError(f"{name.replace('_', '-')} must be at most {cap}")
         # --out is opened before anything is computed, so a bad path fails at once
         target = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
         with target as args.stream:

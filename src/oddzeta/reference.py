@@ -6,9 +6,9 @@ quantity is checked against a second, algorithmically independent route.
 Where that second route has no production caller it lives with the tests
 (``tests/oracles.py``), not here:
 
-* ``zeta_ref``         partial sum plus tail integral plus Bernoulli
-  corrections (Euler-Maclaurin); the tests hold it to Borwein's accelerated
-  eta series for s up to 25.
+* ``zeta_ref``         Borwein's accelerated eta series in integers, reading
+  no Bernoulli number; the tests hold it to the Euler-Maclaurin sum bit for
+  bit and to the same series in exact rationals.
 * ``euler_gamma``      Brent-McMillan Bessel ratio, gamma =
   S(n)/V(n) - log n with error O(e^{-4n}); cross-checked against the
   harmonic-shift route -digamma_ref(1).
@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import mpmath as mp
-from mpmath.libmp import repr_dps, to_fixed
+from mpmath.libmp import from_rational, repr_dps, round_nearest, to_fixed
 
 from . import quad
 from .errors import DomainError
@@ -73,45 +73,37 @@ def shortest_str(x) -> str:
 
 @lru_cache(maxsize=64)
 def zeta_ref(s: int, precision: int):
-    """Reference zeta(s) for integer s >= 2 by Euler-Maclaurin summation.
+    """Reference zeta(s) for integer s >= 2 by Borwein's eta series, in integers.
 
-    sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
-        + sum_j B_{2j}/(2j)! (s)_{2j-1} N^{-s-2j+1},
+    With the integers d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), each
+    summand the one before times 4 (n+i-1)(n-i+1) / (2i (2i-1)) exactly,
 
-    with N about 0.7 times the working precision in bits and correction terms
-    added until they fall below the working epsilon.  The partial sum is
-    exact in integers at wp + log2(N) + 2 fraction bits, each k^-s rounded
-    down once, and N^{-s-2j+1} is stepped by one multiply per j.  The test
-    suite's Borwein route must agree to full precision for s up to 25, so no
-    decimal value is ever taken on faith.
+        zeta(s) = 2^(s-1) / ((2^(s-1) - 1) d_n) sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^s + g_n,
+        |g_n| <= 3 (3 + sqrt 8)^-n / (1 - 2^(1-s))
+
+    (P. Borwein, "An efficient algorithm for the Riemann zeta function", CMS
+    Conf. Proc. 27, 2000).  n = floor(wp ln 2 / ln(3 + sqrt 8)) + 8 makes
+    (3 + sqrt 8)^-n < 2^-(wp+17), so |g_n| < 2^-(wp+14), as 1 - 2^(1-s) >= 1/2.
+    Each term is floored at F = bitlength(n) fraction bits: the n floors move
+    the sum by less than 2^F units of 2^-F, and zeta(s) by less than 2 / d_n <
+    2^-(wp+15), as d_n = T_n(3) > (3 + sqrt 8)^n / 2 (T_n the Chebyshev
+    polynomial).  The quotient is rounded once, to nearest at ``precision``
+    bits, so the value is correctly rounded unless zeta(s) lies within
+    2^-(wp+13) of a rounding boundary.  No Bernoulli number is read.
     """
     if s < 2:
         raise DomainError("zeta oracle needs integer s >= 2")
     wp = quad.working_precision(precision)
-    with mp.workprec(wp):
-        cutoff = max(10, int(0.7 * wp))
-        eps = mp.ldexp(1, -wp)
-        frac = wp + cutoff.bit_length() + 2
-        unit = 1 << frac
-        acc = mp.ldexp(sum(unit // k**s for k in range(1, cutoff)), -frac)
-        tail = mp.mpf(cutoff) ** (-s)
-        acc += cutoff * tail / (s - 1) + tail / 2
-        rising = mp.mpf(s)  # (s)_{2j-1} at j = 1
-        power = tail / cutoff  # N^{-s-2j+1} at j = 1
-        inverse_square = 1 / mp.mpf(cutoff * cutoff)
-        j = 1
-        while True:
-            b = bernoulli_number(2 * j)
-            term = fraction_to_mpf(b) / math.factorial(2 * j) * rising * power
-            acc += term
-            if abs(term) < eps * abs(acc):
-                break
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            power *= inverse_square
-            j += 1
-        result = acc
-    with mp.workprec(precision):
-        return +result
+    n = int(wp * math.log(2) / math.log(3 + math.sqrt(8))) + 8
+    frac = n.bit_length()
+
+    def step(summand, i):
+        return summand * 4 * (n + i - 1) * (n - i + 1) // (2 * i * (2 * i - 1))
+
+    d = list(accumulate(accumulate(range(1, n + 1), step, initial=1)))
+    total = sum((-1) ** k * ((d[n] - d[k] << frac) // (k + 1) ** s) for k in range(n))
+    half = 1 << (s - 1)
+    return mp.make_mpf(from_rational(total * half, (half - 1) * d[n] << frac, precision, round_nearest))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Each one is a second route to something the library computes, kept out of
 ``src/`` because no production code path calls it.  The file does not match
 ``test_*``, so pytest imports it only through the test modules.
 
-* ``zeta_borwein``             zeta(s) by Borwein's accelerated eta series,
-  the second route to ``reference.zeta_ref``.
+* ``zeta_euler_maclaurin``     zeta(s) by Euler-Maclaurin summation, once
+  ``reference.zeta_ref``: it reads the Bernoulli numbers that the fixed-point
+  series does not, and the tests hold the two equal bit for bit.
+* ``zeta_borwein``             Borwein's eta series of ``reference.zeta_ref``
+  in exact rationals and mpf terms.
 * ``dl_series_check``          residual of the zeta power series of
   -psi(1-z) - gamma.
 * ``integrate_01_many``, ``integrate_one``
@@ -166,12 +169,54 @@ def integrate_one(f, tol, precision: int):
 # zeta
 # ---------------------------------------------------------------------------
 
+def zeta_euler_maclaurin(s: int, precision: int):
+    """Reference zeta(s) for integer s >= 2 by Euler-Maclaurin summation.
+
+    sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
+        + sum_j B_{2j}/(2j)! (s)_{2j-1} N^{-s-2j+1},
+
+    with N about 0.7 times the working precision in bits and correction terms
+    added until they fall below the working epsilon.  The partial sum is
+    exact in integers at wp + log2(N) + 2 fraction bits, each k^-s rounded
+    down once, and N^{-s-2j+1} is stepped by one multiply per j.
+    """
+    if s < 2:
+        raise DomainError("zeta oracle needs integer s >= 2")
+    wp = quad.working_precision(precision)
+    with mp.workprec(wp):
+        cutoff = max(10, int(0.7 * wp))
+        eps = mp.ldexp(1, -wp)
+        frac = wp + cutoff.bit_length() + 2
+        unit = 1 << frac
+        acc = mp.ldexp(sum(unit // k**s for k in range(1, cutoff)), -frac)
+        tail = mp.mpf(cutoff) ** (-s)
+        acc += cutoff * tail / (s - 1) + tail / 2
+        rising = mp.mpf(s)  # (s)_{2j-1} at j = 1
+        power = tail / cutoff  # N^{-s-2j+1} at j = 1
+        inverse_square = 1 / mp.mpf(cutoff * cutoff)
+        j = 1
+        while True:
+            b = exactnum.bernoulli_number(2 * j)
+            term = fraction_to_mpf(b) / math.factorial(2 * j) * rising * power
+            acc += term
+            if abs(term) < eps * abs(acc):
+                break
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            power *= inverse_square
+            j += 1
+        result = acc
+    with mp.workprec(precision):
+        return +result
+
+
 def zeta_borwein(s: int, precision: int):
     """zeta(s) via the eta function and Borwein's alternating-series weights.
 
     eta(s) is summed with the exact integer weights
         d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!),
-    giving error about (3 + sqrt 8)^-n, then zeta = eta / (1 - 2^{1-s}).
+    giving error about (3 + sqrt 8)^-n, then zeta = eta / (1 - 2^{1-s}):
+    the series of ``reference.zeta_ref``, with the weights in Fractions and
+    each term an mpf division.
     """
     if s < 2:
         raise DomainError("zeta oracle needs integer s >= 2")

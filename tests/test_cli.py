@@ -511,6 +511,73 @@ def test_out_into_missing_directory(command, capsys, tmp_path, monkeypatch):
     assert not target.exists()
 
 
+class TestCaps:
+    # one cap on --p and --max-p and one on --n, each a DomainError that names
+    # it; from p = 779 on, printing P_2p raised a traceback from Python's
+    # 4,300-digit limit for int-to-str conversion
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "--p", str(cli.MAX_P + 1)],
+            ["poly", "--p", "779", "--format", "json"],
+            ["poly", "--p", "1000", "--format", "latex"],
+            ["compute", "--p", str(cli.MAX_P + 1), "--digits", "30"],
+            ["table", "--max-p", str(cli.MAX_P + 1)],
+            ["verify", "--max-p", str(cli.MAX_P + 1)],
+            ["gammaderiv", "--n", str(cli.MAX_N + 1), "--digits", "30"],
+            ["gammaderiv", "--n", "2000", "--digits", "30"],
+        ],
+    )
+    def test_above_the_cap_is_one_error_line(self, argv, capsys, monkeypatch):
+        def no_computing(*args, **kwargs):
+            raise AssertionError("computed past the cap")
+
+        for module, function in [(cli.expansion, "p_poly"), (zetarep, "zeta_odd"), (cli.gammaderiv, "gamma_derivatives_numeric")]:
+            monkeypatch.setattr(module, function, no_computing)
+        name = argv[1].removeprefix("--")
+        cap = cli.MAX_N if name == "n" else cli.MAX_P
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {name} must be at most {cap}\n"
+
+    @pytest.mark.parametrize("format", ["text", "json", "latex"])
+    def test_poly_at_the_cap(self, format, capsys):
+        code, out, err = run(["poly", "--p", str(cli.MAX_P), "--format", format], capsys)
+        assert code == EXIT_OK and err == ""
+        assert str(2 * cli.MAX_P + 1) in out  # the degree of t in the top term
+
+    def test_compute_at_the_cap(self, capsys):
+        code, out, _ = run(["compute", "--p", str(cli.MAX_P), "--digits", "30", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["diagnostics"]["converged"] is True
+
+    def test_table_and_verify_at_the_cap(self, capsys, monkeypatch):
+        # the cap is let through; the 2,800 integrals it would run are stubbed out
+        reached = []
+        monkeypatch.setattr(cli, "_computations", lambda p, precision: reached.append(p) or [])
+        code, out, _ = run(["table", "--max-p", str(cli.MAX_P), "--digits", "10"], capsys)
+        assert code == EXIT_OK and out.splitlines() == ["p,rep,value,abs_error,evaluations"]
+        assert reached == list(range(1, cli.MAX_P + 1))
+        monkeypatch.setattr(cli, "_verify_checks", lambda max_p, digits: [("cap", lambda: f"max_p = {max_p}")])
+        code, out, _ = run(["verify", "--max-p", str(cli.MAX_P)], capsys)
+        assert code == EXIT_OK
+        assert verify_rows(out)["cap"].startswith(f"PASS max_p = {cli.MAX_P}  [")
+
+    def test_gammaderiv_at_the_cap_fails_in_the_integral(self, capsys, monkeypatch):
+        # the integral runs first and gives up after level 0, so the Bell form's
+        # thousand oracle calls are never made
+        def no_bell(*args):
+            raise AssertionError("Bell form computed before the integral")
+
+        monkeypatch.setattr(cli.gammaderiv, "gamma_nth_derivative_at_1", no_bell)
+        code, out, err = run(["gammaderiv", "--n", str(cli.MAX_N), "--digits", "30"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err.startswith(f"error: Gamma^({cli.MAX_N})(1.0) integral did not converge: error estimate ")
+        assert err.endswith(" after level 0\n") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run(["verify", "--max-p", "2", "--digits", "15"], capsys)
@@ -596,6 +663,27 @@ class TestVerify:
         rows = verify_rows(out)
         assert rows["lemma"].startswith("PASS") and rows["series-product"].startswith("PASS")
         assert re.match(r"FAIL worst representation error \S+ exceeds bound  \[", rows["representations"])
+
+    def test_corrupted_bernoulli_tail_leaves_the_oracle(self, capsys, monkeypatch, cold_caches):
+        # B_40 doubled, inside the end corrections' range at 100 digits: every
+        # route converges off, and the zeta oracle, which reads no Bernoulli
+        # number, keeps every bit, so the representations check fails on the gap
+        precision = cli.bits_for_digits(100)
+        clean = [reference.zeta_ref(s, precision)._mpf_ for s in range(2, 6)]
+        for cached in cold_caches:
+            cached.cache_clear()
+        real = exactnum.bernoulli_number
+
+        def corrupted(n):
+            return 2 * real(n) if n == 40 else real(n)
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        monkeypatch.setattr(reference, "bernoulli_number", corrupted)
+        code, out, _ = run(["verify", "--max-p", "2", "--digits", "100"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert verify_rows(out)["representations"].startswith("FAIL worst representation error ")
+        # the run's oracle values, zeta(2..5) at 100 digits, come from the cache
+        assert [reference.zeta_ref(s, precision)._mpf_ for s in range(2, 6)] == clean
 
     def test_corrupted_bernoulli_tail_fails_digamma_grid(self, capsys, monkeypatch, cold_caches):
         # B_40 doubled: the Mikolas integral's t = 1 corrections at 120 digits

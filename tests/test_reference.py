@@ -3,11 +3,12 @@
 import mpmath as mp
 import pytest
 
+from oddzeta import exactnum, reference
 from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, NoConvergence
 from oddzeta.quad import quad_tolerance, working_precision
 from oddzeta.reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
-from oracles import digamma_steps, dl_series_check, pole_cancellation_check, zeta_borwein
+from oracles import digamma_steps, dl_series_check, pole_cancellation_check, zeta_borwein, zeta_euler_maclaurin
 
 # 40-digit anchors, each produced by two algorithmically independent methods
 # before being frozen here
@@ -23,6 +24,33 @@ class TestZetaOracle:
         b = zeta_borwein(s, precision)
         with mp.workprec(precision + 16):
             assert abs(a - b) < mp.ldexp(1, -(precision - 6))
+
+    @pytest.mark.parametrize("digits", [15, 30, 60, 100, 120])
+    def test_equals_euler_maclaurin_bit_for_bit(self, digits):
+        # the integer eta series against the Bernoulli-corrected sum it replaced
+        precision = bits_for_digits(digits)
+        for s in range(2, 34):
+            assert zeta_ref(s, precision)._mpf_ == zeta_euler_maclaurin(s, precision)._mpf_, s
+
+    @pytest.mark.parametrize("digits", [1000, 2000])
+    def test_zeta3_equals_euler_maclaurin_bit_for_bit(self, digits):
+        precision = bits_for_digits(digits)
+        assert zeta_ref(3, precision)._mpf_ == zeta_euler_maclaurin(3, precision)._mpf_
+
+    @pytest.mark.parametrize("digits", [15, 120])
+    def test_reads_no_bernoulli_number(self, digits, monkeypatch, cold_caches):
+        precision = bits_for_digits(digits)
+        want = [zeta_ref(s, precision)._mpf_ for s in range(2, 34)]
+        for cached in cold_caches:
+            cached.cache_clear()
+
+        def refused(n):
+            raise AssertionError(f"zeta_ref read index {n}")
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", refused)
+        monkeypatch.setattr(reference, "bernoulli_number", refused)
+        monkeypatch.setattr(exactnum, "_zigzag", refused)
+        assert [zeta_ref(s, precision)._mpf_ for s in range(2, 34)] == want
 
     def test_zeta2_is_pi_squared_over_six(self):
         precision = 256
