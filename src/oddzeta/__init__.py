@@ -16,14 +16,14 @@ from .errors import (
     OddzetaError,
 )
 from .exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
-from .expansion import p_poly, u_coeff, w_coeff
+from .expansion import p_poly, w_coeff
 from .gammaderiv import (
     bell_complete,
     gamma_derivatives_numeric,
     gamma_nth_derivative_at_1,
     gamma_nth_derivative_numeric,
 )
-from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval, poly_scale
+from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval
 from .quad import QuadResult
 from .reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from .zetarep import (
@@ -62,8 +62,6 @@ __all__ = [
     "laurent_eval",
     "lemma_check",
     "p_poly",
-    "poly_scale",
-    "u_coeff",
     "w_coeff",
     "zeta_even_closed",
     "zeta_even_value",

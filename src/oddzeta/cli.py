@@ -82,11 +82,6 @@ def _respond(args, payload, lines) -> None:
     args.stream.write(render_json(payload) if args.format == "json" else "\n".join(lines) + "\n")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _factored_text(p: int) -> str | None:
     entry = _FACTORED_FORMS.get(p)
     if entry is None:
@@ -291,7 +286,7 @@ def cmd_digamma(args) -> int:
         with mp.workprec(precision):
             z = mp.mpf(args.z)
     except (ValueError, TypeError):
-        return _usage_error(f"cannot parse z = {args.z!r}")
+        raise DomainError(f"cannot parse z = {args.z!r}") from None
     mikolas = reference.digamma_mikolas(z, precision)
     oracle = reference.digamma_ref(z, precision)
     title = f"psi({reference.shortest_str(z)})"

@@ -4,16 +4,16 @@ Everything here is exact.  With z the expansion variable about 0, the
 paper defines P_2p by w_2p(t) = cos(pi t) P_2p(t), so only the cos(pi t)
 half of each series is built:
 
-* ``u_coeff(k)``    cos(pi t) part of the Taylor coefficient of
-  sin(pi t (1-z)) = sin(pi t) cos(pi t z) - cos(pi t) sin(pi t z), that is the
-  z^k coefficient of -sin(pi t z): (-1)^((k+1)/2) (pi t)^k / k! for odd k and
-  zero for even k.
 * ``csc_coefficient``  Laurent coefficients of 1/sin(pi(1-z)) = 1/sin(pi z):
   1/(pi z) + pi z/6 + 7 pi^3 z^3/360 + ..., odd orders only, built from
   even-index Bernoulli numbers.
-* ``w_coeff(p)``    cos(pi t) part of their Cauchy product for p >= 0,
-  w_p = sum_j v_j u_{p-j} over j in {-1, 1, 3, ...}; zero for odd p.  The
-  sine half, never built, holds the p = -1 term v_{-1} sin(pi t) =
+* ``w_coeff(p)``    cos(pi t) part of the z^p coefficient of the product for
+  p >= 0; zero for odd p.  The cos(pi t) part of the z^k coefficient of
+  sin(pi t (1-z)) = sin(pi t) cos(pi t z) - cos(pi t) sin(pi t z) is that of
+  -sin(pi t z), -(pi t)^k / k! for k = 4m+1 and +(pi t)^k / k! for k = 4m+3,
+  so the Cauchy product with the csc coefficients c_j pi^j, j in
+  {-1, 1, 3, ...}, is one monomial per j, all at t-exponents p - j that
+  differ.  The sine half, never built, holds the p = -1 term
   pi^{-1} sin(pi t); the check that it cancels the cotangent pole lives with
   the tests (``tests/oracles.py``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
@@ -21,9 +21,8 @@ half of each series is built:
   sin(pi z) must be zero, a check that compares with no Bernoulli number
   or stored constant.
 
-``w_coeff`` sums its terms in one accumulation pass (:meth:`PiPoly.sum`).
-Only ``csc_coefficient`` and ``p_poly`` are cached: a ``u_coeff`` is one
-monomial, and each ``w_coeff`` is read once, by ``p_poly``.
+Only ``csc_coefficient`` and ``p_poly`` are cached: each ``w_coeff`` is read
+once, by ``p_poly``.
 """
 
 from __future__ import annotations
@@ -34,30 +33,13 @@ from math import factorial
 
 from . import exactnum
 from .errors import DomainError, IdentityViolation
-from .pipoly import PiLaurent, PiPoly, poly_scale
+from .pipoly import PiLaurent, PiPoly
 
 __all__ = [
     "csc_coefficient",
-    "u_coeff",
     "w_coeff",
     "p_poly",
 ]
-
-
-def u_coeff(k: int) -> PiPoly:
-    """cos(pi t) part of the k-th Taylor coefficient of z -> sin(pi t (1 - z)) about z = 0.
-
-    Differentiating k times gives (-pi t)^k sin(pi t + k pi/2); even k rotate
-    onto sin(pi t) alone, so only odd k have a cosine part:
-
-        k = 4m+1: - (pi t)^k / k!      k = 4m+3: + (pi t)^k / k!
-    """
-    if k < 0:
-        raise DomainError("series index must be >= 0")
-    if k % 2 == 0:
-        return PiPoly.zero()
-    sign = -1 if ((k + 1) // 2) % 2 else 1
-    return PiPoly.monomial(k, k, Fraction(sign, factorial(k)))
 
 
 @lru_cache(maxsize=None)
@@ -81,15 +63,20 @@ def csc_coefficient(k: int) -> PiLaurent:
 def w_coeff(p: int) -> PiPoly:
     """cos(pi t) part of the z^p coefficient of sin(pi t (1-z)) / sin(pi (1-z)), for p >= 0.
 
-    Cauchy product over the pole index -1 and the odd csc indices j <= p:
-    w_p = sum v_j u_{p-j}, summed in one pass.  Every term has pi-grading p,
-    since v_j carries pi^j and u_{p-j} carries pi^{p-j}.  Odd p give zero.
+    The Cauchy product over the pole index -1 and the odd csc indices j < p,
+    written out: c_j pi^j times the sine's -+(pi t)^(p-j) / (p-j)! is the term
+    t^(p-j) pi^p, with - for p - j = 1 (mod 4) and + for p - j = 3.  No two
+    terms share a t-exponent.  Odd p give zero.
     """
     if p < 0:
         raise DomainError("product-series index must be >= 0")
-    return PiPoly.sum(
-        poly_scale(u_coeff(p - j), csc_coefficient(j)) for j in [-1, *range(1, p + 1, 2)]
-    )
+    if p % 2:
+        return PiPoly.zero()
+    terms = {}
+    for j in [-1, *range(1, p, 2)]:
+        sign = -1 if (p - j) % 4 == 1 else 1
+        terms[p - j, p] = sign * csc_coefficient(j).as_dict()[j] / factorial(p - j)
+    return PiPoly(terms)
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +84,11 @@ def p_poly(p: int) -> PiPoly:
     """The polynomial P_{2p}(t) with w_{2p}(t) = cos(pi t) P_{2p}(t), for p >= 1.
 
     It is the Cauchy product coefficient w_{2p}, checked exactly at t = 1.
-    There u_k(1) = -[z^k] sin(pi z), so P_{2p}(1) = -[z^{2p}] csc(pi z)
-    sin(pi z), which is 0 since csc(pi z) sin(pi z) = 1.  A nonzero value
-    means a corrupted csc coefficient (a wrong Bernoulli number B_{2m} makes
-    it nonzero for every p >= m) and raises IdentityViolation.
+    There the sine factor -sin(pi t z) is -sin(pi z), so P_{2p}(1) =
+    -[z^{2p}] csc(pi z) sin(pi z), which is 0 since csc(pi z) sin(pi z) = 1.
+    A nonzero value means a corrupted csc coefficient (a wrong Bernoulli
+    number B_{2m} makes it nonzero for every p >= m) and raises
+    IdentityViolation.
     """
     if p <= 0:
         raise DomainError("p must be >= 1")

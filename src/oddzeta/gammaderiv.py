@@ -23,7 +23,7 @@ from typing import Sequence
 import mpmath as mp
 
 from . import quad, reference
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 
 __all__ = [
     "bell_complete",
@@ -73,7 +73,8 @@ def gamma_derivatives_numeric(orders: Sequence[int], z, precision: int) -> list:
     value is bit for bit that of its order alone.  Raises DomainError for a
     negative order and for a z that is not finite or below 1, where the
     engine's tail bounds are not derived, and NoConvergence for the first
-    order in ``orders`` that misses its tolerance (relative, beyond 1).
+    order in ``orders`` that misses its tolerance (relative, beyond 1), or
+    for which no tail bound is derived at this precision.
     """
     if any(n < 0 for n in orders):
         raise DomainError("derivative order must be >= 0")
@@ -83,7 +84,10 @@ def gamma_derivatives_numeric(orders: Sequence[int], z, precision: int) -> list:
         raise DomainError(f"the integral form needs a finite z >= 1, not {reference.shortest_str(zv)}")
     results = quad.integrate_gamma(zv, orders, quad.quad_tolerance(precision), precision)
     for n, result in zip(orders, results):
-        result.require_converged(f"Gamma^({n})({reference.shortest_str(zv)}) integral")
+        what = f"Gamma^({n})({reference.shortest_str(zv)}) integral"
+        if mp.isinf(result.error_estimate):
+            raise NoConvergence(f"{what} did not converge: no tail bound is derived for order {n} at this precision")
+        result.require_converged(what)
     return [result.value for result in results]
 
 

@@ -5,12 +5,10 @@ multiples of nonnegative powers of pi, stored as a term map
 ``(t_exp, pi_exp) -> Fraction``.  A :class:`PiLaurent` is a scalar: a finite
 rational combination of integer (possibly negative) powers of pi, keyed by
 pi_exp.  Both are one canonical term map (no zero coefficients) with one
-shared accumulator, one shared set of ring operators and one summing
-constructor (``sum``, which adds any number of values in one accumulation
-pass); the subclasses add only key validation and how two keys combine in a
-product.  Powers of pi stay symbolic through every algebraic operation;
-nothing is rounded until an explicit numeric evaluation at a stated bit
-precision.
+shared accumulator and one shared set of ring operators; the subclasses add
+only key validation and how two keys combine in a product.  Powers of pi
+stay symbolic through every algebraic operation; nothing is rounded until an
+explicit numeric evaluation at a stated bit precision.
 
 The module also integrates a PiPoly against sin(pi t) over (0,1) exactly, as
 a finite sum of end-point derivatives (:func:`integrate_against_sin`), which
@@ -48,7 +46,6 @@ from .errors import DomainError
 __all__ = [
     "PiPoly",
     "PiLaurent",
-    "poly_scale",
     "fraction_to_mpf",
     "fixed_point",
     "divide_one_minus_t",
@@ -96,11 +93,6 @@ class _TermMap:
     @classmethod
     def zero(cls):
         return cls._wrap({})
-
-    @classmethod
-    def sum(cls, values: Iterable):
-        """Sum of same-type values in one accumulation pass over all their terms."""
-        return cls._wrap(_accumulate(kc for value in values for kc in value._terms.items()))
 
     def as_dict(self) -> dict:
         return dict(self._terms)
@@ -218,23 +210,6 @@ class PiPoly(_TermMap):
             for (i, j), c in self._terms.items()
         )
         return PiLaurent._wrap({j: Fraction(s, den * d**degree) for j, s in sums.items()})
-
-
-# ---------------------------------------------------------------------------
-# scaling by pi-Laurent scalars
-# ---------------------------------------------------------------------------
-
-def poly_scale(a: PiPoly, scalar: PiLaurent) -> PiPoly:
-    """Multiply a polynomial by a pi-Laurent scalar.
-
-    The scalar may carry negative pi-exponents as long as every term of the
-    product still has nonnegative grading; otherwise the PiPoly grading rule
-    raises DomainError.  (The lowest pi-exponent at each t-degree comes from
-    one product of nonzero terms, so a negative one can never cancel.)
-    """
-    return PiPoly(
-        ((i, j + e), c * s) for (i, j), c in a._terms.items() for e, s in scalar._terms.items()
-    )
 
 
 # ---------------------------------------------------------------------------

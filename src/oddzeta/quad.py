@@ -13,8 +13,9 @@ Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments M_m = h sum''
 w(t_k) t_k^m - (end corrections of w t^m), cached per level:
 
 * Grid.  sin(pi k/2N) is Im z^k with z = exp(i pi/(2N)), stepped from one
-  cos/sin pair per level (:func:`_sines`), and tan(pi t_k/2) = sin(pi k/2N) /
-  sin(pi (N-k)/2N), a ratio of two well-conditioned sines even next to t = 1.
+  cos/sin pair per level (:func:`_grid_sums`; the sines are not kept), and
+  tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N), a ratio of two
+  well-conditioned sines even next to t = 1.
   With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, so
   a level's grid moments are combined exactly and divided by N^(m+1) once, in
   the dot product with the q_m.
@@ -157,7 +158,7 @@ def _estimate_error(sums: list, wp: int):
 
 @lru_cache(maxsize=4)  # four working precisions
 def _tables(wp: int) -> dict:
-    """Per-precision store of the trapezoid tables: sines, grid sums, end corrections, their series."""
+    """Per-precision store of the trapezoid tables: grid sums, end corrections, their series."""
     return {}
 
 
@@ -169,31 +170,6 @@ def _base_points(wp: int) -> int:
     of the integrand; rho = 1 takes one level more.
     """
     return -(-(wp + 40) // 12)
-
-
-def _sines(wp: int, level: int, bits: int) -> list:
-    """sin(pi k/2N) at ``bits`` fraction bits for the new k of a level of the grid N, cached.
-
-    Im w^k, w = exp(i pi/2N) from one cos/sin pair, is stepped by w over k =
-    1..N-1 at level 0 and by w^2 over the odd k after.  The entry for k is
-    within about N 2^-bits of its value, relatively, and the one for N - k
-    sits at the mirrored index, so tan(pi k/2N) is ``sines[i] / sines[-1 - i]``.
-    """
-    store = _tables(wp)
-    key = ("sines", level, bits)
-    if key not in store:
-        n = _base_points(wp) << level
-        cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True))
-        if level == 0:
-            count, step = n - 1, (cos, sin)
-        else:
-            count, step = n // 2, ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
-        sines, re, im = [], cos, sin
-        for _ in range(count):
-            sines.append(im)
-            re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
-        store[key] = sines
-    return store[key]
 
 
 def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
@@ -210,9 +186,18 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
     entry = store.get(key)
     if entry is None:
         n = _base_points(wp) << level
+        # sin(pi k/2N) = Im w^k, w = exp(i pi/2N), at F + bitlength(N) + 8 bits:
+        # stepped by w over k = 1..N-1 at level 0 and by w^2 over the odd k
+        # after, each within about N 2^-bits relatively; the entry for N - k
+        # sits at the mirrored index
         bits = frac + n.bit_length() + 8
-        sines = _sines(wp, level, bits)
+        cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True))
+        step = (cos, sin) if level == 0 else ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
         ks = list(range(1, n) if level == 0 else range(1, n, 2))
+        sines, re, im = [], cos, sin
+        for _ in ks:
+            sines.append(im)
+            re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
         weights = []
         for i, k in enumerate(ks):
             # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N)

@@ -87,9 +87,11 @@ def zeta_ref(s: int, precision: int):
     Each term is floored at F = bitlength(n) fraction bits: the n floors move
     the sum by less than 2^F units of 2^-F, and zeta(s) by less than 2 / d_n <
     2^-(wp+15), as d_n = T_n(3) > (3 + sqrt 8)^n / 2 (T_n the Chebyshev
-    polynomial).  The quotient is rounded once, to nearest at ``precision``
-    bits, so the value is correctly rounded unless zeta(s) lies within
-    2^-(wp+13) of a rounding boundary.  No Bernoulli number is read.
+    polynomial).  So d_n comes first, from T_(k+1)(3) = 6 T_k(3) - T_(k-1)(3),
+    and each d_k is stepped inside the sum: no weight is kept.  The quotient
+    is rounded once, to nearest at ``precision`` bits, so the value is
+    correctly rounded unless zeta(s) lies within 2^-(wp+13) of a rounding
+    boundary.  No Bernoulli number is read.
     """
     if s < 2:
         raise DomainError("zeta oracle needs integer s >= 2")
@@ -97,13 +99,17 @@ def zeta_ref(s: int, precision: int):
     n = int(wp * math.log(2) / math.log(3 + math.sqrt(8))) + 8
     frac = n.bit_length()
 
-    def step(summand, i):
-        return summand * 4 * (n + i - 1) * (n - i + 1) // (2 * i * (2 * i - 1))
-
-    d = list(accumulate(accumulate(range(1, n + 1), step, initial=1)))
-    total = sum((-1) ** k * ((d[n] - d[k] << frac) // (k + 1) ** s) for k in range(n))
+    d_prev, d_n = 1, 3  # T_0(3), T_1(3)
+    for _ in range(n - 1):
+        d_prev, d_n = d_n, 6 * d_n - d_prev
+    total, summand, d = 0, 1, 1  # the summand of i = 0 and d_0
+    for k in range(n):
+        term = (d_n - d << frac) // (k + 1) ** s
+        total += -term if k % 2 else term
+        summand = summand * 4 * (n + k) * (n - k) // (2 * (k + 1) * (2 * k + 1))
+        d += summand
     half = 1 << (s - 1)
-    return mp.make_mpf(from_rational(total * half, (half - 1) * d[n] << frac, precision, round_nearest))
+    return mp.make_mpf(from_rational(total * half, (half - 1) * d_n << frac, precision, round_nearest))
 
 
 # ---------------------------------------------------------------------------

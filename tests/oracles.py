@@ -54,7 +54,6 @@ from oddzeta.pipoly import (
     fixed_point,
     fraction_to_mpf,
     laurent_eval,
-    poly_scale,
 )
 from oddzeta.reference import _as_mpf, digamma_ref, euler_gamma, zeta_ref
 
@@ -424,7 +423,7 @@ def alpha_term(index: int) -> PiPoly:
 
 
 def closed_form_p_poly(p: int) -> PiPoly:
-    """P_2p by the paper's closed form, summed in one pass.
+    """P_2p by the paper's closed form.
 
     The three alpha tail terms, with pi^2/6 and 7 pi^4/360 typed in, plus the
     odd-n sum of (-1)^{(n+1)/2} (pi t)^n / n! times the csc coefficient of
@@ -442,13 +441,14 @@ def closed_form_p_poly(p: int) -> PiPoly:
         odd_terms.append(
             PiPoly.monomial(n, 2 * p, sign * csc / (math.factorial(n) * math.factorial(2 * m)))
         )
-    return PiPoly.sum(
+    return sum(
         [
             alpha_term(2 * p),
-            poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6))),
-            poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360))),
+            alpha_term(2 * p - 2) * PiPoly.monomial(0, 2, Fraction(1, 6)),
+            alpha_term(2 * p - 4) * PiPoly.monomial(0, 4, Fraction(7, 360)),
             *odd_terms,
-        ]
+        ],
+        PiPoly.zero(),
     )
 
 

@@ -574,8 +574,17 @@ class TestCaps:
         code, out, err = run(["gammaderiv", "--n", str(cli.MAX_N), "--digits", "30"], capsys)
         assert code == EXIT_NO_CONVERGENCE
         assert out == ""
-        assert err.startswith(f"error: Gamma^({cli.MAX_N})(1.0) integral did not converge: error estimate ")
-        assert err.endswith(" after level 0\n") and err.count("\n") == 1
+        assert err == (
+            f"error: Gamma^({cli.MAX_N})(1.0) integral did not converge: "
+            f"no tail bound is derived for order {cli.MAX_N} at this precision\n"
+        )
+
+    def test_gammaderiv_with_a_tail_bound_prints_it(self, capsys):
+        # order 80's tails are bounded, but above the tolerance at 30 digits
+        code, out, err = run(["gammaderiv", "--n", "80", "--digits", "30"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err == "error: Gamma^(80)(1.0) integral did not converge: error estimate 9.7133e+83 after level 0\n"
 
 
 class TestVerify:

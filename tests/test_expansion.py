@@ -3,14 +3,13 @@
 from fractions import Fraction
 from math import factorial
 
-import mpmath as mp
 import pytest
 
 from oddzeta import exactnum
 from oddzeta.errors import DomainError, IdentityViolation
-from oddzeta.expansion import csc_coefficient, p_poly, u_coeff, w_coeff
-from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin, poly_scale
-from oracles import alpha_term, closed_form_p_poly, poly_evaluator
+from oddzeta.expansion import csc_coefficient, p_poly, w_coeff
+from oddzeta.pipoly import PiLaurent, PiPoly, integrate_against_sin
+from oracles import alpha_term, closed_form_p_poly
 
 
 def sine_series_coefficient(m: int) -> PiLaurent:
@@ -62,30 +61,6 @@ EXPECTED_P = {
 
 
 class TestSeriesCoefficients:
-    def test_u_base(self):
-        # u_0 = sin(pi t) has no cosine part
-        assert u_coeff(0).is_zero()
-
-    def test_u_first(self):
-        assert u_coeff(1) == PiPoly.monomial(1, 1, -1)
-
-    def test_u_second(self):
-        # the second cosine coefficient flips the sign: +(pi t)^3 / 3!
-        assert u_coeff(3) == PiPoly.monomial(3, 3, Fraction(1, 6))
-
-    def test_u_partial_sums_converge_numerically(self):
-        # sum u_k z^k must reproduce -sin(pi t z), the cos(pi t) part of
-        # sin(pi t (1 - z)); checks both signs of the rotation
-        precision = 96
-        with mp.workprec(precision):
-            t = mp.mpf(3) / 10
-            z = mp.mpf(2) / 5
-            total = mp.mpf(0)
-            for k in range(26):
-                total += poly_evaluator(u_coeff(k), precision)(t) * z**k
-            target = -mp.sin(mp.pi * t * z)
-            assert abs(total - target) < mp.mpf(10) ** -20
-
     def test_csc_examples(self):
         assert csc_coefficient(-1) == PiLaurent.monomial(-1, 1)
         assert csc_coefficient(1) == PiLaurent.monomial(1, Fraction(1, 6))
@@ -124,9 +99,8 @@ class TestProductCoefficients:
         assert w_coeff(4) == PiPoly(EXPECTED_P[2])
 
     def test_parity(self):
-        # even u_k and odd w_p are pure sines: their cos(pi t) parts vanish
+        # odd w_p are pure sines: their cos(pi t) parts vanish
         for index in range(0, 13):
-            assert u_coeff(2 * index).is_zero(), index
             assert w_coeff(2 * index + 1).is_zero(), index
 
 
@@ -194,8 +168,8 @@ class TestAlphaTail:
         for p in range(2, 9):
             expected = (
                 alpha_term(2 * p)
-                + poly_scale(alpha_term(2 * p - 2), PiLaurent.monomial(2, Fraction(1, 6)))
-                + poly_scale(alpha_term(2 * p - 4), PiLaurent.monomial(4, Fraction(7, 360)))
+                + alpha_term(2 * p - 2) * PiPoly.monomial(0, 2, Fraction(1, 6))
+                + alpha_term(2 * p - 4) * PiPoly.monomial(0, 4, Fraction(7, 360))
             )
             assert alpha_tail(p) == expected, p
 

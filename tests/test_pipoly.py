@@ -17,7 +17,6 @@ from oddzeta.pipoly import (
     fraction_to_mpf,
     integrate_against_sin,
     laurent_eval,
-    poly_scale,
     to_json_terms,
     to_latex,
 )
@@ -58,19 +57,6 @@ class TestRingOperations:
         tpi = PiPoly.monomial(1, 1)
         assert tpi * tpi == PiPoly.monomial(2, 2)
 
-    def test_scale_matches_normalized_integrand(self):
-        base = PiPoly({(3, 0): Fraction(1), (1, 0): Fraction(-1)})  # t^3 - t
-        scaled = poly_scale(base, PiLaurent.monomial(2, Fraction(1, 6)))
-        assert scaled == P2
-
-    def test_scale_rejects_pole(self):
-        with pytest.raises(DomainError, match="negative pi-exponent -1 in PiPoly"):
-            poly_scale(PiPoly.monomial(1, 0), PiLaurent.monomial(-1))
-
-    def test_scale_allows_negative_exponent_when_grading_survives(self):
-        scaled = poly_scale(PiPoly.monomial(1, 2), PiLaurent.monomial(-1, 3))
-        assert scaled == PiPoly.monomial(1, 1, 3)
-
     def test_constructor_rejects_pole(self):
         with pytest.raises(DomainError, match="negative pi-exponent -1 in PiPoly"):
             PiPoly({(0, -1): Fraction(1)})
@@ -102,7 +88,6 @@ class TestRingOperations:
         for _ in range(60):
             a, b = (random_poly(rng, max_terms=5, max_exp=2, max_coeff=2) for _ in range(2))
             x, y = (random_laurent(rng, max_terms=5, max_exp=2, max_coeff=2) for _ in range(2))
-            s = random_laurent(rng, max_terms=3, max_exp=2, max_coeff=2)
             for value in (a, b, a + b, a - b, a - a, -a, a * b, (a + b) * (a - b)):
                 assert_canonical(value)
             for value in (x, y, x + y, x - y, x - x, -x, x * y, (x + y) * (x - y)):
@@ -110,8 +95,6 @@ class TestRingOperations:
             for k in scalars:
                 assert_canonical(a * k)
                 assert_canonical(x * k)
-            assert_canonical(poly_scale(a, s * PiLaurent.monomial(2)))
-            assert_canonical(poly_scale(a - b, (s + x) * PiLaurent.monomial(2)))
             for t in points:
                 assert_canonical(a.at_rational(t))
                 assert_canonical((a - b).at_rational(t))

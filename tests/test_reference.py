@@ -1,5 +1,7 @@
 """Oracle self-consistency: two routes per constant, no trusted decimals."""
 
+import tracemalloc
+
 import mpmath as mp
 import pytest
 
@@ -51,6 +53,18 @@ class TestZetaOracle:
         monkeypatch.setattr(reference, "bernoulli_number", refused)
         monkeypatch.setattr(exactnum, "_zigzag", refused)
         assert [zeta_ref(s, precision)._mpf_ for s in range(2, 34)] == want
+
+    def test_keeps_no_weights(self):
+        # d_n comes from the Chebyshev recurrence and each d_k is stepped in
+        # the sum; a list of all n + 1 weights peaked at 5.2 MB here
+        precision = bits_for_digits(3000)
+        tracemalloc.start()
+        try:
+            zeta_ref.__wrapped__(3, precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     def test_zeta2_is_pi_squared_over_six(self):
         precision = 256
