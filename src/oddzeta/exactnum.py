@@ -2,7 +2,8 @@
 
 Bernoulli numbers (convention B_1 = -1/2) and Euler numbers as exact
 ``fractions.Fraction`` and integer values; Bernoulli and Euler polynomials as
-:class:`~oddzeta.pipoly.PiPoly` values at pi^0.
+:class:`~oddzeta.pipoly.PiPoly` values at pi^0, E_n(t) by one integer Taylor
+shift (:func:`taylor_shift`, which also forms ``quad``'s Q(1 - s)).
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
 
@@ -34,6 +35,7 @@ __all__ = [
     "bernoulli_polynomial",
     "euler_number",
     "euler_polynomial",
+    "taylor_shift",
 ]
 
 
@@ -92,20 +94,24 @@ def bernoulli_polynomial(n: int) -> PiPoly:
 
 
 def euler_polynomial(n: int) -> PiPoly:
-    """Euler polynomial E_n(t), built from the midpoint values E_k / 2^k.
+    """Euler polynomial E_n(t) = sum_k C(n,k) (E_k / 2^k) (t - 1/2)^{n-k}, by one Taylor shift.
 
-    Uses E_n(t) = sum_k C(n,k) (E_k / 2^k) (t - 1/2)^{n-k}, then expands the
-    shifted powers, keeping everything rational.
+    2^n E_n(t) = S(1 - 2t) with S(x) = sum_i (-1)^i C(n,i) E_{n-i} x^i, so the
+    t^i coefficient is c_i / 2^(n-i) for c = :func:`taylor_shift` (S).
     """
     if n < 0:
         raise DomainError("Euler polynomial index must be >= 0")
+    c = taylor_shift([(-1) ** i * comb(n, i) * euler_number(n - i) for i in range(n + 1)])
+    return PiPoly(((i, 0), Fraction(c[i], 1 << n - i)) for i in range(n + 1))
 
-    def terms():
-        for k in range(0, n + 1, 2):
-            c = Fraction(comb(n, k) * euler_number(k), 1 << k)
-            m = n - k
-            for i in range(m + 1):  # (t - 1/2)^m expanded
-                yield (i, 0), c * comb(m, i) * Fraction(-1, 2) ** (m - i)
 
-    return PiPoly(terms())
+def taylor_shift(q: list) -> list:
+    """The coefficients of Q(1 - s), exactly, from those of Q(t): (-1)^i b_i with b_i = sum_m C(m, i) q_m.
 
+    The b_i come from repeated synthetic division by t - 1: pass i replaces
+    q_j, j >= i, by q_j + ... + q_d, so O(d^2) integer additions in all.
+    """
+    b = q[::-1]
+    for n in range(len(b), 1, -1):
+        b[:n] = accumulate(b[:n])
+    return [-c if i % 2 else c for i, c in enumerate(reversed(b))]

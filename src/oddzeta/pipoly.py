@@ -23,8 +23,8 @@ to nearest, with fraction bits from the precision and the coefficient sizes,
 and ``quad`` takes its dot product with integer moments.  That size rule,
 log2 |c pi^e| read off the bit lengths, is also the guard of
 :func:`laurent_eval`.  :func:`divide_one_minus_t` splits off the factor
-(1 - t) exactly, and its remainder is the value at t = 1.  Every Fraction the
-library turns into an mpf goes through :func:`fraction_to_mpf`.
+(1 - t) exactly, and its remainder is the value at t = 1.  Outside ``quad``,
+every Fraction becomes an mpf by :func:`fraction_to_mpf`.
 
 Negative pi-exponents are confined to :class:`PiLaurent`: every way of
 building a :class:`PiPoly` rejects them with
@@ -64,7 +64,7 @@ def _accumulate(pairs: Iterable[tuple]) -> dict:
     """Sum coefficients by key and drop the zeros: the one canonicalizing step."""
     out: dict = {}
     for key, c in pairs:
-        out[key] = out.get(key, 0) + c
+        out[key] = out[key] + c if key in out else c
     return {key: c for key, c in out.items() if c}
 
 

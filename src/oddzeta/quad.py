@@ -21,9 +21,9 @@ w(t_k) t_k^m - (end corrections of w t^m), cached per level:
   the dot product with the q_m.
 * End corrections.  The odd derivatives of w t^m at both ends come from exact
   series: tan at t = 0 (DLMF 4.19.3) and s cot(pi s/2) with s = 1 - t at
-  t = 1 (DLMF 4.19.6).  Their coefficients are rationals from the Bernoulli
-  numbers times powers of pi, summed at F + 32 bits and rounded to F fraction
-  bits.
+  t = 1 (DLMF 4.19.6), derived from the first, since both read B_2n.  They
+  are summed at F + 32 bits and rounded to F fraction bits, and those at
+  t = 1 act on Q(1 - s), from :func:`exactnum.taylor_shift`.
 * Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
   new abscissas are the odd k.  A level takes the fewest correction terms K
   (at most N/4) whose remainder bound is below 2^-wp.  The bound is DLMF
@@ -60,13 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
 
-from . import exactnum, pipoly
+from . import exactnum
 from .errors import DomainError, NoConvergence
 
 __all__ = [
@@ -228,8 +227,10 @@ def _series(wp: int, frac: int, count: int) -> tuple:
     g_n is the coefficient of t^(2n-1) in tan(pi t/2) (DLMF 4.19.3), for
     n >= 1; u_n that of s^(2n) in s cot(pi s/2) = (2/pi) sum (-1)^n B_2n
     (pi s)^2n / (2n)! (DLMF 4.19.6), for n >= 0.  So w(t) = (1 - t) g(t) and
-    w(1 - s) = u(s).  Each is an exact rational times a power of pi, rounded
-    once.
+    w(1 - s) = u(s).  The lists hold g_1.. and u_0..  The two share B_2n, so
+    u_n = -g_n / (2^2n - 1) for n >= 1.  g_n, its exact rational times
+    pi^(2n-1), and u_0 = 2/pi are floored once; the other u_n are g_n's exact
+    ratio, rounded.  Each is within one unit of 2^-(frac+32).
     """
     store = _tables(wp)
     g, u = store.setdefault(("series", frac), ([], []))
@@ -240,12 +241,12 @@ def _series(wp: int, frac: int, count: int) -> tuple:
         pi = +mp.pi
         square, power = pi * pi, pi ** (2 * len(g) - 1)  # pi^(2n-1)
         for n in range(len(g), count):
-            tan_coeff = (-1) ** n * 2 * ((1 << 2 * n + 2) - 1) * exactnum.bernoulli_number(2 * n + 2)
-            tan_coeff /= math.factorial(2 * n + 2)
-            cot_coeff = 2 * (-1) ** n * exactnum.bernoulli_number(2 * n) / math.factorial(2 * n)
-            u.append(to_fixed((pipoly.fraction_to_mpf(cot_coeff) * power)._mpf_, bits))
+            d = (1 << 2 * n) - 1
+            u.append(-((2 * g[n - 1] + d) // (2 * d)) if n else to_fixed((2 * power)._mpf_, bits))
+            b = (-1) ** n * 2 * ((1 << 2 * n + 2) - 1) * exactnum.bernoulli_number(2 * n + 2)
             power *= square
-            g.append(to_fixed((pipoly.fraction_to_mpf(tan_coeff) * power)._mpf_, bits))
+            rational = from_rational(b.numerator, b.denominator * math.factorial(2 * n + 2), bits + 16, round_nearest)
+            g.append(to_fixed((mp.make_mpf(rational) * power)._mpf_, bits))
     return g, u
 
 
@@ -328,18 +329,6 @@ def _log2_size(coefficients: list, frac: int, radius: int) -> float:
     log_q = top + math.log2(sum(2 ** (x - top) for x in logs))
     log_w = math.log2(math.cosh(math.pi * r / 2) / (radius - r) * (1 + r))
     return log_q + log_w
-
-
-def _taylor_shift(q: list) -> list:
-    """The coefficients of Q(1 - s), exactly, from those of Q(t): (-1)^i b_i with b_i = sum_m C(m, i) q_m.
-
-    The b_i come from repeated synthetic division by t - 1: pass i replaces
-    q_j, j >= i, by q_j + ... + q_d, so O(d^2) integer additions in all.
-    """
-    b = q[::-1]
-    for n in range(len(b), 1, -1):
-        b[:n] = accumulate(b[:n])
-    return [-c if i % 2 else c for i, c in enumerate(reversed(b))]
 
 
 def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -> int:
@@ -434,7 +423,7 @@ def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
     q = [c << (table - frac) for c in coefficients]
-    r = _taylor_shift(q)
+    r = exactnum.taylor_shift(q)
     log_size = _log2_size(q, table, radius)
     # each grid moment and table entry is within 2^-table, the division within
     # 2^-2table and the mpf within 2^-wp

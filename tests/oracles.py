@@ -33,7 +33,7 @@ Each one is a second route to something the library computes, kept out of
   Horner, on the coefficients ``pipoly.fixed_point`` folds for the moment
   dot product; the reference evaluator of the tests.
 * ``reflected``                the coefficients of Q(1 - s) by the binomial
-  sum, against which ``quad._taylor_shift`` is checked.
+  sum, against which ``exactnum.taylor_shift`` is checked.
 """
 
 from __future__ import annotations

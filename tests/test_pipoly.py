@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import quad
+from oddzeta import exactnum, quad
 from oddzeta.errors import DomainError
 from oddzeta.exactnum import bernoulli_polynomial, euler_polynomial
 from oddzeta.expansion import p_poly
@@ -237,7 +237,7 @@ class TestEvaluation:
         frac, coefficients = fixed_point(quotient, wp)
         assert fixed_point(-quotient, wp) == (frac, [-c for c in coefficients])
         level, terms = 1, 6
-        taylor = quad._taylor_shift(coefficients)
+        taylor = exactnum.taylor_shift(coefficients)
         total = quad._level_total(wp, level, frac, terms, coefficients, taylor)
         exact = exact_level_sum(quotient, wp, level, terms)
         degree = len(coefficients) - 1

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 import oracles
-from oddzeta import quad, reference, zetarep
+from oddzeta import exactnum, quad, reference, zetarep
 from oddzeta.expansion import p_poly
 from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point
 from oddzeta.quad import working_precision
@@ -271,6 +271,25 @@ class TestTangentMap:
         assert tables(reversed(levels)) == straight
 
 
+class TestEndSeries:
+    # g_n and u_n at the store keys of 100-digit and 700-digit zeta integrals,
+    # against the coefficients of tan and s cot from mpmath's own Bernoulli
+    # numbers, which read no exactnum number: u_n is derived from g_n, so this
+    # pins the derived series too
+    @pytest.mark.parametrize("wp,frac", [(436, 500), (2629, 2693)])
+    def test_within_one_unit_of_the_exact_series(self, wp, frac):
+        count = 300
+        g, u = quad._series(wp, frac, count)
+        with mp.workprec(frac + 96):
+            for n in range(count):
+                # g[n] is the coefficient of t^(2n+1) in tan(pi t/2), u[n] that of s^(2n) in s cot(pi s/2)
+                m = 2 * n + 2
+                tan_coeff = (-1) ** n * 2 * (2**m - 1) * mp.bernoulli(m) * mp.pi ** (m - 1) / mp.factorial(m)
+                cot_coeff = 2 * (-1) ** n * mp.bernoulli(m - 2) * mp.pi ** (m - 3) / mp.factorial(m - 2)
+                assert abs(g[n] - mp.ldexp(tan_coeff, frac + 32)) <= 1, ("g", n)
+                assert abs(u[n] - mp.ldexp(cot_coeff, frac + 32)) <= 1, ("u", n)
+
+
 # the kinds of table the per-precision store keeps: all of the trapezoid engine
 TRAPEZOID_TABLES = {"grid", "series", "corrections"}
 
@@ -308,7 +327,7 @@ class TestTrapezoidMoments:
         quotient, _ = divide_one_minus_t(route.poly)
         radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
         frac, q = fixed_point(quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor), wp)
-        r = quad._taylor_shift(q)
+        r = exactnum.taylor_shift(q)
         n = quad._base_points(wp) << level
         log_size = quad._log2_size(q, frac, radius)
         with mp.workprec(wp + 64):
@@ -328,17 +347,18 @@ class TestTrapezoidMoments:
 
 
 class TestTaylorShift:
+    # exactnum.taylor_shift, which builds every zeta integral's Q(1 - s):
     # repeated synthetic division against the binomial sum, on random signed
     # integers of every degree up to 200 and at the digamma integral's 615
     @pytest.mark.parametrize("degrees", [range(0, 201), [615]], ids=["0-200", "615"])
     def test_matches_the_binomial_sum(self, degrees, rng):
         for degree in degrees:
             q = [rng.randrange(-(1 << 256), 1 << 256) for _ in range(degree + 1)]
-            assert quad._taylor_shift(q) == oracles.reflected(q), degree
+            assert exactnum.taylor_shift(q) == oracles.reflected(q), degree
 
     def test_empty_and_constant(self):
-        assert quad._taylor_shift([]) == []
-        assert quad._taylor_shift([5]) == [5]
+        assert exactnum.taylor_shift([]) == []
+        assert exactnum.taylor_shift([5]) == [5]
 
 
 def mikolas_value(z, wp):
@@ -398,7 +418,7 @@ class TestMikolasGrid:
             zv = mp.mpf(z)
         want = mikolas_value(zv, wp + 64)
         q, cut = reference._mikolas_quotient(zv, frac)
-        r = quad._taylor_shift(q)
+        r = exactnum.taylor_shift(q)
         log_size = quad._log2_size(q, frac, 2)
         with mp.workprec(wp + 64):
             shift = mp.cospi(zv) / mp.sinpi(zv)
