@@ -7,10 +7,12 @@ Inputs are checked by the library's typed errors; ``main`` reports one, or an
 ``OSError`` from ``--out``, as one ``error:`` line (exit 2 for a
 ``NoConvergence``).  ``main`` opens ``--out`` before the command computes,
 and every command writes to ``args.stream`` (that file, else stdout):
-compute, digamma, gammaderiv and verify build one payload that
-:func:`_respond` writes as text or JSON; poly and table write their own text,
-JSON, LaTeX or CSV (``table --format json``: one record per p and
-representation with its value, reference, error and quadrature diagnostics).
+compute, digamma, gammaderiv, poly and verify build one payload that
+:func:`_respond` writes as text or JSON (``poly --format latex`` writes its
+own line); table writes its own JSON or CSV (``table --format json``: one
+record per p and representation with its value, reference, error and
+quadrature diagnostics), asking :func:`zetarep.zeta_routes` for each p's four
+routes, as ``verify``'s ``representations`` check does.
 ``verify`` runs six named checks (``verify --format json``: one record per
 check with its name, status, detail and elapsed seconds, and the passed and
 total counts); ``series-product`` is the exact P_2p(1) = 0 test that
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -144,32 +145,16 @@ def cmd_compute(args) -> int:
 
 def cmd_poly(args) -> int:
     poly = expansion.p_poly(args.p)
-    if args.format == "json":
-        payload = {
-            "command": "poly",
-            "inputs": {"p": args.p},
-            "terms": pipoly.to_json_terms(poly),
-        }
-        args.stream.write(render_json(payload))
-        return EXIT_OK
     if args.format == "latex":
         args.stream.write(pipoly.to_latex(poly) + "\n")
         return EXIT_OK
+    payload = {"command": "poly", "inputs": {"p": args.p}, "terms": pipoly.to_json_terms(poly)}
     lines = [f"P_{2 * args.p}(t) = {pipoly.to_text(poly)}"]
     factored = _factored_text(args.p)
     if factored:
-        lines.append(f"factored     = {factored}")
-        lines.append("(factored form machine-verified against the expansion)")
-    args.stream.write("\n".join(lines) + "\n")
+        lines += [f"factored     = {factored}", "(factored form machine-verified against the expansion)"]
+    _respond(args, payload, lines)
     return EXIT_OK
-
-
-def _computations(p: int, precision: int) -> list:
-    """zeta(2p+1) by every representation in order; the theorem is the corollary once its exact sine lemma holds."""
-    corollary = zetarep.zeta_odd(p, Representation.COROLLARY, precision)
-    zetarep.lemma_check(p)
-    theorem = dataclasses.replace(corollary, representation=Representation.THEOREM)
-    return [theorem, corollary, *(zetarep.zeta_odd(p, rep, precision) for rep in list(Representation)[2:])]
 
 
 def _verify_checks(max_p: int, digits: int):
@@ -190,7 +175,7 @@ def _verify_checks(max_p: int, digits: int):
     def check_representations():
         worst = mp.mpf(0)
         for p in range(1, max_p + 1):
-            for comp in _computations(p, precision):
+            for comp in zetarep.zeta_routes(p, precision):
                 if not comp.quad.converged:
                     raise OddzetaError(f"quadrature did not converge at p={p}, {comp.representation.value}")
                 worst = max(worst, comp.abs_error_vs_reference)
@@ -308,7 +293,7 @@ def cmd_table(args) -> int:
     rows = []
     exit_code = EXIT_OK
     for p in range(1, args.max_p + 1):
-        for comp in _computations(p, precision):
+        for comp in zetarep.zeta_routes(p, precision):
             if not comp.quad.converged:
                 exit_code = EXIT_NO_CONVERGENCE
             rows.append(

@@ -23,8 +23,9 @@ to nearest, with fraction bits from the precision and the coefficient sizes,
 and ``quad`` takes its dot product with integer moments.  That size rule,
 log2 |c pi^e| read off the bit lengths, is also the guard of
 :func:`laurent_eval`.  :func:`divide_one_minus_t` splits off the factor
-(1 - t) exactly, and its remainder is the value at t = 1.  Outside ``quad``,
-every Fraction becomes an mpf by :func:`fraction_to_mpf`.
+(1 - t) exactly, and its remainder is the value at t = 1.  Every Fraction
+becomes an mpf by :func:`fraction_to_mpf`, correctly rounded by mpmath's
+``from_rational``, as ``quad`` and ``reference.zeta_ref`` round their ratios.
 
 Negative pi-exponents are confined to :class:`PiLaurent`: every way of
 building a :class:`PiPoly` rejects them with
@@ -39,6 +40,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 from . import quad
 from .errors import DomainError
@@ -217,16 +219,8 @@ class PiPoly(_TermMap):
 # ---------------------------------------------------------------------------
 
 def fraction_to_mpf(c: Fraction):
-    """c rounded to the working precision, bit for bit as mpf(c.numerator) / c.denominator.
-
-    Only the odd part of the denominator is divided by; its power of two is
-    applied by an exact ldexp, so a long power-of-two denominator costs
-    nothing, and since rounding commutes with scaling by 2^-k the result is
-    the same correctly rounded quotient.
-    """
-    den = c.denominator
-    twos = (den & -den).bit_length() - 1
-    return mp.ldexp(mp.mpf(c.numerator) / (den >> twos), -twos)
+    """c correctly rounded to nearest at the working precision, by mpmath's ``from_rational``."""
+    return mp.make_mpf(from_rational(c.numerator, c.denominator, mp.mp.prec, round_nearest))
 
 
 def _magnitude_bits(c: Fraction, pi_exp: int) -> int:

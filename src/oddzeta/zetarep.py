@@ -1,9 +1,9 @@
 """Integral representations of zeta at odd integers, plus exact side checks.
 
-Four numeric routes to zeta(2p+1), all one integral shape over (0,1): an
-exact polynomial times tan(pi t/2), scaled by an exact rational multiple of a
-power of pi.  ``zeta_odd`` runs each of them through the Euler-Maclaurin
-trapezoid engine of ``quad``:
+Four numeric routes to zeta(2p+1), all one integral shape over (0,1):
+tan(pi t/2) times an exact polynomial, the route's exact prefactor (a
+rational times a power of pi) folded in.  ``zeta_odd`` runs each of them
+through the Euler-Maclaurin trapezoid engine of ``quad``:
 
 * ``theorem``       1/2 + pi/2 * integral tan(pi t/2) cos(pi t) P_{2p}(t) dt
 * ``corollary``     -pi/2 * integral tan(pi t/2) P_{2p}(t) dt
@@ -17,15 +17,16 @@ The theorem is split exactly, as the paper derives the corollary from it:
 tan(pi t/2) cos(pi t) = sin(pi t) - tan(pi t/2), so its integral is the
 sine moment, exactly -1/pi by :func:`lemma_check`, which cancels the 1/2,
 plus the corollary's integral.  ``zeta_odd`` checks the lemma and then runs
-the corollary's quadrature, so the theorem's result is the corollary's.
+the corollary's quadrature, so the theorem's result is the corollary's,
+relabelled; ``zeta_routes`` runs all four routes of one p on three.
 
 Every tan(pi t/2) pole at t = 1 is cancelled by a zero of the polynomial
 factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
-analytic on [0, 1].  ``zeta_odd`` divides the factor exactly by (1 - t),
-P = (1 - t) Q, and the zero remainder is its check of that zero.  Q times the
-exact prefactor is what is integrated, so the quadrature's one rounding gives
-zeta(2p+1) whatever the prefactor's size.  P_{2p} also vanishes at t = -1,
-which cancels the next pole too; Q(-1) tells the quadrature which radius of
+analytic on [0, 1].  ``zeta_odd`` divides the scaled polynomial exactly by
+(1 - t), P = (1 - t) Q, and the zero remainder is its check of that zero.  Q
+is what is integrated, so the quadrature's one rounding gives zeta(2p+1)
+whatever the prefactor's size.  P_{2p} also vanishes at t = -1, which
+cancels the next pole too; Q(-1) tells the quadrature which radius of
 analyticity, 2 or 1, its error bound may use.  The quadrature takes the dot
 product of Q's fixed-point coefficients (:func:`pipoly.fixed_point`) with
 trapezoid grid sums and exact end corrections of (1 - t) tan(pi t/2), cached
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -52,6 +53,7 @@ __all__ = [
     "Representation",
     "ZetaComputation",
     "zeta_odd",
+    "zeta_routes",
     "zeta_even_closed",
     "zeta_even_value",
     "lemma_check",
@@ -87,47 +89,34 @@ def _require_p(p: int) -> None:
         raise DomainError("p must be >= 1")
 
 
-@dataclass(frozen=True)
-class _Route:
-    """zeta(2p+1) = prefactor * pi^pi_exp * integral_0^1 tan(pi t/2) poly(t) dt."""
-
-    poly: PiPoly
-    prefactor: Fraction
-    pi_exp: int
-
-
-def _route(p: int, rep: Representation) -> _Route:
-    if rep is Representation.THEOREM:
-        # 1/2 + pi/2 (integral sin(pi t) P_2p - integral tan(pi t/2) P_2p):
-        # the sine part is exactly -1/pi and cancels the 1/2
-        lemma_check(p)
+def _polynomial(p: int, rep: Representation) -> PiPoly:
+    """zeta(2p+1) = integral_0^1 tan(pi t/2) times this exact polynomial; the theorem's is the corollary's."""
     if rep in (Representation.THEOREM, Representation.COROLLARY):
-        return _Route(expansion.p_poly(p), Fraction(-1, 2), 1)
+        # -pi/2 * integral tan(pi t/2) P_{2p}(t) dt
+        return expansion.p_poly(p) * PiPoly.monomial(0, 1, Fraction(-1, 2))
     if rep is Representation.CK_EULER:
         # (-1)^p 2^{2p-1} pi^{2p+1} / ((2^{2p+1}-1)(2p)!) * integral E_{2p}(t) tan(pi t/2) dt
-        prefactor = Fraction(
-            (-1) ** p * (1 << (2 * p - 1)), ((1 << (2 * p + 1)) - 1) * math.factorial(2 * p)
-        )
+        prefactor = Fraction((-1) ** p * (1 << (2 * p - 1)), ((1 << (2 * p + 1)) - 1) * math.factorial(2 * p))
         poly = exactnum.euler_polynomial(2 * p)
     else:
         # (-1)^p 2^{2p} pi^{2p+1} / (2p+1)! * integral B_{2p+1}(t) tan(pi t/2) dt
         prefactor = Fraction((-1) ** p * (1 << (2 * p)), math.factorial(2 * p + 1))
         poly = exactnum.bernoulli_polynomial(2 * p + 1)
-    return _Route(poly, prefactor, 2 * p + 1)
+    return poly * PiPoly.monomial(0, 2 * p + 1, prefactor)
 
 
 def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
     """zeta(2p+1) by one :class:`Representation` (or its string value).
 
     The theorem first checks its exact sine lemma (:func:`lemma_check`) and
-    then is the corollary.  The polynomial factor P is divided exactly by
-    (1 - t); the remainder is P(1), which must be 0 for P to cancel the
+    then is the corollary's computation, relabelled.  Every other route's
+    polynomial, its prefactor folded in, is divided exactly by (1 - t); the
+    remainder is its value at t = 1, which must be 0 to cancel the
     tan(pi t/2) pole.  A failed lemma or a nonzero residue raises
     IdentityViolation naming p, the route and what survived before any table
     is built (for P_2p :func:`expansion.p_poly` has checked P(1) already).
-    The quotient times the prefactor, exactly, is integrated by
-    :func:`quad.integrate_moments`, whose value, rounded once, is the result
-    for every route.
+    The quotient's integral by :func:`quad.integrate_moments`, rounded once,
+    is the result.
     """
     _require_p(p)
     try:
@@ -135,18 +124,24 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
     except ValueError:
         raise DomainError(f"unknown representation {representation!r}") from None
     try:
-        route = _route(p, rep)
+        if rep is Representation.THEOREM:
+            # 1/2 + pi/2 (integral sin(pi t) P_2p - integral tan(pi t/2) P_2p):
+            # the sine part is exactly -1/pi and cancels the 1/2
+            lemma_check(p)
+        else:
+            polynomial = _polynomial(p, rep)
     except IdentityViolation as exc:
         raise IdentityViolation(f"{rep.value}, {exc}") from exc
-    quotient, residue = pipoly.divide_one_minus_t(route.poly)
+    if rep is Representation.THEOREM:
+        return replace(zeta_odd(p, Representation.COROLLARY, precision), representation=rep)
+    quotient, residue = pipoly.divide_one_minus_t(polynomial)
     if not residue.is_zero():
         raise IdentityViolation(
             f"p={p}, {rep.value}: the polynomial factor is {residue!r} at t = 1, not 0, "
             "so the tan(pi t/2) pole there is not cancelled"
         )
-    scaled = quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor)
     radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
-    frac, coefficients = pipoly.fixed_point(scaled, quad.working_precision(precision))
+    frac, coefficients = pipoly.fixed_point(quotient, quad.working_precision(precision))
     result = quad.integrate_moments(coefficients, frac, radius, quad.quad_tolerance(precision), precision)
     return ZetaComputation(
         p=p,
@@ -155,6 +150,16 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
         quad=result,
         reference=reference.zeta_ref(2 * p + 1, precision),
     )
+
+
+def zeta_routes(p: int, precision: int) -> list:
+    """zeta(2p+1) by every :class:`Representation` in order; the corollary's row is the theorem's, relabelled.
+
+    So three quadratures run, and the theorem's sine lemma is checked before any of them.
+    """
+    theorem = zeta_odd(p, Representation.THEOREM, precision)
+    corollary = replace(theorem, representation=Representation.COROLLARY)
+    return [theorem, corollary, *(zeta_odd(p, rep, precision) for rep in list(Representation)[2:])]
 
 
 def zeta_even_closed(p: int) -> PiLaurent:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from oddzeta import cli, exactnum, reference, zetarep
+from oddzeta import cli, exactnum, quad, reference, zetarep
 from oddzeta.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
 from oddzeta.errors import IdentityViolation
 
@@ -469,16 +469,16 @@ class TestTable:
         # three quadratures per p: the theorem row is the corollary's once the
         # exact sine lemma holds
         calls = []
-        real = zetarep.zeta_odd
+        real = quad.integrate_moments
 
-        def counted(p, rep, precision):
-            calls.append((p, zetarep.Representation(rep)))
-            return real(p, rep, precision)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(zetarep, "zeta_odd", counted)
+        monkeypatch.setattr(quad, "integrate_moments", counted)
         code, out, _ = run(["table", "--max-p", "2", "--digits", "20", "--format", "json"], capsys)
         assert code == EXIT_OK
-        assert sorted(calls) == sorted((p, rep) for p in (1, 2) for rep in list(zetarep.Representation)[1:])
+        assert len(calls) == 3 * 2
         rows = {(row["p"], row["representation"]): row for row in json.loads(out)["rows"]}
         for p in (1, 2):
             theorem, corollary = rows[(p, "theorem")], rows[(p, "corollary")]
@@ -488,10 +488,19 @@ class TestTable:
         def broken(p):
             raise IdentityViolation(f"p={p}: the sine moment is broken")
 
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature ran before the lemma")
+
+        # compute, table and verify name the theorem's route and stop before any quadrature
         monkeypatch.setattr(zetarep, "lemma_check", broken)
-        code, out, err = run(["table", "--max-p", "1", "--digits", "15"], capsys)
-        assert code == EXIT_USAGE
-        assert err == "error: p=1: the sine moment is broken\n"
+        monkeypatch.setattr(quad, "integrate_moments", no_quadrature)
+        for argv in (["table", "--max-p", "1"], ["compute", "--p", "1", "--rep", "theorem"]):
+            code, out, err = run([*argv, "--digits", "15"], capsys)
+            assert code == EXIT_USAGE and out == ""
+            assert err == "error: theorem, p=1: the sine moment is broken\n"
+        code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert verify_rows(out)["representations"].startswith("FAIL theorem, p=1: the sine moment is broken  [")
 
 
 @pytest.mark.parametrize("command", ["compute", "table"])
@@ -555,7 +564,7 @@ class TestCaps:
     def test_table_and_verify_at_the_cap(self, capsys, monkeypatch):
         # the cap is let through; the 2,800 integrals it would run are stubbed out
         reached = []
-        monkeypatch.setattr(cli, "_computations", lambda p, precision: reached.append(p) or [])
+        monkeypatch.setattr(zetarep, "zeta_routes", lambda p, precision: reached.append(p) or [])
         code, out, _ = run(["table", "--max-p", str(cli.MAX_P), "--digits", "10"], capsys)
         assert code == EXIT_OK and out.splitlines() == ["p,rep,value,abs_error,evaluations"]
         assert reached == list(range(1, cli.MAX_P + 1))

@@ -259,17 +259,28 @@ class TestEvaluation:
             assert one_minus_t * quotient + rest == a
 
     @pytest.mark.parametrize("precision", [53, 300, 2600])
-    def test_fraction_to_mpf_is_plain_division(self, precision, rng):
-        # bit for bit mpf(numerator) / denominator, also for long power-of-two
-        # denominators and numerators wider than the precision
+    def test_fraction_to_mpf_rounds_correctly(self, precision, rng):
+        # a precision-bit mpf within half a unit in the last place of c's
+        # binade, in exact Fractions, also for long power-of-two denominators
+        # and numerators wider than the precision
         cases = [Fraction(0), Fraction(-1, 3), Fraction(1, 1 << 2392), Fraction(7 << 40, 3)]
+        cases += [Fraction((1 << 3000) - 1, 1 << 17), Fraction(-((1 << precision + 1) + 1), 1 << 900)]
         for _ in range(200):
             numerator = rng.randint(-(1 << 3000), 1 << 3000) >> rng.randint(0, 3000)
             odd = rng.randint(0, 1 << rng.randint(0, 3000)) | 1
             cases.append(Fraction(numerator, odd << rng.randint(0, 3000)))
         with mp.workprec(precision):
             for c in cases:
-                assert fraction_to_mpf(c) == mp.mpf(c.numerator) / c.denominator, c
+                sign, man, exp, _ = fraction_to_mpf(c)._mpf_
+                assert man.bit_length() <= precision, c
+                exact = (-1) ** sign * man * Fraction(2) ** exp
+                if not c:
+                    assert exact == 0
+                    continue
+                binade = abs(c.numerator).bit_length() - c.denominator.bit_length()
+                if abs(c) < Fraction(2) ** binade:
+                    binade -= 1
+                assert abs(exact - c) <= Fraction(2) ** (binade - precision), c
 
     def test_at_rational_exact(self):
         assert P2.at_rational(Fraction(1)) == PiLaurent.zero()

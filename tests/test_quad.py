@@ -10,7 +10,7 @@ import pytest
 import oracles
 from oddzeta import exactnum, quad, reference, zetarep
 from oddzeta.expansion import p_poly
-from oddzeta.pipoly import PiPoly, divide_one_minus_t, fixed_point
+from oddzeta.pipoly import divide_one_minus_t, fixed_point
 from oddzeta.quad import working_precision
 from oddzeta.reference import euler_gamma, zeta_ref
 from oracles import integrate_01_many, integrate_one, poly_evaluator
@@ -323,10 +323,9 @@ class TestTrapezoidMoments:
         # Cauchy bound for K, for every K up to N/4; the theorem's route is
         # the corollary's integral once its exact sine lemma has held
         wp = 200
-        route = zetarep._route(p, zetarep.Representation(rep))
-        quotient, _ = divide_one_minus_t(route.poly)
+        quotient, _ = divide_one_minus_t(zetarep._polynomial(p, zetarep.Representation(rep)))
         radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
-        frac, q = fixed_point(quotient * PiPoly.monomial(0, route.pi_exp, route.prefactor), wp)
+        frac, q = fixed_point(quotient, wp)
         r = exactnum.taylor_shift(q)
         n = quad._base_points(wp) << level
         log_size = quad._log2_size(q, frac, radius)

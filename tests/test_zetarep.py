@@ -1,5 +1,6 @@
 """The four zeta representations, the even closed form, and the moment identity."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from oddzeta.zetarep import (
     zeta_even_closed,
     zeta_even_value,
     zeta_odd,
+    zeta_routes,
 )
 from oracles import integrate_one, poly_evaluator
 
@@ -203,6 +205,17 @@ class TestCrossAgreement:
     def test_dispatch_accepts_strings(self):
         comp = zeta_odd(1, "corollary", 96)
         assert comp.representation is Representation.COROLLARY
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_zeta_routes_in_order(self, p):
+        # the corollary's row is the theorem's computation relabelled, and each
+        # CK row is zeta_odd's own
+        routes = zeta_routes(p, 96)
+        assert [comp.representation for comp in routes] == list(Representation)
+        theorem, corollary, *ck = routes
+        assert replace(theorem, representation=Representation.COROLLARY) == corollary
+        for comp in ck:
+            assert comp == zeta_odd(p, comp.representation, 96)
 
 
 class TestPolePrecondition:
