@@ -7,9 +7,9 @@ Inputs are checked by the library's typed errors; ``main`` reports one, or an
 ``OSError`` from ``--out``, as one ``error:`` line (exit 2 for a
 ``NoConvergence``).  ``main`` opens ``--out`` before the command computes,
 and every command writes to ``args.stream`` (that file, else stdout):
-compute, digamma, gammaderiv, poly and verify build one payload that
-:func:`_respond` writes as text or JSON (``poly --format latex`` writes its
-own line); table writes its own JSON or CSV (``table --format json``: one
+compute, digamma, gammaderiv and verify build one payload that
+:func:`_respond` writes as text or JSON; poly renders only the format asked
+for, and table writes its own JSON or CSV (``table --format json``: one
 record per p and representation with its value, reference, error and
 quadrature diagnostics), asking :func:`zetarep.zeta_routes` for each p's four
 routes, as ``verify``'s ``representations`` check does.
@@ -147,13 +147,15 @@ def cmd_poly(args) -> int:
     poly = expansion.p_poly(args.p)
     if args.format == "latex":
         args.stream.write(pipoly.to_latex(poly) + "\n")
-        return EXIT_OK
-    payload = {"command": "poly", "inputs": {"p": args.p}, "terms": pipoly.to_json_terms(poly)}
-    lines = [f"P_{2 * args.p}(t) = {pipoly.to_text(poly)}"]
-    factored = _factored_text(args.p)
-    if factored:
-        lines += [f"factored     = {factored}", "(factored form machine-verified against the expansion)"]
-    _respond(args, payload, lines)
+    elif args.format == "json":
+        payload = {"command": "poly", "inputs": {"p": args.p}, "terms": pipoly.to_json_terms(poly)}
+        args.stream.write(render_json(payload))
+    else:
+        lines = [f"P_{2 * args.p}(t) = {pipoly.to_text(poly)}"]
+        factored = _factored_text(args.p)
+        if factored:
+            lines += [f"factored     = {factored}", "(factored form machine-verified against the expansion)"]
+        args.stream.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

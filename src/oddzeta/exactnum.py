@@ -7,12 +7,12 @@ shift (:func:`taylor_shift`, which also forms ``quad``'s Q(1 - s)).
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
 
-Bernoulli and Euler numbers are both read off the zigzag numbers Z_n, cached
-one int each; Z_n ends row n of the boustrophedon (Seidel) triangle of
-Entringer numbers, of which only the last two rows are cached:
+Tangent numbers T_m = Z_{2m-1}, Bernoulli and Euler numbers come from the
+zigzag numbers Z_n, cached one int each; Z_n ends row n of the boustrophedon
+(Seidel) triangle of Entringer numbers, which keeps only its last two rows:
 
     tan x + sec x = sum Z_n x^n / n!,
-    B_{2m} = (-1)^(m-1) * 2m * Z_{2m-1} / (2^{2m} (2^{2m} - 1)),
+    B_{2m} = (-1)^(m-1) * 2m * T_m / (2^{2m} (2^{2m} - 1)),
     E_{2m} = (-1)^m * Z_{2m}.
 
 This route is all-integer until the final division, and it is deliberately
@@ -35,6 +35,7 @@ __all__ = [
     "bernoulli_polynomial",
     "euler_number",
     "euler_polynomial",
+    "tangent_number",
     "taylor_shift",
 ]
 
@@ -55,6 +56,13 @@ def _zigzag(n: int) -> int:
     return _entringer_row(n)[n]
 
 
+def tangent_number(n: int) -> int:
+    """Tangent number T_n = Z_(2n-1), n >= 1: tan x = sum T_n x^(2n-1) / (2n-1)!."""
+    if n < 1:
+        raise DomainError("tangent index must be >= 1")
+    return _zigzag(2 * n - 1)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2.
@@ -70,10 +78,7 @@ def bernoulli_number(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    m = n // 2
-    tangent = _zigzag(n - 1)  # T_m
-    sign = -1 if m % 2 == 0 else 1
-    return Fraction(sign * n * tangent, (1 << n) * ((1 << n) - 1))
+    return Fraction((-1) ** (n // 2 - 1) * n * tangent_number(n // 2), (1 << n) * ((1 << n) - 1))
 
 
 def euler_number(n: int) -> int:

@@ -12,18 +12,19 @@ when Q(-1) = 0, as for P_2p and the digamma Q (Trefethen & Weideman, SIAM
 Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments M_m = h sum''
 w(t_k) t_k^m - (end corrections of w t^m), cached per level:
 
-* Grid.  sin(pi k/2N) is Im z^k with z = exp(i pi/(2N)), stepped from one
-  cos/sin pair per level (:func:`_grid_sums`; the sines are not kept), and
-  tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N), a ratio of two
-  well-conditioned sines even next to t = 1.
+* Grid.  sin(pi k/2N) is stepped by the Chebyshev recurrence, one multiply
+  a node from one cos/sin pair per level (:func:`_grid_sums`; the sines are
+  not kept), and tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N), a ratio of
+  two well-conditioned sines even next to t = 1.
   With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, so
   a level's grid moments are combined exactly and divided by N^(m+1) once, in
   the dot product with the q_m.
 * End corrections.  The odd derivatives of w t^m at both ends come from exact
-  series: tan at t = 0 (DLMF 4.19.3) and s cot(pi s/2) with s = 1 - t at
-  t = 1 (DLMF 4.19.6), derived from the first, since both read B_2n.  They
-  are summed at F + 32 bits and rounded to F fraction bits, and those at
-  t = 1 act on Q(1 - s), from :func:`exactnum.taylor_shift`.
+  series: tan at t = 0 (DLMF 4.19.3), from the integer tangent numbers, and
+  s cot(pi s/2) with s = 1 - t at t = 1 (DLMF 4.19.6), derived from the
+  first, since both read B_2n.  They are summed at F + 32 bits and rounded
+  to F fraction bits, and those at t = 1 act on Q(1 - s), from
+  :func:`exactnum.taylor_shift`.
 * Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
   new abscissas are the odd k.  A level takes the fewest correction terms K
   (at most N/4) whose remainder bound is below 2^-wp.  The bound is DLMF
@@ -185,18 +186,19 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
     entry = store.get(key)
     if entry is None:
         n = _base_points(wp) << level
-        # sin(pi k/2N) = Im w^k, w = exp(i pi/2N), at F + bitlength(N) + 8 bits:
-        # stepped by w over k = 1..N-1 at level 0 and by w^2 over the odd k
-        # after, each within about N 2^-bits relatively; the entry for N - k
-        # sits at the mirrored index
-        bits = frac + n.bit_length() + 8
-        cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True))
-        step = (cos, sin) if level == 0 else ((cos * cos - sin * sin) >> bits, (2 * cos * sin) >> bits)
+        # sin(pi k/2N) by sin((k+s)x) = 2 cos(sx) sin(kx) - sin((k-s)x), x = pi/2N,
+        # s = 1 over k = 1..N-1 at level 0 and 2 over the odd k after; a rounding at
+        # step j reaches index m scaled by at most m - j, so relative to sin x each
+        # sine is within N^2 2^-bits; the entry for N - k sits at the mirrored index
+        bits = frac + 2 * n.bit_length() + 8
+        cos, sin = mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True)
+        step, current = to_fixed(cos, bits + 1), to_fixed(sin, bits)  # 2 cos x, sin x
+        step = (step * step >> bits) - (2 << bits) if level else step  # 2 cos 2x = (2 cos x)^2 - 2
         ks = list(range(1, n) if level == 0 else range(1, n, 2))
-        sines, re, im = [], cos, sin
+        sines, previous = [], -current if level else 0
         for _ in ks:
-            sines.append(im)
-            re, im = (re * step[0] - im * step[1]) >> bits, (re * step[1] + im * step[0]) >> bits
+            sines.append(current)
+            previous, current = current, ((step * current) >> bits) - previous
         weights = []
         for i, k in enumerate(ks):
             # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N)
@@ -224,12 +226,14 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
 def _series(wp: int, frac: int, count: int) -> tuple:
     """The end series of w, ``count`` terms each, at frac + 32 fraction bits.
 
-    g_n is the coefficient of t^(2n-1) in tan(pi t/2) (DLMF 4.19.3), for
-    n >= 1; u_n that of s^(2n) in s cot(pi s/2) = (2/pi) sum (-1)^n B_2n
-    (pi s)^2n / (2n)! (DLMF 4.19.6), for n >= 0.  So w(t) = (1 - t) g(t) and
-    w(1 - s) = u(s).  The lists hold g_1.. and u_0..  The two share B_2n, so
-    u_n = -g_n / (2^2n - 1) for n >= 1.  g_n, its exact rational times
-    pi^(2n-1), and u_0 = 2/pi are floored once; the other u_n are g_n's exact
+    g_n is the coefficient of t^(2n-1) in tan(pi t/2), T_n (pi/2)^(2n-1) /
+    (2n-1)! with T_n the tangent number (DLMF 4.19.3), for n >= 1; u_n that of
+    s^(2n) in s cot(pi s/2) = (2/pi) sum (-1)^n B_2n (pi s)^2n / (2n)! (DLMF
+    4.19.6), for n >= 0.  So w(t) = (1 - t) g(t) and w(1 - s) = u(s).  The
+    lists hold g_1.. and u_0..  The two share B_2n, so u_n = -g_n / (2^2n - 1)
+    for n >= 1.  (pi/2)^(2n-1) / (2n-1)! is stepped at frac + 64 bits, one
+    multiply and one small division a term, and g_n, its product with the
+    integer T_n, and u_0 = 2/pi are floored once; the other u_n are g_n's exact
     ratio, rounded.  Each is within one unit of 2^-(frac+32).
     """
     store = _tables(wp)
@@ -237,16 +241,14 @@ def _series(wp: int, frac: int, count: int) -> tuple:
     if len(g) >= count:
         return g, u
     bits = frac + _SERIES_BITS
-    with mp.workprec(bits + 16):
-        pi = +mp.pi
-        square, power = pi * pi, pi ** (2 * len(g) - 1)  # pi^(2n-1)
+    with mp.workprec(bits + 32):
+        half_pi = mp.pi / 2
+        square, y = half_pi * half_pi, half_pi ** (2 * len(g) + 1) / math.factorial(2 * len(g) + 1)
         for n in range(len(g), count):
             d = (1 << 2 * n) - 1
-            u.append(-((2 * g[n - 1] + d) // (2 * d)) if n else to_fixed((2 * power)._mpf_, bits))
-            b = (-1) ** n * 2 * ((1 << 2 * n + 2) - 1) * exactnum.bernoulli_number(2 * n + 2)
-            power *= square
-            rational = from_rational(b.numerator, b.denominator * math.factorial(2 * n + 2), bits + 16, round_nearest)
-            g.append(to_fixed((mp.make_mpf(rational) * power)._mpf_, bits))
+            u.append(-((2 * g[n - 1] + d) // (2 * d)) if n else to_fixed((1 / half_pi)._mpf_, bits))
+            g.append(to_fixed((y * exactnum.tangent_number(n + 1))._mpf_, bits))
+            y = y * square / ((2 * n + 2) * (2 * n + 3))
     return g, u
 
 

@@ -217,6 +217,18 @@ class TestPoly:
         assert all(term["pi_exp"] == 6 for term in payload["terms"])
         assert cli.render_json(payload) == out
 
+    def test_json_renders_no_text(self, capsys, monkeypatch):
+        # the JSON payload reads the terms alone: neither the expanded nor the
+        # factored text is built for it
+        def refuse(*args):
+            raise AssertionError("text rendered for --format json")
+
+        monkeypatch.setattr(cli.pipoly, "to_text", refuse)
+        monkeypatch.setattr(cli, "_factored_text", refuse)
+        code, out, _ = run(["poly", "--p", "2", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"] == {"p": 2}
+
     def test_text_catalogued(self, capsys):
         code, out, _ = run(["poly", "--p", "2", "--format", "text"], capsys)
         assert code == EXIT_OK

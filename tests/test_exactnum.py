@@ -24,6 +24,19 @@ def poly_shift(poly: PiPoly, offset: Fraction) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+class TestTangentNumbers:
+    def test_against_mpmath(self):
+        # T_n = (-1)^(n-1) 2^2n (2^2n - 1) B_2n / 2n, with B_2n by mpmath's own route
+        assert [exactnum.tangent_number(n) for n in range(1, 6)] == [1, 2, 16, 272, 7936]
+        for n in range(1, 301):
+            want = (-1) ** (n - 1) * 4**n * (4**n - 1) * Fraction(*mp.bernfrac(2 * n)) / (2 * n)
+            assert exactnum.tangent_number(n) == want, n
+
+    def test_index_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            exactnum.tangent_number(0)
+
+
 class TestBernoulliNumbers:
     def test_frozen_values(self):
         # expected values computed beforehand with the defining recurrence

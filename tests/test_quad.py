@@ -271,6 +271,18 @@ class TestTangentMap:
         assert tables(reversed(levels)) == straight
 
 
+def assert_series_exact(g, u, frac, count):
+    """g_n and u_n within one unit of 2^-(frac+32) of the coefficients of tan and s cot from mpmath's own B_2n."""
+    with mp.workprec(frac + 96):
+        for n in range(count):
+            # g[n] is the coefficient of t^(2n+1) in tan(pi t/2), u[n] that of s^(2n) in s cot(pi s/2)
+            m = 2 * n + 2
+            tan_coeff = (-1) ** n * 2 * (2**m - 1) * mp.bernoulli(m) * mp.pi ** (m - 1) / mp.factorial(m)
+            cot_coeff = 2 * (-1) ** n * mp.bernoulli(m - 2) * mp.pi ** (m - 3) / mp.factorial(m - 2)
+            assert abs(g[n] - mp.ldexp(tan_coeff, frac + 32)) <= 1, ("g", n)
+            assert abs(u[n] - mp.ldexp(cot_coeff, frac + 32)) <= 1, ("u", n)
+
+
 class TestEndSeries:
     # g_n and u_n at the store keys of 100-digit and 700-digit zeta integrals,
     # against the coefficients of tan and s cot from mpmath's own Bernoulli
@@ -280,14 +292,38 @@ class TestEndSeries:
     def test_within_one_unit_of_the_exact_series(self, wp, frac):
         count = 300
         g, u = quad._series(wp, frac, count)
-        with mp.workprec(frac + 96):
-            for n in range(count):
-                # g[n] is the coefficient of t^(2n+1) in tan(pi t/2), u[n] that of s^(2n) in s cot(pi s/2)
-                m = 2 * n + 2
-                tan_coeff = (-1) ** n * 2 * (2**m - 1) * mp.bernoulli(m) * mp.pi ** (m - 1) / mp.factorial(m)
-                cot_coeff = 2 * (-1) ** n * mp.bernoulli(m - 2) * mp.pi ** (m - 3) / mp.factorial(m - 2)
-                assert abs(g[n] - mp.ldexp(tan_coeff, frac + 32)) <= 1, ("g", n)
-                assert abs(u[n] - mp.ldexp(cot_coeff, frac + 32)) <= 1, ("u", n)
+        assert_series_exact(g, u, frac, count)
+
+    def test_grown_in_steps(self):
+        # a later level asks for more terms than an earlier one: the series
+        # restarts its stepped (pi/2)^(2n-1)/(2n-1)! from where the lists end,
+        # up to the K = 217 corrections of a 700-digit integral's level 2
+        wp, frac = 2629, 2693
+        quad._tables.cache_clear()
+        for count in (1, 2, 50, 217):
+            g, u = quad._series(wp, frac, count)
+        assert len(g) == len(u) == 217
+        assert_series_exact(g, u, frac, 217)
+
+
+class TestGridWeights:
+    # every trapezoid weight w_k = (1 - k/N) tan(pi k/2N) from the Chebyshev
+    # sines, at the store keys of 100-digit and 700-digit zeta integrals; the
+    # last one at level 0 is the t = 1 end's half weight, 1/pi.  After the
+    # degree-0 sums the entry holds w_k k, so w_k is read back exactly
+    @pytest.mark.parametrize("wp,frac", [(436, 500), (2629, 2693)])
+    def test_within_one_unit_of_mpmath(self, wp, frac):
+        quad._tables.cache_clear()
+        for level in range(3):
+            quad._grid_sums(wp, level, frac, 0)
+            _, powers, ks = quad._tables(wp)[("grid", level, frac)]
+            n = quad._base_points(wp) << level
+            assert ks == (list(range(1, n + 1)) if level == 0 else list(range(1, n, 2)))
+            with mp.workprec(frac + 32):
+                for x, k in zip(powers, ks):
+                    want = 1 / mp.pi if k == n else (1 - mp.mpf(k) / n) * mp.tan(mp.pi * k / (2 * n))
+                    assert x % k == 0
+                    assert abs(x // k - mp.ldexp(want, frac)) <= 1, (level, k)
 
 
 # the kinds of table the per-precision store keeps: all of the trapezoid engine
