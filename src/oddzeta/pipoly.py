@@ -18,8 +18,9 @@ possible in pure rational arithmetic.  Every text form of a polynomial
 signed-term walk, :func:`join_terms`.
 
 A polynomial reaches the quadrature as fixed-point integers:
-:func:`fixed_point` folds each degree's pi-powers into one integer, rounded
-to nearest, with fraction bits from the precision and the coefficient sizes,
+:func:`fixed_point` folds each degree's pi-powers into one integer, in
+integer arithmetic from pi^j fixed once per exponent and rounded once to
+nearest, with fraction bits from the precision and the coefficient sizes,
 and ``quad`` takes its dot product with integer moments.  That size rule,
 log2 |c pi^e| read off the bit lengths, is also the guard of
 :func:`laurent_eval`.  :func:`divide_one_minus_t` splits off the factor
@@ -40,7 +41,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, mpf_pi, mpf_pow_int, round_nearest, to_fixed
 
 from . import quad
 from .errors import DomainError
@@ -231,23 +232,33 @@ def _magnitude_bits(c: Fraction, pi_exp: int) -> int:
 def fixed_point(a: PiPoly, precision: int) -> tuple[int, list]:
     """a's coefficients as fixed-point integers, for sums accurate to about 2^-precision.
 
-    Returns (F, [c_0, ..., c_d]): the pi-powers of each degree are folded into
-    one number and rounded to nearest at F fraction bits, so +a and -a give
-    exact negatives.  F is ``precision`` plus the bits of the largest
-    |c_ij pi^j| (the :func:`laurent_eval` size rule, at least 0) plus
-    log2(degree) plus 4, the guard for the rounding of d multiply-and-shift
-    steps on values in [-1, 1].
+    Returns (F, [c_0, ..., c_d]).  F is ``precision`` plus top, the bits of
+    the largest |c_ij pi^j| (the :func:`laurent_eval` size rule, at least 0),
+    plus log2(degree) plus 4, the guard for the rounding of d multiply-and-shift
+    steps on values in [-1, 1].  Each pi^j is fixed once, within 1/2 + 2^-12
+    units of 2^-g, g = F + top + 24, and a degree sums n_j (L/d_j) pi^j exactly
+    over L = lcm(d_j); as |c_ij| < 2^(top+1), that is within J 2^-23 units of
+    2^-F for J exponents.  Its magnitude is rounded once to nearest at F bits,
+    so +a and -a give exact negatives.
     """
     terms = a._terms
     degree = max((i for i, _ in terms), default=0)
     top = max([0] + [_magnitude_bits(c, j) for (_, j), c in terms.items()])
     frac = precision + top + degree.bit_length() + 4
-    with mp.workprec(frac + top + 16):
-        pi = +mp.pi
-        by_degree = [mp.mpf(0)] * (degree + 1) if terms else []
-        for (i, j), c in terms.items():
-            by_degree[i] += fraction_to_mpf(c) * pi**j
-        return frac, [int(mp.nint(mp.ldexp(c, frac))) for c in by_degree]
+    bits, rows, powers = frac + top + 24, {}, {}
+    for (i, j), c in terms.items():
+        rows.setdefault(i, []).append((j, c))
+        if j not in powers:
+            # pi^j at bits + 2j + 16 bits is within 2^-(bits+12); floored at bits + 1, then rounded
+            prec = bits + 2 * j + 16
+            powers[j] = (int(to_fixed(mpf_pow_int(mpf_pi(prec), j, prec, round_nearest), bits + 1)) + 1) >> 1
+    coefficients = [0] * (degree + 1) if terms else []
+    for i, row in rows.items():
+        den = lcm(*(c.denominator for _, c in row))
+        total = sum(c.numerator * (den // c.denominator) * powers[j] for j, c in row)
+        unit = den << (bits - frac)
+        coefficients[i] = (1 if total >= 0 else -1) * ((2 * abs(total) + unit) // (2 * unit))
+    return frac, coefficients
 
 
 def divide_one_minus_t(a: PiPoly) -> tuple[PiPoly, PiLaurent]:

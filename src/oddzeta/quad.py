@@ -16,9 +16,10 @@ w(t_k) t_k^m - (end corrections of w t^m), cached per level:
   a node from one cos/sin pair per level (:func:`_grid_sums`; the sines are
   not kept), and tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N), a ratio of
   two well-conditioned sines even next to t = 1.
-  With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, so
-  a level's grid moments are combined exactly and divided by N^(m+1) once, in
-  the dot product with the q_m.
+  With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, and
+  each level keeps X_m, those of its abscissas and every coarser level's in
+  its units k^m, so its grid moments X_m / N^(m+1) meet the q_m in one Horner
+  pass in N, divided by N^(degree+1) once.
 * End corrections.  The odd derivatives of w t^m at both ends come from exact
   series: tan at t = 0 (DLMF 4.19.3), from the integer tangent numbers, and
   s cot(pi s/2) with s = 1 - t at t = 1 (DLMF 4.19.6), derived from the
@@ -27,11 +28,11 @@ w(t_k) t_k^m - (end corrections of w t^m), cached per level:
   :func:`exactnum.taylor_shift`.
 * Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
   new abscissas are the odd k.  A level takes the fewest correction terms K
-  (at most N/4) whose remainder bound is below 2^-wp.  The bound is DLMF
-  2.10.2 with a Cauchy estimate of the (2K+2)nd derivative on the discs of
-  radius r = 63 rho/64 about [0, 1], so r stays clear of the singularities,
-  plus the rounding of the fixed-point sums; the error estimate of a level is
-  the larger of that bound and the heuristic below.
+  (at most N/4, found by bisection) whose remainder bound is below 2^-wp.
+  The bound is DLMF 2.10.2 with a Cauchy estimate of the (2K+2)nd derivative
+  on the discs of radius r = 63 rho/64 about [0, 1], so r stays clear of the
+  singularities, plus the rounding of the fixed-point sums; the error
+  estimate of a level is the larger of that bound and the heuristic below.
 
 The Gamma-derivative integrals (:func:`integrate_gamma`) run on the
 double-exponential map t = exp(u - e^-u) for exponentially decaying
@@ -173,13 +174,15 @@ def _base_points(wp: int) -> int:
 
 
 def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
-    """S_m = sum_k w_k k^m, m = 0..degree at least, over the new abscissas k/N of a level.
+    """X_m, m = 0..degree at least: sum_k w_k k^m over every abscissa k/N up to a level, in its units.
 
-    w_k = (1 - t) tan(pi t/2) is rounded to ``frac`` fraction bits and the
-    sums are exact from there.  Level 0 holds k = 1..N-1 and the end t = 1
-    with half its value (w(1)/2 = 1/pi; w(0) = 0); later levels hold the odd
-    k.  The table keeps every abscissa's next power, so a call that needs a
-    higher degree extends it and the entries already there do not change.
+    w_k = (1 - t) tan(pi t/2) is rounded to nearest at ``frac`` fraction bits
+    and the sums are exact from there.  Level 0 holds k = 1..N-1 and the end
+    t = 1 with half its value (w(1)/2 = 1/pi; w(0) = 0); later levels hold
+    the odd k, and their X_m is the coarser level's shifted by m, its k^m in
+    this level's units, plus their own sum.  The table keeps every abscissa's
+    next power, so a call that needs a higher degree extends it (and the
+    coarser levels) and the entries already there do not change.
     """
     store = _tables(wp)
     key = ("grid", level, frac)
@@ -207,13 +210,14 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
         if level == 0:
             ks.append(n)
             with mp.workprec(frac + 16):
-                weights.append(to_fixed((1 / mp.pi)._mpf_, frac))
+                weights.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
         entry = store[key] = ([], weights, ks)
     sums, powers, ks = entry
     start = len(sums)
     if start > degree:
         return sums
-    sums.extend([0] * (degree + 1 - start))
+    coarser = _grid_sums(wp, level - 1, frac, degree) if level else [0] * (degree + 1)
+    sums.extend(coarser[m] << m for m in range(start, degree + 1))
     for j, k in enumerate(ks):
         x = powers[j]
         for m in range(start, degree + 1):
@@ -308,12 +312,18 @@ def _remainder_log2(n: int, radius: int, log_size: float, terms: int) -> float:
 
 
 def _truncation(n: int, radius: int, log_size: float, target: int) -> tuple:
-    """(K, log2 of its remainder bound): the fewest end corrections, at most N/4, below 2^-target."""
-    for terms in range(1, max(1, n // 4) + 1):
-        bound = _remainder_log2(n, radius, log_size, terms)
-        if bound <= -target:
-            break
-    return terms, bound
+    """(K, log2 of its remainder bound): the fewest end corrections, at most N/4, below 2^-target.
+
+    The bound strictly falls over K = 1..N/4 (2K + 2 <= N/2 + 2 < 2 pi N r), so K is bisected.
+    """
+    low, high = 1, max(1, n // 4)
+    while low < high:
+        middle = (low + high) // 2
+        if _remainder_log2(n, radius, log_size, middle) <= -target:
+            high = middle
+        else:
+            low = middle + 1
+    return low, _remainder_log2(n, radius, log_size, low)
 
 
 def _log2_size(coefficients: list, frac: int, radius: int) -> float:
@@ -338,19 +348,17 @@ def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -
 
     ``q`` and ``r`` are Q's coefficients and those of Q(1 - s), both at
     ``frac`` bits.  The grid part sum_m q_m h sum'' w t^m is X_m / N^(m+1),
-    where X_m adds up the sums of this and every coarser level in this level's
-    units k^m, so its dot product with q is one exact integer divided once by
-    N^(degree+1).  The corrections with ``terms`` terms are those of
-    :func:`_corrections`.
+    with X_m the level's cumulative grid sums (:func:`_grid_sums`), so its
+    dot product with q is the one exact integer sum_m q_m X_m N^(degree-m),
+    formed by Horner in N, divided once by N^(degree+1).  The corrections
+    with ``terms`` terms are those of :func:`_corrections`.
     """
     n = _base_points(wp) << level
     degree = len(q) - 1
-    grids = [_grid_sums(wp, k, frac, degree) for k in range(level + 1)]
-    numerator, power = 0, 1
-    for m in range(degree, -1, -1):
-        x = sum(grid[m] << (level - k) * m for k, grid in enumerate(grids))
-        numerator += q[m] * x * power
-        power *= n
+    numerator = 0
+    for c, x in zip(q, _grid_sums(wp, level, frac, degree)):
+        numerator = numerator * n + c * x
+    power = n ** (degree + 1)
     at_zero, at_one = _corrections(wp, level, frac, terms, degree)
     total = (2 * numerator + power) // (2 * power)
     total += sum(c * (at_zero[m // 2] if m % 2 == 0 else -at_zero[m // 2 + 1]) for m, c in enumerate(q))

@@ -32,6 +32,9 @@ Each one is a second route to something the library computes, kept out of
 * ``poly_evaluator``           a PiPoly at one point by fixed-point integer
   Horner, on the coefficients ``pipoly.fixed_point`` folds for the moment
   dot product; the reference evaluator of the tests.
+* ``fixed_point_mpf``          a PiPoly's fixed-point coefficients by the
+  mpf fold, once ``pipoly.fixed_point``: each term c pi^j in mpf arithmetic
+  at F + top + 16 bits, against which the integer fold is checked.
 * ``reflected``                the coefficients of Q(1 - s) by the binomial
   sum, against which ``exactnum.taylor_shift`` is checked.
 """
@@ -51,6 +54,7 @@ from oddzeta.errors import DomainError
 from oddzeta.pipoly import (
     PiLaurent,
     PiPoly,
+    _magnitude_bits,
     fixed_point,
     fraction_to_mpf,
     laurent_eval,
@@ -487,6 +491,25 @@ def poly_evaluator(a: PiPoly, precision: int):
         return mp.make_mpf(from_man_exp(sign * acc, -frac, precision, round_nearest))
 
     return evaluate
+
+
+def fixed_point_mpf(a: PiPoly, precision: int) -> tuple[int, list]:
+    """(F, [c_0, ..., c_d]) as ``pipoly.fixed_point`` returns them, folded in mpf arithmetic.
+
+    F follows the library's rule.  Each term c pi^j is rounded to F + top + 16 bits,
+    summed by degree at that precision and rounded to nearest at F fraction
+    bits by ``mp.nint``.
+    """
+    terms = a.as_dict()
+    degree = max((i for i, _ in terms), default=0)
+    top = max([0] + [_magnitude_bits(c, j) for (_, j), c in terms.items()])
+    frac = precision + top + degree.bit_length() + 4
+    with mp.workprec(frac + top + 16):
+        pi = +mp.pi
+        by_degree = [mp.mpf(0)] * (degree + 1) if terms else []
+        for (i, j), c in terms.items():
+            by_degree[i] += fraction_to_mpf(c) * pi**j
+        return frac, [int(mp.nint(mp.ldexp(c, frac))) for c in by_degree]
 
 
 def reflected(q: list) -> list:

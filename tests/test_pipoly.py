@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddzeta import exactnum, quad
+from oddzeta import exactnum, quad, zetarep
 from oddzeta.errors import DomainError
 from oddzeta.exactnum import bernoulli_polynomial, euler_polynomial
 from oddzeta.expansion import p_poly
@@ -21,7 +21,7 @@ from oddzeta.pipoly import (
     to_latex,
 )
 from oddzeta.quad import working_precision
-from oracles import integrate_one, poly_evaluator, sin_moment
+from oracles import fixed_point_mpf, integrate_one, poly_evaluator, sin_moment
 
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
@@ -285,6 +285,57 @@ class TestEvaluation:
     def test_at_rational_exact(self):
         assert P2.at_rational(Fraction(1)) == PiLaurent.zero()
         assert P2.at_rational(Fraction(1, 2)) == PiLaurent.monomial(2, Fraction(-1, 16))
+
+
+# the integrated routes; the theorem's quadrature is the corollary's
+ROUTES = [zetarep.Representation.COROLLARY, zetarep.Representation.CK_EULER, zetarep.Representation.CK_BERNOULLI]
+
+
+def assert_same_fold(a, precision, what):
+    """fixed_point(a) equals the mpf fold bit for bit, naming any degree that differs; -a folds to the negatives."""
+    frac, coefficients = fixed_point(a, precision)
+    want_frac, want = fixed_point_mpf(a, precision)
+    assert (frac, len(coefficients)) == (want_frac, len(want)), what
+    differ = [i for i, (x, y) in enumerate(zip(coefficients, want)) if x != y]
+    assert not differ, (what, "degrees", differ)
+    assert fixed_point(-a, precision) == (frac, [-c for c in coefficients]), what
+
+
+class TestIntegerFold:
+    # fixed_point sums each degree's terms exactly over pi^j fixed at
+    # F + top + 24 bits and rounds once; the mpf fold it replaced errs by about
+    # 2^-16 units before its rounding, so the two differ only at a coefficient
+    # that close to a half unit, and none of these is
+    @pytest.mark.parametrize("precision", [128, 436, 2400])
+    @pytest.mark.parametrize("rep", ROUTES, ids=lambda rep: rep.value)
+    def test_routes_match_the_mpf_fold(self, rep, precision):
+        for p in [*range(1, 41), 72]:
+            quotient, _ = divide_one_minus_t(zetarep._polynomial(p, rep))
+            assert_same_fold(quotient, precision, (rep.value, p, precision))
+
+    @pytest.mark.parametrize("rep", ROUTES, ids=lambda rep: rep.value)
+    def test_p_cap_matches_the_mpf_fold(self, rep):
+        quotient, _ = divide_one_minus_t(zetarep._polynomial(700, rep))
+        assert_same_fold(quotient, 436, (rep.value, 700, 436))
+
+    @pytest.mark.parametrize("precision", [16, 128, 436, 2400])
+    def test_mixed_grading_matches_the_mpf_fold(self, precision):
+        # degrees 0 and 1 hold several pi-exponents over different denominators,
+        # so their sums run over the lcm
+        mixed = PiPoly(
+            {
+                (0, 0): Fraction(1, 3),
+                (0, 1): Fraction(-2, 7),
+                (0, 5): Fraction(5, 11),
+                (1, 0): Fraction(3, 4),
+                (1, 2): Fraction(1, 6),
+                (1, 3): Fraction(-1, 10),
+                (3, 7): Fraction(-9, 13),
+                (4, 0): 7,
+            }
+        )
+        for a in (mixed, PiPoly.zero(), PiPoly.monomial(0, 3, Fraction(-7, 3))):
+            assert_same_fold(a, precision, (repr(a), precision))
 
 
 class TestSineMoments:

@@ -325,6 +325,59 @@ class TestGridWeights:
                     assert x % k == 0
                     assert abs(x // k - mp.ldexp(want, frac)) <= 1, (level, k)
 
+    @pytest.mark.parametrize("wp,frac", [(436, 500), (2629, 2693)])
+    def test_end_half_weight_rounded_to_nearest(self, wp, frac):
+        # the t = 1 half weight 1/pi is rounded to nearest, as the sine ratios are
+        quad._tables.cache_clear()
+        quad._grid_sums(wp, 0, frac, 0)
+        _, powers, ks = quad._tables(wp)[("grid", 0, frac)]
+        with mp.workprec(frac + 32):
+            assert abs(powers[-1] // ks[-1] - mp.ldexp(1 / mp.pi, frac)) <= 0.5 + mp.ldexp(1, -10)
+
+    def test_sums_are_cumulative(self):
+        # a level's X_m sums w_k k^m over its own abscissas and every coarser
+        # level's, in its units: k of a coarser level counts as k 2^(level -
+        # coarse); the weights are read back after degree 0, then every level
+        # grows to degree 5
+        wp, frac, degree, levels = 253, 317, 5, 4
+        quad._tables.cache_clear()
+        weights = []
+        for level in range(levels):
+            quad._grid_sums(wp, level, frac, 0)
+            _, powers, ks = quad._tables(wp)[("grid", level, frac)]
+            weights.append([(x // k, k) for x, k in zip(powers, ks)])
+        for level in range(levels):
+            sums = quad._grid_sums(wp, level, frac, degree)
+            for m in range(degree + 1):
+                want = sum(w * (k << level - coarse) ** m for coarse in range(level + 1) for w, k in weights[coarse])
+                assert sums[m] == want, (level, m)
+
+
+def linear_truncation(n, radius, log_size, target):
+    """The first K = 1..N/4 whose remainder bound is below 2^-target, by scanning, with its bound; N/4 when none is."""
+    for terms in range(1, max(1, n // 4) + 1):
+        bound = quad._remainder_log2(n, radius, log_size, terms)
+        if bound <= -target:
+            break
+    return terms, bound
+
+
+class TestTruncation:
+    # _truncation bisects over K = 1..N/4, where the bound strictly falls, so it
+    # finds the scan's K and bound, down to the grids where no K meets the target
+    @pytest.mark.parametrize("log_size", [-math.inf, -50, 0, 300])
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_matches_the_linear_scan(self, radius, log_size):
+        grids = sorted({*range(1, 41), *(1 << e for e in range(13)), *((3 << e) - 1 for e in range(11)), *range(41, 4097, 151)})
+        unmet = 0
+        for n in grids:
+            for target in (16, 53, 436, 1000, 2629, 9000, 40000):
+                found = quad._truncation(n, radius, log_size, target)
+                assert found == linear_truncation(n, radius, log_size, target), (n, target)
+                unmet += found[1] > -target
+        # every bound is -inf for a zero integrand; otherwise some small grid misses
+        assert unmet or log_size == -math.inf
+
 
 # the kinds of table the per-precision store keeps: all of the trapezoid engine
 TRAPEZOID_TABLES = {"grid", "series", "corrections"}
