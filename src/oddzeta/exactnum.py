@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError
 from .pipoly import PiPoly
@@ -92,22 +92,24 @@ def euler_number(n: int) -> int:
 
 
 def bernoulli_polynomial(n: int) -> PiPoly:
-    """Bernoulli polynomial B_n(t) = sum_k C(n,k) B_{n-k} t^k."""
+    """Bernoulli polynomial B_n(t) = sum_k C(n,k) B_{n-k} t^k, over the lcm of the B_k's denominators."""
     if n < 0:
         raise DomainError("Bernoulli polynomial index must be >= 0")
-    return PiPoly(((k, 0), comb(n, k) * bernoulli_number(n - k)) for k in range(n + 1))
+    numbers = [bernoulli_number(n - k) for k in range(n + 1)]
+    den = lcm(*(b.denominator for b in numbers))
+    return PiPoly.from_row(den, [comb(n, k) * b.numerator * (den // b.denominator) for k, b in enumerate(numbers)])
 
 
 def euler_polynomial(n: int) -> PiPoly:
     """Euler polynomial E_n(t) = sum_k C(n,k) (E_k / 2^k) (t - 1/2)^{n-k}, by one Taylor shift.
 
     2^n E_n(t) = S(1 - 2t) with S(x) = sum_i (-1)^i C(n,i) E_{n-i} x^i, so the
-    t^i coefficient is c_i / 2^(n-i) for c = :func:`taylor_shift` (S).
+    t^i coefficient is c_i 2^i / 2^n for c = :func:`taylor_shift` (S).
     """
     if n < 0:
         raise DomainError("Euler polynomial index must be >= 0")
     c = taylor_shift([(-1) ** i * comb(n, i) * euler_number(n - i) for i in range(n + 1)])
-    return PiPoly(((i, 0), Fraction(c[i], 1 << n - i)) for i in range(n + 1))
+    return PiPoly.from_row(1 << n, [c_i << i for i, c_i in enumerate(c)])
 
 
 def taylor_shift(q: list) -> list:

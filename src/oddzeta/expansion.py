@@ -13,7 +13,8 @@ half of each series is built:
   -sin(pi t z), -(pi t)^k / k! for k = 4m+1 and +(pi t)^k / k! for k = 4m+3,
   so the Cauchy product with the csc coefficients c_j pi^j, j in
   {-1, 1, 3, ...}, is one monomial per j, all at t-exponents p - j that
-  differ.  The sine half, never built, holds the p = -1 term
+  differ, written as one integer row over (p+1)! L, L the lcm of the
+  Bernoulli denominators.  The sine half, never built, holds the p = -1 term
   pi^{-1} sin(pi t); the check that it cancels the cotangent pole lives with
   the tests (``tests/oracles.py``).
 * ``p_poly(p)``     The degree-(2p+1) polynomial with w_{2p} = cos(pi t) P(t),
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import exactnum
 from .errors import DomainError, IdentityViolation
@@ -66,24 +67,30 @@ def w_coeff(p: int) -> PiPoly:
     The Cauchy product over the pole index -1 and the odd csc indices j < p,
     written out: c_j pi^j times the sine's -+(pi t)^(p-j) / (p-j)! is the term
     t^(p-j) pi^p, with - for p - j = 1 (mod 4) and + for p - j = 3.  No two
-    terms share a t-exponent.  Odd p give zero.
+    terms share a t-exponent, and all share the denominator (p+1)! L, L the
+    lcm of the denominators of B_2, ..., B_p: for j = 2m - 1 and c_j = a/b
+    the numerator is -+a (L (p+1)! / (p-j)!) / b, a quotient that is exact
+    since c_j (2m)! = 2 (2^(2m-1) - 1) |B_2m|.  Odd p give zero.
     """
     if p < 0:
         raise DomainError("product-series index must be >= 0")
     if p % 2:
         return PiPoly.zero()
-    terms = {}
-    for j in [-1, *range(1, p, 2)]:
-        sign = -1 if (p - j) % 4 == 1 else 1
-        terms[p - j, p] = sign * csc_coefficient(j).as_dict()[j] / factorial(p - j)
-    return PiPoly(terms)
+    big = lcm(*(exactnum.bernoulli_number(2 * m).denominator for m in range(1, p // 2 + 1)))
+    row, scaled = [0] * (p + 2), big  # scaled = L (p+1)! / (p-j)!
+    for j in range(-1, p, 2):
+        c = csc_coefficient(j).as_dict()[j]
+        row[p - j] = (-1 if (p - j) % 4 == 1 else 1) * c.numerator * (scaled // c.denominator)
+        scaled *= (p - j) * (p - j - 1)
+    return PiPoly.from_row(factorial(p + 1) * big, row, p)
 
 
 @lru_cache(maxsize=None)
 def p_poly(p: int) -> PiPoly:
     """The polynomial P_{2p}(t) with w_{2p}(t) = cos(pi t) P_{2p}(t), for p >= 1.
 
-    It is the Cauchy product coefficient w_{2p}, checked exactly at t = 1.
+    It is the Cauchy product coefficient w_{2p}, checked exactly at t = 1,
+    where its value is the sum of its integer row over its denominator.
     There the sine factor -sin(pi t z) is -sin(pi z), so P_{2p}(1) =
     -[z^{2p}] csc(pi z) sin(pi z), which is 0 since csc(pi z) sin(pi z) = 1.
     A nonzero value means a corrupted csc coefficient (a wrong Bernoulli

@@ -1,14 +1,15 @@
 """Exact algebra of pi-graded polynomials and pi-Laurent scalars.
 
 A :class:`PiPoly` is a polynomial in t whose coefficients are rational
-multiples of nonnegative powers of pi, stored as a term map
-``(t_exp, pi_exp) -> Fraction``.  A :class:`PiLaurent` is a scalar: a finite
-rational combination of integer (possibly negative) powers of pi, keyed by
-pi_exp.  Both are one canonical term map (no zero coefficients) with one
-shared accumulator and one shared set of ring operators; the subclasses add
-only key validation and how two keys combine in a product.  Powers of pi
-stay symbolic through every algebraic operation; nothing is rounded until an
-explicit numeric evaluation at a stated bit precision.
+multiples of nonnegative powers of pi, stored as one row per pi exponent:
+``{pi_exp: (den, [c_0, c_1, ...])}``, a positive denominator and the dense
+integer numerators, t^0 first, in lowest terms with no trailing zero.  So
+sums, products, values, the sine lemma and every rendering run on integers
+over one denominator, and a term is reduced only where it is printed.  A
+:class:`PiLaurent` is a scalar: a finite rational combination of integer
+(possibly negative) powers of pi, a canonical term map pi_exp -> Fraction.
+Powers of pi stay symbolic through every algebraic operation; nothing is
+rounded until an explicit numeric evaluation at a stated bit precision.
 
 The module also integrates a PiPoly against sin(pi t) over (0,1) exactly, as
 a finite sum of end-point derivatives (:func:`integrate_against_sin`), which
@@ -37,13 +38,14 @@ coefficients (a Bernoulli or Euler polynomial) is a PiPoly at pi^0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 import mpmath as mp
 from mpmath.libmp import from_rational, mpf_pi, mpf_pow_int, round_nearest, to_fixed
 
-from . import quad
+from . import exactnum, quad
 from .errors import DomainError
 
 __all__ = [
@@ -71,31 +73,33 @@ def _accumulate(pairs: Iterable[tuple]) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-class _TermMap:
-    """Exact term map ``key -> nonzero Fraction`` shared by PiPoly and PiLaurent.
+class PiLaurent:
+    """Finite rational combination of integer powers of pi (scalar): a term map pi_exp -> nonzero Fraction.
 
     Values are canonical (no zero coefficients), so two values are equal
-    exactly when their term maps are equal.  A subclass supplies ``_key``
-    (validates one key of outside input) and ``_combine`` (the key of a
-    product of two terms).
+    exactly when their term maps are equal.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable[tuple], None] = None):
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self._terms = _accumulate((self._key(key), Fraction(c)) for key, c in items)
+        self._terms = _accumulate((int(e), Fraction(c)) for e, c in items)
 
     @classmethod
-    def _wrap(cls, data: dict):
+    def _wrap(cls, data: dict) -> "PiLaurent":
         # fast path: data is already canonical and its keys valid
         value = cls.__new__(cls)
         value._terms = data
         return value
 
     @classmethod
-    def zero(cls):
+    def zero(cls) -> "PiLaurent":
         return cls._wrap({})
+
+    @classmethod
+    def monomial(cls, pi_exp: int, coeff: CoeffLike = 1) -> "PiLaurent":
+        return cls({pi_exp: coeff})
 
     def as_dict(self) -> dict:
         return dict(self._terms)
@@ -104,7 +108,7 @@ class _TermMap:
         return not self._terms
 
     def __add__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not PiLaurent:
             return NotImplemented
         return self._wrap(_accumulate([*self._terms.items(), *other._terms.items()]))
 
@@ -112,46 +116,20 @@ class _TermMap:
         return self + -other
 
     def __neg__(self):
-        return self._wrap({key: -c for key, c in self._terms.items()})
+        return self._wrap({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.zero()
-            return self._wrap({key: c * other for key, c in self._terms.items()})
-        if type(other) is not type(self):
+            other = PiLaurent({0: other})
+        if type(other) is not PiLaurent:
             return NotImplemented
-        combine = self._combine
-        return self._wrap(
-            _accumulate(
-                (combine(k1, k2), c1 * c2)
-                for k1, c1 in self._terms.items()
-                for k2, c2 in other._terms.items()
-            )
-        )
+        products = ((e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in other._terms.items())
+        return self._wrap(_accumulate(products))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._terms == other._terms
-
-
-class PiLaurent(_TermMap):
-    """Finite rational combination of integer powers of pi (scalar), keyed by pi_exp."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(pi_exp) -> int:
-        return int(pi_exp)
-
-    @staticmethod
-    def _combine(e1: int, e2: int) -> int:
-        return e1 + e2
-
-    @classmethod
-    def monomial(cls, pi_exp: int, coeff: CoeffLike = 1) -> "PiLaurent":
-        return cls({pi_exp: coeff})
+        return type(other) is PiLaurent and self._terms == other._terms
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -160,59 +138,148 @@ class PiLaurent(_TermMap):
         return f"PiLaurent({' + '.join(bits)})"
 
 
-def _descending(terms: Mapping[tuple[int, int], Fraction]) -> list:
-    """(key, coeff) pairs by descending t-degree, then ascending pi-exponent."""
-    return sorted(terms.items(), key=lambda kc: (-kc[0][0], kc[0][1]))
+def _canonical(parts: Iterable[tuple]) -> dict:
+    """Canonical rows {pi_exp: (den, [c_0, ..., c_d])} of the sum of rows ``(pi_exp, (den, [c_0, ...]))``.
+
+    A row stands for sum_i c_i t^i pi^j / den.  It is canonical when den > 0,
+    gcd(den, c_0, ..., c_d) = 1 and c_d != 0, so a PiPoly has one set of rows;
+    a zero sum leaves no row.
+    """
+    groups: dict = {}
+    for j, row in parts:
+        groups.setdefault(j, []).append(row)
+    rows = {}
+    for j, group in groups.items():
+        den = lcm(*(d for d, _ in group))
+        total = [0] * max(len(row) for _, row in group)
+        for d, row in group:
+            scale = den // d
+            for i, c in enumerate(row):
+                total[i] += c * scale
+        while total and not total[-1]:
+            total.pop()
+        if total:
+            g = gcd(den, *total)
+            rows[j] = (den // g, [c // g for c in total])
+    return rows
 
 
-class PiPoly(_TermMap):
+class PiPoly:
     """Polynomial in t with rational-multiple-of-pi^j coefficients.
 
-    Terms map ``(t_exp, pi_exp) -> Fraction``.  Both exponents must be
-    nonnegative.
+    Stored as one canonical row of integer numerators over one denominator
+    per pi exponent (:func:`_canonical`), so two values are equal exactly when
+    their rows are.  Both exponents must be nonnegative.
     """
 
-    __slots__ = ()
+    __slots__ = ("_rows",)
 
-    @staticmethod
-    def _key(key) -> tuple[int, int]:
-        t_exp, pi_exp = int(key[0]), int(key[1])
-        if t_exp < 0:
-            raise DomainError(f"negative t-exponent {t_exp}")
+    def __init__(self, terms: Union[Mapping, Iterable[tuple], None] = None):
+        """From terms ``(t_exp, pi_exp) -> coefficient``, a mapping or pairs; repeated keys add."""
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        parts = []
+        for (i, j), c in ((map(int, key), Fraction(c)) for key, c in items):
+            if i < 0:
+                raise DomainError(f"negative t-exponent {i}")
+            if j < 0:
+                raise DomainError(f"negative pi-exponent {j} in PiPoly")
+            parts.append((j, (c.denominator, [0] * i + [c.numerator])))
+        self._rows = _canonical(parts)
+
+    @classmethod
+    def _wrap(cls, rows: dict) -> "PiPoly":
+        # fast path: rows are already canonical and their pi exponents valid
+        value = cls.__new__(cls)
+        value._rows = rows
+        return value
+
+    @classmethod
+    def from_row(cls, den: int, coefficients: list, pi_exp: int = 0) -> "PiPoly":
+        """sum_i c_i t^i pi^pi_exp / den from integers [c_0, c_1, ...] and den != 0."""
         if pi_exp < 0:
             raise DomainError(f"negative pi-exponent {pi_exp} in PiPoly")
-        return t_exp, pi_exp
+        return cls._wrap(_canonical([(pi_exp, (den, coefficients))]))
 
-    @staticmethod
-    def _combine(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
-        return k1[0] + k2[0], k1[1] + k2[1]
+    @classmethod
+    def zero(cls) -> "PiPoly":
+        return cls._wrap({})
 
     @classmethod
     def monomial(cls, t_exp: int, pi_exp: int = 0, coeff: CoeffLike = 1) -> "PiPoly":
         return cls({(t_exp, pi_exp): coeff})
 
+    def as_dict(self) -> dict:
+        """Terms ``(t_exp, pi_exp) -> nonzero Fraction``, each reduced."""
+        return {(i, j): Fraction(c, den) for i, j, c, den in _terms(self)}
+
+    def is_zero(self) -> bool:
+        return not self._rows
+
+    def __add__(self, other):
+        if type(other) is not PiPoly:
+            return NotImplemented
+        return self._wrap(_canonical([*self._rows.items(), *other._rows.items()]))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._wrap({j: (den, [-c for c in row]) for j, (den, row) in self._rows.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = PiPoly.monomial(0, 0, other)
+        if type(other) is not PiPoly:
+            return NotImplemented
+        parts = []
+        for j1, (d1, r1) in self._rows.items():
+            for j2, (d2, r2) in other._rows.items():
+                product = [0] * (len(r1) + len(r2) - 1)
+                for i, x in enumerate(r1):
+                    for k, y in enumerate(r2):
+                        product[i + k] += x * y
+                parts.append((j1 + j2, (d1 * d2, product)))
+        return self._wrap(_canonical(parts))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is PiPoly and self._rows == other._rows
+
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._rows:
             return "PiPoly(0)"
-        bits = [f"{c}*pi^{j}*t^{i}" for (i, j), c in _descending(self._terms)]
+        bits = [f"{c}*pi^{j}*t^{i}" for (i, j), c in _descending(self.as_dict())]
         return f"PiPoly({' + '.join(bits)})"
 
     def at_rational(self, t: Fraction) -> PiLaurent:
         """Exact value at a rational point, as a pi-Laurent scalar.
 
-        The sums run over integer numerators on the common denominator of the
-        value, so each pi power reduces one Fraction, however long t's
-        denominator (a dyadic abscissa's has thousands of bits).
+        Each row is one integer Horner in homogeneous form, sum c_i n^i
+        d^(deg - i) for t = n/d, so each pi power reduces one Fraction, however
+        long t's denominator (a dyadic abscissa's has thousands of bits).
         """
         t = Fraction(t)
         n, d = t.numerator, t.denominator
-        degree = max((i for i, _ in self._terms), default=0)
-        den = lcm(*(c.denominator for c in self._terms.values()))
-        sums = _accumulate(
-            (j, c.numerator * (den // c.denominator) * n**i * d ** (degree - i))
-            for (i, j), c in self._terms.items()
-        )
-        return PiLaurent._wrap({j: Fraction(s, den * d**degree) for j, s in sums.items()})
+        values = {}
+        for j, (den, row) in self._rows.items():
+            acc, scale = 0, 1
+            for c in reversed(row):
+                acc = acc * n + c * scale
+                scale *= d
+            if acc:
+                values[j] = Fraction(acc, den * d ** (len(row) - 1))
+        return PiLaurent._wrap(values)
+
+
+def _terms(a: PiPoly) -> list:
+    """(t_exp, pi_exp, c, den) for each nonzero term c t^i pi^j / den of a, row by row."""
+    return [(i, j, c, den) for j, (den, row) in a._rows.items() for i, c in enumerate(row) if c]
+
+
+def _descending(terms: Mapping[tuple[int, int], object]) -> list:
+    """(key, coeff) pairs by descending t-degree, then ascending pi-exponent."""
+    return sorted(terms.items(), key=lambda kc: (-kc[0][0], kc[0][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,51 +300,53 @@ def fixed_point(a: PiPoly, precision: int) -> tuple[int, list]:
     """a's coefficients as fixed-point integers, for sums accurate to about 2^-precision.
 
     Returns (F, [c_0, ..., c_d]).  F is ``precision`` plus top, the bits of
-    the largest |c_ij pi^j| (the :func:`laurent_eval` size rule, at least 0),
-    plus log2(degree) plus 4, the guard for the rounding of d multiply-and-shift
-    steps on values in [-1, 1].  Each pi^j is fixed once, within 1/2 + 2^-12
-    units of 2^-g, g = F + top + 24, and a degree sums n_j (L/d_j) pi^j exactly
-    over L = lcm(d_j); as |c_ij| < 2^(top+1), that is within J 2^-23 units of
-    2^-F for J exponents.  Its magnitude is rounded once to nearest at F bits,
-    so +a and -a give exact negatives.
+    the largest |c_ij pi^j| (the :func:`laurent_eval` size rule on the reduced
+    term, at least 0), plus log2(degree) plus 4, the guard for the rounding of
+    d multiply-and-shift steps on values in [-1, 1].  Each pi^j is fixed once,
+    within 1/2 + 2^-12 units of 2^-g, g = F + top + 24, and a degree sums the
+    numerators of its rows times pi^j exactly over the lcm L of the rows'
+    denominators (L is the one denominator when a has one row); as each
+    coefficient is below 2^(top+1) in magnitude, that is within J 2^-23
+    units of 2^-F for J exponents.  Its magnitude is rounded once to nearest
+    at F bits, so +a and -a give exact negatives.
     """
-    terms = a._terms
-    degree = max((i for i, _ in terms), default=0)
-    top = max([0] + [_magnitude_bits(c, j) for (_, j), c in terms.items()])
+    rows = a._rows
+    degree = max((len(row) - 1 for _, row in rows.values()), default=0)
+    # a reduced term's size is within one bit of its size over the row's denominator
+    sizes = [(c.bit_length() - den.bit_length() + 2 * j, j, c, den) for _, j, c, den in _terms(a)]
+    high = max([size for size, *_ in sizes], default=0)
+    top = max([0] + [_magnitude_bits(Fraction(c, den), j) for size, j, c, den in sizes if size >= high - 2])
     frac = precision + top + degree.bit_length() + 4
-    bits, rows, powers = frac + top + 24, {}, {}
-    for (i, j), c in terms.items():
-        rows.setdefault(i, []).append((j, c))
-        if j not in powers:
-            # pi^j at bits + 2j + 16 bits is within 2^-(bits+12); floored at bits + 1, then rounded
-            prec = bits + 2 * j + 16
-            powers[j] = (int(to_fixed(mpf_pow_int(mpf_pi(prec), j, prec, round_nearest), bits + 1)) + 1) >> 1
-    coefficients = [0] * (degree + 1) if terms else []
-    for i, row in rows.items():
-        den = lcm(*(c.denominator for _, c in row))
-        total = sum(c.numerator * (den // c.denominator) * powers[j] for j, c in row)
-        unit = den << (bits - frac)
-        coefficients[i] = (1 if total >= 0 else -1) * ((2 * abs(total) + unit) // (2 * unit))
+    bits = frac + top + 24
+    common = lcm(*(den for den, _ in rows.values()))
+    weighted = []
+    for j, (den, row) in rows.items():
+        # pi^j at bits + 2j + 16 bits is within 2^-(bits+12); floored at bits + 1, then rounded
+        prec = bits + 2 * j + 16
+        power = (int(to_fixed(mpf_pow_int(mpf_pi(prec), j, prec, round_nearest), bits + 1)) + 1) >> 1
+        weighted.append((row, common // den * power))
+    unit = common << (bits - frac)
+    coefficients = []
+    for i in range(degree + 1 if rows else 0):
+        total = sum(row[i] * power for row, power in weighted if i < len(row))
+        coefficients.append((1 if total >= 0 else -1) * ((2 * abs(total) + unit) // (2 * unit)))
     return frac, coefficients
 
 
 def divide_one_minus_t(a: PiPoly) -> tuple[PiPoly, PiLaurent]:
     """Exact (Q, R) with a(t) = (1 - t) Q(t) + R, where R = a(1).
 
-    Per pi-power j, q_k = -(a_{k+1} + ... + a_d) and R is the sum of all a_k,
-    so Q keeps a's grading and has one degree less.
+    Per pi-power j, q_k = -(a_{k+1} + ... + a_d): the suffix sums of a's row,
+    over its denominator.  R's pi^j coefficient is the row's total, so Q keeps
+    a's grading and has one degree less.
     """
-    rows: dict = {}
-    for (i, j), c in a._terms.items():
-        rows.setdefault(j, {})[i] = c
-    quotient, remainder = {}, {}
-    for j, row in rows.items():
-        tail = 0  # a_{k+1} + ... + a_d
-        for k in range(max(row), -1, -1):
-            quotient[k, j] = -tail
-            tail += row.get(k, 0)
-        remainder[j] = tail
-    return PiPoly(quotient), PiLaurent(remainder)
+    quotient, remainder = [], {}
+    for j, (den, row) in a._rows.items():
+        tails = list(accumulate(reversed(row)))  # a_d, a_(d-1) + a_d, ..., a_0 + ... + a_d
+        quotient.append((j, (den, [-s for s in tails[-2::-1]])))
+        if tails[-1]:
+            remainder[j] = Fraction(tails[-1], den)
+    return PiPoly._wrap(_canonical(quotient)), PiLaurent._wrap(remainder)
 
 
 def laurent_eval(a: PiLaurent, precision: int):
@@ -312,19 +381,21 @@ def integrate_against_sin(a: PiPoly) -> PiLaurent:
 
         sum_k (-1)^k [a^(2k)(0) + a^(2k)(1)] / pi^(2k+1).
 
-    For a term c t^i pi^j, a^(2k)(1) = c i(i-1)...(i-2k+1) pi^j; a^(2k)(0) is
-    the same number when 2k = i and zero otherwise, so that term counts twice.
-    The sums run over integer numerators on the common denominator of a.
+    For a row c (over its denominator), a^(2k)(0) = (2k)! c_2k and
+    a^(2k)(1) = (2k)! b_2k with b_i = sum_m C(m, i) c_m, the even-index
+    entries of :func:`exactnum.taylor_shift` (c).  The sums run over integer
+    numerators on the common denominator of the rows.
     """
-    den = lcm(*(c.denominator for c in a._terms.values()))
+    common = lcm(*(den for den, _ in a._rows.values()))
     sums: dict[int, int] = {}
-    for (i, j), c in a._terms.items():
-        f = c.numerator * (den // c.denominator)
-        for k in range(i // 2 + 1):
-            e = j - 2 * k - 1
-            sums[e] = sums.get(e, 0) + (f if 2 * k < i else 2 * f)
-            f = -f * (i - 2 * k) * (i - 2 * k - 1)
-    return PiLaurent({e: Fraction(n, den) for e, n in sums.items()})
+    for j, (den, row) in a._rows.items():
+        shifted = exactnum.taylor_shift(row)
+        f = common // den  # (-1)^k (2k)!, scaled to the common denominator
+        for k in range(0, len(row), 2):
+            e = j - k - 1
+            sums[e] = sums.get(e, 0) + f * (row[k] + shifted[k])
+            f = -f * (k + 1) * (k + 2)
+    return PiLaurent._wrap({e: Fraction(n, common) for e, n in sums.items() if n})
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +404,11 @@ def integrate_against_sin(a: PiPoly) -> PiLaurent:
 
 def to_json_terms(a: PiPoly) -> list[dict]:
     """Term list [{t_exp, pi_exp, num, den}, ...] sorted by (t_exp, pi_exp)."""
-    return [
-        {"t_exp": i, "pi_exp": j, "num": c.numerator, "den": c.denominator}
-        for (i, j), c in sorted(a.as_dict().items())
-    ]
+    out = []
+    for i, j, c, den in sorted(_terms(a)):
+        g = gcd(c, den)  # the one reduction of the term
+        out.append({"t_exp": i, "pi_exp": j, "num": c // g, "den": den // g})
+    return out
 
 
 def join_terms(terms: Iterable[tuple], atom: Callable) -> str:
@@ -366,7 +438,7 @@ def to_text(a: PiPoly) -> str:
         parts = ("" if mag == 1 else str(mag), f"pi^{j}" if j else "", tpow)
         return "*".join(x for x in parts if x) or "1"
 
-    return join_terms(_descending(a._terms), atom)
+    return join_terms(_descending(a.as_dict()), atom)
 
 
 def _latex_power(base: str, exp: int) -> str:
@@ -382,18 +454,17 @@ def _latex_power(base: str, exp: int) -> str:
 def to_latex(a: PiPoly) -> str:
     """LaTeX form with the rational-times-pi-power content factored out.
 
-    The remaining integer-coefficient polynomial is printed expanded, ordered
-    by descending t-degree, e.g. ``\\frac{\\pi^2}{6}\\left(t^3 - t\\right)``.
+    The content is g / L for the gcd g of the numerators over the rows'
+    common denominator L, so no term is reduced.  The remaining integer
+    polynomial is printed expanded, ordered by descending t-degree, e.g.
+    ``\\frac{\\pi^2}{6}\\left(t^3 - t\\right)``.
     """
-    terms = _descending(a.as_dict())
-    if not terms:
+    if a.is_zero():
         return "0"
-    pi_exp = min(j for (_, j), _ in terms)
-    content = Fraction(
-        gcd(*(c.numerator for _, c in terms)), lcm(*(c.denominator for _, c in terms))
-    )
-    if terms[0][1] < 0:
-        content = -content
+    pi_exp = min(a._rows)
+    common = lcm(*(den for den, _ in a._rows.values()))
+    terms = _descending({(i, j): c * (common // den) for i, j, c, den in _terms(a)})
+    g = gcd(*(c for _, c in terms)) * (1 if terms[0][1] > 0 else -1)  # the content is g / common
 
     def atom(key, mag):
         # mag is an integer: the content holds every denominator
@@ -402,13 +473,13 @@ def to_latex(a: PiPoly) -> str:
         coeff_txt = "" if mag == 1 and (piece or tpow) else str(mag)
         return " ".join(x for x in (coeff_txt, piece, tpow) if x) or "1"
 
-    inner = join_terms(((key, c / content) for key, c in terms), atom)
+    inner = join_terms(((key, c // g) for key, c in terms), atom)
 
     pi_txt = _latex_power("\\pi", pi_exp)
-    mag = abs(content)
+    mag = Fraction(abs(g), common)
     numerator = ("" if mag.numerator == 1 else str(mag.numerator)) + pi_txt
     prefix = numerator if mag.denominator == 1 else f"\\frac{{{numerator or 1}}}{{{mag.denominator}}}"
-    sign = "-" if content < 0 else ""
+    sign = "-" if g < 0 else ""
     if len(terms) == 1 and inner == "1":
         return f"{sign}{prefix}" if prefix else f"{sign}1"
     if not prefix:

@@ -1,6 +1,9 @@
 """Pi-graded algebra: ring laws, evaluation, sine moments, serialization."""
 
+import hashlib
+import json
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -19,6 +22,7 @@ from oddzeta.pipoly import (
     laurent_eval,
     to_json_terms,
     to_latex,
+    to_text,
 )
 from oddzeta.quad import working_precision
 from oracles import fixed_point_mpf, integrate_one, poly_evaluator, sin_moment
@@ -45,6 +49,10 @@ def random_laurent(rng, max_terms=4, max_exp=4, max_coeff=9):
 
 def assert_canonical(value):
     assert all(value.as_dict().values()), value.as_dict()
+    if isinstance(value, PiPoly):
+        # one row per pi exponent: den > 0, in lowest terms, no trailing zero, never empty
+        for den, row in value._rows.values():
+            assert den > 0 and row and row[-1] and gcd(den, *row) == 1, (den, row)
 
 
 class TestRingOperations:
@@ -98,6 +106,9 @@ class TestRingOperations:
             for t in points:
                 assert_canonical(a.at_rational(t))
                 assert_canonical((a - b).at_rational(t))
+            for value in (a, a * b, a - b):
+                for part in divide_one_minus_t(value):
+                    assert_canonical(part)
 
 
 def evaluate(a, t, precision):
@@ -375,7 +386,7 @@ class TestSineMoments:
         elif family == "random":
             polys = [random_poly(rng, max_terms=6, max_exp=40) for _ in range(40)]
         else:
-            polys = [p_poly(p) for p in range(1, 25)]
+            polys = [p_poly(p) for p in [*range(1, 25), 72]]
         for poly in polys:
             by_moments = PiLaurent.zero()
             for (i, j), c in poly.as_dict().items():
@@ -434,3 +445,35 @@ class TestSerialization:
         forward, backward = PiPoly(terms), PiPoly(terms[::-1])
         assert to_latex(forward) == to_latex(backward)
         assert "\\pi t^2" in to_latex(forward)
+
+
+def digest(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+# SHA-256 of each rendering of P_2p, p = 1..72, one per line, and of the JSON
+# terms of P_1400, frozen from the term-map implementation
+P_DIGESTS = {
+    "to_text": "9f826fc0baf52d57d4c5928377c054a75a5bb10e0a5c135f92d9011ec458e19c",
+    "to_latex": "15da1abf1f45b9e648f9e47f1c9de74d3e465b5a4bbcb620801b4a016e0f1ec5",
+    "to_json_terms": "24b8abb5b2855ea391523c0a1cc537fddc81a5346b320ee454d188cb12ff506d",
+    "repr": "e074fe090f8c4e72bfd58d041066dbd2b7a9a7c0caf4a841866dedbc9db5d4bd",
+    "lemma_check": "bd69f91c506c0887a2deca694b1348733243ed14108fe3092e62de44ff28d580",
+}
+P_1400_JSON_DIGEST = "d7deff7a78d211cb1d07159ca882e9b2076f7074b6a0514d4726fe1554d91439"
+
+
+class TestFrozenRenderings:
+    @pytest.mark.parametrize("kind", sorted(P_DIGESTS))
+    def test_p_up_to_72(self, kind):
+        render = {
+            "to_text": lambda p: to_text(p_poly(p)),
+            "to_latex": lambda p: to_latex(p_poly(p)),
+            "to_json_terms": lambda p: json.dumps(to_json_terms(p_poly(p))),
+            "repr": lambda p: repr(p_poly(p)),
+            "lemma_check": lambda p: repr(zetarep.lemma_check(p)),
+        }[kind]
+        assert digest(render(p) for p in range(1, 73)) == P_DIGESTS[kind]
+
+    def test_json_at_the_p_cap(self):
+        assert digest([json.dumps(to_json_terms(p_poly(700)))]) == P_1400_JSON_DIGEST
