@@ -9,7 +9,9 @@ class DomainError(OddzetaError, ValueError):
     """An argument lies outside the mathematical domain of an operation.
 
     This includes a pi-grading violation: an operation that would put a
-    negative pi-exponent into a polynomial required to stay polynomial in pi.
+    negative pi-exponent into a polynomial required to stay polynomial in pi,
+    or a sum of two nonzero PiPolys at different pi exponents (a PiPoly is
+    pi^e / den times one integer polynomial); the message names both.
     """
 
 

@@ -464,7 +464,7 @@ def poly_evaluator(a: PiPoly, precision: int):
     """Compile a PiPoly into a fixed-point integer Horner evaluator at ``precision`` bits.
 
     The coefficients are those of ``pipoly.fixed_point(a, precision)``: each
-    degree's pi-powers folded into one integer with F fraction bits, rounded
+    coefficient times its power of pi as one integer with F fraction bits, rounded
     to nearest.  The returned callable converts its mpf argument t to F
     fraction bits once, runs ``acc = ((acc * x) >> F) + c`` on Python
     integers and returns one mpf rounded to ``precision`` bits; for |t| <= 1

@@ -30,12 +30,20 @@ from oracles import fixed_point_mpf, integrate_one, poly_evaluator, sin_moment
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
 
-def random_poly(rng, max_terms=4, max_exp=4, max_coeff=9):
+def random_poly(rng, max_terms=4, max_exp=4, max_coeff=9, pi_exp=None):
+    """A random PiPoly at one pi exponent: ``pi_exp``, or one drawn per call."""
+    if pi_exp is None:
+        pi_exp = rng.randint(0, max_exp)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        key = (rng.randint(0, max_exp), rng.randint(0, max_exp))
-        terms[key] = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff))
+        terms[rng.randint(0, max_exp), pi_exp] = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff))
     return PiPoly(terms)
+
+
+def random_polys(rng, count, **kwargs):
+    """``count`` random PiPolys sharing one pi exponent, so that they can be added."""
+    pi_exp = rng.randint(0, kwargs.get("max_exp", 4))
+    return [random_poly(rng, pi_exp=pi_exp, **kwargs) for _ in range(count)]
 
 
 def random_laurent(rng, max_terms=4, max_exp=4, max_coeff=9):
@@ -50,9 +58,10 @@ def random_laurent(rng, max_terms=4, max_exp=4, max_coeff=9):
 def assert_canonical(value):
     assert all(value.as_dict().values()), value.as_dict()
     if isinstance(value, PiPoly):
-        # one row per pi exponent: den > 0, in lowest terms, no trailing zero, never empty
-        for den, row in value._rows.values():
-            assert den > 0 and row and row[-1] and gcd(den, *row) == 1, (den, row)
+        # one triple (pi_exp, den, row): den > 0, in lowest terms, no trailing zero; zero is (0, 1, [])
+        pi_exp, den, row = value._triple
+        assert pi_exp >= 0 and den > 0, value._triple
+        assert (row and row[-1] and gcd(den, *row) == 1) or (pi_exp, den, row) == (0, 1, []), value._triple
 
 
 class TestRingOperations:
@@ -71,7 +80,7 @@ class TestRingOperations:
 
     def test_ring_laws_random(self, rng):
         for _ in range(25):
-            a, b, c = (random_poly(rng) for _ in range(3))
+            a, b, c = random_polys(rng, 3)
             assert a + b == b + a
             assert a * b == b * a
             assert (a + b) + c == a + (b + c)
@@ -94,7 +103,7 @@ class TestRingOperations:
         points = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
         scalars = (0, Fraction(0), 2, Fraction(-1, 3))
         for _ in range(60):
-            a, b = (random_poly(rng, max_terms=5, max_exp=2, max_coeff=2) for _ in range(2))
+            a, b = random_polys(rng, 2, max_terms=5, max_exp=2, max_coeff=2)
             x, y = (random_laurent(rng, max_terms=5, max_exp=2, max_coeff=2) for _ in range(2))
             for value in (a, b, a + b, a - b, a - a, -a, a * b, (a + b) * (a - b)):
                 assert_canonical(value)
@@ -109,6 +118,46 @@ class TestRingOperations:
             for value in (a, a * b, a - b):
                 for part in divide_one_minus_t(value):
                     assert_canonical(part)
+
+
+class TestOnePiExponent:
+    # a PiPoly is pi^e / den times one integer polynomial: a sum across two
+    # exponents raises, naming both, and the zero polynomial adds to any exponent
+    def test_sum_across_exponents_raises(self):
+        a, b = PiPoly.monomial(1, 2, Fraction(1, 6)), PiPoly.monomial(3, 4, -1)
+        for make in (lambda: a + b, lambda: a - b, lambda: b + a):
+            with pytest.raises(DomainError, match="pi\\^(2 and pi\\^4|4 and pi\\^2)"):
+                make()
+
+    def test_constructor_across_exponents_raises(self):
+        with pytest.raises(DomainError, match="pi\\^0 and pi\\^2"):
+            PiPoly({(0, 0): 1, (1, 2): 1})
+        # a zero term spans no exponent
+        assert PiPoly({(1, 3): 0, (0, 1): 5, (2, 0): Fraction(0)}) == PiPoly.monomial(0, 1, 5)
+
+    def test_zero_adds_to_any_exponent(self, rng):
+        zero = PiPoly.zero()
+        for a in [random_poly(rng, max_exp=9) for _ in range(20)]:
+            assert zero + a == a == a + zero
+            assert a - a == zero
+            assert_canonical(a - a)
+            assert zero - a == -a
+
+    def test_product_across_exponents(self):
+        product = PiPoly.monomial(1, 2, Fraction(1, 6)) * PiPoly({(0, 3): 2, (2, 3): Fraction(-1, 4)})
+        assert product == PiPoly({(1, 5): Fraction(1, 3), (3, 5): Fraction(-1, 24)})
+        assert_canonical(product)
+
+    def test_from_row_rejects_zero_denominator(self):
+        with pytest.raises(DomainError, match="denominator must be nonzero"):
+            PiPoly.from_row(0, [1])
+
+    def test_from_row_is_canonical(self):
+        row = [2, 0, -4, 0, 0]
+        value = PiPoly.from_row(-6, row, 3)
+        assert value._triple == (3, 3, [-1, 0, 2])
+        assert row == [2, 0, -4, 0, 0]
+        assert PiPoly.from_row(5, [0, 0], 7)._triple == (0, 1, [])
 
 
 def evaluate(a, t, precision):
@@ -313,7 +362,7 @@ def assert_same_fold(a, precision, what):
 
 
 class TestIntegerFold:
-    # fixed_point sums each degree's terms exactly over pi^j fixed at
+    # fixed_point multiplies each numerator exactly by pi^e fixed at
     # F + top + 24 bits and rounds once; the mpf fold it replaced errs by about
     # 2^-16 units before its rounding, so the two differ only at a coefficient
     # that close to a half unit, and none of these is
@@ -331,21 +380,22 @@ class TestIntegerFold:
 
     @pytest.mark.parametrize("precision", [16, 128, 436, 2400])
     def test_mixed_grading_matches_the_mpf_fold(self, precision):
-        # degrees 0 and 1 hold several pi-exponents over different denominators,
-        # so their sums run over the lcm
-        mixed = PiPoly(
+        # a PiPoly has one pi exponent, so a mixed-grading polynomial is refused;
+        # one over a large denominator, with terms of very different sizes,
+        # folds as the mpf fold does, and so do zero and a constant
+        with pytest.raises(DomainError, match="pi\\^0 and pi\\^1"):
+            PiPoly({(0, 0): Fraction(1, 3), (0, 1): Fraction(-2, 7), (4, 0): 7})
+        wide = PiPoly(
             {
-                (0, 0): Fraction(1, 3),
-                (0, 1): Fraction(-2, 7),
                 (0, 5): Fraction(5, 11),
-                (1, 0): Fraction(3, 4),
-                (1, 2): Fraction(1, 6),
-                (1, 3): Fraction(-1, 10),
-                (3, 7): Fraction(-9, 13),
-                (4, 0): 7,
+                (1, 5): Fraction(-1, 3**40 * 7),
+                (2, 5): Fraction(3, 2**61 - 1),
+                (3, 5): Fraction(-9, 13),
+                (4, 5): 7,
             }
         )
-        for a in (mixed, PiPoly.zero(), PiPoly.monomial(0, 3, Fraction(-7, 3))):
+        assert wide._triple[1] == 11 * 3**40 * 7 * (2**61 - 1) * 13
+        for a in (wide, PiPoly.zero(), PiPoly.monomial(0, 3, Fraction(-7, 3))):
             assert_same_fold(a, precision, (repr(a), precision))
 
 
@@ -395,7 +445,7 @@ class TestSineMoments:
 
     def test_linearity_random(self, rng):
         for _ in range(20):
-            a, b = random_poly(rng), random_poly(rng)
+            a, b = random_polys(rng, 2)
             c1 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             c2 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             combined = integrate_against_sin(a * c1 + b * c2)
@@ -437,14 +487,6 @@ class TestSerialization:
     def test_latex_negative_leading(self):
         poly = PiPoly({(5, 4): Fraction(-1, 120), (3, 4): Fraction(1, 36), (1, 4): Fraction(-7, 360)})
         assert to_latex(poly) == "-\\frac{\\pi^4}{360}\\left(3 t^5 - 10 t^3 + 7 t\\right)"
-
-    def test_latex_mixed_pi_exponents(self):
-        # terms sharing a t-degree: the sign comes from the first term in
-        # descending order, and a bare pi power is spaced from its t power
-        terms = [((2, 0), Fraction(1)), ((2, 1), Fraction(-1))]
-        forward, backward = PiPoly(terms), PiPoly(terms[::-1])
-        assert to_latex(forward) == to_latex(backward)
-        assert "\\pi t^2" in to_latex(forward)
 
 
 def digest(texts):
