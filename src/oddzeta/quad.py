@@ -4,13 +4,13 @@ The zeta and Mikolas digamma integrals (:func:`integrate_moments`) are
 integral_0^1 w(t) Q(t) dt with Q a polynomial and one weight, w = (1 - t)
 tan(pi t/2); the theorem's cos(pi t) never reaches the engine, since
 ``zetarep`` splits it off exactly (tan x cos 2x = sin 2x - tan x).  The factor
-(1 - t) cancels the pole at t = 1, so w Q is analytic on [0, 1], and the
-trapezoid rule on t_k = k/N with its exact end corrections (Euler-Maclaurin,
-DLMF 2.10.1) converges like e^(-2 pi rho N) for the distance rho from [0, 1]
-to the nearest singularity: rho = 1 (the pole at t = -1), or rho = 2 (t = 3)
-when Q(-1) = 0, as for P_2p and the digamma Q (Trefethen & Weideman, SIAM
-Rev. 56, 2014).  Each integral is sum_m q_m M_m over moments M_m = h sum''
-w(t_k) t_k^m - (end corrections of w t^m), cached per level:
+(1 - t) cancels the pole at t = 1, and Q(-1) is split off exactly, as Q(-1)
+times integral_0^1 w = 2 log 2/pi, so the rest cancels the pole at t = -1.
+So w Q is analytic as far as t = 3, and the trapezoid rule on t_k = k/N with
+its exact end corrections (Euler-Maclaurin, DLMF 2.10.1) converges like
+e^(-2 pi rho N), rho = 2 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Each
+integral is sum_m q_m M_m over moments M_m = h sum'' w(t_k) t_k^m - (end
+corrections of w t^m), cached per level:
 
 * Grid.  sin(pi k/2N) is stepped by the Chebyshev recurrence, one multiply
   a node from one cos/sin pair per level (:func:`_grid_sums`; the sines are
@@ -90,9 +90,9 @@ _MOMENT_BITS = 64
 # the end-correction series and weights carry this many bits beyond a table's
 _SERIES_BITS = 32
 
-# the Cauchy discs of the trapezoid error bound reach this share of the
-# distance rho from [0, 1] to the nearest singularity
-_DISC = 63 / 64
+# rho, from [0, 1] to t = 3, the nearest singularity of w Q once Q(-1) = 0, and
+# the radius of the Cauchy discs of the trapezoid error bound, 63/64 of it
+_RHO, _DISC = 2, 63 * 2 / 64
 
 # the cutoffs of the Gamma integrals leave tails below 2^-wp for every order
 # up to this one; a higher order gets its own, larger tail bound
@@ -166,9 +166,8 @@ def _tables(wp: int) -> dict:
 def _base_points(wp: int) -> int:
     """N0, the trapezoid grid of level 0: ceil((wp + 40) / 12).
 
-    With K = N/4 corrections the remainder for rho = 2 is near 2^(-3 N), so
-    level 2 (N = 4 N0) reaches 2^-wp with about 40 bits to spare for the size
-    of the integrand; rho = 1 takes one level more.
+    With K = N/4 corrections the remainder is near 2^(-3 N), so level 2
+    (N = 4 N0) reaches 2^-wp with about 40 bits to spare for the integrand's size.
     """
     return -(-(wp + 40) // 12)
 
@@ -297,7 +296,7 @@ def _corrections(wp: int, level: int, frac: int, terms: int, degree: int) -> tup
     return at_zero, at_one
 
 
-def _remainder_log2(n: int, radius: int, log_size: float, terms: int) -> float:
+def _remainder_log2(n: int, log_size: float, terms: int) -> float:
     """log2 of a bound on the remainder after ``terms`` end corrections on the grid of N = n.
 
     DLMF 2.10.2 bounds it by 2 |B_2m| h^2m max |f^(2m)| / (2m)!, m = K + 1, and
@@ -308,10 +307,10 @@ def _remainder_log2(n: int, radius: int, log_size: float, terms: int) -> float:
     """
     m2 = 2 * terms + 2
     log_bernoulli = 1 + math.log2(math.pi**2 / 6) + math.lgamma(m2 + 1) / math.log(2) - m2 * math.log2(2 * math.pi)
-    return 2 + log_bernoulli + log_size - m2 * math.log2(n * radius * _DISC)
+    return 2 + log_bernoulli + log_size - m2 * math.log2(n * _DISC)
 
 
-def _truncation(n: int, radius: int, log_size: float, target: int) -> tuple:
+def _truncation(n: int, log_size: float, target: int) -> tuple:
     """(K, log2 of its remainder bound): the fewest end corrections, at most N/4, below 2^-target.
 
     The bound strictly falls over K = 1..N/4 (2K + 2 <= N/2 + 2 < 2 pi N r), so K is bisected.
@@ -319,27 +318,26 @@ def _truncation(n: int, radius: int, log_size: float, target: int) -> tuple:
     low, high = 1, max(1, n // 4)
     while low < high:
         middle = (low + high) // 2
-        if _remainder_log2(n, radius, log_size, middle) <= -target:
+        if _remainder_log2(n, log_size, middle) <= -target:
             high = middle
         else:
             low = middle + 1
-    return low, _remainder_log2(n, radius, log_size, low)
+    return low, _remainder_log2(n, log_size, low)
 
 
-def _log2_size(coefficients: list, frac: int, radius: int) -> float:
-    """log2 of a bound on |w(z) Q(z)| where z is r = 63 rho/64 from [0, 1].
+def _log2_size(coefficients: list, frac: int) -> float:
+    """log2 of a bound on |w(z) Q(z)| where z is r = 63 rho/64 from [0, 1], for Q(-1) = 0.
 
     |tan(pi z/2)| <= cosh(pi r/2) / (rho - r) there, since every pole left is at
     least rho - r away, |1 - z| and |z| are at most 1 + r, and |Q(z)| <=
     sum |q_m| (1 + r)^m.
     """
-    r = radius * _DISC
-    logs = [math.log2(abs(c)) - frac + m * math.log2(1 + r) for m, c in enumerate(coefficients) if c]
+    logs = [math.log2(abs(c)) - frac + m * math.log2(1 + _DISC) for m, c in enumerate(coefficients) if c]
     if not logs:
         return -math.inf
     top = max(logs)
     log_q = top + math.log2(sum(2 ** (x - top) for x in logs))
-    log_w = math.log2(math.cosh(math.pi * r / 2) / (radius - r) * (1 + r))
+    log_w = math.log2(math.cosh(math.pi * _DISC / 2) / (_RHO - _DISC) * (1 + _DISC))
     return log_q + log_w
 
 
@@ -418,33 +416,37 @@ def _level_loop(level_estimate: Callable, tol, precision: int, floor=0) -> QuadR
     )
 
 
-def integrate_moments(coefficients: list, frac: int, radius: int, tol, precision: int) -> QuadResult:
+def integrate_moments(coefficients: list, frac: int, tol, precision: int) -> QuadResult:
     """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt.
 
     ``coefficients`` are round(q_k 2^frac), lowest degree first; they are
     shifted up exactly to the moment tables' wp plus a multiple of 64 fraction
-    bits.  ``radius`` is the distance from [0, 1] to the nearest singularity
-    of w Q: 2 when Q(-1) = 0, else 1.  Each level's estimate is the integer
-    dot product of the coefficients with the level's grid sums and end
-    corrections (:func:`_level_total`), rounded once into an mpf, so no
-    integrand is evaluated; ``evaluations`` counts the trapezoid nodes.  The
-    error bound and K are those of :func:`_truncation`.
+    bits.  There c = Q(-1) = sum (-1)^m q_m is exact: q_0 - c leaves Q(-1) = 0
+    for rho = 2, and c round(2 log 2/pi), integral_0^1 w at the same bits, joins
+    each level's total, the dot product of the coefficients with the level's
+    grid sums and end corrections (:func:`_level_total`), rounded once into
+    an mpf, so no integrand is evaluated; ``evaluations`` counts the trapezoid
+    nodes.  The error bound and K are those of :func:`_truncation`.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
-    q = [c << (table - frac) for c in coefficients]
+    q = [c << (table - frac) for c in coefficients] or [0]
+    at_minus_one = sum(q[0::2]) - sum(q[1::2])
+    q[0] -= at_minus_one
+    with mp.workprec(table + 16):
+        split = at_minus_one * ((to_fixed((2 * mp.ln2 / mp.pi)._mpf_, table + 1) + 1) >> 1)
     r = exactnum.taylor_shift(q)
-    log_size = _log2_size(q, table, radius)
-    # each grid moment and table entry is within 2^-table, the division within
-    # 2^-2table and the mpf within 2^-wp
+    log_size = _log2_size(q, table)
+    # each grid moment and table entry is within 2^-table, 2 log 2/pi within
+    # 2^-(table+1), the division within 2^-2table and the mpf within 2^-wp
     with mp.workprec(53):
-        sizes = 2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + (1 << table)
+        sizes = 2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + abs(at_minus_one) + (1 << table)
         rounding = mp.ldexp(sizes, -2 * table) + mp.ldexp(1, -wp)
 
     def level_estimate(wp, level):
         n = _base_points(wp) << level
-        terms, log_bound = _truncation(n, radius, log_size, wp)
-        total = _level_total(wp, level, table, terms, q, r)
+        terms, log_bound = _truncation(n, log_size, wp)
+        total = _level_total(wp, level, table, terms, q, r) + split
         with mp.workprec(53):
             bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
         count = n + 1 if level == 0 else n // 2

@@ -227,7 +227,7 @@ def digamma_mikolas(z, precision: int):
               + pi/2 * integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt].
 
     The integral is :func:`quad.integrate_moments` of the Q of
-    :func:`_mikolas_quotient` (radius 2, F = wp + 64, the zeta routes' tables)
+    :func:`_mikolas_quotient` (F = wp + 64, the zeta routes' tables)
     plus its cut's bound.  cot(pi z) and the integral cancel as z -> 1, so the
     bits of |cot(pi z)| beyond 16 are added to the integral's precision, and
     cot(pi z) is added after its rounding.  Raises NoConvergence when the
@@ -242,7 +242,7 @@ def digamma_mikolas(z, precision: int):
     with mp.workprec(wp):
         zv = _as_mpf(z)
         q, cut = _mikolas_quotient(zv, wp + 64)
-        result = quad.integrate_moments(q, wp + 64, 2, quad.quad_tolerance(precision), inner)
+        result = quad.integrate_moments(q, wp + 64, quad.quad_tolerance(precision), inner)
         result = replace(result, error_estimate=result.error_estimate + cut)
         result.require_converged(f"Mikolas digamma integral at z = {shortest_str(zv)}")
         value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * (mp.cospi(zv) / mp.sinpi(zv) + result.value))

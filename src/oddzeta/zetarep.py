@@ -25,9 +25,8 @@ factor (P_{2p}, E_{2p} and B_{2p+1} all vanish there), so the integrands are
 analytic on [0, 1].  ``zeta_odd`` divides the scaled polynomial exactly by
 (1 - t), P = (1 - t) Q, and the zero remainder is its check of that zero.  Q
 is what is integrated, so the quadrature's one rounding gives zeta(2p+1)
-whatever the prefactor's size.  P_{2p} also vanishes at t = -1, which
-cancels the next pole too; Q(-1) tells the quadrature which radius of
-analyticity, 2 or 1, its error bound may use.  The quadrature takes the dot
+whatever the prefactor's size.  The quadrature splits Q(-1) off exactly, so
+every route runs at the same radius of analyticity.  It takes the dot
 product of Q's fixed-point coefficients (:func:`pipoly.fixed_point`) with
 trapezoid grid sums and exact end corrections of (1 - t) tan(pi t/2), cached
 per precision and level in ``quad`` (:func:`quad.integrate_moments`).  So one
@@ -140,9 +139,8 @@ def zeta_odd(p: int, representation, precision: int) -> ZetaComputation:
             f"p={p}, {rep.value}: the polynomial factor is {residue!r} at t = 1, not 0, "
             "so the tan(pi t/2) pole there is not cancelled"
         )
-    radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
     frac, coefficients = pipoly.fixed_point(quotient, quad.working_precision(precision))
-    result = quad.integrate_moments(coefficients, frac, radius, quad.quad_tolerance(precision), precision)
+    result = quad.integrate_moments(coefficients, frac, quad.quad_tolerance(precision), precision)
     return ZetaComputation(
         p=p,
         representation=rep,

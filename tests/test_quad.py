@@ -1,7 +1,6 @@
 """Quadrature: the tests' tanh-sinh reference integrator; the zeta and digamma integrals' trapezoid tables; the Gamma rule's shared pass."""
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 
 import mpmath as mp
@@ -353,10 +352,10 @@ class TestGridWeights:
                 assert sums[m] == want, (level, m)
 
 
-def linear_truncation(n, radius, log_size, target):
+def linear_truncation(n, log_size, target):
     """The first K = 1..N/4 whose remainder bound is below 2^-target, by scanning, with its bound; N/4 when none is."""
     for terms in range(1, max(1, n // 4) + 1):
-        bound = quad._remainder_log2(n, radius, log_size, terms)
+        bound = quad._remainder_log2(n, log_size, terms)
         if bound <= -target:
             break
     return terms, bound
@@ -366,14 +365,13 @@ class TestTruncation:
     # _truncation bisects over K = 1..N/4, where the bound strictly falls, so it
     # finds the scan's K and bound, down to the grids where no K meets the target
     @pytest.mark.parametrize("log_size", [-math.inf, -50, 0, 300])
-    @pytest.mark.parametrize("radius", [1, 2])
-    def test_matches_the_linear_scan(self, radius, log_size):
+    def test_matches_the_linear_scan(self, log_size):
         grids = sorted({*range(1, 41), *(1 << e for e in range(13)), *((3 << e) - 1 for e in range(11)), *range(41, 4097, 151)})
         unmet = 0
         for n in grids:
             for target in (16, 53, 436, 1000, 2629, 9000, 40000):
-                found = quad._truncation(n, radius, log_size, target)
-                assert found == linear_truncation(n, radius, log_size, target), (n, target)
+                found = quad._truncation(n, log_size, target)
+                assert found == linear_truncation(n, log_size, target), (n, target)
                 unmet += found[1] > -target
         # every bound is -inf for a zero integrand; otherwise some small grid misses
         assert unmet or log_size == -math.inf
@@ -388,42 +386,52 @@ def weight(t):
     return (1 - t) * mp.tan(mp.pi * t / 2)
 
 
+def split_at_minus_one(q):
+    """(c, q with q_0 - c): c = Q(-1) exactly, and the rest vanishes at t = -1."""
+    c = sum(q[0::2]) - sum(q[1::2])
+    return c, [q[0] - c] + q[1:]
+
+
 class TestTrapezoidMoments:
-    # Q = t^m has Q(-1) != 0, so w Q keeps the pole at t = -1 (radius 1);
-    # Q = t^m (1 + t) cancels it (radius 2)
+    # Q = t^m, one unit coefficient, has Q(-1) != 0, so integrate_moments
+    # splits Q(-1) off; Q = t^m (1 + t), two, cancels the pole at t = -1 itself
     @pytest.mark.parametrize("w", [weight], ids=["tan"])
     @pytest.mark.parametrize("m", [0, 3, 8])
-    @pytest.mark.parametrize("radius", [1, 2])
-    def test_against_mpmath_quad(self, m, radius, w):
+    @pytest.mark.parametrize("ones", [1, 2])
+    def test_against_mpmath_quad(self, m, ones, w):
         precision = 160
         frac = working_precision(precision) + 8
-        coefficients = [0] * m + [1 << frac] + [1 << frac] * (radius == 2)
-        result = quad.integrate_moments(coefficients, frac, radius, TOL30, precision)
+        coefficients = [0] * m + [1 << frac] * ones
+        result = quad.integrate_moments(coefficients, frac, TOL30, precision)
         with mp.workprec(precision + 40):
-            want = mp.quad(lambda t: w(t) * t**m * (1 + t if radius == 2 else 1), [0, 1])
+            want = mp.quad(lambda t: w(t) * t**m * (1 + t if ones == 2 else 1), [0, 1])
             assert result.converged
             assert abs(result.value - want) <= ulp(want, precision)
 
-    @pytest.mark.parametrize("p,rep", [(1, "corollary"), (3, "theorem"), (2, "ck_euler"), (4, "ck_bernoulli")])
+    @pytest.mark.parametrize(
+        "p,rep",
+        [(1, "corollary"), (3, "theorem"), (2, "ck_euler"), (4, "ck_bernoulli"), (8, "ck_euler"), (8, "ck_bernoulli")],
+    )
     @pytest.mark.parametrize("level", [0, 1])
     def test_remainder_bound_holds(self, p, rep, level):
-        # below the level that converges, the trapezoid sum with K end
-        # corrections misses zeta(2p+1) by no more than the DLMF 2.10.2 /
-        # Cauchy bound for K, for every K up to N/4; the theorem's route is
-        # the corollary's integral once its exact sine lemma has held
+        # below the level that converges, the trapezoid sum of w Q with K end
+        # corrections, once Q(-1) is split off as Q(-1) 2 log 2/pi, misses
+        # zeta(2p+1) by no more than the DLMF 2.10.2 / Cauchy bound for K at
+        # rho = 2, for every K up to N/4; the theorem's route is the
+        # corollary's integral once its exact sine lemma has held
         wp = 200
         quotient, _ = divide_one_minus_t(zetarep._polynomial(p, zetarep.Representation(rep)))
-        radius = 2 if quotient.at_rational(Fraction(-1)).is_zero() else 1
         frac, q = fixed_point(quotient, wp)
+        c, q = split_at_minus_one(q)
         r = exactnum.taylor_shift(q)
         n = quad._base_points(wp) << level
-        log_size = quad._log2_size(q, frac, radius)
+        log_size = quad._log2_size(q, frac)
         with mp.workprec(wp + 64):
-            target = mp.zeta(2 * p + 1)
+            target = mp.zeta(2 * p + 1) - mp.ldexp(c, -frac) * 2 * mp.ln2 / mp.pi
             for terms in range(1, n // 4 + 1):
                 total = quad._level_total(wp, level, frac, terms, q, r)
                 error = abs(mp.ldexp(total, -2 * frac) - target)
-                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, radius, log_size, terms)))
+                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms)))
                 assert error <= bound + mp.ldexp(len(q) + 2, -frac) * 4, (terms, error, bound)
 
     def test_zeta_routes_build_no_tanh_sinh_nodes(self, cold_caches):
@@ -498,7 +506,8 @@ class TestMikolasGrid:
         # every K up to N/4 below the level that converges: the trapezoid sum
         # of w Q with K end corrections, plus cot(pi z), misses cot(pi z) +
         # the integral by no more than the DLMF 2.10.2 / Cauchy bound for K with
-        # rho = 2, the rounding of the sums and the bound of the Taylor cut
+        # rho = 2, the rounding of the sums and the bound of the Taylor cut;
+        # Q(-1), 0 for this Q, is split off as in the zeta routes
         precision = 160
         wp = working_precision(precision)
         frac = wp + 64
@@ -506,16 +515,17 @@ class TestMikolasGrid:
             zv = mp.mpf(z)
         want = mikolas_value(zv, wp + 64)
         q, cut = reference._mikolas_quotient(zv, frac)
+        c, q = split_at_minus_one(q)
         r = exactnum.taylor_shift(q)
-        log_size = quad._log2_size(q, frac, 2)
+        log_size = quad._log2_size(q, frac)
         with mp.workprec(wp + 64):
-            shift = mp.cospi(zv) / mp.sinpi(zv)
+            shift = mp.cospi(zv) / mp.sinpi(zv) + mp.ldexp(c, -frac) * 2 * mp.ln2 / mp.pi
             rounding = mp.ldexp(2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + (1 << frac), -2 * frac)
         for level in (0, 1):
             n = quad._base_points(wp) << level
             for terms in range(1, n // 4 + 1):
                 total = quad._level_total(wp, level, frac, terms, q, r)
-                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, 2, log_size, terms)))
+                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms)))
                 with mp.workprec(wp + 64):
                     error = abs(mp.ldexp(total, -2 * frac) + shift - want)
                     assert error <= bound + rounding + cut, (level, terms, error, bound)

@@ -149,6 +149,17 @@ class TestAccuracySweep:
                 with mp.workprec(precision + 32):
                     assert abs(comp.value - want) <= mp.mpf(10) ** -(digits - 9), (p, rep)
 
+    def test_every_route_at_level_two_from_300_digits(self):
+        # the quadrature splits Q(-1) off exactly, so the CK routes, whose E_2p
+        # and B_2p+1 do not vanish at t = -1, converge on the corollary's grid
+        precision = bits_for_digits(300)
+        for p in range(1, 17):
+            routes = zeta_routes(p, precision)
+            evaluations = routes[1].quad.evaluations
+            for comp in routes:
+                diagnostics = (comp.quad.converged, comp.quad.levels, comp.quad.evaluations)
+                assert diagnostics == (True, 2, evaluations), (p, comp.representation)
+
     def test_corollary_at_1000_digits(self):
         precision = bits_for_digits(1000)
         comp = zeta_odd(1, "corollary", precision)
