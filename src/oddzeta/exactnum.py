@@ -7,17 +7,17 @@ shift (:func:`taylor_shift`, which also forms ``quad``'s Q(1 - s)).
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
 
-Tangent numbers T_m = Z_{2m-1}, Bernoulli and Euler numbers come from the
-zigzag numbers Z_n, cached one int each; Z_n ends row n of the boustrophedon
-(Seidel) triangle of Entringer numbers, which keeps only its last two rows:
+Tangent numbers come from Brent and Harvey's TangentNumbers (arXiv:1108.0286),
+Bernoulli numbers from them, and Euler numbers from the zigzag numbers Z_n, one
+cached int each, which end the rows of a Seidel triangle that keeps its last two:
 
-    tan x + sec x = sum Z_n x^n / n!,
+    tan x + sec x = sum Z_n x^n / n!,  T_m = Z_{2m-1},
     B_{2m} = (-1)^(m-1) * 2m * T_m / (2^{2m} (2^{2m} - 1)),
     E_{2m} = (-1)^m * Z_{2m}.
 
-This route is all-integer until the final division, and it is deliberately
-*not* the defining binomial recurrence, so the recurrence stays available as
-an independent check (see the test suite).
+Both routes are all-integer until the final division, and neither is the
+defining binomial recurrence, so the recurrence stays available as an
+independent check (see the test suite).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
+from threading import Lock
 
 from .errors import DomainError
 from .pipoly import PiPoly
@@ -56,11 +57,26 @@ def _zigzag(n: int) -> int:
     return _entringer_row(n)[n]
 
 
+@lru_cache(maxsize=1)
+def _tangent_table() -> tuple:
+    """[T_1, .., T_N], [0] + T_N's TangentNumbers pass values T_N^(k), k = 1..N, and the lock under which
+    both grow in place: T_(N+1)^(k) = (N + 1 - k) T_N^(k) + (N + 3 - k) T_(N+1)^(k-1), T_(N+1)^(0) = 0,
+    and T_(N+1) = 2 T_(N+1)^(N), O(N) small-integer multiply-adds an entry."""
+    return [1], [0, 1], Lock()
+
+
 def tangent_number(n: int) -> int:
-    """Tangent number T_n = Z_(2n-1), n >= 1: tan x = sum T_n x^(2n-1) / (2n-1)!."""
+    """Tangent number T_n, n >= 1: tan x = sum T_n x^(2n-1) / (2n-1)!, from :func:`_tangent_table`."""
     if n < 1:
         raise DomainError("tangent index must be >= 1")
-    return _zigzag(2 * n - 1)
+    values, column, lock = _tangent_table()
+    with lock:
+        for size in range(len(values), n):
+            for k in range(1, size + 1):
+                column[k] = (size + 1 - k) * column[k] + (size + 3 - k) * column[k - 1]
+            column.append(2 * column[-1])
+            values.append(column[-1])
+    return values[n - 1]
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,8 @@ corrections of w t^m), cached per level:
   s cot(pi s/2) with s = 1 - t at t = 1 (DLMF 4.19.6), derived from the
   first, since both read B_2n.  They are summed at F + 32 bits and rounded
   to F fraction bits, and those at t = 1 act on Q(1 - s), from
-  :func:`exactnum.taylor_shift`.
+  :func:`exactnum.taylor_shift`; an odd (1 - t) Q (P_2p, the Mikolas
+  bracket) makes w Q even, so its t = 0 corrections cancel and are skipped.
 * Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
   new abscissas are the odd k.  A level takes the fewest correction terms K
   (at most N/4, found by bisection) whose remainder bound is below 2^-wp.
@@ -255,19 +256,20 @@ def _series(wp: int, frac: int, count: int) -> tuple:
     return g, u
 
 
-def _corrections(wp: int, level: int, frac: int, terms: int, degree: int) -> tuple:
+def _corrections(wp: int, level: int, frac: int, terms: int, degree: int, odd: bool) -> tuple:
     """(V, D): a level's end-correction tables for ``terms`` corrections, at ``frac`` bits.
 
     The corrections of w Q are sum_j E_j ([t^(2j-1)] w Q + [s^(2j-1)] u(s) Q(1-s))
     with E_j = B_2j/(2j N^2j), which is integral - h sum'' w Q to that order.
-    At t = 0, g(t) (1 - t) t^m meets t^(2j-1) in one term only, so moment m
-    gets V_a for m = 2a and -V_(a+1) for m = 2a+1, with V_a = sum_j E_j
-    g_(j-a).  At t = 1 the corrections act on the Taylor coefficients r_i of
-    Q(1 - s), whose odd ones meet D_c = sum_j E_j u_(j-c) for i = 2c - 1; in
-    that basis no binomial C(m, i) amplifies a rounding error.  E_j is rounded
-    once from the exact rational, and each sum is exact until its one
-    rounding.  The lists grow as far as a Q of degree ``degree`` reads them,
-    to a = degree/2 + 1 and 2c - 1 = degree (none past c = K: empty sums).
+    At t = 0, g(t) (1 - t) t^m meets t^(2j-1) in one term only, so Q's
+    corrections there are sum_a V_a p_2a, with V_a = sum_j E_j g_(j-a) and
+    p_m = q_m - q_(m-1) those of (1 - t) Q.  At t = 1 the corrections act on
+    the Taylor coefficients r_i of Q(1 - s), whose odd ones meet D_c = sum_j
+    E_j u_(j-c) for i = 2c - 1; in that basis no binomial C(m, i) amplifies a
+    rounding error.  E_j is rounded once from the exact rational, and each sum
+    is exact until its one rounding.  The lists grow as far as a Q of degree
+    ``degree`` reads them, to a = degree/2 + 1 (none where (1 - t) Q is
+    ``odd``: every p_2a is 0) and 2c - 1 = degree (none past c = K).
     """
     store = _tables(wp)
     key = ("corrections", level, frac, terms)
@@ -289,7 +291,7 @@ def _corrections(wp: int, level: int, frac: int, terms: int, degree: int) -> tup
     def fold(total):
         return (total + (1 << shift - 1)) >> shift
 
-    for a in range(len(at_zero), degree // 2 + 2):
+    for a in range(len(at_zero), 0 if odd else degree // 2 + 2):
         at_zero.append(fold(sum(weights[j - 1] * g[j - a - 1] for j in range(a + 1, terms + 1))))
     for c in range(len(at_one) + 1, min(terms, (degree + 1) // 2) + 1):
         at_one.append(fold(sum(weights[j - 1] * u[j - c] for j in range(c, terms + 1))))
@@ -341,7 +343,7 @@ def _log2_size(coefficients: list, frac: int) -> float:
     return log_q + log_w
 
 
-def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -> int:
+def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list, odd: bool) -> int:
     """The level's Euler-Maclaurin sum for w Q at 2 frac fraction bits.
 
     ``q`` and ``r`` are Q's coefficients and those of Q(1 - s), both at
@@ -357,9 +359,9 @@ def _level_total(wp: int, level: int, frac: int, terms: int, q: list, r: list) -
     for c, x in zip(q, _grid_sums(wp, level, frac, degree)):
         numerator = numerator * n + c * x
     power = n ** (degree + 1)
-    at_zero, at_one = _corrections(wp, level, frac, terms, degree)
+    at_zero, at_one = _corrections(wp, level, frac, terms, degree, odd)
     total = (2 * numerator + power) // (2 * power)
-    total += sum(c * (at_zero[m // 2] if m % 2 == 0 else -at_zero[m // 2 + 1]) for m, c in enumerate(q))
+    total += sum(v * (a - b) for v, a, b in zip(at_zero, (q + [0])[0::2], ([0] + q)[0::2]))
     return total + sum(c * d for c, d in zip(r[1::2], at_one))
 
 
@@ -426,13 +428,15 @@ def integrate_moments(coefficients: list, frac: int, tol, precision: int) -> Qua
     each level's total, the dot product of the coefficients with the level's
     grid sums and end corrections (:func:`_level_total`), rounded once into
     an mpf, so no integrand is evaluated; ``evaluations`` counts the trapezoid
-    nodes.  The error bound and K are those of :func:`_truncation`.
+    nodes.  K and the bound are those of :func:`_truncation`.  Where (1 - t) Q
+    is odd, the t = 0 corrections and their rounding are skipped.
     """
     wp = working_precision(precision)
     table = wp - (wp - frac) // _MOMENT_BITS * _MOMENT_BITS
     q = [c << (table - frac) for c in coefficients] or [0]
     at_minus_one = sum(q[0::2]) - sum(q[1::2])
     q[0] -= at_minus_one
+    odd = (q + [0])[0::2] == ([0] + q)[0::2]
     with mp.workprec(table + 16):
         split = at_minus_one * ((to_fixed((2 * mp.ln2 / mp.pi)._mpf_, table + 1) + 1) >> 1)
     r = exactnum.taylor_shift(q)
@@ -440,13 +444,13 @@ def integrate_moments(coefficients: list, frac: int, tol, precision: int) -> Qua
     # each grid moment and table entry is within 2^-table, 2 log 2/pi within
     # 2^-(table+1), the division within 2^-2table and the mpf within 2^-wp
     with mp.workprec(53):
-        sizes = 2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + abs(at_minus_one) + (1 << table)
+        sizes = (1 if odd else 2) * sum(map(abs, q)) + sum(map(abs, r[1::2])) + abs(at_minus_one) + (1 << table)
         rounding = mp.ldexp(sizes, -2 * table) + mp.ldexp(1, -wp)
 
     def level_estimate(wp, level):
         n = _base_points(wp) << level
         terms, log_bound = _truncation(n, log_size, wp)
-        total = _level_total(wp, level, table, terms, q, r) + split
+        total = _level_total(wp, level, table, terms, q, r, odd) + split
         with mp.workprec(53):
             bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
         count = n + 1 if level == 0 else n // 2

@@ -37,6 +37,8 @@ Each one is a second route to something the library computes, kept out of
   at F + top + 16 bits, against which the integer fold is checked.
 * ``reflected``                the coefficients of Q(1 - s) by the binomial
   sum, against which ``exactnum.taylor_shift`` is checked.
+* ``odd_product``              whether (1 - t) Q is odd, from its coefficients,
+  the parity that decides whether ``quad`` skips the t = 0 end corrections.
 """
 
 from __future__ import annotations
@@ -515,3 +517,9 @@ def fixed_point_mpf(a: PiPoly, precision: int) -> tuple[int, list]:
 def reflected(q: list) -> list:
     """The coefficients of Q(1 - s), exactly, from those of Q(t): (-1)^i sum_m C(m, i) q_m."""
     return [(-1) ** i * sum(math.comb(m, i) * c for m, c in enumerate(q[i:], i)) for i in range(len(q))]
+
+
+def odd_product(q: list) -> bool:
+    """Whether (1 - t) Q is odd: its coefficients q_m - q_(m-1) vanish at every even m."""
+    product = [b - a for a, b in zip([0] + q, q + [0])]
+    return not any(product[0::2])

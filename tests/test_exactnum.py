@@ -36,6 +36,38 @@ class TestTangentNumbers:
         with pytest.raises(DomainError):
             exactnum.tangent_number(0)
 
+    def test_equal_to_the_entringer_route(self, cold_caches):
+        # Brent and Harvey's TangentNumbers against the zigzag numbers Z_(2n-1)
+        # that end the Entringer rows, which the Euler numbers keep
+        assert [exactnum.tangent_number(n) for n in range(1, 501)] == [exactnum._zigzag(2 * n - 1) for n in range(1, 501)]
+
+    def test_grown_in_steps(self, cold_caches):
+        # a later, larger n extends the column in place, as a later level's
+        # K does (217 is a 700-digit integral's level 2); the table holds the
+        # same values as one grown straight to 500
+        for n in (1, 2, 50, 217, 500):
+            exactnum.tangent_number(n)
+        stepped = [exactnum.tangent_number(n) for n in range(1, 501)]
+        for cached in cold_caches:
+            cached.cache_clear()
+        exactnum.tangent_number(500)
+        assert len(exactnum._tangent_table()[0]) == 500
+        assert [exactnum.tangent_number(n) for n in range(1, 501)] == stepped
+
+    def test_concurrent_growth(self, cold_caches):
+        # eight threads grow the one table to different lengths at once, with
+        # the interpreter switching threads every microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(exactnum.tangent_number, n) for n in (60, 120, 90, 30, 150, 10, 140, 100)]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [exactnum._zigzag(2 * n - 1) for n in (60, 120, 90, 30, 150, 10, 140, 100)]
+        assert exactnum._tangent_table()[0] == [exactnum._zigzag(2 * n - 1) for n in range(1, 151)]
+
 
 class TestBernoulliNumbers:
     def test_frozen_values(self):
@@ -69,16 +101,20 @@ class TestBernoulliNumbers:
         assert results[0] == bernoulli_number(24)
 
     def test_sweep_against_mpmath_keeps_two_rows(self, cold_caches):
-        # mpmath computes B_n by its own route; each Entringer row is read once,
-        # to build the next, so only the last two stay cached
+        # mpmath computes B_n by its own route; each Entringer row, which the
+        # Euler numbers read, is read once, to build the next, so only the
+        # last two stay cached
         for n in range(601):
             assert bernoulli_number(n) == Fraction(*mp.bernfrac(n)), n
+        euler_number(600)
         assert exactnum._entringer_row.cache_info().currsize <= 2
 
     def test_cold_index_past_the_recursion_limit(self, cold_caches):
-        # the zigzag numbers fill upward, so a cold call recurses one frame, not n
+        # the tangent numbers grow in a loop, and the zigzag numbers fill
+        # upward, so a cold call recurses one frame, not n
         n = 2 * (sys.getrecursionlimit() // 2 + 50)
         assert bernoulli_number(n) == Fraction(*mp.bernfrac(n))
+        assert euler_number(n) and sum(comb(n, j) * euler_number(j) for j in range(0, n + 1, 2)) == 0
 
 
 class TestEulerNumbers:

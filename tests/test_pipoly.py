@@ -25,7 +25,7 @@ from oddzeta.pipoly import (
     to_text,
 )
 from oddzeta.quad import working_precision
-from oracles import fixed_point_mpf, integrate_one, poly_evaluator, sin_moment
+from oracles import fixed_point_mpf, integrate_one, odd_product, poly_evaluator, sin_moment
 
 P2 = PiPoly({(3, 2): Fraction(1, 6), (1, 2): Fraction(-1, 6)})  # pi^2/6 (t^3 - t)
 
@@ -298,7 +298,7 @@ class TestEvaluation:
         assert fixed_point(-quotient, wp) == (frac, [-c for c in coefficients])
         level, terms = 1, 6
         taylor = exactnum.taylor_shift(coefficients)
-        total = quad._level_total(wp, level, frac, terms, coefficients, taylor)
+        total = quad._level_total(wp, level, frac, terms, coefficients, taylor, odd_product(coefficients))
         exact = exact_level_sum(quotient, wp, level, terms)
         degree = len(coefficients) - 1
         sizes = [abs(laurent_eval(PiLaurent({j: c}), 64)) for (_, j), c in quotient.as_dict().items()]

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from oddzeta import exactnum, quad, reference, zetarep
+from oddzeta.cli import bits_for_digits
 from oddzeta.expansion import p_poly
 from oddzeta.pipoly import divide_one_minus_t, fixed_point
 from oddzeta.quad import working_precision
@@ -259,7 +260,7 @@ class TestTangentMap:
             return {
                 level: (
                     list(quad._grid_sums(wp, level, frac, degree)),
-                    tuple(map(list, quad._corrections(wp, level, frac, terms, degree))),
+                    tuple(map(list, quad._corrections(wp, level, frac, terms, degree, False))),
                 )
                 for level in order
             }
@@ -380,6 +381,13 @@ class TestTruncation:
 # the kinds of table the per-precision store keeps: all of the trapezoid engine
 TRAPEZOID_TABLES = {"grid", "series", "corrections"}
 
+# the largest gap measured between log2 of the remainder bound and log2 of the
+# error it bounds, 17.34 bits at K = 10 (test_remainder_bound_is_tight), plus
+# half a bit: the gap is a fixed computation (integer sums, mpf at fixed bits,
+# float logs), and a margin of 2 bits let the bound's constant terms 1 and 2
+# grow by one bit each, and pi^2 / 6 become pi^3 / 6, unnoticed
+REMAINDER_GAP_BITS = 17.34 + 0.5
+
 
 def weight(t):
     """w(t) = (1 - t) tan(pi t/2), the one weight of the zeta integrals."""
@@ -390,6 +398,32 @@ def split_at_minus_one(q):
     """(c, q with q_0 - c): c = Q(-1) exactly, and the rest vanishes at t = -1."""
     c = sum(q[0::2]) - sum(q[1::2])
     return c, [q[0] - c] + q[1:]
+
+
+def route_quotient(p, rep, wp):
+    """(frac, c, q, r): a route's Q at ``wp`` as integrate_moments takes it, Q(-1) = c split off, and Q(1 - s)."""
+    quotient, _ = divide_one_minus_t(zetarep._polynomial(p, zetarep.Representation(rep)))
+    frac, q = fixed_point(quotient, wp)
+    c, q = split_at_minus_one(q)
+    return frac, c, q, exactnum.taylor_shift(q)
+
+
+def level_errors(p, rep, wp, level):
+    """The rounding the bound tests allow, 4 (degree + 3) 2^-frac, and (K, |error|, log2 of its bound) for every K up to N/4.
+
+    The error is that of the level's sum of w Q with K end corrections
+    against zeta(2p+1), at wp + 64 bits.
+    """
+    frac, c, q, r = route_quotient(p, rep, wp)
+    n = quad._base_points(wp) << level
+    log_size = quad._log2_size(q, frac)
+    rows = []
+    with mp.workprec(wp + 64):
+        target = mp.zeta(2 * p + 1) - mp.ldexp(c, -frac) * 2 * mp.ln2 / mp.pi
+        for terms in range(1, n // 4 + 1):
+            total = quad._level_total(wp, level, frac, terms, q, r, oracles.odd_product(q))
+            rows.append((terms, abs(mp.ldexp(total, -2 * frac) - target), quad._remainder_log2(n, log_size, terms)))
+    return mp.ldexp(len(q) + 2, -frac) * 4, rows
 
 
 class TestTrapezoidMoments:
@@ -420,19 +454,22 @@ class TestTrapezoidMoments:
         # rho = 2, for every K up to N/4; the theorem's route is the
         # corollary's integral once its exact sine lemma has held
         wp = 200
-        quotient, _ = divide_one_minus_t(zetarep._polynomial(p, zetarep.Representation(rep)))
-        frac, q = fixed_point(quotient, wp)
-        c, q = split_at_minus_one(q)
-        r = exactnum.taylor_shift(q)
-        n = quad._base_points(wp) << level
-        log_size = quad._log2_size(q, frac)
+        rounding, rows = level_errors(p, rep, wp, level)
         with mp.workprec(wp + 64):
-            target = mp.zeta(2 * p + 1) - mp.ldexp(c, -frac) * 2 * mp.ln2 / mp.pi
-            for terms in range(1, n // 4 + 1):
-                total = quad._level_total(wp, level, frac, terms, q, r)
-                error = abs(mp.ldexp(total, -2 * frac) - target)
-                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms)))
-                assert error <= bound + mp.ldexp(len(q) + 2, -frac) * 4, (terms, error, bound)
+            for terms, error, log_bound in rows:
+                bound = mp.ldexp(1, math.ceil(log_bound))
+                assert error <= bound + rounding, (terms, error, bound)
+
+    def test_remainder_bound_is_tight(self):
+        # the corollary at p = 1, wp 200, level 1, where every K up to N/4 = 10
+        # leaves an error above the rounding: the bound there is at least the
+        # error and at most REMAINDER_GAP_BITS above it, so a bound loosened by
+        # more than half a bit fails
+        rounding, rows = level_errors(1, "corollary", 200, 1)
+        with mp.workprec(264):
+            gaps = [log_bound - float(mp.log(error, 2)) for _, error, log_bound in rows if error > rounding]
+        assert len(gaps) == 10
+        assert 0 <= min(gaps) and max(gaps) <= REMAINDER_GAP_BITS, gaps
 
     def test_zeta_routes_build_no_tanh_sinh_nodes(self, cold_caches):
         precision = 200
@@ -440,6 +477,119 @@ class TestTrapezoidMoments:
             zetarep.zeta_odd(2, rep, precision)
         tables = quad._tables(working_precision(precision))
         assert {key[0] for key in tables} == TRAPEZOID_TABLES
+
+
+def recorded_level_totals(monkeypatch):
+    """quad._level_total as it was, and the list that every later call appends (its arguments, its total) to."""
+    original, calls = quad._level_total, []
+
+    def record(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(quad, "_level_total", record)
+    return original, calls
+
+
+def assert_t0_skipped_exactly(original, calls):
+    """Every recorded level took (1 - t) Q for odd and built no V, and its total is the one with V dotted in."""
+    assert calls
+    for (wp, level, frac, terms, q, r, odd), _ in calls:
+        assert odd and oracles.odd_product(q)
+        assert quad._tables(wp)[("corrections", level, frac, terms)][1] == []
+    for (wp, level, frac, terms, q, r, odd), total in calls:
+        # the moment-by-moment dot product: V_a for m = 2a, -V_(a+1) for m = 2a + 1
+        at_zero = quad._corrections(wp, level, frac, terms, len(q) - 1, False)[0]
+        assert any(at_zero)
+        dotted = sum(c * (at_zero[m // 2] if m % 2 == 0 else -at_zero[m // 2 + 1]) for m, c in enumerate(q))
+        assert total + dotted == total == original(wp, level, frac, terms, q, r, False)
+
+
+class TestOddIntegrands:
+    # (1 - t) Q odd makes w Q even, so its t = 0 end corrections cancel term
+    # by term: integrate_moments builds no V table for it, and every level's
+    # total is bit for bit the one with the V table dotted in
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_corollary_builds_no_t0_table(self, p, monkeypatch, cold_caches):
+        original, calls = recorded_level_totals(monkeypatch)
+        zetarep.zeta_odd(p, "corollary", bits_for_digits(700))
+        assert_t0_skipped_exactly(original, calls)
+
+    def test_mikolas_builds_no_t0_table(self, monkeypatch, cold_caches):
+        # the verify grid z = k/16 at verify's 120 digits
+        original, calls = recorded_level_totals(monkeypatch)
+        for k in range(1, 16):
+            reference.digamma_mikolas(mp.mpf(k) / 16, bits_for_digits(120))
+        assert len({tuple(args[4]) for args, _ in calls}) == 15
+        assert_t0_skipped_exactly(original, calls)
+
+    @pytest.mark.parametrize("rep", ["ck_euler", "ck_bernoulli"])
+    @pytest.mark.parametrize("p", [1, 8])
+    def test_ck_routes_keep_the_t0_table(self, p, rep, monkeypatch, cold_caches):
+        _, calls = recorded_level_totals(monkeypatch)
+        zetarep.zeta_odd(p, rep, bits_for_digits(100))
+        assert calls
+        for (wp, level, frac, terms, q, r, odd), _ in calls:
+            assert not odd and not oracles.odd_product(q)
+            assert len(quad._tables(wp)[("corrections", level, frac, terms)][1]) >= len(q) // 2 + 1
+
+    def test_skipping_t0_for_ck_euler_misses(self, monkeypatch, cold_caches):
+        # E_2 is not odd in t: with its t = 0 corrections skipped, level 2
+        # misses zeta(3) by 7.3e-7, and the miss falls like N^-2, to about
+        # 6.9e-13 at level 12, so no level comes within 1e-13
+        original = quad._level_total
+        monkeypatch.setattr(quad, "_level_total", lambda *args: original(*args[:-1], True))
+        monkeypatch.setattr(quad, "MAX_LEVEL", 2)
+        precision = bits_for_digits(700)
+        computation = zetarep.zeta_odd(1, "ck_euler", precision)
+        assert not computation.quad.converged
+        with mp.workprec(precision):
+            assert abs(computation.value - mp.zeta(3)) > 1e-13
+
+    @pytest.mark.parametrize(
+        "pattern,odd",
+        [([0, 1, 2], False), ([0, 1, 1, 1], False), ([0, 2, 2, 0, 0, 0, 1, 1], False), ([0, 1, 1], True), ([0, 2, 2, 3, 3], True)],
+    )
+    def test_parity_of_small_polynomials(self, pattern, odd, monkeypatch, cold_caches):
+        # q_0 = 0 alone is not odd: every q_2i must equal q_(2i-1) and the top
+        # index must be even; either way the value is mpmath's to the last bit
+        precision = 160
+        frac = working_precision(precision) + 8
+        _, calls = recorded_level_totals(monkeypatch)
+        result = quad.integrate_moments([c << frac for c in pattern], frac, TOL30, precision)
+        assert {args[-1] for args, _ in calls} == {odd}
+        assert oracles.odd_product(pattern) is odd
+        with mp.workprec(precision + 40):
+            want = mp.quad(lambda t: weight(t) * mp.polyval(pattern[::-1], t), [0, 1])
+            assert result.converged
+            assert abs(result.value - want) <= ulp(want, precision)
+
+
+class TestDeltas:
+    # each delta of a result is |S_(i+1) - S_i| for its level values S_i,
+    # read back as the values of the same integral with the level loop
+    # capped at level i; both sides are rounded to the precision
+    @pytest.mark.parametrize("route", ["zeta", "gamma"])
+    def test_deltas_are_the_level_differences(self, route, monkeypatch):
+        precision = bits_for_digits(100)
+
+        def run():
+            if route == "zeta":
+                return zetarep.zeta_odd(2, "ck_bernoulli", precision).quad
+            return quad.integrate_gamma(mp.mpf(1), [3], quad.quad_tolerance(precision), precision)[0]
+
+        result = run()
+        assert result.converged and len(result.deltas) == result.levels >= 2
+        values = []
+        for cap in range(result.levels + 1):
+            monkeypatch.setattr(quad, "MAX_LEVEL", cap)
+            values.append(run().value)
+        assert values[-1] == result.value
+        with mp.workprec(precision + 64):
+            unit = ulp(result.value, precision)
+            assert result.deltas[0] > 1024 * unit
+            for i, delta in enumerate(result.deltas):
+                assert abs(delta - abs(values[i + 1] - values[i])) <= 2 * unit, i
 
 
 class TestTaylorShift:
@@ -524,7 +674,7 @@ class TestMikolasGrid:
         for level in (0, 1):
             n = quad._base_points(wp) << level
             for terms in range(1, n // 4 + 1):
-                total = quad._level_total(wp, level, frac, terms, q, r)
+                total = quad._level_total(wp, level, frac, terms, q, r, oracles.odd_product(q))
                 bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms)))
                 with mp.workprec(wp + 64):
                     error = abs(mp.ldexp(total, -2 * frac) + shift - want)

@@ -311,8 +311,10 @@ class TestComputationRecord:
 
 
 # every library cache, by qualified name; the last four are bounded: two
-# Entringer rows, and three caches keyed by precision
+# Entringer rows, and three caches keyed by precision; the tangent numbers are
+# one table that grows in place
 KEPT_CACHES = (
+    "exactnum._tangent_table",
     "exactnum._zigzag",
     "exactnum.bernoulli_number",
     "expansion.csc_coefficient",
