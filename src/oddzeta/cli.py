@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 usage or domain error, 2 quadrature non-convergence,
 Inputs are checked by the library's typed errors; ``main`` reports one, or an
 ``OSError`` from ``--out``, as one ``error:`` line (exit 2 for a
 ``NoConvergence``).  ``main`` opens ``--out`` before the command computes,
-and every command writes to ``args.stream`` (that file, else stdout):
+and every command writes to ``args.stream`` (that file, else stdout; verify
+has no ``--out``):
 compute, digamma, gammaderiv and verify build one payload that
 :func:`_respond` writes as text or JSON; poly renders only the format asked
 for, and table writes its own JSON or CSV (``table --format json``: one

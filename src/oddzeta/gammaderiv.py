@@ -1,4 +1,4 @@
-"""Derivatives of the Gamma function at integer points.
+"""Derivatives of the Gamma function: at 1 by the Bell form, at real z >= 1 by the integral.
 
 Two routes that must agree:
 

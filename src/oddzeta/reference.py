@@ -9,9 +9,9 @@ Where that second route has no production caller it lives with the tests
 * ``zeta_ref``         Borwein's accelerated eta series in integers, reading
   no Bernoulli number; the tests hold it to the Euler-Maclaurin sum bit for
   bit and to the same series in exact rationals.
-* ``euler_gamma``      Brent-McMillan Bessel ratio, gamma =
-  S(n)/V(n) - log n with error O(e^{-4n}); cross-checked against the
-  harmonic-shift route -digamma_ref(1).
+* ``euler_gamma``      Brent and McMillan's Bessel ratio in integers, off by
+  less than pi e^{-4n}; the tests hold it bit for bit to ``mpmath.euler`` and
+  cross-check it against the harmonic-shift route -digamma_ref(1).
 * ``digamma_ref``      upward recurrence past a precision-dependent
   threshold, then the Bernoulli asymptotic series.
 * ``digamma_mikolas``  the cotangent-plus-integral representation of
@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import mpmath as mp
-from mpmath.libmp import from_rational, repr_dps, round_nearest, to_fixed
+from mpmath.libmp import from_int, from_rational, mpf_log, repr_dps, round_nearest, to_fixed
 
 from . import quad
 from .errors import DomainError
@@ -118,36 +118,32 @@ def zeta_ref(s: int, precision: int):
 
 @lru_cache(maxsize=8)
 def euler_gamma(precision: int):
-    """Euler-Mascheroni constant by the Brent-McMillan Bessel-ratio scheme.
+    """Euler's constant by Brent and McMillan's Bessel ratio, in integers.
 
-    With S(n) = sum (n^k/k!)^2 H_k and V(n) = sum (n^k/k!)^2,
-    gamma = S(n)/V(n) - log n + O(e^{-4n}); n is chosen so e^{-4n} is below
-    the target resolution.  S and V reach about e^{4n}, so the working
-    precision is raised by 4n/log 2 bits to keep the quotient accurate.
+    With b_k = (n^k/k!)^2 and a_k = b_k (H_k - log n), gamma = sum a / sum b
+    - r, 0 < r < pi e^-4n (Math. Comp. 34, 1980), and n = floor(precision ln 2
+    / 4) + 4 makes r < 2^-(precision+15).  At F = precision + bitlength(n) + 24
+    fraction bits, A_0 = -log n, B_0 = 1, B_k = B_(k-1) n^2/k^2 and A_k =
+    (A_(k-1) n^2/k + B_k)/k, each division floored, until B_k is 0 (M < 6n
+    steps, as b_6n < 2^-F).  A floor at step j reaches step k times b_k/b_j <=
+    max(b_k, 1) (b rises to k = n, then falls), so A_k and B_k are within
+    3 (k + 1) max(b_k, 1) 2^-F of a_k and b_k, and the terms past M sum below
+    3 M^2 2^-F.  As sum b >= e^2n/(e^2 n) > 5 M, the quotient moves by less
+    than 6 M 2^-F < 2^-(precision+18); rounded once at ``precision`` bits, it
+    is correctly rounded unless gamma is within 2^-(precision+14) of a boundary.
     """
     if precision < 16:
         raise DomainError("precision must be at least 16 bits")
     n = int(precision * math.log(2) / 4) + 4
-    wp = precision + int(4 * n / math.log(2)) + 32
-    with mp.workprec(wp):
-        nn = mp.mpf(n)
-        eps = mp.ldexp(1, -wp)
-        weighted = mp.mpf(0)
-        plain = mp.mpf(0)
-        term = mp.mpf(1)
-        harmonic_k = mp.mpf(0)
-        k = 0
-        while True:
-            weighted += term * harmonic_k
-            plain += term
-            k += 1
-            term *= nn * nn / (k * k)
-            harmonic_k += mp.mpf(1) / k
-            if term * (harmonic_k + 1) < eps * plain:
-                break
-        value = weighted / plain - mp.log(nn)
-    with mp.workprec(precision):
-        return +value
+    frac = precision + n.bit_length() + 24
+    a, b, k = -to_fixed(mpf_log(from_int(n), frac + 8), frac), 1 << frac, 0
+    total_a, total_b, square = a, b, n * n
+    while b:
+        k += 1
+        b = b * square // (k * k)
+        a = (a * square // k + b) // k
+        total_a, total_b = total_a + a, total_b + b
+    return mp.make_mpf(from_rational(total_a, total_b, precision, round_nearest))
 
 
 def digamma_ref(x, precision: int):
@@ -197,11 +193,12 @@ def _mikolas_quotient(z, frac: int) -> tuple:
     0; its t^m coefficient is c_m = (-1)^k (pi z)^m / (m! sin(pi z)), m = 2k + 1
     >= 3.  |c_m| is stepped at F + 40 fraction bits from pi z / sin(pi z) by
     one multiply by (pi z)^2 and one floored division by (m - 1) m, within 3
-    units, until it falls below 2^-(F+32); D is the last degree kept.  g_m is
-    c_m rounded to F bits and g_1 = -(g_3 + ... + g_D), which is S - S(1) t for
-    the cut series S, exactly, so g is odd with g(1) = 0, Q = g/(1 - t) is its
-    partial sums and Q(-1) = 0.  The error E = b - g vanishes at t = 1 too, so
-    E = sum_(m>=3) E_m (t^m - t) with 0 <= t - t^m <= (m - 1)(1 - t), and
+    units, until it falls below 2^-(F+32); D is the last degree stepped.  g_m
+    is c_m rounded to F bits and g_1 = -(g_3 + ... + g_D), which is S - S(1) t
+    for the cut series S, exactly, so g is odd with g(1) = 0, Q = g/(1 - t) is
+    its partial sums up to the degree below g's last nonzero coefficient (the
+    last g_m round to 0), and Q(-1) = 0.  The error E = b - g vanishes at t = 1
+    too, so E = sum_(m>=3) E_m (t^m - t) with 0 <= t - t^m <= (m - 1)(1 - t), and
     |integral_0^1 tan(pi t/2) E dt| <= (2 log 2/pi) sum (m - 1) |E_m|, the
     factor being integral_0^1 (1 - t) tan(pi t/2) dt.  Up to D, |E_m| <= (1/2 +
     2^-38) 2^-F and the m - 1 sum to (D^2 - 1)/4; past D, (m - 1)|c_m| at least
@@ -217,7 +214,8 @@ def _mikolas_quotient(z, frac: int) -> tuple:
     while (magnitude := (magnitude * square >> bits + size + 8) // (len(g) * (len(g) + 1))) >> 8:
         g += [0, (-1) ** (len(g) // 2) * ((magnitude + (1 << 39)) >> 40)]
     g[1] = -sum(g[3::2])
-    return list(accumulate(g[:-1])), mp.ldexp((len(g) - 1) ** 2 + 16, -(frac + 4))
+    top = max((m for m, c in enumerate(g) if c), default=0)
+    return list(accumulate(g[:top])), mp.ldexp((len(g) - 1) ** 2 + 16, -(frac + 4))
 
 
 def digamma_mikolas(z, precision: int):

@@ -619,18 +619,29 @@ def bracket_coefficients(z, count, wp):
         return [(-1) ** k * (mp.pi * z) ** (2 * k + 1) / (mp.factorial(2 * k + 1) * mp.sinpi(z)) for k in range(count)]
 
 
-def taylor_errors(q, z, frac):
+def stepped_degree(cut, frac):
+    """D, the last degree _mikolas_quotient stepped, read back from its cut bound (D^2 + 16) 2^-(frac+4)."""
+    return math.isqrt(int(mp.ldexp(cut, frac + 4)) - 16)
+
+
+def taylor_errors(q, z, frac, degree):
     """Where g = (1 - t) Q departs from the cut Taylor series of the bracket, as a list of messages.
 
-    g must be odd with g(1) = 0, its coefficients c_m for 3 <= m <= D rounded
-    to ``frac`` bits (within half a unit plus the 2^-38 units of the stepping),
-    and D the last degree with |c_D| >= 2^-(frac+32), up to the 3 units of
-    2^-(frac+40) by which the stepped magnitudes may miss the cut.
+    g must be odd with g(1) = 0, its coefficients c_m for 3 <= m <= D =
+    ``degree``, the last degree stepped, rounded to ``frac`` bits (within half
+    a unit plus the 2^-38 units of the stepping; those past g's degree round
+    to 0), D the last degree with |c_D| >= 2^-(frac+32), up to the 3 units of
+    2^-(frac+40) by which the stepped magnitudes may miss the cut, and Q's top
+    coefficient nonzero.
     """
     g = [b - a for a, b in zip([0] + q, q + [0])]
-    degree = len(g) - 1
-    c = bracket_coefficients(z, degree // 2 + 3, frac + 64)
     errors = []
+    if q and not q[-1]:
+        errors.append("Q ends in a zero coefficient")
+    if len(g) > degree + 1:
+        errors.append(f"g has degree {len(g) - 1}, past the cut at {degree}")
+    g += [0] * (degree + 1 - len(g))
+    c = bracket_coefficients(z, degree // 2 + 3, frac + 64)
     if any(g[0::2]) or sum(g):
         errors.append("g is not odd or g(1) != 0")
     with mp.workprec(frac + 64):
@@ -687,9 +698,9 @@ class TestMikolasGrid:
         with mp.workprec(frac):
             zv = mp.mpf(z)
         q, cut = reference._mikolas_quotient(zv, frac)
-        assert taylor_errors(q, zv, frac) == []
-        degree = len(q)
+        degree = stepped_degree(cut, frac)
         assert cut == mp.ldexp(degree * degree + 16, -(frac + 4))
+        assert taylor_errors(q, zv, frac, degree) == []
 
     @MIKOLAS_POINTS
     def test_faults_in_the_polynomial_are_caught(self, z):
@@ -699,16 +710,37 @@ class TestMikolasGrid:
         frac = working_precision(precision) + 64
         with mp.workprec(frac):
             zv = mp.mpf(z)
-        q, _ = reference._mikolas_quotient(zv, frac)
+        q, cut = reference._mikolas_quotient(zv, frac)
+        degree = stepped_degree(cut, frac)
         g = [b - a for a, b in zip([0] + q, q + [0])]
         early = g[:-2]
         early[1] = -sum(early[3::2])
-        assert taylor_errors(list(accumulate(early[:-1])), zv, frac)
+        assert taylor_errors(list(accumulate(early[:-1])), zv, frac, degree)
         with mp.workprec(frac + 64):
             first = int(mp.nint(mp.ldexp(bracket_coefficients(zv, 1, frac + 64)[0] - 1, frac)))
         uncorrected = [0, first] + g[2:]
         if sum(uncorrected):  # S(1) is 0 when the roundings cancel
-            assert taylor_errors(list(accumulate(uncorrected[:-1])), zv, frac)
+            assert taylor_errors(list(accumulate(uncorrected[:-1])), zv, frac, degree)
+
+    @pytest.mark.parametrize("digits, points", [(120, [mp.mpf(k) / 16 for k in range(1, 16)]), (1000, ["0.999"])])
+    def test_quotient_ends_in_a_nonzero_coefficient(self, digits, points, monkeypatch):
+        # verify's grid and digamma --z 0.999 --digits 1000: the last stepped
+        # g_m round to 0 at F bits, and Q stops before them, so integrate_moments
+        # builds no grid sums, shift or D entries for them
+        precision = bits_for_digits(digits)
+        build = reference._mikolas_quotient
+        tops = []
+
+        def spy(z, frac):
+            q, cut = build(z, frac)
+            tops.append(q[-1])
+            return q, cut
+
+        monkeypatch.setattr(reference, "_mikolas_quotient", spy)
+        with mp.workprec(precision):
+            for z in points:
+                reference.digamma_mikolas(mp.mpf(z), precision)
+        assert len(tops) == len(points) and all(tops)
 
     def test_builds_no_tanh_sinh_nodes(self, cold_caches):
         precision = 200

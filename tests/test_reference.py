@@ -95,6 +95,18 @@ class TestEulerGamma:
         with mp.workprec(200):
             assert abs(value - mp.mpf(GAMMA)) < mp.mpf(10) ** -38
 
+    def test_equals_mpmath_euler(self):
+        # both are correctly rounded, so they agree bit for bit unless gamma is
+        # within 2^-14 ulp of a rounding boundary: 16..400 bits in steps of 3,
+        # and the working precisions of 120, 700 and 1000 digits
+        precisions = [*range(16, 401, 3), *(working_precision(bits_for_digits(d)) for d in (120, 700, 1000))]
+        misses = []
+        for precision in precisions:
+            with mp.workprec(precision):
+                if euler_gamma(precision) != +mp.euler:
+                    misses.append(precision)
+        assert misses == []
+
     def test_agrees_with_digamma_route(self):
         # Brent-McMillan vs harmonic-shift asymptotics: independent algorithms
         precision = 256
