@@ -25,7 +25,7 @@ from .gammaderiv import (
 )
 from .pipoly import PiLaurent, PiPoly, integrate_against_sin, laurent_eval
 from .quad import QuadResult
-from .reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
+from .reference import digamma_gauss, digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from .zetarep import (
     Representation,
     ZetaComputation,
@@ -50,6 +50,7 @@ __all__ = [
     "bell_complete",
     "bernoulli_number",
     "bernoulli_polynomial",
+    "digamma_gauss",
     "digamma_mikolas",
     "digamma_ref",
     "euler_gamma",

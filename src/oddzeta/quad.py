@@ -1,6 +1,6 @@
 """Arbitrary-precision quadrature: Euler-Maclaurin on [0, 1] for zeta and digamma, a double-exponential rule for Gamma.
 
-The zeta and Mikolas digamma integrals (:func:`integrate_moments`) are
+The zeta integrals (:func:`integrate_moments`) are
 integral_0^1 w(t) Q(t) dt with Q a polynomial and one weight, w = (1 - t)
 tan(pi t/2); the theorem's cos(pi t) never reaches the engine, since
 ``zetarep`` splits it off exactly (tan x cos 2x = sin 2x - tan x).  The factor
@@ -10,12 +10,13 @@ So w Q is analytic as far as t = 3, and the trapezoid rule on t_k = k/N with
 its exact end corrections (Euler-Maclaurin, DLMF 2.10.1) converges like
 e^(-2 pi rho N), rho = 2 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Each
 integral is sum_m q_m M_m over moments M_m = h sum'' w(t_k) t_k^m - (end
-corrections of w t^m), cached per level:
+corrections of w t^m), cached per level.  The Mikolas digamma integral
+(:func:`integrate_mikolas`) is w Q with Q entire, sampled on the same grids:
 
 * Grid.  sin(pi k/2N) is stepped by the Chebyshev recurrence, one multiply
-  a node from one cos/sin pair per level (:func:`_grid_sums`; the sines are
-  not kept), and tan(pi t_k/2) = sin(pi k/2N) / sin(pi (N-k)/2N), a ratio of
-  two well-conditioned sines even next to t = 1.
+  a node from one cos/sin pair per level (:func:`_grid`; the weights are
+  kept, the sines are not), and tan(pi t_k/2) = sin(pi k/2N) / sin(pi
+  (N-k)/2N), a ratio of two well-conditioned sines even next to t = 1.
   With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, and
   each level keeps X_m, those of its abscissas and every coarser level's in
   its units k^m, so its grid moments X_m / N^(m+1) meet the q_m in one Horner
@@ -25,8 +26,8 @@ corrections of w t^m), cached per level:
   s cot(pi s/2) with s = 1 - t at t = 1 (DLMF 4.19.6), derived from the
   first, since both read B_2n.  They are summed at F + 32 bits and rounded
   to F fraction bits, and those at t = 1 act on Q(1 - s), from
-  :func:`exactnum.taylor_shift`; an odd (1 - t) Q (P_2p, the Mikolas
-  bracket) makes w Q even, so its t = 0 corrections cancel and are skipped.
+  :func:`exactnum.taylor_shift`; an odd (1 - t) Q (P_2p) makes w Q even, as
+  is the Mikolas integrand, so its t = 0 corrections cancel and are skipped.
 * Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
   new abscissas are the odd k.  A level takes the fewest correction terms K
   (at most N/4, found by bisection) whose remainder bound is below 2^-wp.
@@ -74,6 +75,7 @@ from .errors import DomainError, NoConvergence
 __all__ = [
     "QuadResult",
     "integrate_moments",
+    "integrate_mikolas",
     "integrate_gamma",
     "guard_bits",
     "working_precision",
@@ -173,16 +175,15 @@ def _base_points(wp: int) -> int:
     return -(-(wp + 40) // 12)
 
 
-def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
-    """X_m, m = 0..degree at least: sum_k w_k k^m over every abscissa k/N up to a level, in its units.
+def _grid(wp: int, level: int, frac: int) -> list:
+    """A level's table [sums, powers, ks, weights]: :func:`_grid_sums`' state, the abscissas k/N and the weights.
 
-    w_k = (1 - t) tan(pi t/2) is rounded to nearest at ``frac`` fraction bits
-    and the sums are exact from there.  Level 0 holds k = 1..N-1 and the end
-    t = 1 with half its value (w(1)/2 = 1/pi; w(0) = 0); later levels hold
-    the odd k, and their X_m is the coarser level's shifted by m, its k^m in
-    this level's units, plus their own sum.  The table keeps every abscissa's
-    next power, so a call that needs a higher degree extends it (and the
-    coarser levels) and the entries already there do not change.
+    w_k = (1 - t) tan(pi t/2) is rounded to nearest at ``frac`` fraction bits.
+    Level 0 holds k = 1..N-1 and the end t = 1 with half its value (w(1)/2 =
+    1/pi; w(0) = 0); later levels hold the odd k.  ``powers`` starts as the
+    w_k and :func:`_grid_sums` raises it in place to w_k k^m, m = len(sums);
+    ``weights`` stays None until :func:`_grid_weights` reads it back, so a
+    table that only the moment sums read holds no second copy.
     """
     store = _tables(wp)
     key = ("grid", level, frac)
@@ -211,8 +212,29 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
             ks.append(n)
             with mp.workprec(frac + 16):
                 weights.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
-        entry = store[key] = ([], weights, ks)
-    sums, powers, ks = entry
+        entry = store[key] = [[], weights, ks, None]
+    return entry
+
+
+def _grid_weights(wp: int, level: int, frac: int) -> tuple:
+    """(ks, weights) of a level's table, the w_k read back exactly from its powers w_k k^m once and kept."""
+    entry = _grid(wp, level, frac)
+    if entry[3] is None:
+        sums, powers, ks, _ = entry
+        entry[3] = [x // k ** len(sums) for x, k in zip(powers, ks)] if sums else list(powers)
+    return entry[2], entry[3]
+
+
+def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
+    """X_m, m = 0..degree at least: sum_k w_k k^m over every abscissa k/N up to a level, in its units.
+
+    The sums are exact from :func:`_grid`'s weights.  A later level's X_m is
+    the coarser level's shifted by m, its k^m in this level's units, plus its
+    own sum.  The table keeps every abscissa's next power, so a call that
+    needs a higher degree extends it (and the coarser levels) and the entries
+    already there do not change.
+    """
+    sums, powers, ks, _ = _grid(wp, level, frac)
     start = len(sums)
     if start > degree:
         return sums
@@ -455,6 +477,77 @@ def integrate_moments(coefficients: list, frac: int, tol, precision: int) -> Qua
             bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
         count = n + 1 if level == 0 else n // 2
         return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count, bound
+
+    return _level_loop(level_estimate, tol, precision)
+
+
+def _bracket_series(z, frac: int) -> list:
+    """r_c = (-1)^c (pi z)^2c / (2c)!, the s^(2c-1) coefficients of the Mikolas Q(1 - s), to the first that rounds to 0.
+
+    (pi z)^2c / (2c)! is stepped at F + 32 bits by one multiply and one floored
+    small division; past c = 1 each step shrinks it, as (pi z)^2 < 12, so its
+    errors stay within 20 units and each r_c is within 1/2 + 2^-27 units of 2^-F.
+    """
+    bits = frac + _SERIES_BITS
+    with mp.workprec(bits + 16):
+        square = to_fixed(((mp.pi * z) ** 2)._mpf_, bits)
+    r, y = [], 1 << bits
+    while (y := y * square // ((2 * len(r) + 1) * (2 * len(r) + 2) << bits)) >> _SERIES_BITS - 1:
+        r.append((-1) ** (len(r) + 1) * ((y + (1 << _SERIES_BITS - 1)) >> _SERIES_BITS))
+    return r
+
+
+def integrate_mikolas(z, tol, precision: int) -> QuadResult:
+    """integral_0^1 tan(pi t/2) b(t) dt, b(t) = sin(pi z t)/sin(pi z) - t, for an mpf 0 < z < 1, from samples.
+
+    The integrand is w Q, Q = b/(1 - t), even and analytic out to t = 3, as b
+    is odd with b(+-1) = 0: no t = 0 corrections, no Q(-1) split.  sigma_k =
+    sin(pi z k/N)/sin(pi z) is stepped by the Chebyshev recurrence, one
+    multiply a node from one cos/sin pair, at B = F + 3 bitlength(N) + s + 8
+    bits, F = wp + 64 and 2^s >= 1/sin(pi z); Q(t_k) = (N sigma_k - k)/(N - k),
+    one small division, and Q(1) = 1 - pi z cot(pi z) meet the weights of
+    :func:`_grid_weights`, and each level's sum is rounded to 2F bits.  At t = 1 the
+    corrections are sum_c r_c D_c (:func:`_bracket_series`, :func:`_corrections`).
+    On the discs' boundary |tan(pi x/2)| <= cosh(pi r/2)/(rho - r), |cos(pi x/2)|
+    being at least the distance to the odd integers, and |b(x)| <= cosh(pi z
+    r)/sin(pi z) + 1 + r, which bounds the integrand inside for :func:`_truncation`.
+    Rounding: |Q| <= max |b'| <= M = pi z/sin(pi z) + 1 meets w_k's 2^-F;
+    sigma_k's 4 N^2 (2^s + 1) 2^-B, times tan(pi t_k/2) <= N, is 2^-(F+5);
+    sum |r_c| < 12 meets D_c's 2^-F, and sum |D_c| < 1 r_c's; the 2F-bit
+    roundings add below 2^-F, and the mpf M 2^-wp.
+    """
+    wp = working_precision(precision)
+    frac, r, grid = wp + _MOMENT_BITS, _bracket_series(z, wp + _MOMENT_BITS), 0
+    with mp.workprec(wp):
+        sine = mp.sinpi(z)
+    with mp.workprec(53):
+        size, log_sine, bound = max(0, 1 - mp.mag(sine)), float(mp.log(sine, 2)), mp.pi * z / sine + 1
+        rounding = (bound + 14) * mp.ldexp(1, -frac) + bound * mp.ldexp(1, -wp)
+    bracket = math.cosh(math.pi * float(z) * _DISC) + (1 + _DISC) * 2**log_sine  # sin(pi z) times the bound on |b|
+    log_size = math.log2(math.cosh(math.pi * _DISC / 2) / (_RHO - _DISC) * bracket) - log_sine
+
+    def level_estimate(wp, level):
+        nonlocal grid
+        n = _base_points(wp) << level
+        ks, weights = _grid_weights(wp, level, frac)
+        bits = frac + 3 * n.bit_length() + size + 8
+        with mp.workprec(bits + 16):
+            cos, sin = mpf_cos_sin((z / n)._mpf_, bits + 16, pi=True)
+            scale = 1 / mp.sinpi(z)
+            step, current = to_fixed(cos, bits + 1), to_fixed((mp.make_mpf(sin) * scale)._mpf_, bits)
+            total = 0 if level else weights[-1] * to_fixed((1 - mp.pi * z * mp.cospi(z) * scale)._mpf_, bits)
+        step, previous = ((step * step >> bits) - (2 << bits), -current) if level else (step, 0)
+        for k, w in zip(ks[: len(ks) - (level == 0)], weights):  # level 0 ends in t = 1, Q(1) above
+            total += w * ((n * current - (k << bits)) // (n - k))
+            previous, current = current, (step * current >> bits) - previous
+        grid += (total + (1 << bits - frac - 1)) >> bits - frac
+        terms, log_bound = _truncation(n, log_size, wp)
+        at_one = _corrections(wp, level, frac, terms, 2 * min(terms, len(r)) - 1, True)[1]
+        value = (2 * grid + n) // (2 * n) + sum(c * d for c, d in zip(r, at_one))
+        with mp.workprec(53):
+            error = rounding + mp.ldexp(1, math.ceil(log_bound))
+        nodes = n + 1 if level == 0 else n // 2
+        return mp.make_mpf(from_man_exp(value, -2 * frac, wp, round_nearest)), nodes, error
 
     return _level_loop(level_estimate, tol, precision)
 

@@ -14,19 +14,19 @@ Where that second route has no production caller it lives with the tests
   cross-check it against the harmonic-shift route -digamma_ref(1).
 * ``digamma_ref``      upward recurrence past a precision-dependent
   threshold, then the Bernoulli asymptotic series.
+* ``digamma_gauss``    psi(p/q) for every p < q by Gauss's digamma theorem:
+  logs of sines, cosines and ``euler_gamma``, reading no Bernoulli number;
+  the tests hold it to ``digamma_ref`` bit for bit on the grid k/16.
 * ``digamma_mikolas``  the cotangent-plus-integral representation of
-  Mikolas (1957); the bracket of its integrand is cut to an exact odd
-  polynomial that vanishes at t = 1, so the integral is a moment integral on
-  the zeta routes' engine (:func:`quad.integrate_moments`).
+  Mikolas (1957), its integrand sampled on the zeta routes' trapezoid grids
+  (:func:`quad.integrate_mikolas`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 import mpmath as mp
 from mpmath.libmp import from_int, from_rational, mpf_log, repr_dps, round_nearest, to_fixed
@@ -40,6 +40,7 @@ __all__ = [
     "zeta_ref",
     "euler_gamma",
     "digamma_ref",
+    "digamma_gauss",
     "digamma_mikolas",
     "shortest_str",
 ]
@@ -186,36 +187,24 @@ def digamma_ref(x, precision: int):
         return +result
 
 
-def _mikolas_quotient(z, frac: int) -> tuple:
-    """(Q at F = ``frac`` fraction bits, a bound on the integral's error from it) for the Mikolas bracket at z.
+def digamma_gauss(q: int, precision: int) -> list:
+    """[psi(1/q), .., psi((q-1)/q)] by Gauss's digamma theorem (DLMF 5.4.19), reading no Bernoulli number:
 
-    The bracket b(t) = sin(pi z t)/sin(pi z) - t is odd and entire with b(1) =
-    0; its t^m coefficient is c_m = (-1)^k (pi z)^m / (m! sin(pi z)), m = 2k + 1
-    >= 3.  |c_m| is stepped at F + 40 fraction bits from pi z / sin(pi z) by
-    one multiply by (pi z)^2 and one floored division by (m - 1) m, within 3
-    units, until it falls below 2^-(F+32); D is the last degree stepped.  g_m
-    is c_m rounded to F bits and g_1 = -(g_3 + ... + g_D), which is S - S(1) t
-    for the cut series S, exactly, so g is odd with g(1) = 0, Q = g/(1 - t) is
-    its partial sums up to the degree below g's last nonzero coefficient (the
-    last g_m round to 0), and Q(-1) = 0.  The error E = b - g vanishes at t = 1
-    too, so E = sum_(m>=3) E_m (t^m - t) with 0 <= t - t^m <= (m - 1)(1 - t), and
-    |integral_0^1 tan(pi t/2) E dt| <= (2 log 2/pi) sum (m - 1) |E_m|, the
-    factor being integral_0^1 (1 - t) tan(pi t/2) dt.  Up to D, |E_m| <= (1/2 +
-    2^-38) 2^-F and the m - 1 sum to (D^2 - 1)/4; past D, (m - 1)|c_m| at least
-    halves per step, as (pi z)^2 <= (m - 1)(m + 2)/2 (z < 0.7 when D = 1), and
-    adds at most 2 (D + 1) 2^-(F+31).  All of it is below (D^2 + 16) 2^-(F+4).
+        psi(p/q) = -gamma - log 2q - (pi/2) cot(pi p/q) + 2 sum_(n=1)^floor((q-1)/2) cos(2 pi n p/q) log sin(pi n/q),
+
+    from one log a term n and one cosine table over the residues n p mod q at wp bits, each value rounded once.
     """
-    bits = frac + 40
-    size = max(0, -mp.mag(mp.sinpi(z)))  # the bits 1/sin(pi z) adds to c_m
-    with mp.workprec(bits + size + 16):
-        magnitude = to_fixed((mp.pi * z / mp.sinpi(z))._mpf_, bits)
-        square = to_fixed(((mp.pi * z) ** 2)._mpf_, bits + size + 8)
-    g = [0, 0]  # g_m for m = len(g) + 1 next
-    while (magnitude := (magnitude * square >> bits + size + 8) // (len(g) * (len(g) + 1))) >> 8:
-        g += [0, (-1) ** (len(g) // 2) * ((magnitude + (1 << 39)) >> 40)]
-    g[1] = -sum(g[3::2])
-    top = max((m for m, c in enumerate(g) if c), default=0)
-    return list(accumulate(g[:top])), mp.ldexp((len(g) - 1) ** 2 + 16, -(frac + 4))
+    if q < 2:
+        raise DomainError("Gauss's digamma theorem needs q >= 2")
+    wp = quad.working_precision(precision)
+    with mp.workprec(wp):
+        logs = [mp.log(mp.sinpi(mp.mpf(n) / q)) for n in range(1, (q + 1) // 2)]
+        cosines = [mp.cospi(mp.mpf(2 * m) / q) for m in range(q)]
+        base = -euler_gamma(wp) - mp.log(2 * q)
+        terms = [[cosines[n * p % q] * x for n, x in enumerate(logs, 1)] for p in range(1, q)]
+        values = [base - mp.pi / 2 * mp.cot(mp.pi * p / q) + 2 * mp.fsum(row) for p, row in enumerate(terms, 1)]
+    with mp.workprec(precision):
+        return [+value for value in values]
 
 
 def digamma_mikolas(z, precision: int):
@@ -224,12 +213,10 @@ def digamma_mikolas(z, precision: int):
     psi(z) = -[gamma + 1/(2z) + pi/2 cot(pi z)
               + pi/2 * integral_0^1 tan(pi t/2) (sin(pi z t)/sin(pi z) - t) dt].
 
-    The integral is :func:`quad.integrate_moments` of the Q of
-    :func:`_mikolas_quotient` (F = wp + 64, the zeta routes' tables)
-    plus its cut's bound.  cot(pi z) and the integral cancel as z -> 1, so the
-    bits of |cot(pi z)| beyond 16 are added to the integral's precision, and
-    cot(pi z) is added after its rounding.  Raises NoConvergence when the
-    integral misses its tolerance.
+    The integral is :func:`quad.integrate_mikolas`.  cot(pi z) and the
+    integral cancel as z -> 1, so the bits of |cot(pi z)| beyond 16 are added
+    to the integral's precision, and cot(pi z) is added after its rounding.
+    Raises NoConvergence when the integral misses its tolerance.
     """
     with mp.workprec(quad.working_precision(precision)):
         zv = _as_mpf(z)
@@ -239,9 +226,7 @@ def digamma_mikolas(z, precision: int):
     wp = quad.working_precision(inner)
     with mp.workprec(wp):
         zv = _as_mpf(z)
-        q, cut = _mikolas_quotient(zv, wp + 64)
-        result = quad.integrate_moments(q, wp + 64, quad.quad_tolerance(precision), inner)
-        result = replace(result, error_estimate=result.error_estimate + cut)
+        result = quad.integrate_mikolas(zv, quad.quad_tolerance(precision), inner)
         result.require_converged(f"Mikolas digamma integral at z = {shortest_str(zv)}")
         value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * (mp.cospi(zv) / mp.sinpi(zv) + result.value))
     with mp.workprec(precision):

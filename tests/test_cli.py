@@ -718,8 +718,8 @@ class TestVerify:
     def test_corrupted_bernoulli_tail_fails_digamma_grid(self, capsys, monkeypatch, cold_caches):
         # B_40 doubled: the Mikolas integral's t = 1 corrections at 120 digits
         # read B_2j beyond B_40, so the grid values converge up to about 1e-88
-        # off, which the engine's remainder bound cannot see; digamma_ref reads
-        # no corrupted number here, and the comparison with it fails (bound 1e-111)
+        # off, which the engine's remainder bound cannot see; Gauss's theorem
+        # reads no Bernoulli number, and the comparison with it fails (bound 1e-111)
         real = exactnum.bernoulli_number
 
         def corrupted(n):
@@ -731,6 +731,26 @@ class TestVerify:
         line = next(line for line in out.splitlines() if "digamma-grid" in line)
         assert line.startswith("FAIL  digamma-grid")
         assert re.match(r"FAIL digamma grid error \S+ exceeds bound  \[", verify_rows(out)["digamma-grid"])
+
+    def test_corrupted_tangent_number_fails_digamma_grid(self, capsys, cold_caches):
+        # T_20 doubled where it is stored, so every reader sees it: B_40 (the
+        # E_j), g_20 and u_20 (the end series).  The Mikolas integral's t = 1
+        # corrections at 120 digits read all three; Gauss's theorem reads none
+        # and keeps every bit of its 15 values, so digamma-grid fails on the gap
+        precision = cli.bits_for_digits(120)
+        clean = [value._mpf_ for value in reference.digamma_gauss(16, precision)]
+        b40 = exactnum.bernoulli_number(40)
+        for cached in cold_caches:
+            cached.cache_clear()
+        exactnum.tangent_number(20)
+        exactnum._tangent_table()[0][19] *= 2
+        code, out, _ = run(["verify", "--max-p", "8", "--digits", "120"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        rows = verify_rows(out)
+        assert rows["lemma"].startswith("PASS") and rows["series-product"].startswith("PASS")
+        assert re.match(r"FAIL digamma grid error \S+ exceeds bound  \[", rows["digamma-grid"])
+        assert exactnum.bernoulli_number(40) == 2 * b40
+        assert [value._mpf_ for value in reference.digamma_gauss(16, precision)] == clean
 
     @pytest.mark.parametrize(
         "oracle,failed",
@@ -746,7 +766,6 @@ class TestVerify:
             (
                 "euler_gamma",
                 {
-                    "digamma-grid": r"digamma grid error \S+ exceeds bound  \[",
                     "gamma-derivatives": r"Gamma derivative mismatch at n=1  \[",
                 },
             ),
@@ -756,7 +775,9 @@ class TestVerify:
         self, oracle, failed, capsys, monkeypatch, cold_caches
     ):
         # one oracle off by a relative 1e-5, far outside the 10^-(digits-8) bounds;
-        # the exact checks read no oracle and still pass
+        # the exact checks read no oracle and still pass.  A wrong gamma moves
+        # both sides of digamma-grid alike (Mikolas's psi and Gauss's theorem
+        # both read it), so only the Bell form of gamma-derivatives catches it
         real = getattr(reference, oracle)
         monkeypatch.setattr(reference, oracle, lambda *args: real(*args) * (1 + mp.mpf(10) ** -5))
         code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)

@@ -1,7 +1,6 @@
 """Quadrature: the tests' tanh-sinh reference integrator; the zeta and digamma integrals' trapezoid tables; the Gamma rule's shared pass."""
 
 import math
-from itertools import accumulate
 
 import mpmath as mp
 import pytest
@@ -316,7 +315,7 @@ class TestGridWeights:
         quad._tables.cache_clear()
         for level in range(3):
             quad._grid_sums(wp, level, frac, 0)
-            _, powers, ks = quad._tables(wp)[("grid", level, frac)]
+            _, powers, ks, _ = quad._tables(wp)[("grid", level, frac)]
             n = quad._base_points(wp) << level
             assert ks == (list(range(1, n + 1)) if level == 0 else list(range(1, n, 2)))
             with mp.workprec(frac + 32):
@@ -330,9 +329,22 @@ class TestGridWeights:
         # the t = 1 half weight 1/pi is rounded to nearest, as the sine ratios are
         quad._tables.cache_clear()
         quad._grid_sums(wp, 0, frac, 0)
-        _, powers, ks = quad._tables(wp)[("grid", 0, frac)]
+        _, powers, ks, _ = quad._tables(wp)[("grid", 0, frac)]
         with mp.workprec(frac + 32):
             assert abs(powers[-1] // ks[-1] - mp.ldexp(1 / mp.pi, frac)) <= 0.5 + mp.ldexp(1, -10)
+
+    def test_weights_read_back_from_the_powers(self):
+        # a table that only the moment sums read keeps no copy of the weights;
+        # a sampled integral reads the same w_k back, whether the sums raised
+        # the powers first or not
+        wp, frac = 436, 500
+        quad._tables.cache_clear()
+        cold = [quad._grid_weights(wp, level, frac) for level in range(3)]
+        quad._tables.cache_clear()
+        for level in range(3):
+            quad._grid_sums(wp, level, frac, 7)
+        assert all(quad._tables(wp)[("grid", level, frac)][3] is None for level in range(3))
+        assert [quad._grid_weights(wp, level, frac) for level in range(3)] == cold
 
     def test_sums_are_cumulative(self):
         # a level's X_m sums w_k k^m over its own abscissas and every coarser
@@ -344,7 +356,7 @@ class TestGridWeights:
         weights = []
         for level in range(levels):
             quad._grid_sums(wp, level, frac, 0)
-            _, powers, ks = quad._tables(wp)[("grid", level, frac)]
+            _, powers, ks, _ = quad._tables(wp)[("grid", level, frac)]
             weights.append([(x // k, k) for x, k in zip(powers, ks)])
         for level in range(levels):
             sums = quad._grid_sums(wp, level, frac, degree)
@@ -516,12 +528,23 @@ class TestOddIntegrands:
         assert_t0_skipped_exactly(original, calls)
 
     def test_mikolas_builds_no_t0_table(self, monkeypatch, cold_caches):
-        # the verify grid z = k/16 at verify's 120 digits
-        original, calls = recorded_level_totals(monkeypatch)
+        # the verify grid z = k/16 at verify's 120 digits: tan(pi t/2) b(t) is
+        # even, so each of the 45 levels asks for its corrections as odd, and
+        # no correction table holds a V entry
+        corrections, calls = quad._corrections, []
+
+        def record(*args):
+            calls.append(args)
+            return corrections(*args)
+
+        monkeypatch.setattr(quad, "_corrections", record)
         for k in range(1, 16):
             reference.digamma_mikolas(mp.mpf(k) / 16, bits_for_digits(120))
-        assert len({tuple(args[4]) for args, _ in calls}) == 15
-        assert_t0_skipped_exactly(original, calls)
+        assert len(calls) == 45
+        assert all(odd for *_, odd in calls)
+        tables = quad._tables(calls[0][0])
+        assert {key[1:] for key in tables if key[0] == "corrections"} == {args[1:4] for args in calls}
+        assert all(tables[key][1] == [] for key in tables if key[0] == "corrections")
 
     @pytest.mark.parametrize("rep", ["ck_euler", "ck_bernoulli"])
     @pytest.mark.parametrize("p", [1, 8])
@@ -607,52 +630,59 @@ class TestTaylorShift:
         assert exactnum.taylor_shift([5]) == [5]
 
 
-def mikolas_value(z, wp):
-    """cot(pi z) + the Mikolas integral, from psi(z) = -(gamma + 1/(2z) + pi/2 (that))."""
+def mikolas_integral(z, wp):
+    """The Mikolas integral of tan(pi t/2) b(t), from psi(z) = -(gamma + 1/(2z) + pi/2 (cot(pi z) + that))."""
     with mp.workprec(wp):
-        return -2 / mp.pi * (mp.digamma(z) + mp.euler + 1 / (2 * z))
+        return -2 / mp.pi * (mp.digamma(z) + mp.euler + 1 / (2 * z)) - mp.cot(mp.pi * z)
 
 
-def bracket_coefficients(z, count, wp):
-    """c_1, c_3, ...: the t^m coefficients (pi z)^m (-1)^k / (m! sin(pi z)), m = 2k + 1, at wp bits."""
-    with mp.workprec(wp):
-        return [(-1) ** k * (mp.pi * z) ** (2 * k + 1) / (mp.factorial(2 * k + 1) * mp.sinpi(z)) for k in range(count)]
+def mikolas_levels(monkeypatch, z, precision, levels, terms=None):
+    """integrate_mikolas's first ``levels`` level estimates (value at wp bits, nodes, bound), and the log2 size bound it derived.
 
-
-def stepped_degree(cut, frac):
-    """D, the last degree _mikolas_quotient stepped, read back from its cut bound (D^2 + 16) 2^-(frac+4)."""
-    return math.isqrt(int(mp.ldexp(cut, frac + 4)) - 16)
-
-
-def taylor_errors(q, z, frac, degree):
-    """Where g = (1 - t) Q departs from the cut Taylor series of the bracket, as a list of messages.
-
-    g must be odd with g(1) = 0, its coefficients c_m for 3 <= m <= D =
-    ``degree``, the last degree stepped, rounded to ``frac`` bits (within half
-    a unit plus the 2^-38 units of the stepping; those past g's degree round
-    to 0), D the last degree with |c_D| >= 2^-(frac+32), up to the 3 units of
-    2^-(frac+40) by which the stepped magnitudes may miss the cut, and Q's top
-    coefficient nonzero.
+    Each level takes K = ``terms`` end corrections, or :func:`quad._truncation`'s K where that is None.
     """
-    g = [b - a for a, b in zip([0] + q, q + [0])]
+    sizes, truncation = [], quad._truncation
+
+    def fixed(n, log_size, target):
+        sizes.append(log_size)
+        if terms is None:
+            return truncation(n, log_size, target)
+        return terms, quad._remainder_log2(n, log_size, terms)
+
+    monkeypatch.setattr(quad, "_truncation", fixed)
+    monkeypatch.setattr(quad, "_level_loop", lambda level_estimate, tol, precision: level_estimate)
+    level_estimate = quad.integrate_mikolas(z, 0, precision)
+    estimates = [level_estimate(working_precision(precision), level) for level in range(levels)]
+    return estimates, sizes[0]
+
+
+def row_errors(r, z, frac):
+    """Where the t = 1 row r departs from the cut Taylor series of Q(1 - s) = b(1 - s)/s, as a list of messages.
+
+    [s^(2c-1)] Q(1 - s) = [s^2c] sin(A - A s)/sin A = A^2c sin(A + c pi) / ((2c)! sin A), A = pi z,
+    from the derivatives of sin.  r_c must be it rounded to ``frac`` bits (within half a unit and the
+    2^-27 units of the stepping) up to the first that rounds to 0, which ends the row.  The odd part
+    of Q(1 - s) at s = 1/2, (Q(1/2) - Q(3/2))/2 = b(1/2) + b(3/2), is the row's sum there, within a unit
+    a term and the tail past the cut.
+    """
     errors = []
-    if q and not q[-1]:
-        errors.append("Q ends in a zero coefficient")
-    if len(g) > degree + 1:
-        errors.append(f"g has degree {len(g) - 1}, past the cut at {degree}")
-    g += [0] * (degree + 1 - len(g))
-    c = bracket_coefficients(z, degree // 2 + 3, frac + 64)
-    if any(g[0::2]) or sum(g):
-        errors.append("g is not odd or g(1) != 0")
     with mp.workprec(frac + 64):
-        unit = mp.ldexp(1, -(frac + 32))
-        for m in range(3, degree + 1, 2):
-            if abs(g[m] - mp.ldexp(c[m // 2], frac)) > 0.5 + 2**-36:
-                errors.append(f"coefficient {m} is not c_{m} rounded")
-        if abs(c[degree // 2 + 1]) >= unit * (1 + 2**-6):
-            errors.append(f"c_{degree + 2} is above the cut but dropped")
-        if degree >= 3 and abs(c[degree // 2]) < unit * (1 - 2**-6):
-            errors.append(f"c_{degree} is below the cut but kept")
+        a = mp.pi * z
+
+        def taylor(c):
+            return mp.ldexp(a ** (2 * c) * mp.sin(a + c * mp.pi) / (mp.factorial(2 * c) * mp.sin(a)), frac)
+
+        for c, x in enumerate(r, 1):
+            if abs(x - taylor(c)) > 0.5 + 2**-26:
+                errors.append(f"r_{c} is not the s^{2 * c - 1} coefficient rounded")
+        if abs(taylor(len(r) + 1)) >= 0.5 - 2**-26:
+            errors.append(f"the row stops before r_{len(r) + 1}, which does not round to 0")
+        if 0 in r:
+            errors.append("the row holds a 0")
+        odd = sum(x * mp.ldexp(1, 1 - 2 * c) for c, x in enumerate(r, 1))
+        want = sum(mp.sinpi(z * t) / mp.sinpi(z) - t for t in (mp.mpf(1) / 2, mp.mpf(3) / 2))
+        if abs(odd - mp.ldexp(want, frac)) > len(r) + 1:
+            errors.append("the row misses b(1/2) + b(3/2) at s = 1/2")
     return errors
 
 
@@ -660,87 +690,118 @@ MIKOLAS_POINTS = pytest.mark.parametrize("z", ["0.0625", "0.5", "0.9375", "0.999
 
 
 class TestMikolasGrid:
-    # the bracket cut to an odd polynomial g with g(1) = 0, as digamma_mikolas
-    # builds it, and Q = g / (1 - t) on the zeta routes' moment tables
+    # tan(pi t/2) b(t), b(t) = sin(pi z t)/sin(pi z) - t, sampled on the zeta
+    # routes' trapezoid grids, as digamma_mikolas integrates it; the t = 1
+    # corrections read the cut Taylor series of Q(1 - s) = b(1 - s)/s
     @MIKOLAS_POINTS
-    def test_remainder_bound_holds(self, z):
-        # every K up to N/4 below the level that converges: the trapezoid sum
-        # of w Q with K end corrections, plus cot(pi z), misses cot(pi z) +
-        # the integral by no more than the DLMF 2.10.2 / Cauchy bound for K with
-        # rho = 2, the rounding of the sums and the bound of the Taylor cut;
-        # Q(-1), 0 for this Q, is split off as in the zeta routes
+    def test_remainder_bound_holds(self, z, monkeypatch):
+        # every K up to N/4 below the level that converges: the sampled
+        # trapezoid sum with K end corrections misses the integral by no more
+        # than the level's bound, DLMF 2.10.2 / Cauchy for K with rho = 2 on
+        # the size bound of tan(pi t/2) b(t), plus the rounding
         precision = 160
         wp = working_precision(precision)
-        frac = wp + 64
         with mp.workprec(wp):
             zv = mp.mpf(z)
-        want = mikolas_value(zv, wp + 64)
-        q, cut = reference._mikolas_quotient(zv, frac)
-        c, q = split_at_minus_one(q)
-        r = exactnum.taylor_shift(q)
-        log_size = quad._log2_size(q, frac)
-        with mp.workprec(wp + 64):
-            shift = mp.cospi(zv) / mp.sinpi(zv) + mp.ldexp(c, -frac) * 2 * mp.ln2 / mp.pi
-            rounding = mp.ldexp(2 * sum(map(abs, q)) + sum(map(abs, r[1::2])) + (1 << frac), -2 * frac)
+        want = mikolas_integral(zv, wp + 64)
         for level in (0, 1):
             n = quad._base_points(wp) << level
             for terms in range(1, n // 4 + 1):
-                total = quad._level_total(wp, level, frac, terms, q, r, oracles.odd_product(q))
-                bound = mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms)))
+                estimates, _ = mikolas_levels(monkeypatch, zv, precision, level + 1, terms)
+                value, _, bound = estimates[-1]
                 with mp.workprec(wp + 64):
-                    error = abs(mp.ldexp(total, -2 * frac) + shift - want)
-                    assert error <= bound + rounding + cut, (level, terms, error, bound)
+                    assert abs(value - want) <= bound, (level, terms)
+
+    def test_remainder_bound_is_tight(self, monkeypatch):
+        # z = 3/16 at 120 digits, level 0, where every K up to N/4 = 11 leaves an
+        # error far above the rounding: the remainder bound is at least the
+        # error and at most 2^20 above it (19.3 bits at K = 11)
+        precision = bits_for_digits(120)
+        wp = working_precision(precision)
+        with mp.workprec(wp):
+            zv = mp.mpf(3) / 16
+        want = mikolas_integral(zv, wp + 64)
+        n = quad._base_points(wp)
+        gaps = []
+        for terms in range(1, n // 4 + 1):
+            ((value, _, bound),), log_size = mikolas_levels(monkeypatch, zv, precision, 1, terms)
+            with mp.workprec(wp + 64):
+                error = abs(value - want)
+                assert error > 1024 * (bound - mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms))))
+                gaps.append(quad._remainder_log2(n, log_size, terms) - float(mp.log(error, 2)))
+        assert len(gaps) == 11
+        assert 0 <= min(gaps) and max(gaps) <= 20, gaps
 
     @MIKOLAS_POINTS
     def test_polynomial_is_the_cut_taylor_series(self, z):
+        # the t = 1 row, the cut Taylor polynomial of Q(1 - s)'s odd part
         precision = 160
         frac = working_precision(precision) + 64
         with mp.workprec(frac):
             zv = mp.mpf(z)
-        q, cut = reference._mikolas_quotient(zv, frac)
-        degree = stepped_degree(cut, frac)
-        assert cut == mp.ldexp(degree * degree + 16, -(frac + 4))
-        assert taylor_errors(q, zv, frac, degree) == []
+        r = quad._bracket_series(zv, frac)
+        assert r
+        assert row_errors(r, zv, frac) == []
 
     @MIKOLAS_POINTS
     def test_faults_in_the_polynomial_are_caught(self, z):
-        # stopping the series one kept term early, or leaving g_1 at c_1 - 1
-        # instead of correcting it by S(1), each fails the check above
+        # stopping the row one term early, dropping the signs (-1)^c, or moving
+        # one coefficient by two units each fails the check above
         precision = 160
         frac = working_precision(precision) + 64
         with mp.workprec(frac):
             zv = mp.mpf(z)
-        q, cut = reference._mikolas_quotient(zv, frac)
-        degree = stepped_degree(cut, frac)
-        g = [b - a for a, b in zip([0] + q, q + [0])]
-        early = g[:-2]
-        early[1] = -sum(early[3::2])
-        assert taylor_errors(list(accumulate(early[:-1])), zv, frac, degree)
-        with mp.workprec(frac + 64):
-            first = int(mp.nint(mp.ldexp(bracket_coefficients(zv, 1, frac + 64)[0] - 1, frac)))
-        uncorrected = [0, first] + g[2:]
-        if sum(uncorrected):  # S(1) is 0 when the roundings cancel
-            assert taylor_errors(list(accumulate(uncorrected[:-1])), zv, frac, degree)
+        r = quad._bracket_series(zv, frac)
+        assert row_errors(r[:-1], zv, frac)
+        assert row_errors([abs(x) for x in r], zv, frac)
+        assert row_errors([r[0] + 2] + r[1:], zv, frac)
 
-    @pytest.mark.parametrize("digits, points", [(120, [mp.mpf(k) / 16 for k in range(1, 16)]), (1000, ["0.999"])])
+    @pytest.mark.parametrize(
+        "digits, points",
+        [(120, [mp.mpf(k) / 16 for k in range(1, 16)] + [mp.mpf("1e-9")]), (1000, ["0.999"])],
+    )
     def test_quotient_ends_in_a_nonzero_coefficient(self, digits, points, monkeypatch):
-        # verify's grid and digamma --z 0.999 --digits 1000: the last stepped
-        # g_m round to 0 at F bits, and Q stops before them, so integrate_moments
-        # builds no grid sums, shift or D entries for them
+        # verify's grid, a point whose row of Q(1 - s) ends long before K, and
+        # digamma --z 0.999 --digits 1000: each level reads D_1..D_c for c =
+        # min(K, the row's length), so the last r_c it reads is not 0 and no D
+        # entry is built for a coefficient that rounds to 0
         precision = bits_for_digits(digits)
-        build = reference._mikolas_quotient
-        tops = []
+        series, corrections = quad._bracket_series, quad._corrections
+        rows, reads = [], []
 
-        def spy(z, frac):
-            q, cut = build(z, frac)
-            tops.append(q[-1])
-            return q, cut
+        def spy_series(z, frac):
+            rows.append(series(z, frac))
+            return rows[-1]
 
-        monkeypatch.setattr(reference, "_mikolas_quotient", spy)
+        def spy_corrections(wp, level, frac, terms, degree, odd):
+            reads.append((rows[-1], terms, (degree + 1) // 2))
+            return corrections(wp, level, frac, terms, degree, odd)
+
+        monkeypatch.setattr(quad, "_bracket_series", spy_series)
+        monkeypatch.setattr(quad, "_corrections", spy_corrections)
         with mp.workprec(precision):
             for z in points:
                 reference.digamma_mikolas(mp.mpf(z), precision)
-        assert len(tops) == len(points) and all(tops)
+        assert len(rows) == len(points) and len(reads) == 3 * len(points)
+        for row, terms, count in reads:
+            assert count == min(terms, len(row)) and row[count - 1]
+        if digits == 120:
+            assert len(rows[-1]) < reads[-1][1]
+
+    @MIKOLAS_POINTS
+    def test_level_matches_an_mpmath_quadrature(self, z, monkeypatch):
+        # the level that converges, at wp bits, against mpmath's tanh-sinh
+        # quadrature of tan(pi t/2) b(t) at wp + 64 bits, accurate there to
+        # about 2^-(wp+40), within the level's bound
+        precision = 160
+        wp = working_precision(precision)
+        with mp.workprec(wp):
+            zv = mp.mpf(z)
+        (*_, (value, nodes, bound)), _ = mikolas_levels(monkeypatch, zv, precision, 3)
+        assert nodes == 2 * quad._base_points(wp)
+        with mp.workprec(wp + 64):
+            want = mp.quad(lambda t: mp.tan(mp.pi * t / 2) * (mp.sinpi(zv * t) / mp.sinpi(zv) - t), [0, 1])
+            assert abs(value - want) <= bound + mp.ldexp(1, -(wp + 32))
 
     def test_builds_no_tanh_sinh_nodes(self, cold_caches):
         precision = 200

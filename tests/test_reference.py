@@ -9,7 +9,7 @@ from oddzeta import exactnum, reference
 from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, NoConvergence
 from oddzeta.quad import quad_tolerance, working_precision
-from oddzeta.reference import digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
+from oddzeta.reference import digamma_gauss, digamma_mikolas, digamma_ref, euler_gamma, zeta_ref
 from oracles import digamma_steps, dl_series_check, pole_cancellation_check, zeta_borwein, zeta_euler_maclaurin
 
 # 40-digit anchors, each produced by two algorithmically independent methods
@@ -163,6 +163,44 @@ class TestDigamma:
             digamma_ref(0, 64)
         with pytest.raises(DomainError):
             digamma_ref(-3, 64)
+
+
+class TestDigammaGauss:
+    # Gauss's digamma theorem, verify's oracle on the grid k/16
+    @pytest.mark.parametrize("digits", [120, 1000])
+    def test_equals_digamma_ref_on_the_grid(self, digits):
+        precision = bits_for_digits(digits)
+        gauss = [value._mpf_ for value in digamma_gauss(16, precision)]
+        assert gauss == [digamma_ref(mp.mpf(k) / 16, precision)._mpf_ for k in range(1, 16)]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 12])
+    def test_against_mpmath(self, q):
+        # odd and even q: for even q the sum stops below n = q/2
+        precision = 192
+        values = digamma_gauss(q, precision)
+        assert len(values) == q - 1
+        for p, value in enumerate(values, 1):
+            with mp.workprec(precision + 32):
+                assert abs(value - mp.digamma(mp.mpf(p) / q)) < mp.ldexp(1, -(precision - 8)), (p, q)
+
+    def test_reads_no_bernoulli_number(self, monkeypatch, cold_caches):
+        precision = bits_for_digits(120)
+        want = [value._mpf_ for value in digamma_gauss(16, precision)]
+        for cached in cold_caches:
+            cached.cache_clear()
+
+        def refused(*index):
+            raise AssertionError(f"digamma_gauss read index {index}")
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", refused)
+        monkeypatch.setattr(reference, "bernoulli_number", refused)
+        monkeypatch.setattr(exactnum, "_zigzag", refused)
+        monkeypatch.setattr(exactnum, "_tangent_table", refused)
+        assert [value._mpf_ for value in digamma_gauss(16, precision)] == want
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            digamma_gauss(1, 64)
 
 
 class TestMikolasIntegral:
