@@ -196,12 +196,12 @@ def _verify_checks(max_p: int, digits: int):
 
     def check_digamma():
         oracle = reference.digamma_gauss(16, precision)
-        worst = mp.mpf(0)
-        for k in range(1, 16):
-            diff = abs(reference.digamma_mikolas(mp.mpf(k) / 16, precision) - oracle[k - 1])
-            worst = max(worst, diff)
+        worst = max(abs(reference.digamma_mikolas(mp.mpf(k) / 16, precision) - oracle[k - 1]) for k in range(1, 16))
         if worst > 10 * tolerance:
             raise OddzetaError(f"digamma grid error {mp.nstr(worst, 5)} exceeds bound")
+        # Gauss's psi(1/16) against digamma --z's oracle, the Bernoulli series, which reads no gamma
+        if (gap := abs(reference.digamma_ref(mp.mpf(1) / 16, precision) - oracle[0])) > tolerance:
+            raise OddzetaError(f"digamma oracles differ by {mp.nstr(gap, 5)} at z = 1/16")
         return f"Mikolas digamma grid k/16, worst |err| = {mp.nstr(worst, 3)}"
 
     def check_gamma_derivatives():

@@ -1,40 +1,24 @@
 """Arbitrary-precision quadrature: Euler-Maclaurin on [0, 1] for zeta and digamma, a double-exponential rule for Gamma.
 
-The zeta integrals (:func:`integrate_moments`) are
-integral_0^1 w(t) Q(t) dt with Q a polynomial and one weight, w = (1 - t)
-tan(pi t/2); the theorem's cos(pi t) never reaches the engine, since
-``zetarep`` splits it off exactly (tan x cos 2x = sin 2x - tan x).  The factor
-(1 - t) cancels the pole at t = 1, and Q(-1) is split off exactly, as Q(-1)
-times integral_0^1 w = 2 log 2/pi, so the rest cancels the pole at t = -1.
-So w Q is analytic as far as t = 3, and the trapezoid rule on t_k = k/N with
-its exact end corrections (Euler-Maclaurin, DLMF 2.10.1) converges like
-e^(-2 pi rho N), rho = 2 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Each
-integral is sum_m q_m M_m over moments M_m = h sum'' w(t_k) t_k^m - (end
-corrections of w t^m), cached per level.  The Mikolas digamma integral
-(:func:`integrate_mikolas`) is w Q with Q entire, sampled on the same grids:
-
-* Grid.  sin(pi k/2N) is stepped by the Chebyshev recurrence, one multiply
-  a node from one cos/sin pair per level (:func:`_grid`; the weights are
-  kept, the sines are not), and tan(pi t_k/2) = sin(pi k/2N) / sin(pi
-  (N-k)/2N), a ratio of two well-conditioned sines even next to t = 1.
-  With w_k at F fraction bits, the sums sum_k w_k k^m are exact integers, and
-  each level keeps X_m, those of its abscissas and every coarser level's in
-  its units k^m, so its grid moments X_m / N^(m+1) meet the q_m in one Horner
-  pass in N, divided by N^(degree+1) once.
-* End corrections.  The odd derivatives of w t^m at both ends come from exact
-  series: tan at t = 0 (DLMF 4.19.3), from the integer tangent numbers, and
-  s cot(pi s/2) with s = 1 - t at t = 1 (DLMF 4.19.6), derived from the
-  first, since both read B_2n.  They are summed at F + 32 bits and rounded
-  to F fraction bits, and those at t = 1 act on Q(1 - s), from
-  :func:`exactnum.taylor_shift`; an odd (1 - t) Q (P_2p) makes w Q even, as
-  is the Mikolas integrand, so its t = 0 corrections cancel and are skipped.
-* Levels.  Level L is the grid N = N0 2^L with N0 = ceil((wp + 40)/12); its
-  new abscissas are the odd k.  A level takes the fewest correction terms K
-  (at most N/4, found by bisection) whose remainder bound is below 2^-wp.
-  The bound is DLMF 2.10.2 with a Cauchy estimate of the (2K+2)nd derivative
-  on the discs of radius r = 63 rho/64 about [0, 1], so r stays clear of the
-  singularities, plus the rounding of the fixed-point sums; the error
-  estimate of a level is the larger of that bound and the heuristic below.
+The zeta integrals (:func:`integrate_moments`) are integral_0^1 w(t) Q(t) dt
+with Q a polynomial and one weight, w = (1 - t) tan(pi t/2); the theorem's
+cos(pi t) never reaches the engine, since ``zetarep`` splits it off exactly
+(tan x cos 2x = sin 2x - tan x).  The factor (1 - t) cancels the pole at
+t = 1, and Q(-1) is split off exactly, as Q(-1) times integral_0^1 w = 2 log
+2/pi, so the rest cancels the pole at t = -1.  So w Q is analytic as far as
+t = 3, and the trapezoid rule on t_k = k/N with its exact end corrections
+(Euler-Maclaurin, DLMF 2.10.1) converges like e^(-2 pi rho N), rho = 2
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  Each integral is sum_m q_m M_m
+over moments M_m = h sum'' w(t_k) t_k^m - (end corrections of w t^m), cached
+per level: exact integer grid sums of the weights (:func:`_grid`,
+:func:`_grid_sums`), met by Q in one Horner pass in N, and end-correction
+tables from the series of tan at t = 0 and of s cot(pi s/2) at t = 1
+(:func:`_series`, :func:`_corrections`).  The Mikolas digamma integral
+(:func:`integrate_mikolas`) is w Q with Q entire, sampled on the same grids
+and tables.  Level L is the grid N = N0 2^L, N0 = ceil((wp + 40)/12), whose
+new abscissas are the odd k; it takes the fewest end corrections whose
+DLMF 2.10.2 remainder bound, with a Cauchy estimate on discs about [0, 1]
+that avoid the singularities (:func:`_truncation`), is below 2^-wp.
 
 The Gamma-derivative integrals (:func:`integrate_gamma`) run on the
 double-exponential map t = exp(u - e^-u) for exponentially decaying
@@ -175,54 +159,48 @@ def _base_points(wp: int) -> int:
     return -(-(wp + 40) // 12)
 
 
-def _grid(wp: int, level: int, frac: int) -> list:
+def _chebyshev(cos: tuple, sin: tuple, bits: int, level: int):
+    """sin x, sin 2x, .. at level 0, or sin x, sin 3x, .. after, at ``bits`` fraction bits, from mpf cos x and sin x.
+
+    sin((k+s)x) = 2 cos(sx) sin(kx) - sin((k-s)x), one multiply a term; a rounding at step j reaches step m scaled
+    by at most m - j, so the m-th term is within m^2 2^-bits relative to sin x, which may carry a scale.
+    """
+    step, current = to_fixed(cos, bits + 1), to_fixed(sin, bits)  # 2 cos x, sin x
+    # 2 cos 2x = (2 cos x)^2 - 2 steps the odd multiples after level 0
+    step, previous = ((step * step >> bits) - (2 << bits), -current) if level else (step, 0)
+    while True:
+        yield current
+        previous, current = current, (step * current >> bits) - previous
+
+
+def _grid(wp: int, level: int, frac: int, weights: bool = False) -> list:
     """A level's table [sums, powers, ks, weights]: :func:`_grid_sums`' state, the abscissas k/N and the weights.
 
-    w_k = (1 - t) tan(pi t/2) is rounded to nearest at ``frac`` fraction bits.
-    Level 0 holds k = 1..N-1 and the end t = 1 with half its value (w(1)/2 =
-    1/pi; w(0) = 0); later levels hold the odd k.  ``powers`` starts as the
-    w_k and :func:`_grid_sums` raises it in place to w_k k^m, m = len(sums);
-    ``weights`` stays None until :func:`_grid_weights` reads it back, so a
+    w_k = (1 - t) tan(pi t/2) is rounded to nearest at ``frac`` fraction bits, tan(pi k/2N) = sin(pi
+    k/2N) / sin(pi (N-k)/2N) from :func:`_chebyshev`, the entry for N - k at the mirrored index.  Level
+    0 holds k = 1..N-1 and the end t = 1 with half its value (w(1)/2 = 1/pi; w(0) = 0); later levels
+    hold the odd k.  ``powers`` starts as the w_k and :func:`_grid_sums` raises it in place to w_k k^m,
+    m = len(sums); ``weights`` is read back from it, exactly, the first time it is asked for, so a
     table that only the moment sums read holds no second copy.
     """
     store = _tables(wp)
-    key = ("grid", level, frac)
-    entry = store.get(key)
+    entry = store.get(key := ("grid", level, frac))
     if entry is None:
         n = _base_points(wp) << level
-        # sin(pi k/2N) by sin((k+s)x) = 2 cos(sx) sin(kx) - sin((k-s)x), x = pi/2N,
-        # s = 1 over k = 1..N-1 at level 0 and 2 over the odd k after; a rounding at
-        # step j reaches index m scaled by at most m - j, so relative to sin x each
-        # sine is within N^2 2^-bits; the entry for N - k sits at the mirrored index
         bits = frac + 2 * n.bit_length() + 8
         cos, sin = mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True)
-        step, current = to_fixed(cos, bits + 1), to_fixed(sin, bits)  # 2 cos x, sin x
-        step = (step * step >> bits) - (2 << bits) if level else step  # 2 cos 2x = (2 cos x)^2 - 2
         ks = list(range(1, n) if level == 0 else range(1, n, 2))
-        sines, previous = [], -current if level else 0
-        for _ in ks:
-            sines.append(current)
-            previous, current = current, ((step * current) >> bits) - previous
-        weights = []
-        for i, k in enumerate(ks):
-            # tan(pi k/2N) = sin(pi k/2N) / sin(pi (N-k)/2N)
-            num, den = (n - k) * sines[i], n * sines[-1 - i]
-            weights.append(((num << (frac + 1)) // den + 1) >> 1)
+        sines = [x for _, x in zip(ks, _chebyshev(cos, sin, bits, level))]
+        w = [((((n - k) * x) << frac + 1) // (n * y) + 1) >> 1 for k, x, y in zip(ks, sines, reversed(sines))]
         if level == 0:
             ks.append(n)
             with mp.workprec(frac + 16):
-                weights.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
-        entry = store[key] = [[], weights, ks, None]
-    return entry
-
-
-def _grid_weights(wp: int, level: int, frac: int) -> tuple:
-    """(ks, weights) of a level's table, the w_k read back exactly from its powers w_k k^m once and kept."""
-    entry = _grid(wp, level, frac)
-    if entry[3] is None:
-        sums, powers, ks, _ = entry
+                w.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
+        entry = store[key] = [[], w, ks, None]
+    if weights and entry[3] is None:
+        sums, powers, ks, _ = entry  # before any sum raises them, the powers are the weights: share them
         entry[3] = [x // k ** len(sums) for x, k in zip(powers, ks)] if sums else list(powers)
-    return entry[2], entry[3]
+    return entry
 
 
 def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
@@ -440,6 +418,23 @@ def _level_loop(level_estimate: Callable, tol, precision: int, floor=0) -> QuadR
     )
 
 
+def _trapezoid(level_total: Callable, log_size: float, rounding, frac: int, tol, precision: int) -> QuadResult:
+    """The Euler-Maclaurin levels on :func:`_level_loop`: ``level_total(wp, level, K)`` at 2 frac fraction bits,
+    K and its remainder bound from :func:`_truncation` for ``log_size``, plus ``rounding``; ``evaluations`` counts
+    the trapezoid nodes.
+    """
+
+    def level_estimate(wp, level):
+        n = _base_points(wp) << level
+        terms, log_bound = _truncation(n, log_size, wp)
+        total = level_total(wp, level, terms)
+        with mp.workprec(53):
+            bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
+        return mp.make_mpf(from_man_exp(total, -2 * frac, wp, round_nearest)), n // 2 if level else n + 1, bound
+
+    return _level_loop(level_estimate, tol, precision)
+
+
 def integrate_moments(coefficients: list, frac: int, tol, precision: int) -> QuadResult:
     """integral_0^1 tan(pi t/2) (1 - t) Q(t) dt.
 
@@ -469,24 +464,15 @@ def integrate_moments(coefficients: list, frac: int, tol, precision: int) -> Qua
         sizes = (1 if odd else 2) * sum(map(abs, q)) + sum(map(abs, r[1::2])) + abs(at_minus_one) + (1 << table)
         rounding = mp.ldexp(sizes, -2 * table) + mp.ldexp(1, -wp)
 
-    def level_estimate(wp, level):
-        n = _base_points(wp) << level
-        terms, log_bound = _truncation(n, log_size, wp)
-        total = _level_total(wp, level, table, terms, q, r, odd) + split
-        with mp.workprec(53):
-            bound = rounding + (mp.ldexp(1, math.ceil(log_bound)) if log_size > -math.inf else 0)
-        count = n + 1 if level == 0 else n // 2
-        return mp.make_mpf(from_man_exp(total, -2 * table, wp, round_nearest)), count, bound
-
-    return _level_loop(level_estimate, tol, precision)
+    return _trapezoid(lambda wp, level, terms: _level_total(wp, level, table, terms, q, r, odd) + split,
+                      log_size, rounding, table, tol, precision)
 
 
 def _bracket_series(z, frac: int) -> list:
     """r_c = (-1)^c (pi z)^2c / (2c)!, the s^(2c-1) coefficients of the Mikolas Q(1 - s), to the first that rounds to 0.
 
-    (pi z)^2c / (2c)! is stepped at F + 32 bits by one multiply and one floored
-    small division; past c = 1 each step shrinks it, as (pi z)^2 < 12, so its
-    errors stay within 20 units and each r_c is within 1/2 + 2^-27 units of 2^-F.
+    (pi z)^2c / (2c)! is stepped at F + 32 bits, one multiply and one floored small division; past c = 1
+    each step shrinks it ((pi z)^2 < 12), so each r_c is within 1/2 + 2^-27 units of 2^-F.
     """
     bits = frac + _SERIES_BITS
     with mp.workprec(bits + 16):
@@ -500,21 +486,14 @@ def _bracket_series(z, frac: int) -> list:
 def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     """integral_0^1 tan(pi t/2) b(t) dt, b(t) = sin(pi z t)/sin(pi z) - t, for an mpf 0 < z < 1, from samples.
 
-    The integrand is w Q, Q = b/(1 - t), even and analytic out to t = 3, as b
-    is odd with b(+-1) = 0: no t = 0 corrections, no Q(-1) split.  sigma_k =
-    sin(pi z k/N)/sin(pi z) is stepped by the Chebyshev recurrence, one
-    multiply a node from one cos/sin pair, at B = F + 3 bitlength(N) + s + 8
-    bits, F = wp + 64 and 2^s >= 1/sin(pi z); Q(t_k) = (N sigma_k - k)/(N - k),
-    one small division, and Q(1) = 1 - pi z cot(pi z) meet the weights of
-    :func:`_grid_weights`, and each level's sum is rounded to 2F bits.  At t = 1 the
-    corrections are sum_c r_c D_c (:func:`_bracket_series`, :func:`_corrections`).
-    On the discs' boundary |tan(pi x/2)| <= cosh(pi r/2)/(rho - r), |cos(pi x/2)|
-    being at least the distance to the odd integers, and |b(x)| <= cosh(pi z
-    r)/sin(pi z) + 1 + r, which bounds the integrand inside for :func:`_truncation`.
-    Rounding: |Q| <= max |b'| <= M = pi z/sin(pi z) + 1 meets w_k's 2^-F;
-    sigma_k's 4 N^2 (2^s + 1) 2^-B, times tan(pi t_k/2) <= N, is 2^-(F+5);
-    sum |r_c| < 12 meets D_c's 2^-F, and sum |D_c| < 1 r_c's; the 2F-bit
-    roundings add below 2^-F, and the mpf M 2^-wp.
+    The integrand w Q, Q = b/(1 - t), is even and analytic out to t = 3 (b is odd, b(+-1) = 0): no t = 0
+    corrections, no Q(-1) split.  sigma_k = sin(pi z k/N)/sin(pi z) comes from :func:`_chebyshev` at B = F
+    + 3 bitlength(N) + s + 8 bits, F = wp + 64, 2^s >= 1/sin(pi z); Q(t_k) = (N sigma_k - k)/(N - k) and
+    Q(1) = 1 - pi z cot(pi z) meet the weights w_k, each level's sum rounded to 2F bits, and the t = 1
+    corrections are sum_c r_c D_c (:func:`_bracket_series`).  On the discs |tan(pi x/2)| <= cosh(pi r/2)/(rho
+    - r) and |b(x)| <= cosh(pi z r)/sin(pi z) + 1 + r.  Rounding: |Q| <= M = pi z/sin(pi z) + 1 meets w_k's
+    2^-F; sigma_k's 4 N^2 (2^s + 1) 2^-B, times tan(pi t_k/2) <= N, is 2^-(F+5); sum |r_c| < 12 meets D_c's
+    2^-F and sum |D_c| < 1 r_c's; the 2F-bit roundings add below 2^-F, and the mpf M 2^-wp.
     """
     wp = working_precision(precision)
     frac, r, grid = wp + _MOMENT_BITS, _bracket_series(z, wp + _MOMENT_BITS), 0
@@ -526,30 +505,23 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     bracket = math.cosh(math.pi * float(z) * _DISC) + (1 + _DISC) * 2**log_sine  # sin(pi z) times the bound on |b|
     log_size = math.log2(math.cosh(math.pi * _DISC / 2) / (_RHO - _DISC) * bracket) - log_sine
 
-    def level_estimate(wp, level):
+    def level_total(wp, level, terms):
         nonlocal grid
         n = _base_points(wp) << level
-        ks, weights = _grid_weights(wp, level, frac)
+        _, _, ks, weights = _grid(wp, level, frac, weights=True)
         bits = frac + 3 * n.bit_length() + size + 8
         with mp.workprec(bits + 16):
             cos, sin = mpf_cos_sin((z / n)._mpf_, bits + 16, pi=True)
             scale = 1 / mp.sinpi(z)
-            step, current = to_fixed(cos, bits + 1), to_fixed((mp.make_mpf(sin) * scale)._mpf_, bits)
+            sigmas = _chebyshev(cos, (mp.make_mpf(sin) * scale)._mpf_, bits, level)
             total = 0 if level else weights[-1] * to_fixed((1 - mp.pi * z * mp.cospi(z) * scale)._mpf_, bits)
-        step, previous = ((step * step >> bits) - (2 << bits), -current) if level else (step, 0)
-        for k, w in zip(ks[: len(ks) - (level == 0)], weights):  # level 0 ends in t = 1, Q(1) above
-            total += w * ((n * current - (k << bits)) // (n - k))
-            previous, current = current, (step * current >> bits) - previous
+        ends = ks[:-1] if level == 0 else ks  # level 0 ends in t = 1, Q(1) above
+        total += sum(w * ((n * x - (k << bits)) // (n - k)) for k, w, x in zip(ends, weights, sigmas))
         grid += (total + (1 << bits - frac - 1)) >> bits - frac
-        terms, log_bound = _truncation(n, log_size, wp)
         at_one = _corrections(wp, level, frac, terms, 2 * min(terms, len(r)) - 1, True)[1]
-        value = (2 * grid + n) // (2 * n) + sum(c * d for c, d in zip(r, at_one))
-        with mp.workprec(53):
-            error = rounding + mp.ldexp(1, math.ceil(log_bound))
-        nodes = n + 1 if level == 0 else n // 2
-        return mp.make_mpf(from_man_exp(value, -2 * frac, wp, round_nearest)), nodes, error
+        return (2 * grid + n) // (2 * n) + sum(c * d for c, d in zip(r, at_one))
 
-    return _level_loop(level_estimate, tol, precision)
+    return _trapezoid(level_total, log_size, rounding, frac, tol, precision)
 
 
 def _gamma_tail(z: float, n: int, cut: float) -> float:

@@ -188,11 +188,11 @@ def digamma_ref(x, precision: int):
 
 
 def digamma_gauss(q: int, precision: int) -> list:
-    """[psi(1/q), .., psi((q-1)/q)] by Gauss's digamma theorem (DLMF 5.4.19), reading no Bernoulli number:
+    """[psi(1/q), .., psi((q-1)/q)] by Gauss's digamma theorem (DLMF 5.4.19), at wp bits, each rounded once:
 
         psi(p/q) = -gamma - log 2q - (pi/2) cot(pi p/q) + 2 sum_(n=1)^floor((q-1)/2) cos(2 pi n p/q) log sin(pi n/q),
 
-    from one log a term n and one cosine table over the residues n p mod q at wp bits, each value rounded once.
+    one log a term n and one cosine table over the residues n p mod q; no Bernoulli number is read.
     """
     if q < 2:
         raise DomainError("Gauss's digamma theorem needs q >= 2")

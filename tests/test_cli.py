@@ -766,7 +766,14 @@ class TestVerify:
             (
                 "euler_gamma",
                 {
+                    "digamma-grid": r"digamma oracles differ by \S+ at z = 1/16  \[",
                     "gamma-derivatives": r"Gamma derivative mismatch at n=1  \[",
+                },
+            ),
+            (
+                "digamma_ref",
+                {
+                    "digamma-grid": r"digamma oracles differ by \S+ at z = 1/16  \[",
                 },
             ),
         ],
@@ -776,8 +783,10 @@ class TestVerify:
     ):
         # one oracle off by a relative 1e-5, far outside the 10^-(digits-8) bounds;
         # the exact checks read no oracle and still pass.  A wrong gamma moves
-        # both sides of digamma-grid alike (Mikolas's psi and Gauss's theorem
-        # both read it), so only the Bell form of gamma-derivatives catches it
+        # both sides of the Mikolas grid alike (Mikolas's psi and Gauss's
+        # theorem both read it), so digamma-grid catches it where it holds
+        # Gauss's psi(1/16) to digamma_ref's, which reads no gamma, as it
+        # catches a wrong digamma_ref; the Bell form of gamma-derivatives reads gamma
         real = getattr(reference, oracle)
         monkeypatch.setattr(reference, oracle, lambda *args: real(*args) * (1 + mp.mpf(10) ** -5))
         code, out, _ = run(["verify", "--max-p", "1", "--digits", "15"], capsys)

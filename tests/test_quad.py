@@ -339,12 +339,12 @@ class TestGridWeights:
         # the powers first or not
         wp, frac = 436, 500
         quad._tables.cache_clear()
-        cold = [quad._grid_weights(wp, level, frac) for level in range(3)]
+        cold = [quad._grid(wp, level, frac, weights=True)[3] for level in range(3)]
         quad._tables.cache_clear()
         for level in range(3):
             quad._grid_sums(wp, level, frac, 7)
         assert all(quad._tables(wp)[("grid", level, frac)][3] is None for level in range(3))
-        assert [quad._grid_weights(wp, level, frac) for level in range(3)] == cold
+        assert [quad._grid(wp, level, frac, weights=True)[3] for level in range(3)] == cold
 
     def test_sums_are_cumulative(self):
         # a level's X_m sums w_k k^m over its own abscissas and every coarser
@@ -734,7 +734,8 @@ class TestMikolasGrid:
 
     @MIKOLAS_POINTS
     def test_polynomial_is_the_cut_taylor_series(self, z):
-        # the t = 1 row, the cut Taylor polynomial of Q(1 - s)'s odd part
+        # the polynomial the sampled path keeps: the t = 1 row r, the Taylor
+        # series of the quotient Q(1 - s)'s odd part cut where it rounds to 0
         precision = 160
         frac = working_precision(precision) + 64
         with mp.workprec(frac):
@@ -745,8 +746,9 @@ class TestMikolasGrid:
 
     @MIKOLAS_POINTS
     def test_faults_in_the_polynomial_are_caught(self, z):
-        # stopping the row one term early, dropping the signs (-1)^c, or moving
-        # one coefficient by two units each fails the check above
+        # faults in the t = 1 row r: stopping it one term early, dropping the
+        # signs (-1)^c, or moving one coefficient by two units each fails the
+        # check above
         precision = 160
         frac = working_precision(precision) + 64
         with mp.workprec(frac):
@@ -761,10 +763,11 @@ class TestMikolasGrid:
         [(120, [mp.mpf(k) / 16 for k in range(1, 16)] + [mp.mpf("1e-9")]), (1000, ["0.999"])],
     )
     def test_quotient_ends_in_a_nonzero_coefficient(self, digits, points, monkeypatch):
-        # verify's grid, a point whose row of Q(1 - s) ends long before K, and
-        # digamma --z 0.999 --digits 1000: each level reads D_1..D_c for c =
-        # min(K, the row's length), so the last r_c it reads is not 0 and no D
-        # entry is built for a coefficient that rounds to 0
+        # the quotient's t = 1 row, on verify's grid, at a point whose row of
+        # Q(1 - s) ends long before K, and at digamma --z 0.999 --digits 1000:
+        # each level reads D_1..D_c for c = min(K, the row's length), so the
+        # last r_c it reads is not 0 and no D entry is built for a coefficient
+        # that rounds to 0
         precision = bits_for_digits(digits)
         series, corrections = quad._bracket_series, quad._corrections
         rows, reads = [], []
