@@ -25,14 +25,14 @@ double-exponential map t = exp(u - e^-u) for exponentially decaying
 integrands (Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput.
 Appl. Math. 127, 2001): log t = u - e^-u comes free, and the integrand in u
 falls double-exponentially at both ends and is analytic for |Im u| < pi/2,
-so the trapezoid rule of step h errs by about exp(-pi^2/h).  A node costs
-two exps and no log, and one pass serves every order.
+so the trapezoid rule of step h errs by about exp(-pi^2/h).  A node is
+integers around two exps and takes no log; one pass serves every order.
 
 Both engines share one level loop, :func:`_level_loop`, which is handed each
 level's complete estimate; it keeps the per-level deltas, estimates the
 error, stops, and rounds the result back to the requested precision.  The
-heuristic error estimate is the double-exponential one: with
-d1 = |S_m - S_{m-1}| and d2 = |S_m - S_{m-2}| the estimated exponent is
+heuristic error estimate is the double-exponential one, 10^e at 53 bits:
+with d1 = |S_m - S_{m-1}| and d2 = |S_m - S_{m-2}|, e is
 max(log(d1)^2 / log(d2), 2 log(d1)), floored at the working epsilon.
 
 Numbers are mpmath ``mpf`` values; every routine takes the target precision
@@ -51,7 +51,7 @@ from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, mpf_exp, round_nearest, to_fixed
 
 from . import exactnum
 from .errors import DomainError, NoConvergence
@@ -141,7 +141,8 @@ def _estimate_error(sums: list, wp: int):
     # int, or a gmpy2 mpz, which int() converts exactly) and the exponent
     log_d1, log_d2 = ((math.log2(int(d._mpf_[1])) + d._mpf_[2]) * math.log10(2) for d in (d1, d2))
     exponent = min(0, max(log_d1**2 / log_d2, 2 * log_d1, -wp * math.log10(2)))
-    return mp.mpf(10) ** exponent
+    with mp.workprec(53):  # an order of magnitude, printed to 8 digits
+        return mp.mpf(10) ** exponent
 
 
 @lru_cache(maxsize=4)  # four working precisions
@@ -487,23 +488,30 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     """integral_0^1 tan(pi t/2) b(t) dt, b(t) = sin(pi z t)/sin(pi z) - t, for an mpf 0 < z < 1, from samples.
 
     The integrand w Q, Q = b/(1 - t), is even and analytic out to t = 3 (b is odd, b(+-1) = 0): no t = 0
-    corrections, no Q(-1) split.  sigma_k = sin(pi z k/N)/sin(pi z) comes from :func:`_chebyshev` at B = F
-    + 3 bitlength(N) + s + 8 bits, F = wp + 64, 2^s >= 1/sin(pi z); Q(t_k) = (N sigma_k - k)/(N - k) and
-    Q(1) = 1 - pi z cot(pi z) meet the weights w_k, each level's sum rounded to 2F bits, and the t = 1
-    corrections are sum_c r_c D_c (:func:`_bracket_series`).  On the discs |tan(pi x/2)| <= cosh(pi r/2)/(rho
-    - r) and |b(x)| <= cosh(pi z r)/sin(pi z) + 1 + r.  Rounding: |Q| <= M = pi z/sin(pi z) + 1 meets w_k's
-    2^-F; sigma_k's 4 N^2 (2^s + 1) 2^-B, times tan(pi t_k/2) <= N, is 2^-(F+5); sum |r_c| < 12 meets D_c's
-    2^-F and sum |D_c| < 1 r_c's; the 2F-bit roundings add below 2^-F, and the mpf M 2^-wp.
+    corrections, no Q(-1) split.  One cos/sin pair of pi z, at the bits level MAX_LEVEL reads, gives 1/sin(pi z)
+    and Q(1) = 1 - pi z cot(pi z); one of pi z/N a level seeds sigma_k = sin(pi z k/N)/sin(pi z), from
+    :func:`_chebyshev` at B = F + 3 bitlength(N) + s + 8 bits, F = wp + 64, 2^s >= 1/sin(pi z) (and 2^s <= 1/min(z,
+    1 - z)).  Q(t_k) = (N sigma_k - k)/(N - k) and Q(1) meet the weights w_k, each level's sum rounded to 2F bits,
+    and the t = 1 corrections are sum_c r_c D_c (:func:`_bracket_series`).  On the discs |tan(pi x/2)| <=
+    cosh(pi r/2)/(rho - r), and sin(pi z) |b(x)| <= cosh(pi z r) + R sin(pi z), R = 1 + r, or, tight for small
+    z, (pi z)^3 (R^3 + R) cosh(pi z R)/6, from b(x) = sum_(m>=1) c_m (x^(2m+1) - x), c_m sin(pi z x)/sin(pi
+    z)'s Taylor coefficients.  Rounding: |Q| <= M = pi z/sin(pi z) + 1 meets w_k's 2^-F; sigma_k's 4 N^2 (2^s +
+    1) 2^-B, times tan(pi t_k/2) <= N, is 2^-(F+5); sum |r_c| < 12 meets D_c's 2^-F and sum |D_c| < 1 r_c's;
+    the 2F-bit roundings add below 2^-F, and the mpf M 2^-wp.
     """
     wp = working_precision(precision)
     frac, r, grid = wp + _MOMENT_BITS, _bracket_series(z, wp + _MOMENT_BITS), 0
-    with mp.workprec(wp):
-        sine = mp.sinpi(z)
+    top = frac + 3 * (_base_points(wp) << MAX_LEVEL).bit_length() - min(0, mp.mag(min(z, 1 - z))) + 24
+    with mp.workprec(top):
+        cos, sine = mp.cospi_sinpi(z)
+        scale, q_one = 1 / sine, (1 - mp.pi * z * cos / sine)._mpf_
     with mp.workprec(53):
         size, log_sine, bound = max(0, 1 - mp.mag(sine)), float(mp.log(sine, 2)), mp.pi * z / sine + 1
         rounding = (bound + 14) * mp.ldexp(1, -frac) + bound * mp.ldexp(1, -wp)
-    bracket = math.cosh(math.pi * float(z) * _DISC) + (1 + _DISC) * 2**log_sine  # sin(pi z) times the bound on |b|
-    log_size = math.log2(math.cosh(math.pi * _DISC / 2) / (_RHO - _DISC) * bracket) - log_sine
+    a, log_a, wide = math.pi * float(z), math.log2(math.pi) + math.log2(int(z.man)) + z.exp, 1 + _DISC
+    bracket = min(math.log2(math.cosh(a * _DISC) + wide * 2**log_sine),  # log2 of sin(pi z) |b|: triangle, series
+                  3 * log_a + math.log2((wide**3 + wide) * math.cosh(a * wide) / 6))
+    log_size = math.log2(math.cosh(math.pi * _DISC / 2) / (_RHO - _DISC)) + bracket - log_sine
 
     def level_total(wp, level, terms):
         nonlocal grid
@@ -512,9 +520,8 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
         bits = frac + 3 * n.bit_length() + size + 8
         with mp.workprec(bits + 16):
             cos, sin = mpf_cos_sin((z / n)._mpf_, bits + 16, pi=True)
-            scale = 1 / mp.sinpi(z)
             sigmas = _chebyshev(cos, (mp.make_mpf(sin) * scale)._mpf_, bits, level)
-            total = 0 if level else weights[-1] * to_fixed((1 - mp.pi * z * mp.cospi(z) * scale)._mpf_, bits)
+        total = 0 if level else weights[-1] * to_fixed(q_one, bits)
         ends = ks[:-1] if level == 0 else ks  # level 0 ends in t = 1, Q(1) above
         total += sum(w * ((n * x - (k << bits)) // (n - k)) for k, w, x in zip(ends, weights, sigmas))
         grid += (total + (1 << bits - frac - 1)) >> bits - frac
@@ -546,31 +553,43 @@ def _gamma_tail(z: float, n: int, cut: float) -> float:
     return math.log(2 / z) + n * math.log(s) - z * s
 
 
+def _gamma_nodes(z, n: int, first: int, stride: int, count: int, bits: int):
+    """(x, m, e) at u = j/N, j = first, first + stride, .. (``count`` nodes): x = u - E, E = e^-u, at P =
+    ``bits`` fraction bits, and v = (1 + E) exp(z x - e^x) = m 2^e, in integers around two mpf_exp calls."""
+    p = bits + 2 * abs(first) // n + 8  # e^(|a|/N) < 2^(p - bits - 6) for a = first and the stride
+    e, step = (to_fixed(mpf_exp(from_rational(-a, n, p), p), bits) for a in (first, stride))
+    m, s = (z.man << z.exp, 0) if z.exp >= 0 else (z.man, -z.exp)  # z = m 2^-s exactly
+    for j in range(first, first + stride * count, stride):
+        x = (j << bits) // n - e
+        t = to_fixed(mpf_exp(from_man_exp(x, -bits), bits), bits)
+        _, man, exp, _ = mpf_exp(from_man_exp(m * x - (t << s), -bits - s), bits)
+        yield x, man * ((1 << bits) + e), exp - bits
+        e = e * step >> bits
+
+
 def integrate_gamma(z, orders, tol, precision: int) -> list:
     """integral_0^inf e^-t t^(z-1) (log t)^n dt for each n in ``orders``, one QuadResult each, for an mpf z >= 1.
 
-    With t = e^x, x = u - E, E = e^-u: dt = t (1 + E) du, and a node's
-    integrand is v x^n, v = (1 + E) exp(z x - t): two exps, E stepped by one
-    factor.  v is rounded to F = wp + 16 bits below its leading bit (or the
-    point, if v >= 1), and each order is one fixed-point multiply by x from
-    the one before, rounded to F fraction bits, so level sums are integers.
-    8 + log2(count) + log2((z + e^hi)(e^-lo + 1)) more bits keep x within
-    2^-(F+1) and v within 2^-(F+2) relatively.
+    With t = e^x, x = u - E, E = e^-u: dt = t (1 + E) du, and a node's integrand is v x^n, v = (1 + E) exp(z x
+    - t).  A node is integers at P = F + extra fraction bits, F = wp + 16, around its two exps
+    (:func:`_gamma_nodes`): E and the step e^(-stride/N) start within 2^(1-P) and E <= e^-lo, so x is within
+    2 (count + 1)(e^-lo + 1) 2^-P; t = e^x <= e^hi is floored once, z x - t is then exact, and v, with the
+    exp's 2^(1-P) and 1 + E's error, is relatively within 4 (count + 3) M 2^-P, M = (z + e^hi)(e^-lo + 1).  So
+    extra = 8 + bitlength(count) + log2 M keeps x within 2^-(F+1) and v within 2^-(F+2) relatively.  v's
+    mantissa is floored once to F bits below its leading bit (or the point, if v >= 1), x to F fraction bits,
+    and each order is one fixed-point multiply by x from the one before, rounded to F fraction bits, so level
+    sums are integers.
 
-    Level L is the trapezoid rule of step 1/N, N = N0 2^L, on the j/N in
-    [lo, hi], the odd j after level 0.  Its error is near exp(-pi^2 N), so
-    N0 = ceil(wp log 2 / (4 pi^2)) puts level 1 near 2^(-wp/2) and
-    :func:`_level_loop` can stop at level 2.  lo and hi are the multiples of
-    1/N0 nearest 0 whose tails of order ``_TAIL_ORDER`` are below 2^-wp
-    (:func:`_gamma_tail`).  Order n's bound adds both tails to the rounding:
-    a chain step multiplies an error by at most max(1, |x|) and v's ulp is at
-    most 2^(1-F) v, so a node's term is within (6n + 8) 2^-2F (|T_0| + |T_n|
-    + 2) + 2^-(F+1) of v x^n, T_k its rounded terms.  No level lowers the
-    tails, so they are the level loop's floor, and an order whose tails
-    exceed its tolerance stops after level 0.  ``tol`` is relative to
-    2^e >= |level 0's value| where that exceeds 1.  The orders share each
-    level's pass and run their own level loops, so each QuadResult is bit for
-    bit that of its order alone; ``evaluations`` counts the nodes.
+    Level L is the trapezoid rule of step 1/N, N = N0 2^L, on the j/N in [lo, hi], the odd j after level 0.
+    Its error is near exp(-pi^2 N), so N0 = ceil(wp log 2 / (4 pi^2)) puts level 1 near 2^(-wp/2) and
+    :func:`_level_loop` can stop at level 2.  lo and hi are the multiples of 1/N0 nearest 0 whose tails of
+    order ``_TAIL_ORDER`` are below 2^-wp (:func:`_gamma_tail`).  Order n's bound adds both tails to the
+    rounding: a chain step multiplies an error by at most max(1, |x|) and v's ulp is at most 2^(1-F) v, so a
+    node's term is within (6n + 8) 2^-2F (|T_0| + |T_n| + 2) + 2^-(F+1) of v x^n, T_k its rounded terms.  No
+    level lowers the tails, so they are the level loop's floor, and an order whose tails exceed its tolerance
+    stops after level 0.  ``tol`` is relative to 2^e >= |level 0's value| where that exceeds 1.  The orders
+    share each level's pass and run their own level loops, so each QuadResult is bit for bit that of its
+    order alone; ``evaluations`` counts the nodes.
     """
     wp = working_precision(precision)
     frac, top, zf = wp + 16, max(orders, default=0), float(z)
@@ -594,20 +613,16 @@ def integrate_gamma(z, orders, tol, precision: int) -> list:
             first, stride, count = 1 - (j_lo << level), 2, (j_lo + j_hi) << level - 1
         extra = 8 + count.bit_length() + math.ceil(math.log2((zf + math.exp(hi)) * (math.exp(-lo) + 1)))
         sums, sizes = [0] * (top + 1), [0] * (top + 1)
-        with mp.workprec(frac + extra):
-            e, step = mp.exp(mp.mpf(-first) / n), mp.exp(mp.mpf(-stride) / n)
-            for j in range(first, first + stride * count, stride):
-                x = mp.make_mpf(from_rational(j, n, mp.mp.prec, round_nearest)) - e
-                v = (1 + e) * mp.exp(z * x - mp.exp(x))
-                shift = max(0, -mp.mag(v))
-                term, half, power = to_fixed(v._mpf_, frac + shift), (1 << shift) >> 1, to_fixed(x._mpf_, frac)
-                for k in range(top + 1):
-                    if k:
-                        term = (term * power) >> frac
-                    rounded = (term + half) >> shift
-                    sums[k] += rounded
-                    sizes[k] += abs(rounded)
-                e *= step
+        for x, man, exp in _gamma_nodes(z, n, first, stride, count, frac + extra):
+            shift = max(0, -exp - man.bit_length())
+            offset = exp + frac + shift
+            term, half, power = man << offset if offset >= 0 else man >> -offset, (1 << shift) >> 1, x >> extra
+            for k in range(top + 1):
+                if k:
+                    term = (term * power) >> frac
+                rounded = (term + half) >> shift
+                sums[k] += rounded
+                sizes[k] += abs(rounded)
         levels.append((sums, sizes, count))
 
     def order(k):

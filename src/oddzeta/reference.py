@@ -215,19 +215,21 @@ def digamma_mikolas(z, precision: int):
 
     The integral is :func:`quad.integrate_mikolas`.  cot(pi z) and the
     integral cancel as z -> 1, so the bits of |cot(pi z)| beyond 16 are added
-    to the integral's precision, and cot(pi z) is added after its rounding.
-    Raises NoConvergence when the integral misses its tolerance.
+    to the integral's precision, and cot(pi z), from one cos/sin pair, is added
+    after its rounding.  Raises NoConvergence when the integral misses its tolerance.
     """
     with mp.workprec(quad.working_precision(precision)):
         zv = _as_mpf(z)
         if not (0 < zv < 1):
             raise DomainError("Mikolas representation needs 0 < z < 1")
-        inner = precision + max(0, mp.mag(mp.cot(mp.pi * zv)) - 16)
-    wp = quad.working_precision(inner)
-    with mp.workprec(wp):
+        cot = mp.fdiv(*mp.cospi_sinpi(zv))
+    inner = precision + max(0, mp.mag(cot) - 16)
+    with mp.workprec(wp := quad.working_precision(inner)):
         zv = _as_mpf(z)
+        if inner > precision:
+            cot = mp.fdiv(*mp.cospi_sinpi(zv))
         result = quad.integrate_mikolas(zv, quad.quad_tolerance(precision), inner)
         result.require_converged(f"Mikolas digamma integral at z = {shortest_str(zv)}")
-        value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * (mp.cospi(zv) / mp.sinpi(zv) + result.value))
+        value = -(euler_gamma(wp) + 1 / (2 * zv) + mp.pi / 2 * (cot + result.value))
     with mp.workprec(precision):
         return +value

@@ -11,6 +11,8 @@ Each one is a second route to something the library computes, kept out of
   in exact rationals and mpf terms.
 * ``dl_series_check``          residual of the zeta power series of
   -psi(1-z) - gamma.
+* ``gamma_nodes``              the Gamma rule's nodes x and v in mpf
+  arithmetic, against which ``quad._gamma_nodes``' integers are checked.
 * ``integrate_01_many``, ``integrate_one``
   tanh-sinh integration over (0, 1) of a tuple-valued and of a scalar
   integrand, on nodes stepped from one exp(h) per level (``_unit_nodes``,
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from oddzeta import exactnum, expansion, quad, reference
 from oddzeta.errors import DomainError
@@ -168,6 +170,23 @@ def integrate_01_many(f, tol, precision: int) -> list:
 def integrate_one(f, tol, precision: int):
     """The QuadResult of the scalar f over (0, 1): f as the one component of :func:`integrate_01_many`."""
     return integrate_01_many(lambda t: (f(t),), tol, precision)[0]
+
+
+def gamma_nodes(z, n: int, first: int, stride: int, count: int, precision: int) -> list:
+    """[(x, v)] at the nodes u = j/N, j = first, first + stride, .. of ``quad.integrate_gamma``, as mpfs.
+
+    x = u - E and v = (1 + E) exp(z x - e^x), E = e^-u stepped by one mpf
+    multiply from e^(-first/N), all in mpf arithmetic at ``precision`` bits:
+    the Gamma rule's node formula before its nodes became integers.
+    """
+    nodes = []
+    with mp.workprec(precision):
+        e, step = mp.exp(mp.mpf(-first) / n), mp.exp(mp.mpf(-stride) / n)
+        for j in range(first, first + stride * count, stride):
+            x = mp.make_mpf(from_rational(j, n, precision, round_nearest)) - e
+            nodes.append((x, (1 + e) * mp.exp(z * x - mp.exp(x))))
+            e *= step
+    return nodes
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import mpmath as mp
 import pytest
+from mpmath import ctx_mp_python
+from mpmath.libmp import libelefun
 
 import oracles
 from oddzeta import exactnum, quad, reference, zetarep
@@ -131,6 +133,70 @@ class TestSharedPass:
     def test_non_finite_second_component(self):
         with pytest.raises(ArithmeticError, match="integrand returned nan"):
             integrate_01_many(lambda t: (mp.mpf(1), mp.nan), TOL30, 64)
+
+
+class TestGammaNodes:
+    # integrate_gamma's nodes are integers around two exps each
+    # (quad._gamma_nodes): every node of levels 0-2 is held to the mpf node
+    # formula (oracles.gamma_nodes), 64 bits finer, within the bound the
+    # integrate_gamma docstring derives, and that bound keeps x within
+    # 2^-(F+1) and v within 2^-(F+2) relatively
+    @pytest.mark.parametrize("z", ["1", "3", "2.5"])
+    @pytest.mark.parametrize("precision", [96, 463, 1000])
+    def test_nodes_within_their_rounding_bound(self, z, precision, monkeypatch):
+        wp = working_precision(precision)
+        with mp.workprec(wp):
+            zv = mp.mpf(z)
+        real, levels = quad._gamma_nodes, []
+
+        def recorded(*args):
+            levels.append((args, list(real(*args))))
+            return iter(levels[-1][1])
+
+        monkeypatch.setattr(quad, "_gamma_nodes", recorded)
+        monkeypatch.setattr(quad, "MAX_LEVEL", 2)
+        quad.integrate_gamma(zv, [0], quad.quad_tolerance(precision), precision)
+        assert len(levels) == 3
+        for (_, n, first, stride, count, bits), nodes in levels:
+            mpf_nodes = oracles.gamma_nodes(zv, n, first, stride, count, bits + 64)
+            assert len(nodes) == len(mpf_nodes) == count
+            with mp.workprec(bits + 64):
+                # E <= e^(-first/N) and x <= the last u
+                most_e, most_t = mp.exp(mp.mpf(-first) / n), mp.exp(mp.mpf(first + stride * (count - 1)) / n)
+                x_bound = mp.ldexp(2 * (count + 1) * (most_e + 1), -bits)
+                v_bound = mp.ldexp(4 * (count + 3) * (zv + most_t) * (most_e + 1), -bits)
+                assert x_bound <= mp.ldexp(1, -(wp + 17)) and v_bound <= mp.ldexp(1, -(wp + 18))
+                for (x, man, exp), (want_x, want_v) in zip(nodes, mpf_nodes):
+                    assert abs(mp.ldexp(x, -bits) - want_x) <= x_bound, (n, x)
+                    assert abs(mp.ldexp(man, exp) - want_v) <= v_bound * want_v, (n, x)
+
+    def test_two_exps_a_node_and_no_mpf_arithmetic(self, monkeypatch):
+        # the transcendental floor: two mpf_exp calls a node and two a level
+        # (E's start and step), and no mpf arithmetic a node: the mpf adds,
+        # subtracts, multiplies and divides are the level loops' own, a few a
+        # level and order, so a node that went back to mpf arithmetic fails
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(quad, "mpf_exp")
+        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div"):
+            count(ctx_mp_python, name)  # the names mpf's operators call
+        precision, orders = bits_for_digits(120), range(5)
+        with mp.workprec(working_precision(precision)):
+            z = mp.mpf(1)
+        results = quad.integrate_gamma(z, orders, quad.quad_tolerance(precision), precision)
+        levels, nodes = max(r.levels for r in results) + 1, max(r.evaluations for r in results)
+        assert levels == 3 and nodes == 437
+        assert calls.pop("mpf_exp") == 2 * nodes + 2 * levels
+        assert sum(calls.values()) <= 8 * levels * len(orders) < nodes, calls
 
 
 # Integrals over (0, inf) reach (0, 1) by a change of variable; the mapped
@@ -686,6 +752,27 @@ def row_errors(r, z, frac):
     return errors
 
 
+def mikolas_gaps(monkeypatch, z):
+    """log2 of the remainder bound over the error at z, 120 digits, level 0, for each K up to N/4.
+
+    Every K must leave an error far above the rounding, so the gaps measure the remainder bound alone.
+    """
+    precision = bits_for_digits(120)
+    wp = working_precision(precision)
+    with mp.workprec(wp):
+        zv = +z
+    want = mikolas_integral(zv, wp + 64)
+    n = quad._base_points(wp)
+    gaps = []
+    for terms in range(1, n // 4 + 1):
+        ((value, _, bound),), log_size = mikolas_levels(monkeypatch, zv, precision, 1, terms)
+        with mp.workprec(wp + 64):
+            error = abs(value - want)
+            assert error > 1024 * (bound - mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms))))
+            gaps.append(quad._remainder_log2(n, log_size, terms) - float(mp.log(error, 2)))
+    return gaps
+
+
 MIKOLAS_POINTS = pytest.mark.parametrize("z", ["0.0625", "0.5", "0.9375", "0.999", "1e-9"])
 
 
@@ -715,22 +802,48 @@ class TestMikolasGrid:
     def test_remainder_bound_is_tight(self, monkeypatch):
         # z = 3/16 at 120 digits, level 0, where every K up to N/4 = 11 leaves an
         # error far above the rounding: the remainder bound is at least the
-        # error and at most 2^20 above it (19.3 bits at K = 11)
-        precision = bits_for_digits(120)
-        wp = working_precision(precision)
-        with mp.workprec(wp):
-            zv = mp.mpf(3) / 16
-        want = mikolas_integral(zv, wp + 64)
-        n = quad._base_points(wp)
-        gaps = []
-        for terms in range(1, n // 4 + 1):
-            ((value, _, bound),), log_size = mikolas_levels(monkeypatch, zv, precision, 1, terms)
-            with mp.workprec(wp + 64):
-                error = abs(value - want)
-                assert error > 1024 * (bound - mp.ldexp(1, math.ceil(quad._remainder_log2(n, log_size, terms))))
-                gaps.append(quad._remainder_log2(n, log_size, terms) - float(mp.log(error, 2)))
+        # error and at most 2^20 above it (19.1 bits at K = 11)
+        gaps = mikolas_gaps(monkeypatch, mp.mpf(3) / 16)
         assert len(gaps) == 11
         assert 0 <= min(gaps) and max(gaps) <= 20, gaps
+
+    def test_remainder_bound_is_tight_at_small_z(self, monkeypatch):
+        # z = 2^-20, where |b| on the discs is near (pi z)^2 (R^3 + R)/6: the
+        # series bound keeps the remainder bound within 2^20 of the error
+        # (13.4-17.2 bits), where the triangle inequality's cosh(pi z r)/sin(pi z)
+        # + R is about 2^53 larger
+        gaps = mikolas_gaps(monkeypatch, mp.mpf(2) ** -20)
+        assert len(gaps) == 11
+        assert 0 <= min(gaps) and max(gaps) <= 20, gaps
+
+    def test_one_cos_sin_of_pi_z_a_call_and_one_a_level(self, monkeypatch):
+        # warm digamma_mikolas calls on verify's grid and at 1e-9, where the
+        # precision grows: cot(pi z) from one cos/sin pair of pi z (two where
+        # the precision grew), one pair for the integral's 1/sin(pi z) and
+        # Q(1), and one of pi z/N a level, so at most levels + 3 evaluations
+        precision = bits_for_digits(120)
+        with mp.workprec(precision):
+            points = [mp.mpf(k) / 16 for k in range(1, 16)] + [mp.mpf("1e-9")]
+        calls, levels = [0], []
+        real_cos_sin, real_integral = libelefun.mpf_cos_sin, quad.integrate_mikolas
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real_cos_sin(*args, **kwargs)
+
+        def integral(*args):
+            result = real_integral(*args)
+            levels.append(result.levels + 1)
+            return result
+
+        monkeypatch.setattr(libelefun, "mpf_cos_sin", counted)  # what mpmath's sinpi, cospi, tan and cot call
+        monkeypatch.setattr(quad, "mpf_cos_sin", counted)
+        monkeypatch.setattr(quad, "integrate_mikolas", integral)
+        for z in points:
+            reference.digamma_mikolas(z, precision)  # builds the grids
+            calls[0] = 0
+            reference.digamma_mikolas(z, precision)
+            assert levels[-1] == 3 and calls[0] <= levels[-1] + 3, (z, calls[0])
 
     @MIKOLAS_POINTS
     def test_polynomial_is_the_cut_taylor_series(self, z):
