@@ -175,14 +175,19 @@ def _chebyshev(cos: tuple, sin: tuple, bits: int, level: int):
 
 
 def _grid(wp: int, level: int, frac: int, weights: bool = False) -> list:
-    """A level's table [sums, powers, ks, weights]: :func:`_grid_sums`' state, the abscissas k/N and the weights.
+    """A level's table [sums, powers, ks, weights, tangents]: :func:`_grid_sums`' state, the abscissas k/N, the
+    weights, and T_k = tan(pi k/2N) at B = frac + 2 bitlength(N) + 8 fraction bits until the next level reads them.
 
-    w_k = (1 - t) tan(pi t/2) is rounded to nearest at ``frac`` fraction bits, tan(pi k/2N) = sin(pi
-    k/2N) / sin(pi (N-k)/2N) from :func:`_chebyshev`, the entry for N - k at the mirrored index.  Level
-    0 holds k = 1..N-1 and the end t = 1 with half its value (w(1)/2 = 1/pi; w(0) = 0); later levels
-    hold the odd k.  ``powers`` starts as the w_k and :func:`_grid_sums` raises it in place to w_k k^m,
-    m = len(sums); ``weights`` is read back from it, exactly, the first time it is asked for, so a
-    table that only the moment sums read holds no second copy.
+    Level 0 holds k = 1..N-1 and the end t = 1 with half its weight (w(1)/2 = 1/pi; w(0) = 0); later levels hold
+    the odd k.  Only k <= N/2, the first ceil(len(ks)/2), take a long division, T_k = floor(2^B sin / cos) from
+    :func:`_chebyshev`, the cosine (at least cos(pi/4)) the sine at the mirrored index.  The rest follow from
+    cot x - tan x = 2 cot 2x: T_(N-j) = T_j + 2 T_(N-2j), where N - 2j is this level's k at level 0, and the
+    coarser level's N/2 - j, shifted up the 2 bits its B lacks, after.  The m-th sine is within m^2 2^-B, so a
+    division is within 2 N^2 2^-B and its floor, 4^d 2^-B from d levels down: delta = 3 N^2 2^-B <= 3 2^-(frac+8)
+    in all.  A chain from j in (N/2^(d+1), N/2^d] adds 2^(d+1) - 1 < 2N/j of them, so each w_k = (1 - t) T_k is
+    within 2 delta before it is rounded to nearest at ``frac`` bits by one small division.  ``powers`` starts as
+    the w_k and :func:`_grid_sums` raises it in place to w_k k^m, m = len(sums); ``weights`` is read back from it,
+    exactly, the first time it is asked for, so a table that only the moment sums read holds no second copy.
     """
     store = _tables(wp)
     entry = store.get(key := ("grid", level, frac))
@@ -192,14 +197,22 @@ def _grid(wp: int, level: int, frac: int, weights: bool = False) -> list:
         cos, sin = mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True)
         ks = list(range(1, n) if level == 0 else range(1, n, 2))
         sines = [x for _, x in zip(ks, _chebyshev(cos, sin, bits, level))]
-        w = [((((n - k) * x) << frac + 1) // (n * y) + 1) >> 1 for k, x, y in zip(ks, sines, reversed(sines))]
+        tans = [(x << bits) // y for x, y in zip(sines[: (len(ks) + 1) // 2], reversed(sines))]
+        if level == 0:
+            for k in range(len(tans) + 1, n):
+                tans.append(tans[n - k - 1] + 2 * tans[2 * k - n - 1])
+        else:  # T_(N-j), j = 1, 3, .. < N/2, from the coarser level's T_(N/2-j), which it then releases
+            coarser = _grid(wp, level - 1, frac)
+            pairs, coarser[4] = coarser[4][:: -1 if level > 1 else -2], None
+            tans += [t + (c << 3) for t, c in zip(tans, pairs)][::-1]
+        w = [((((n - k) * t >> bits - frac - 1) // n) + 1) >> 1 for k, t in zip(ks, tans)]
         if level == 0:
             ks.append(n)
             with mp.workprec(frac + 16):
                 w.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
-        entry = store[key] = [[], w, ks, None]
+        entry = store[key] = [[], w, ks, None, tans]
     if weights and entry[3] is None:
-        sums, powers, ks, _ = entry  # before any sum raises them, the powers are the weights: share them
+        sums, powers, ks, *_ = entry  # before any sum raises them, the powers are the weights: share them
         entry[3] = [x // k ** len(sums) for x, k in zip(powers, ks)] if sums else list(powers)
     return entry
 
@@ -213,7 +226,7 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
     needs a higher degree extends it (and the coarser levels) and the entries
     already there do not change.
     """
-    sums, powers, ks, _ = _grid(wp, level, frac)
+    sums, powers, ks, *_ = _grid(wp, level, frac)
     start = len(sums)
     if start > degree:
         return sums
@@ -516,7 +529,7 @@ def integrate_mikolas(z, tol, precision: int) -> QuadResult:
     def level_total(wp, level, terms):
         nonlocal grid
         n = _base_points(wp) << level
-        _, _, ks, weights = _grid(wp, level, frac, weights=True)
+        _, _, ks, weights, _ = _grid(wp, level, frac, weights=True)
         bits = frac + 3 * n.bit_length() + size + 8
         with mp.workprec(bits + 16):
             cos, sin = mpf_cos_sin((z / n)._mpf_, bits + 16, pi=True)

@@ -13,6 +13,9 @@ Each one is a second route to something the library computes, kept out of
   -psi(1-z) - gamma.
 * ``gamma_nodes``              the Gamma rule's nodes x and v in mpf
   arithmetic, against which ``quad._gamma_nodes``' integers are checked.
+* ``grid_weights``             the trapezoid weights w_k, each by one long
+  division of two Chebyshev sines, against which ``quad._grid``'s weights
+  from the cotangent doubling identity are checked.
 * ``integrate_01_many``, ``integrate_one``
   tanh-sinh integration over (0, 1) of a tuple-valued and of a scalar
   integrand, on nodes stepped from one exp(h) per level (``_unit_nodes``,
@@ -51,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
 
 from oddzeta import exactnum, expansion, quad, reference
 from oddzeta.errors import DomainError
@@ -187,6 +190,26 @@ def gamma_nodes(z, n: int, first: int, stride: int, count: int, precision: int) 
             nodes.append((x, (1 + e) * mp.exp(z * x - mp.exp(x))))
             e *= step
     return nodes
+
+
+def grid_weights(wp: int, level: int, frac: int) -> list:
+    """The weights w_k of ``quad._grid``'s level, each by one long division of two Chebyshev sines.
+
+    w_k = (1 - k/N) tan(pi k/2N) = (N - k) sin(pi k/2N) / (N sin(pi (N-k)/2N)), rounded to nearest at ``frac``
+    fraction bits from the sines of ``quad._chebyshev`` at frac + 2 bitlength(N) + 8 bits, and at level 0 the
+    t = 1 half weight 1/pi last: the grid's weight formula before the tangents above N/2 came from the
+    cotangent doubling identity.
+    """
+    n = quad._base_points(wp) << level
+    bits = frac + 2 * n.bit_length() + 8
+    cos, sin = mpf_cos_sin(from_rational(1, 2 * n, bits + 8), bits + 8, pi=True)
+    ks = list(range(1, n) if level == 0 else range(1, n, 2))
+    sines = [x for _, x in zip(ks, quad._chebyshev(cos, sin, bits, level))]
+    w = [((((n - k) * x) << frac + 1) // (n * y) + 1) >> 1 for k, x, y in zip(ks, sines, reversed(sines))]
+    if level == 0:
+        with mp.workprec(frac + 16):
+            w.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -373,29 +373,59 @@ class TestEndSeries:
 
 class TestGridWeights:
     # every trapezoid weight w_k = (1 - k/N) tan(pi k/2N) from the Chebyshev
-    # sines, at the store keys of 100-digit and 700-digit zeta integrals; the
-    # last one at level 0 is the t = 1 end's half weight, 1/pi.  After the
-    # degree-0 sums the entry holds w_k k, so w_k is read back exactly
+    # sines and the cotangent doubling identity, at the store keys of 100-digit
+    # and 700-digit zeta integrals; the last one at level 0 is the t = 1 end's
+    # half weight, 1/pi.  After the degree-0 sums the entry holds w_k k, so w_k
+    # is read back exactly.  Each is rounded to nearest: the derived error
+    # before rounding is below 2^-(frac+5), and the measured one 2^-(frac+10)
     @pytest.mark.parametrize("wp,frac", [(436, 500), (2629, 2693)])
     def test_within_one_unit_of_mpmath(self, wp, frac):
         quad._tables.cache_clear()
         for level in range(3):
             quad._grid_sums(wp, level, frac, 0)
-            _, powers, ks, _ = quad._tables(wp)[("grid", level, frac)]
+            _, powers, ks, _ = quad._tables(wp)[("grid", level, frac)][:4]
             n = quad._base_points(wp) << level
             assert ks == (list(range(1, n + 1)) if level == 0 else list(range(1, n, 2)))
             with mp.workprec(frac + 32):
                 for x, k in zip(powers, ks):
                     want = 1 / mp.pi if k == n else (1 - mp.mpf(k) / n) * mp.tan(mp.pi * k / (2 * n))
                     assert x % k == 0
-                    assert abs(x // k - mp.ldexp(want, frac)) <= 1, (level, k)
+                    assert abs(x // k - mp.ldexp(want, frac)) <= 0.5 + mp.ldexp(1, -10), (level, k)
+
+    # the weights of levels 0-3 (0-2 at 2000 digits) at the store keys of zeta
+    # integrals from 30 to 2000 digits, bit for bit against the one-division
+    # formula, built in order and cold from the finest level down
+    @pytest.mark.parametrize("digits,levels", [(30, 4), (120, 4), (300, 4), (700, 4), (1000, 4), (2000, 3)])
+    @pytest.mark.parametrize("order", ["in_order", "finest_first"])
+    def test_equal_to_one_division_per_weight(self, digits, levels, order):
+        wp = working_precision(bits_for_digits(digits))
+        frac = wp + 64
+        quad._tables.cache_clear()
+        built = range(levels) if order == "in_order" else range(levels - 1, -1, -1)
+        got = {level: quad._grid(wp, level, frac, weights=True)[3] for level in built}
+        for level in range(levels):
+            assert got[level] == oracles.grid_weights(wp, level, frac), level
+
+    def test_one_tangent_list_per_store(self):
+        # each level reads the coarser level's unrounded tangents and releases
+        # them, so after levels 0-4 only the finest entry holds its list, one
+        # tangent per abscissa; a second frac keeps its own
+        wp, frac = 436, 500
+        quad._tables.cache_clear()
+        for level in range(5):
+            quad._grid_sums(wp, level, frac, 3)
+        quad._grid(wp, 1, frac + 64)
+        store = quad._tables(wp)
+        held = sorted((key[1], key[2]) for key, entry in store.items() if key[0] == "grid" and entry[4] is not None)
+        assert held == [(1, frac + 64), (4, frac)]
+        assert len(store[("grid", 4, frac)][4]) == len(store[("grid", 4, frac)][2])
 
     @pytest.mark.parametrize("wp,frac", [(436, 500), (2629, 2693)])
     def test_end_half_weight_rounded_to_nearest(self, wp, frac):
-        # the t = 1 half weight 1/pi is rounded to nearest, as the sine ratios are
+        # the t = 1 half weight 1/pi is rounded to nearest, as the tangent weights are
         quad._tables.cache_clear()
         quad._grid_sums(wp, 0, frac, 0)
-        _, powers, ks, _ = quad._tables(wp)[("grid", 0, frac)]
+        _, powers, ks, _ = quad._tables(wp)[("grid", 0, frac)][:4]
         with mp.workprec(frac + 32):
             assert abs(powers[-1] // ks[-1] - mp.ldexp(1 / mp.pi, frac)) <= 0.5 + mp.ldexp(1, -10)
 
@@ -422,7 +452,7 @@ class TestGridWeights:
         weights = []
         for level in range(levels):
             quad._grid_sums(wp, level, frac, 0)
-            _, powers, ks, _ = quad._tables(wp)[("grid", level, frac)]
+            _, powers, ks, _ = quad._tables(wp)[("grid", level, frac)][:4]
             weights.append([(x // k, k) for x, k in zip(powers, ks)])
         for level in range(levels):
             sums = quad._grid_sums(wp, level, frac, degree)
