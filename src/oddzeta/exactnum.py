@@ -7,13 +7,13 @@ shift (:func:`taylor_shift`, which also forms ``quad``'s Q(1 - s)).
 Factorials and binomials come straight from ``math`` (the C implementations
 are plenty fast; no point re-wrapping them).
 
-Tangent numbers come from Brent and Harvey's TangentNumbers (arXiv:1108.0286),
-Bernoulli numbers from them, and Euler numbers from the zigzag numbers Z_n, one
-cached int each, which end the rows of a Seidel triangle that keeps its last two:
+Tangent and secant numbers come from Brent and Harvey's TangentNumbers and
+SecantNumbers ("Fast computation of Bernoulli, Tangent and Secant numbers",
+arXiv:1108.0286), two triangles of small-integer multiply-adds grown one
+column at a time in one table; Bernoulli and Euler numbers come from them:
 
-    tan x + sec x = sum Z_n x^n / n!,  T_m = Z_{2m-1},
-    B_{2m} = (-1)^(m-1) * 2m * T_m / (2^{2m} (2^{2m} - 1)),
-    E_{2m} = (-1)^m * Z_{2m}.
+    tan x = sum T_m x^(2m-1) / (2m-1)!,  sec x = sum S_m x^(2m) / (2m)!,
+    B_{2m} = (-1)^(m-1) * 2m * T_m / (2^{2m} (2^{2m} - 1)),  E_{2m} = (-1)^m S_m.
 
 Both routes are all-integer until the final division, and neither is the
 defining binomial recurrence, so the recurrence stays available as an
@@ -41,35 +41,21 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=2)
-def _entringer_row(n: int) -> tuple[int, ...]:
-    """Row n of the Entringer triangle: E(n,k) = E(n,k-1) + E(n-1,n-k)."""
-    if n == 0:
-        return (1,)
-    return tuple(accumulate(reversed(_entringer_row(n - 1)), initial=0))
-
-
-@lru_cache(maxsize=None)
-def _zigzag(n: int) -> int:
-    """Zigzag number Z_n (secant number for even n, tangent for odd n)."""
-    for k in range(_zigzag.cache_info().currsize, n):  # upward: row k - 1 is cached
-        _zigzag(k)
-    return _entringer_row(n)[n]
-
-
 @lru_cache(maxsize=1)
-def _tangent_table() -> tuple:
-    """[T_1, .., T_N], [0] + T_N's TangentNumbers pass values T_N^(k), k = 1..N, and the lock under which
-    both grow in place: T_(N+1)^(k) = (N + 1 - k) T_N^(k) + (N + 3 - k) T_(N+1)^(k-1), T_(N+1)^(0) = 0,
-    and T_(N+1) = 2 T_(N+1)^(N), O(N) small-integer multiply-adds an entry."""
-    return [1], [0, 1], Lock()
+def _zigzag_table() -> tuple:
+    """[T_1, .., T_N] and T_N's TangentNumbers pass values [0, T_N^(1), .., T_N^(N)], [S_0, .., S_M] and S_M's
+    SecantNumbers pass values [S_M^(0), .., S_M^(M)], and the lock under which all four grow in place, O(N) and
+    O(M) small-integer multiply-adds an entry: T_(N+1)^(0) = 0, T_(N+1)^(k) = (N + 1 - k) T_N^(k) + (N + 3 - k)
+    T_(N+1)^(k-1), T_(N+1) = 2 T_(N+1)^(N); S_(M+1)^(0) = (M + 1) S_M^(0), S_(M+1)^(k) = (M + 1 - k) S_M^(k) +
+    (M + 2 - k) S_(M+1)^(k-1), S_(M+1) = S_(M+1)^(M), appended as S_(M+1)^(M+1) for the next entry's last step."""
+    return [1], [0, 1], [1], [1], Lock()
 
 
 def tangent_number(n: int) -> int:
-    """Tangent number T_n, n >= 1: tan x = sum T_n x^(2n-1) / (2n-1)!, from :func:`_tangent_table`."""
+    """Tangent number T_n, n >= 1: tan x = sum T_n x^(2n-1) / (2n-1)!, from :func:`_zigzag_table`."""
     if n < 1:
         raise DomainError("tangent index must be >= 1")
-    values, column, lock = _tangent_table()
+    values, column, _, _, lock = _zigzag_table()
     with lock:
         for size in range(len(values), n):
             for k in range(1, size + 1):
@@ -98,13 +84,21 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def euler_number(n: int) -> int:
-    """Euler (secant) number E_n; E_0 = 1, E_2 = -1, E_4 = 5, odd ones vanish."""
+    """Euler (secant) number E_n = (-1)^(n/2) S_(n/2); E_0 = 1, E_2 = -1, E_4 = 5, odd ones vanish."""
     if n < 0:
         raise DomainError("Euler index must be >= 0")
     if n % 2:
         return 0
+    _, _, values, column, lock = _zigzag_table()
+    with lock:
+        for size in range(len(values), n // 2 + 1):
+            column[0] *= size
+            for k in range(1, size):
+                column[k] = (size - k) * column[k] + (size + 1 - k) * column[k - 1]
+            column.append(column[-1])
+            values.append(column[-1])
     sign = -1 if (n // 2) % 2 else 1
-    return sign * _zigzag(n)
+    return sign * values[n // 2]
 
 
 def bernoulli_polynomial(n: int) -> PiPoly:

@@ -44,6 +44,12 @@ Each one is a second route to something the library computes, kept out of
   sum, against which ``exactnum.taylor_shift`` is checked.
 * ``odd_product``              whether (1 - t) Q is odd, from its coefficients,
   the parity that decides whether ``quad`` skips the t = 0 end corrections.
+* ``_zigzag``, ``_entringer_row``
+  the zigzag numbers Z_n (tan x + sec x = sum Z_n x^n / n!) from the rows of
+  an Entringer (Seidel) triangle, once ``exactnum``'s route to the Euler
+  numbers: T_n = Z_(2n-1) and |E_2k| = Z_2k, against which Brent and
+  Harvey's tangent and secant columns in ``exactnum._zigzag_table`` are
+  checked.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin, round_nearest, to_fixed
@@ -565,3 +572,23 @@ def odd_product(q: list) -> bool:
     """Whether (1 - t) Q is odd: its coefficients q_m - q_(m-1) vanish at every even m."""
     product = [b - a for a, b in zip([0] + q, q + [0])]
     return not any(product[0::2])
+
+
+# ---------------------------------------------------------------------------
+# zigzag numbers
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=2)
+def _entringer_row(n: int) -> tuple[int, ...]:
+    """Row n of the Entringer triangle: E(n,k) = E(n,k-1) + E(n-1,n-k)."""
+    if n == 0:
+        return (1,)
+    return tuple(accumulate(reversed(_entringer_row(n - 1)), initial=0))
+
+
+@lru_cache(maxsize=None)
+def _zigzag(n: int) -> int:
+    """Zigzag number Z_n (secant number for even n, tangent for odd n)."""
+    for k in range(_zigzag.cache_info().currsize, n):  # upward: row k - 1 is cached
+        _zigzag(k)
+    return _entringer_row(n)[n]

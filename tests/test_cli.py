@@ -743,7 +743,7 @@ class TestVerify:
         for cached in cold_caches:
             cached.cache_clear()
         exactnum.tangent_number(20)
-        exactnum._tangent_table()[0][19] *= 2
+        exactnum._zigzag_table()[0][19] *= 2
         code, out, _ = run(["verify", "--max-p", "8", "--digits", "120"], capsys)
         assert code == EXIT_VERIFY_FAILED
         rows = verify_rows(out)
@@ -751,6 +751,22 @@ class TestVerify:
         assert re.match(r"FAIL digamma grid error \S+ exceeds bound  \[", rows["digamma-grid"])
         assert exactnum.bernoulli_number(40) == 2 * b40
         assert [value._mpf_ for value in reference.digamma_gauss(16, precision)] == clean
+
+    def test_corrupted_secant_number_fails_representations(self, capsys, cold_caches):
+        # |E_8| doubled where it is stored, so every reader sees it: E_8(t),
+        # which ck_euler integrates at p = 4, no longer vanishes at t = 1, and
+        # the exact pole check refuses it before its quadrature.  No other
+        # check reads an Euler number, so the other five pass
+        exactnum.euler_number(8)
+        exactnum._zigzag_table()[2][4] *= 2
+        code, out, _ = run(["verify", "--max-p", "8", "--digits", "120"], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        rows = verify_rows(out)
+        assert re.match(r"FAIL p=4, ck_euler: the polynomial factor is \S+ at t = 1, not 0", rows["representations"])
+        assert [name for name, row in rows.items() if row.startswith("PASS")] == [
+            name for name in VERIFY_CHECKS if name != "representations"
+        ]
+        assert exactnum.euler_number(8) == 2 * 1385
 
     @pytest.mark.parametrize(
         "oracle,failed",

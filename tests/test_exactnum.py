@@ -12,7 +12,7 @@ from oddzeta import exactnum
 from oddzeta.errors import DomainError
 from oddzeta.pipoly import PiLaurent, PiPoly
 from oddzeta.exactnum import bernoulli_number, bernoulli_polynomial, euler_number, euler_polynomial
-from oracles import harmonic
+from oracles import _zigzag, harmonic
 
 
 def poly_shift(poly: PiPoly, offset: Fraction) -> dict:
@@ -38,8 +38,8 @@ class TestTangentNumbers:
 
     def test_equal_to_the_entringer_route(self, cold_caches):
         # Brent and Harvey's TangentNumbers against the zigzag numbers Z_(2n-1)
-        # that end the Entringer rows, which the Euler numbers keep
-        assert [exactnum.tangent_number(n) for n in range(1, 501)] == [exactnum._zigzag(2 * n - 1) for n in range(1, 501)]
+        # that end the Entringer rows of the tests' oracle
+        assert [exactnum.tangent_number(n) for n in range(1, 501)] == [_zigzag(2 * n - 1) for n in range(1, 501)]
 
     def test_grown_in_steps(self, cold_caches):
         # a later, larger n extends the column in place, as a later level's
@@ -51,22 +51,29 @@ class TestTangentNumbers:
         for cached in cold_caches:
             cached.cache_clear()
         exactnum.tangent_number(500)
-        assert len(exactnum._tangent_table()[0]) == 500
+        assert len(exactnum._zigzag_table()[0]) == 500
         assert [exactnum.tangent_number(n) for n in range(1, 501)] == stepped
 
     def test_concurrent_growth(self, cold_caches):
-        # eight threads grow the one table to different lengths at once, with
-        # the interpreter switching threads every microsecond
+        # eight threads grow the one table's tangent and secant numbers to
+        # different lengths at once, with the interpreter switching threads
+        # every microsecond
+        tangents = (60, 120, 90, 30, 150, 10, 140, 100)
+        secants = (240, 60, 300, 20, 180, 120, 280, 100)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(exactnum.tangent_number, n) for n in (60, 120, 90, 30, 150, 10, 140, 100)]
-                got = [future.result(timeout=60) for future in futures]
+                futures = [
+                    (pool.submit(exactnum.tangent_number, n), pool.submit(euler_number, m))
+                    for n, m in zip(tangents, secants)
+                ]
+                got = [(t.result(timeout=60), e.result(timeout=60)) for t, e in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert got == [exactnum._zigzag(2 * n - 1) for n in (60, 120, 90, 30, 150, 10, 140, 100)]
-        assert exactnum._tangent_table()[0] == [exactnum._zigzag(2 * n - 1) for n in range(1, 151)]
+        assert got == [(_zigzag(2 * n - 1), (-1) ** (m // 2) * _zigzag(m)) for n, m in zip(tangents, secants)]
+        assert exactnum._zigzag_table()[0] == [_zigzag(2 * n - 1) for n in range(1, 151)]
+        assert exactnum._zigzag_table()[2] == [_zigzag(2 * k) for k in range(151)]
 
 
 class TestBernoulliNumbers:
@@ -84,8 +91,8 @@ class TestBernoulliNumbers:
         assert all(bernoulli_number(n) == 0 for n in range(3, 42, 2))
 
     def test_defining_identity(self):
-        # sum_{k=0}^{n} C(n+1,k) B_k = 0; independent of the zigzag route used
-        # by the implementation
+        # sum_{k=0}^{n} C(n+1,k) B_k = 0; independent of the tangent numbers
+        # the implementation reads
         for n in range(1, 41):
             total = sum(comb(n + 1, k) * bernoulli_number(k) for k in range(n + 1))
             assert total == 0, n
@@ -101,17 +108,20 @@ class TestBernoulliNumbers:
         assert results[0] == bernoulli_number(24)
 
     def test_sweep_against_mpmath_keeps_two_rows(self, cold_caches):
-        # mpmath computes B_n by its own route; each Entringer row, which the
-        # Euler numbers read, is read once, to build the next, so only the
-        # last two stay cached
+        # mpmath computes B_n by its own route; the Euler numbers grow only
+        # the table's secant numbers, S_0..S_300 for E_600, and leave the
+        # tangent column that B_600 grew as it was
         for n in range(601):
             assert bernoulli_number(n) == Fraction(*mp.bernfrac(n)), n
+        tangents, column, secants, _, _ = exactnum._zigzag_table()
+        before = list(column)
         euler_number(600)
-        assert exactnum._entringer_row.cache_info().currsize <= 2
+        assert len(secants) == 301
+        assert len(tangents) == 300 and column == before
 
     def test_cold_index_past_the_recursion_limit(self, cold_caches):
-        # the tangent numbers grow in a loop, and the zigzag numbers fill
-        # upward, so a cold call recurses one frame, not n
+        # the tangent and the secant numbers grow in loops, so a cold call
+        # recurses one frame, not n
         n = 2 * (sys.getrecursionlimit() // 2 + 50)
         assert bernoulli_number(n) == Fraction(*mp.bernfrac(n))
         assert euler_number(n) and sum(comb(n, j) * euler_number(j) for j in range(0, n + 1, 2)) == 0
@@ -131,6 +141,25 @@ class TestEulerNumbers:
     def test_sweep_against_mpmath(self):
         for n in range(201):
             assert euler_number(n) == mp.eulernum(n, exact=True), n
+
+    def test_equal_to_the_entringer_route(self, cold_caches):
+        # Brent and Harvey's SecantNumbers against the zigzag numbers Z_2k
+        # that end the Entringer rows of the tests' oracle, to E_1400, which
+        # ck_euler reads at the p cap
+        assert [abs(euler_number(2 * k)) for k in range(701)] == [_zigzag(2 * k) for k in range(701)]
+
+    def test_grown_in_steps(self, cold_caches):
+        # a later, larger n extends the secant column in place (434 is the
+        # degree of ck_euler at p = 217); the table holds the same values as
+        # one grown straight to E_1400
+        for n in (2, 4, 100, 434, 1400):
+            euler_number(n)
+        stepped = list(exactnum._zigzag_table()[2])
+        for cached in cold_caches:
+            cached.cache_clear()
+        euler_number(1400)
+        assert len(exactnum._zigzag_table()[2]) == 701
+        assert exactnum._zigzag_table()[2] == stepped
 
 
 class TestBernoulliPolynomials:

@@ -51,8 +51,7 @@ class TestZetaOracle:
 
         monkeypatch.setattr(exactnum, "bernoulli_number", refused)
         monkeypatch.setattr(reference, "bernoulli_number", refused)
-        monkeypatch.setattr(exactnum, "_zigzag", refused)
-        monkeypatch.setattr(exactnum, "_tangent_table", refused)
+        monkeypatch.setattr(exactnum, "_zigzag_table", refused)
         assert [zeta_ref(s, precision)._mpf_ for s in range(2, 34)] == want
 
     def test_keeps_no_weights(self):
@@ -194,8 +193,7 @@ class TestDigammaGauss:
 
         monkeypatch.setattr(exactnum, "bernoulli_number", refused)
         monkeypatch.setattr(reference, "bernoulli_number", refused)
-        monkeypatch.setattr(exactnum, "_zigzag", refused)
-        monkeypatch.setattr(exactnum, "_tangent_table", refused)
+        monkeypatch.setattr(exactnum, "_zigzag_table", refused)
         assert [value._mpf_ for value in digamma_gauss(16, precision)] == want
 
     def test_domain(self):

@@ -310,16 +310,14 @@ class TestComputationRecord:
         assert first == abs(comp.value - comp.reference)
 
 
-# every library cache, by qualified name; the last four are bounded: two
-# Entringer rows, and three caches keyed by precision; the tangent numbers are
-# one table that grows in place
+# every library cache, by qualified name; the last three are bounded, keyed
+# by precision; the tangent and secant numbers are one table that grows in
+# place
 KEPT_CACHES = (
-    "exactnum._tangent_table",
-    "exactnum._zigzag",
+    "exactnum._zigzag_table",
     "exactnum.bernoulli_number",
     "expansion.csc_coefficient",
     "expansion.p_poly",
-    "exactnum._entringer_row",
     "quad._tables",
     "reference.zeta_ref",
     "reference.euler_gamma",
@@ -330,7 +328,7 @@ def test_cache_inventory(cold_caches):
     # a new cache has to be added here on purpose
     by_name = {f"{c.__module__.removeprefix('oddzeta.')}.{c.__qualname__}": c for c in cold_caches}
     assert sorted(by_name) == sorted(KEPT_CACHES)
-    assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-4:])
+    assert all(by_name[name].cache_info().maxsize is not None for name in KEPT_CACHES[-3:])
 
 
 TABLE_CALLS = [(p, rep) for p in range(1, 17) for rep in Representation]
