@@ -242,7 +242,7 @@ def _grid_sums(wp: int, level: int, frac: int, degree: int) -> list:
 
 
 def _series(wp: int, frac: int, count: int) -> tuple:
-    """The end series of w, ``count`` terms each, at frac + 32 fraction bits.
+    """The end series of w and the column of level 0's end-correction weights, ``count`` terms each.
 
     g_n is the coefficient of t^(2n-1) in tan(pi t/2), T_n (pi/2)^(2n-1) /
     (2n-1)! with T_n the tangent number (DLMF 4.19.3), for n >= 1; u_n that of
@@ -252,22 +252,27 @@ def _series(wp: int, frac: int, count: int) -> tuple:
     for n >= 1.  (pi/2)^(2n-1) / (2n-1)! is stepped at frac + 64 bits, one
     multiply and one small division a term, and g_n, its product with the
     integer T_n, and u_0 = 2/pi are floored once; the other u_n are g_n's exact
-    ratio, rounded.  Each is within one unit of 2^-(frac+32).
+    ratio, rounded.  Each is within one unit of 2^-(frac+32).  The third list
+    is the column e_n = floor(2^(frac+33) E_n) of the weights E_n = B_2n/(2n
+    N0^2n) on the grid of level 0, floored once from the same T_n: B_2n/2n =
+    (-1)^(n-1) T_n / (4^n (4^n - 1)) (Brent & Harvey, arXiv:1108.0286).
     """
     store = _tables(wp)
-    g, u = store.setdefault(("series", frac), ([], []))
+    g, u, e = store.setdefault(("series", frac), ([], [], []))
     if len(g) >= count:
-        return g, u
-    bits = frac + _SERIES_BITS
+        return g, u, e
+    bits, grid_square = frac + _SERIES_BITS, _base_points(wp) ** 2
+    scale = grid_square ** len(g)  # N0^(2n), stepped
     with mp.workprec(bits + 32):
         half_pi = mp.pi / 2
         square, y = half_pi * half_pi, half_pi ** (2 * len(g) + 1) / math.factorial(2 * len(g) + 1)
         for n in range(len(g), count):
-            d = (1 << 2 * n) - 1
+            d, tangent, scale = (1 << 2 * n) - 1, exactnum.tangent_number(n + 1), scale * grid_square
             u.append(-((2 * g[n - 1] + d) // (2 * d)) if n else to_fixed((1 / half_pi)._mpf_, bits))
-            g.append(to_fixed((y * exactnum.tangent_number(n + 1))._mpf_, bits))
+            g.append(to_fixed((y * tangent)._mpf_, bits))
+            e.append(((-1) ** n * tangent << bits + 1) // (((4 << 2 * n) - 1) * scale << 2 * n + 2))
             y = y * square / ((2 * n + 2) * (2 * n + 3))
-    return g, u
+    return g, u, e
 
 
 def _corrections(wp: int, level: int, frac: int, terms: int, degree: int, odd: bool) -> tuple:
@@ -280,27 +285,22 @@ def _corrections(wp: int, level: int, frac: int, terms: int, degree: int, odd: b
     p_m = q_m - q_(m-1) those of (1 - t) Q.  At t = 1 the corrections act on
     the Taylor coefficients r_i of Q(1 - s), whose odd ones meet D_c = sum_j
     E_j u_(j-c) for i = 2c - 1; in that basis no binomial C(m, i) amplifies a
-    rounding error.  E_j is rounded once from the exact rational, and each sum
-    is exact until its one rounding.  The lists grow as far as a Q of degree
-    ``degree`` reads them, to a = degree/2 + 1 (none where (1 - t) Q is
+    rounding error.  N = N0 2^level, so N^2j = N0^2j 2^(2j level), and
+    floor(floor(x) / 2^s) = floor(x / 2^s) for every real x: level 0's column
+    e_j = floor(2^(frac+33) E_j) (:func:`_series`) shifted down 2j level bits
+    is the floor at this level, and E_j is rounded to nearest from it, once.
+    Each sum is exact until its one rounding.  The lists grow as far as a Q of
+    degree ``degree`` reads them, to a = degree/2 + 1 (none where (1 - t) Q is
     ``odd``: every p_2a is 0) and 2c - 1 = degree (none past c = K).
     """
     store = _tables(wp)
     key = ("corrections", level, frac, terms)
-    bits = frac + _SERIES_BITS
+    g, u, e = _series(wp, frac, terms)
     entry = store.get(key)
     if entry is None:
-        n = _base_points(wp) << level
-        weights, scale = [], 1
-        for j in range(1, terms + 1):
-            scale *= n * n
-            big = exactnum.bernoulli_number(2 * j)
-            den = 2 * j * scale * big.denominator
-            weights.append(((big.numerator << (bits + 1)) // den + 1) >> 1)
-        entry = store[key] = (weights, [], [])
+        entry = store[key] = ([((x >> 2 * j * level) + 1) >> 1 for j, x in enumerate(e[:terms], 1)], [], [])
     weights, at_zero, at_one = entry
-    g, u = _series(wp, frac, terms)
-    shift = 2 * bits - frac
+    shift = frac + 2 * _SERIES_BITS
 
     def fold(total):
         return (total + (1 << shift - 1)) >> shift

@@ -31,9 +31,8 @@ from functools import lru_cache
 import mpmath as mp
 from mpmath.libmp import from_int, from_rational, mpf_log, repr_dps, round_nearest, to_fixed
 
-from . import quad
+from . import exactnum, quad
 from .errors import DomainError
-from .exactnum import bernoulli_number
 from .pipoly import fraction_to_mpf
 
 __all__ = [
@@ -176,7 +175,7 @@ def digamma_ref(x, precision: int):
         power = square
         j = 1
         while True:
-            b = bernoulli_number(2 * j)
+            b = exactnum.bernoulli_number(2 * j)
             term = fraction_to_mpf(b) / (2 * j) / power
             result -= term
             if abs(term) < eps * abs(result):

